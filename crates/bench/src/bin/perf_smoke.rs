@@ -2,7 +2,7 @@
 //! path, written to `BENCH_sched.json` so the perf trajectory is tracked
 //! in-repo from PR to PR.
 //!
-//! Five sections:
+//! Seven sections:
 //!
 //! 1. **seek_table** — `position_time` cost from an on-grid sled state,
 //!    direct solve vs memo table (the SPTF oracle's unit of work);
@@ -265,9 +265,11 @@ fn collect_requests(mut w: impl Workload) -> Vec<Request> {
 }
 
 /// The streamed-vs-materialized identity gate, run in-process before the
-/// big streaming cells: a buffered-arrival constant-memory driver run and
-/// a streaming fleet run must both be digest-identical to their fully
-/// materialized twins. CI greps the resulting `"streamed_identical"`.
+/// big streaming cells: a buffered-arrival constant-memory driver run must
+/// be digest-identical to its fully materialized twin, and a fleet pulling
+/// from the generator (`FleetEngine::streaming`) to one over the collected
+/// request slice (`FleetEngine::new`). CI greps the resulting
+/// `"streamed_identical"`.
 fn streaming_identity_gate() -> bool {
     let params = MemsParams::default();
     const N: u64 = 50_000;

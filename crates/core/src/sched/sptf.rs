@@ -485,6 +485,32 @@ fn index_arrivals_flat<O: PositionOracle + ?Sized>(
     }
 }
 
+/// The shallow-queue pick of the flat-index schedulers: `None` with no
+/// request pending, the lone request (unbucketed or indexed) with one —
+/// counted as one pick over one candidate, nothing scored. Returns `None`
+/// when two or more are pending and the scan must run.
+fn pick_shallow(
+    len: &mut usize,
+    counters: &mut SchedCounters,
+    inbox: &mut Vec<(u64, Request)>,
+    index: &mut FlatIndex,
+) -> Option<Option<Request>> {
+    match *len {
+        0 => Some(None),
+        1 => {
+            *len = 0;
+            counters.picks += 1;
+            counters.candidates_examined += 1;
+            let (_, req) = inbox.pop().unwrap_or_else(|| {
+                let bucket = index.next_occupied(0).expect("one request is indexed");
+                index.remove(bucket, 0)
+            });
+            Some(Some(req))
+        }
+        _ => None,
+    }
+}
+
 /// Greedy shortest-positioning-time scheduler with a pruned, incrementally
 /// cached pick.
 ///
@@ -540,6 +566,15 @@ impl Scheduler for SptfScheduler {
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
+        // Shallow queues skip the index, the oracle, and the cache. The
+        // lone request leaves its bucket's cache slot stale, which is
+        // sound: the index is then empty, so every bucket occupied at a
+        // later pick received an arrival in between, and each arrival
+        // invalidates its bucket's slot before the walk can read it.
+        let (inbox, index) = (&mut self.inbox, &mut self.index);
+        if let Some(shallow) = pick_shallow(&mut self.len, &mut self.counters, inbox, index) {
+            return shallow;
+        }
         index_arrivals_flat(
             &mut self.inbox,
             &mut self.index,
@@ -741,6 +776,12 @@ impl Scheduler for AgedSptfScheduler {
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
+        // Shallow queues skip the index and the oracle, as in SPTF.
+        let (inbox, index) = (&mut self.inbox, &mut self.index);
+        if let Some(shallow) = pick_shallow(&mut self.len, &mut self.counters, inbox, index) {
+            self.arrivals.clear();
+            return shallow;
+        }
         index_arrivals_flat(&mut self.inbox, &mut self.index, None, device);
         let credit_bound = match self.arrivals.first() {
             Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
@@ -1065,6 +1106,89 @@ mod tests {
             }
         }
         assert!(pruned.is_empty() && naive.is_empty());
+    }
+
+    /// Runs two schedulers through a stream whose queue depth cycles
+    /// through 0, 1, 2, 3, asserting identical picks (including `None` on
+    /// the empty queue) and pick counts. A `moving` device is serviced
+    /// after every pick; a parked one keeps one rest state throughout, so
+    /// cache slots left stale by single-entry picks would be read back if
+    /// the short-circuit were unsound (debug builds cross-check every hit).
+    fn assert_shallow_equivalence<P: Scheduler, N: Scheduler>(
+        mut fast: P,
+        mut naive: N,
+        seed: u64,
+        moving: bool,
+    ) {
+        let mut dev_f = MemsDevice::new(MemsParams::default());
+        let mut dev_n = MemsDevice::new(MemsParams::default());
+        let mut next_lbn = lbn_stream(seed, dev_f.capacity_lbns());
+        let (mut id, mut now) = (0u64, SimTime::ZERO);
+        let mut pick = |fast: &mut P, naive: &mut N, now: &mut SimTime| match (
+            fast.pick(&dev_f, *now),
+            naive.pick(&dev_n, *now),
+        ) {
+            (Some(a), Some(b)) => {
+                assert_eq!(a.id, b.id, "pick diverged at t={now:?} (seed {seed})");
+                if moving {
+                    let done = *now + dev_f.service(&a, *now).total_time();
+                    assert_eq!(done, *now + dev_n.service(&b, *now).total_time());
+                    *now = done;
+                }
+            }
+            (None, None) => {}
+            (a, b) => panic!("queue length diverged: {a:?} vs {b:?}"),
+        };
+        for step in 0..600 {
+            let depth = step % 4;
+            while fast.len() < depth {
+                let r = Request::new(id, now, next_lbn(), 8, IoKind::Read);
+                fast.enqueue(r);
+                naive.enqueue(r);
+                id += 1;
+            }
+            while fast.len() > depth {
+                pick(&mut fast, &mut naive, &mut now);
+            }
+            pick(&mut fast, &mut naive, &mut now);
+        }
+        while !fast.is_empty() {
+            pick(&mut fast, &mut naive, &mut now);
+        }
+        assert!(naive.is_empty());
+        assert_eq!(fast.counters().picks, id);
+        assert_eq!(naive.counters().picks, id);
+    }
+
+    #[test]
+    fn shallow_queue_picks_match_naive_scan() {
+        for seed in [3u64, 0x5EED_0006] {
+            for moving in [true, false] {
+                assert_shallow_equivalence(
+                    SptfScheduler::new(),
+                    NaiveSptfScheduler::new(),
+                    seed,
+                    moving,
+                );
+                assert_shallow_equivalence(
+                    AgedSptfScheduler::new(1.5),
+                    NaiveAgedSptfScheduler::new(1.5),
+                    seed,
+                    moving,
+                );
+            }
+        }
+        // Every single-entry pick counts one candidate and never scores.
+        let dev = MemsDevice::new(MemsParams::default());
+        let mut s = SptfScheduler::new();
+        assert!(s.pick(&dev, SimTime::ZERO).is_none());
+        s.enqueue(req(0, 1234));
+        assert_eq!(s.pick(&dev, SimTime::ZERO).unwrap().id, 0);
+        let c = s.counters();
+        assert_eq!(
+            (c.picks, c.candidates_examined, c.cached_best_hits),
+            (1, 1, 0)
+        );
     }
 
     #[test]

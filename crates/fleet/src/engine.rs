@@ -1,37 +1,53 @@
-//! The sharded fleet engine: per-station event loops, sim-time barriers,
-//! and the deterministic cross-shard completion merge.
+//! The fleet engine: per-station event loops on persistent worker
+//! threads, and the deterministic streaming merge of their completions.
 //!
 //! # Execution model
 //!
 //! Every leaf device is a **station**: its own request queue, scheduler,
 //! and calendar-queue event loop (a [`Driver`] stepped through the
-//! session API). Stations are partitioned contiguously into **shards**;
-//! worker threads advance whole shards to a common sim-time **barrier**,
-//! then the main thread drains each station's completions and merges
-//! them into one globally ordered stream.
+//! session API). A shared splitter pulls fleet requests from the workload
+//! on demand, routes them through the [`VolumeSpec`], and parks each
+//! station's sub-I/Os in a ring until that station's driver asks.
+//!
+//! The stations are split into `threads` contiguous runs, each owned by a
+//! **worker** that lives for the whole run inside one `thread::scope`. A
+//! worker advances its stations one **batch** at a time: the batch ends at
+//! the smallest multiple of `epoch` covering the worker's earliest pending
+//! event, and each station steps there with [`Driver::advance_until`].
+//! The worker sends the batch's completions, sorted by `(completion time,
+//! station, drain order)`, with the batch end over a bounded channel. The
+//! main thread emits every received completion at or before the least
+//! batch end over the unfinished workers, in that order, and assembles
+//! fleet requests from them. With one worker the main thread runs the
+//! worker's loop itself: the same loop and merge, no thread, no channel.
+//!
+//! A full channel blocks its worker, so a worker runs at most the channel
+//! depth in batches ahead of the merge. That bounds how far the workers
+//! drift apart in sim time, hence how many routed sub-I/Os wait in the
+//! splitter's rings: the only memory the engine adds to the stations'.
 //!
 //! # Determinism guarantee
 //!
 //! Fleet results are bit-identical for any shard count, worker-thread
-//! count, and barrier (epoch) width:
+//! count, and batch (epoch) width:
 //!
-//! * routing happens at setup time, so station timelines are **causally
-//!   independent** — no station's events depend on another station's
-//!   runtime state, and each station's event sequence is exactly what a
-//!   standalone [`Driver::run`] would produce;
-//! * the merge orders completions by `(completion time, station index,
-//!   station drain order)`, a total order independent of which shard or
-//!   thread produced them;
-//! * barriers only batch the merge: `advance_until(b)` drains *every*
-//!   completion at or before `b`, so batches are disjoint time slices
-//!   and their concatenation is the same total order for any width.
+//! * routing depends only on the request sequence, so station timelines
+//!   are **causally independent**: each station's event sequence is
+//!   exactly what a standalone [`Driver::run`] would produce;
+//! * `advance_until(end)` processes every event at or before `end`, so a
+//!   worker's later batches hold only completions after its last batch
+//!   end. Every completion at or before the merge bound has therefore
+//!   arrived, and each emitted run is a prefix of the total order
+//!   `(completion time, station, drain order)`, whatever the worker
+//!   split, batch widths, or thread timing.
 //!
 //! With one station, the merged stream is the station's own completion
-//! order, so a `shards = 1` fleet reproduces the single-loop driver
-//! bit for bit (asserted by the `fleet_equivalence` integration test).
+//! order, so a one-station fleet reproduces the single-loop driver bit
+//! for bit (asserted by the `fleet_equivalence` integration test).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, RecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use storage_sim::{
@@ -42,14 +58,23 @@ use storage_sim::{
 
 use crate::volume::{SubIo, VolumeSpec};
 
+/// Batches a worker may have queued for the merge before `send` blocks
+/// it: the engine's run-ahead bound.
+const RUN_AHEAD_BATCHES: usize = 4;
+
 /// Fleet execution parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Number of station groups advanced as units between barriers.
+    /// Contiguous station groups the wall-clock profile reports advance
+    /// time for ([`FleetProfile::shard_nanos`]); results are invariant
+    /// to it.
     pub shards: usize,
-    /// Worker threads advancing shards in parallel (1 = fully serial).
+    /// Persistent worker threads, each owning a contiguous run of
+    /// stations (capped at the station count; 1 runs everything on the
+    /// caller's thread). Results are invariant to it.
     pub threads: usize,
-    /// Barrier spacing in sim time; results are invariant to it.
+    /// Batch width in sim time: each worker's batches end on multiples
+    /// of it. Results are invariant to it.
     pub epoch: SimTime,
     /// Leading foreground completions excluded from fleet statistics.
     pub warmup_requests: u64,
@@ -105,8 +130,8 @@ pub struct FleetReport {
     pub fault_events: u64,
     /// Largest scheduler queue depth seen at any station.
     pub max_station_queue_depth: usize,
-    /// Event-queue restructures summed over stations; the routed
-    /// per-station `len_hint` pre-sizing keeps this at zero.
+    /// Event-queue restructures summed over stations; the drivers'
+    /// chain-bounded event-queue pre-sizing keeps this at zero.
     pub station_restructures: u64,
     /// Each station's own [`SimReport`], in station order.
     pub stations: Vec<SimReport>,
@@ -212,41 +237,39 @@ impl FleetReport {
     }
 }
 
-/// One station mid-run: its driver plus the session loop state.
+/// One station mid-run: its driver, the session loop state, and the time
+/// of its earliest pending event (`None` once the station has drained).
 struct Cell<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> {
     driver: Driver<StationFeed<W>, S, D, T>,
     state: RunState,
-    pending: bool,
+    next: Option<SimTime>,
 }
 
-/// How many sub-I/Os a streaming refill tries to leave in the asking
-/// station's buffer: larger batches amortize the splitter lock without
-/// affecting simulated results (buffered arrivals enter the event queue
-/// one at a time either way).
+/// How many sub-I/Os a refill tries to leave in the asking station's
+/// buffer: larger batches amortize the splitter lock without affecting
+/// simulated results (buffered arrivals enter the event queue one at a
+/// time either way).
 const REFILL_TARGET: usize = 64;
 
-/// The shared router behind a streaming fleet: pulls fleet-level
-/// requests from the workload on demand, routes each through the volume,
-/// and parks the resulting sub-I/Os in per-station ring buffers until
-/// the owning station's feed asks for them.
+/// The shared router behind a fleet: pulls fleet-level requests from the
+/// workload on demand, routes each through the volume, and parks the
+/// resulting sub-I/Os in per-station ring buffers until the owning
+/// station's feed asks for them.
 ///
-/// Per-station sub sequences are exactly the materialized path's: the
-/// router emits subs in fleet order (= arrival order), and a station's
-/// ring preserves it, so a streaming fleet is bit-identical to a
-/// materialized one by construction. Ring occupancy is bounded by
-/// routing skew (how many fleet requests must be pulled before the
-/// asking station sees one of its own) plus the refill batch — constant
-/// for stripe/mirror/parity volumes, where every station appears in
-/// every few requests.
+/// The router emits subs in fleet order (= arrival order) and a station's
+/// ring preserves it, so each station sees its subs in arrival order no
+/// matter which worker pulls when. Ring occupancy is bounded by routing
+/// skew (how many fleet requests must be pulled before the asking station
+/// sees one of its own), the refill batch, and the workers' bounded
+/// run-ahead — constant for stripe/mirror/parity volumes, where every
+/// station appears in every few requests.
 struct Splitter<W: Workload> {
     workload: W,
     volume: VolumeSpec,
     rings: Vec<VecDeque<Request>>,
-    /// `(expected subs, arrival)` per fleet id, dense in id order, drained
-    /// by the merge loop into the assembler each barrier.
+    /// `(expected subs, arrival)` per fleet id, in id order, moved into
+    /// the assembler by the merge after each batch it receives.
     meta: Vec<(u32, SimTime)>,
-    /// Sub-I/Os routed to each station so far.
-    routed: Vec<u64>,
     subs: Vec<SubIo>,
     next_id: u64,
     foreground: u64,
@@ -260,7 +283,6 @@ impl<W: Workload> Splitter<W> {
             volume,
             rings: vec![VecDeque::new(); stations],
             meta: Vec::new(),
-            routed: vec![0; stations],
             subs: Vec::new(),
             next_id: 0,
             foreground,
@@ -292,7 +314,6 @@ impl<W: Workload> Splitter<W> {
             self.volume.route(&req, &mut self.subs);
             self.meta.push((self.subs.len() as u32, req.arrival));
             for sub in &self.subs {
-                self.routed[sub.station] += 1;
                 let r = Request::new(req.id, req.arrival, sub.lbn, sub.sectors, sub.kind);
                 if sub.station == station {
                     local.push_back(r);
@@ -302,63 +323,40 @@ impl<W: Workload> Splitter<W> {
             }
         }
     }
-
-    fn take_meta(&mut self) -> Vec<(u32, SimTime)> {
-        std::mem::take(&mut self.meta)
-    }
 }
 
-/// A station driver's request source: either its fully materialized
-/// routed workload, or a buffered tap on the shared [`Splitter`] merged
-/// with the station's (materialized, small) background stream.
-enum StationFeed<W: Workload> {
-    /// Materialized per-station workload (foreground and background
-    /// merged and sorted up front).
-    Ready(VecWorkload),
-    /// Streaming tap: foreground subs pulled from the splitter on dry,
-    /// merged with the background queue by arrival (foreground wins
-    /// ties, matching the materialized path's stable sort).
-    Routed {
-        station: usize,
-        local: VecDeque<Request>,
-        background: VecDeque<Request>,
-        splitter: Arc<Mutex<Splitter<W>>>,
-    },
+/// Locks the shared splitter. A worker that panics while holding the
+/// lock dooms the run anyway — its lane never finishes, so the merge
+/// stops and re-raises that panic — and ignoring the poison keeps the
+/// other threads from masking it with a secondary one.
+fn lock<W: Workload>(splitter: &Mutex<Splitter<W>>) -> MutexGuard<'_, Splitter<W>> {
+    splitter.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A station driver's request source: a buffered tap on the shared
+/// [`Splitter`], merged by arrival with the station's own (small,
+/// explicit) background stream. Routed requests win arrival ties, so
+/// background requests queued for the same instant follow them.
+struct StationFeed<W: Workload> {
+    station: usize,
+    local: VecDeque<Request>,
+    background: VecDeque<Request>,
+    splitter: Arc<Mutex<Splitter<W>>>,
+}
+
+/// `len_hint` stays the default `None`: routed counts are discovered as
+/// the run streams, and the driver's chain-bounded event-queue pre-sizing
+/// keeps restructures at zero without it.
 impl<W: Workload> Workload for StationFeed<W> {
     fn next_request(&mut self) -> Option<Request> {
-        match self {
-            StationFeed::Ready(v) => v.next_request(),
-            StationFeed::Routed {
-                station,
-                local,
-                background,
-                splitter,
-            } => {
-                if local.is_empty() {
-                    splitter
-                        .lock()
-                        .expect("splitter lock poisoned")
-                        .refill(*station, local);
-                }
-                match (local.front(), background.front()) {
-                    (Some(f), Some(b)) if b.arrival < f.arrival => background.pop_front(),
-                    (Some(_), _) => local.pop_front(),
-                    (None, Some(_)) => background.pop_front(),
-                    (None, None) => None,
-                }
-            }
+        if self.local.is_empty() {
+            lock(&self.splitter).refill(self.station, &mut self.local);
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            StationFeed::Ready(v) => v.len_hint(),
-            // Routed counts are discovered as the run streams; `None` is
-            // always safe for the driver's (tiny, chain-bounded) event
-            // queue pre-sizing, so restructures stay at zero either way.
-            StationFeed::Routed { .. } => None,
+        match (self.local.front(), self.background.front()) {
+            (Some(f), Some(b)) if b.arrival < f.arrival => self.background.pop_front(),
+            (Some(_), _) => self.local.pop_front(),
+            (None, Some(_)) => self.background.pop_front(),
+            (None, None) => None,
         }
     }
 }
@@ -375,11 +373,10 @@ struct Slot {
 /// completions, in the deterministic merged order.
 ///
 /// Foreground requests live in a sliding window keyed by dense fleet id:
-/// metadata is appended in id order (all at once for a materialized
-/// fleet, barrier by barrier for a streaming one) and fully assembled
-/// slots are reclaimed from the front, so memory tracks the number of
-/// requests in flight, not the run length. Background requests route to
-/// exactly one sub, so they bypass the window entirely.
+/// metadata is appended in id order as the splitter routes, and fully
+/// assembled slots are reclaimed from the front, so memory tracks the
+/// number of requests in flight, not the run length. Background requests
+/// route to exactly one sub, so they bypass the window entirely.
 struct Assembler {
     foreground: u64,
     bg_arrivals: Vec<SimTime>,
@@ -454,32 +451,244 @@ impl Assembler {
     }
 }
 
-/// Where a fleet's foreground requests come from.
-enum FleetSource<W: Workload> {
-    /// Routed up front into per-station vectors ([`FleetEngine::new`]).
-    Materialized {
-        workloads: Vec<Vec<Request>>,
-        expected: Vec<u32>,
-        arrivals: Vec<SimTime>,
-    },
-    /// Routed on demand through a shared [`Splitter`]
-    /// ([`FleetEngine::streaming`]). Background requests stay
-    /// materialized per station (they are few and explicit).
-    Streaming {
-        workload: W,
-        volume: VolumeSpec,
-        background: Vec<Vec<Request>>,
-    },
+/// One batch of a worker's completions: every completion of its stations
+/// after the previous batch's end and at or before `end`, sorted by
+/// `(completion time, station, drain order)`.
+struct Batch {
+    end: SimTime,
+    completions: Vec<(Completion, usize)>,
+}
+
+/// A persistent worker: a fixed contiguous run of stations, advanced
+/// batch by batch on the worker's own epoch grid.
+struct Worker<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> {
+    /// Station index of `cells[0]`.
+    first: usize,
+    cells: Vec<Cell<S, D, T, W>>,
+    epoch_secs: f64,
+    /// Wall nanoseconds each station spent advancing (profiled runs only).
+    nanos: Vec<u64>,
+}
+
+impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> Worker<S, D, T, W> {
+    /// Advances every station to the end of the next batch and returns
+    /// the batch, or `None` once all of the worker's stations have
+    /// drained.
+    fn next_batch(&mut self) -> Option<Batch> {
+        let next = self.cells.iter().filter_map(|c| c.next).min()?;
+        let grid = SimTime::from_secs((next.as_secs() / self.epoch_secs).ceil() * self.epoch_secs);
+        let end = grid.max(next);
+        let mut completions = Vec::new();
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if cell.next.is_some_and(|t| t <= end) {
+                let t0 = T::PROFILE.then(Instant::now);
+                cell.driver.advance_until(&mut cell.state, end);
+                if let Some(t0) = t0 {
+                    self.nanos[i] += t0.elapsed().as_nanos() as u64;
+                }
+                cell.next = cell.state.next_event_time();
+                let station = self.first + i;
+                completions.extend(cell.state.drain_completions().map(|c| (c, station)));
+            }
+        }
+        // Stations were drained in order, each in its own completion
+        // order, so a stable sort on time alone yields (time, station,
+        // drain order).
+        completions.sort_by_key(|(c, _)| c.completion);
+        Some(Batch { end, completions })
+    }
+}
+
+/// The merge's view of one worker: completions received but not yet
+/// emitted, and the end of the last batch received — `None` before the
+/// first, infinite once the worker has sent its last.
+#[derive(Default)]
+struct Lane {
+    pending: VecDeque<(Completion, usize)>,
+    frontier: Option<SimTime>,
+}
+
+/// The main thread's side of a run: request assembly and report
+/// accumulation over the merged completion stream.
+struct Merge<W: Workload> {
+    splitter: Arc<Mutex<Splitter<W>>>,
+    assembler: Assembler,
+    report: FleetReport,
+    station_completions: Vec<Vec<Completion>>,
+    keep_station_completions: bool,
+    warmup_requests: u64,
+    emitted_fg: u64,
+}
+
+impl<W: Workload> Merge<W> {
+    /// Merges `lanes` worker streams into the global completion order.
+    /// `pull(i)` returns worker `i`'s next batch: `Ok(None)` once it has
+    /// finished, `Err` if it died without finishing. Returns `false` as
+    /// soon as a worker has died, leaving the report incomplete.
+    fn run(
+        &mut self,
+        lanes: usize,
+        mut pull: impl FnMut(usize) -> Result<Option<Batch>, RecvError>,
+        profile: &mut FleetProfile,
+        profiled: bool,
+    ) -> bool {
+        let finished = Some(SimTime::from_secs(f64::INFINITY));
+        let mut lanes: Vec<Lane> = (0..lanes).map(|_| Lane::default()).collect();
+        loop {
+            // Pull from the lane holding the merge back: the least
+            // frontier (one that has sent nothing holds back everything).
+            let (i, lane) = lanes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.frontier)
+                .expect("at least one worker");
+            if lane.frontier == finished {
+                return true;
+            }
+            let t0 = profiled.then(Instant::now);
+            let pulled = pull(i);
+            if let Some(t0) = t0 {
+                let nanos = t0.elapsed().as_nanos() as u64;
+                profile.profiler.on_scope(ProfScope::BarrierWait, nanos);
+            }
+            match pulled {
+                Ok(Some(batch)) => {
+                    profile.barriers += 1;
+                    lanes[i].frontier = Some(batch.end);
+                    lanes[i].pending.extend(batch.completions);
+                }
+                Ok(None) => lanes[i].frontier = finished,
+                Err(RecvError) => return false,
+            }
+            let Some(bound) = lanes.iter().map(|l| l.frontier).min().flatten() else {
+                continue;
+            };
+            let m0 = profiled.then(Instant::now);
+            // Everything received was routed before it was sent, so its
+            // metadata is in the splitter by now.
+            for (expected, arrival) in lock(&self.splitter).meta.drain(..) {
+                self.assembler.push_meta(expected, arrival);
+            }
+            // Workers own disjoint stations, so (time, station) keys never
+            // tie across lanes.
+            loop {
+                let mut best: Option<(SimTime, usize, usize)> = None;
+                for (k, lane) in lanes.iter().enumerate() {
+                    if let Some(&(c, station)) = lane.pending.front() {
+                        let key = (c.completion, station, k);
+                        if c.completion <= bound && best.is_none_or(|b| key < b) {
+                            best = Some(key);
+                        }
+                    }
+                }
+                let Some((.., k)) = best else { break };
+                let (c, station) = lanes[k].pending.pop_front().expect("lane head");
+                self.absorb(c, station);
+            }
+            if let Some(m0) = m0 {
+                let nanos = m0.elapsed().as_nanos() as u64;
+                profile.profiler.on_scope(ProfScope::FleetMerge, nanos);
+            }
+        }
+    }
+
+    /// Accounts one sub-I/O completion, in merged order.
+    fn absorb(&mut self, c: Completion, station: usize) {
+        let report = &mut self.report;
+        report.subs_completed += 1;
+        if self.keep_station_completions {
+            self.station_completions[station].push(c);
+        }
+        let Some(fc) = self.assembler.feed(&c) else {
+            return;
+        };
+        report.makespan = report.makespan.max(fc.end);
+        let response = (fc.end - fc.arrival).as_secs();
+        if fc.id < self.assembler.foreground {
+            self.emitted_fg += 1;
+            if self.emitted_fg > self.warmup_requests {
+                report.completed += 1;
+                report.response.push(response);
+                report
+                    .queue_time
+                    .push((fc.first_start - fc.arrival).as_secs());
+                report
+                    .service_time
+                    .push((fc.end - fc.first_start).as_secs());
+                report.tail.push(response);
+            }
+        } else {
+            report.background_completed += 1;
+            report.background_response.push(response);
+        }
+    }
+}
+
+/// Runs every worker to completion under `merge`, and hands the workers
+/// back. One worker runs inline on the caller's thread; more run on
+/// persistent threads feeding bounded channels.
+///
+/// # Panics
+///
+/// Re-raises the first worker panic (in station order) after every
+/// thread has stopped, so a failed run never returns a report built from
+/// partial streams.
+fn drive<S, D, T, W>(
+    mut workers: Vec<Worker<S, D, T, W>>,
+    merge: &mut Merge<W>,
+    profile: &mut FleetProfile,
+) -> Vec<Worker<S, D, T, W>>
+where
+    S: Scheduler + Send,
+    D: StorageDevice + Send,
+    T: Tracer + Send,
+    W: Workload + Send,
+{
+    if let [worker] = workers.as_mut_slice() {
+        merge.run(1, |_| Ok(worker.next_batch()), profile, T::PROFILE);
+        return workers;
+    }
+    std::thread::scope(|scope| {
+        let mut receivers = Vec::with_capacity(workers.len());
+        let mut handles = Vec::with_capacity(workers.len());
+        for mut worker in workers {
+            let (tx, rx) = sync_channel(RUN_AHEAD_BATCHES);
+            receivers.push(rx);
+            handles.push(scope.spawn(move || {
+                while let Some(batch) = worker.next_batch() {
+                    if tx.send(Some(batch)).is_err() {
+                        // The merge stopped: another worker died.
+                        return worker;
+                    }
+                }
+                let _ = tx.send(None);
+                worker
+            }));
+        }
+        let finished = merge.run(
+            receivers.len(),
+            |i| receivers[i].recv(),
+            profile,
+            T::PROFILE,
+        );
+        // Closing the channels unblocks any worker still sending.
+        drop(receivers);
+        let workers = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        assert!(finished, "a fleet worker stopped without finishing");
+        workers
+    })
 }
 
 /// A sharded multi-station fleet simulation.
 ///
-/// Build one with [`FleetEngine::new`] (foreground requests routed
-/// through a [`VolumeSpec`] up front) or [`FleetEngine::streaming`]
-/// (requests pulled incrementally from any [`Workload`] — constant
-/// memory in the run length, bit-identical results), optionally attach
-/// per-station fault clocks and background streams, then
-/// [`FleetEngine::run`] it. To observe the run, attach per-station
+/// Build one with [`FleetEngine::streaming`] (requests pulled
+/// incrementally from any [`Workload`], constant memory in the run
+/// length) or [`FleetEngine::new`] (the same over a request slice),
+/// optionally attach per-station fault clocks and background streams,
+/// then [`FleetEngine::run`] it. To observe the run, attach per-station
 /// tracers with [`FleetEngine::with_station_tracers`] and use
 /// [`FleetEngine::run_instrumented`], which hands the tracers back next
 /// to the report. Tracers observe; they never steer — an instrumented
@@ -494,7 +703,11 @@ pub struct FleetEngine<
     schedulers: Vec<S>,
     faults: Vec<FaultClock>,
     tracers: Vec<T>,
-    source: FleetSource<W>,
+    workload: W,
+    volume: VolumeSpec,
+    /// Per-station background requests (few and explicit), routed around
+    /// the volume.
+    background: Vec<Vec<Request>>,
     /// Foreground request count; background ids follow this block.
     foreground: u64,
     /// Arrival times of background requests, indexed by `id - foreground`.
@@ -515,51 +728,47 @@ pub struct FleetRun<D: StorageDevice, T: Tracer> {
     /// Per-station devices after the run — wrapper state such as the
     /// adaptive-placement migration ledger is read from here.
     pub devices: Vec<D>,
-    /// Wall-clock engine profile (barrier waits, merge time, per-shard
-    /// balance). Only populated when `T::PROFILE` is set; informational,
-    /// never part of a byte-gated artifact.
+    /// The engine's own profile: the merge-batch count always, wall-clock
+    /// timings when `T::PROFILE` is set. Informational, never part of a
+    /// byte-gated artifact.
     pub profile: FleetProfile,
 }
 
-/// Wall-clock self-profile of the fleet engine itself: where does the
-/// *engine* (as opposed to the stations' event loops) spend host time?
+/// Self-profile of the fleet engine itself: where does the *engine* (as
+/// opposed to the stations' event loops) spend host time?
 ///
-/// Populated only when the station tracer's [`Tracer::PROFILE`] flag is
-/// on; a `NoopTracer`/`Telemetry` fleet compiles the `Instant` reads out
-/// entirely. Wall-clock derived, therefore nondeterministic:
-/// informational artifacts only, never part of a golden or digest.
+/// The batch count is always kept. The wall-clock fields are populated
+/// only when the station tracer's [`Tracer::PROFILE`] flag is on; a
+/// `NoopTracer`/`Telemetry` fleet compiles the `Instant` reads out
+/// entirely. Wall-clock data is nondeterministic: informational artifacts
+/// only, never part of a golden or digest.
 #[derive(Debug, Clone, Default)]
 pub struct FleetProfile {
-    /// Barriers executed (equals cross-shard merge batches).
+    /// Worker batches the merge received. A pure function of the run's
+    /// setup (workload, volume, stations, `threads`, `epoch`), so it
+    /// repeats exactly from run to run, and it is positive whenever any
+    /// station had an event.
     pub barriers: u64,
-    /// Total wall nanoseconds each shard spent advancing its stations,
+    /// Total wall nanoseconds each shard's stations spent advancing,
     /// indexed by shard. Spread here = shard imbalance.
     pub shard_nanos: Vec<u64>,
     profiler: Profiler,
 }
 
 impl FleetProfile {
-    fn new(shards: usize) -> Self {
-        FleetProfile {
-            barriers: 0,
-            shard_nanos: vec![0; shards],
-            profiler: Profiler::new(),
-        }
-    }
-
-    /// Wall time the main thread spent inside barriers (waiting for the
-    /// slowest shard), as a [`ScopeStats`].
+    /// Wall time the main thread spent waiting for worker batches (with
+    /// one worker: advancing it inline), as a [`ScopeStats`].
     pub fn barrier_wait(&self) -> ScopeStats {
         self.profiler.scope(ProfScope::BarrierWait)
     }
 
-    /// Wall time spent draining, sorting, and assembling completions.
+    /// Wall time spent merging and assembling completions.
     pub fn merge(&self) -> ScopeStats {
         self.profiler.scope(ProfScope::FleetMerge)
     }
 
     /// Shard imbalance: slowest shard's advance time over the mean
-    /// (1.0 = perfectly balanced; 0.0 before any profiled barrier).
+    /// (1.0 = perfectly balanced; 0.0 before any profiled batch).
     pub fn imbalance(&self) -> f64 {
         let max = self.shard_nanos.iter().copied().max().unwrap_or(0);
         if max == 0 {
@@ -569,7 +778,7 @@ impl FleetProfile {
         max as f64 / mean
     }
 
-    /// The underlying [`Profiler`] (barrier-wait and fleet-merge scopes).
+    /// The underlying [`Profiler`] (batch-wait and fleet-merge scopes).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
@@ -597,103 +806,51 @@ impl FleetProfile {
     }
 }
 
-/// Validates shared fleet construction invariants.
-fn check_fleet_setup(stations: usize, volume: &VolumeSpec, config: &FleetConfig) {
-    assert!(stations > 0, "fleet needs at least one device");
-    assert!(
-        volume.max_station() < stations,
-        "volume references station {} but the fleet has {} devices",
-        volume.max_station(),
-        stations
-    );
-    assert!(config.shards >= 1, "need at least one shard");
-    assert!(config.threads >= 1, "need at least one worker thread");
-    assert!(config.epoch > SimTime::ZERO, "epoch must be positive");
-}
-
 impl<S: Scheduler, D: StorageDevice> FleetEngine<S, D> {
-    /// Routes `requests` (fleet-level, addressed in the volume's LBN
-    /// space, ids dense from 0 in arrival order) through `volume` onto
-    /// the stations and prepares one driver per device.
-    ///
-    /// Per-station workloads are materialized up front, so each
-    /// station's `len_hint` is the *routed* per-station request count —
-    /// the calendar queues pre-size exactly and never restructure.
+    /// [`FleetEngine::streaming`] over a copy of `requests` (fleet-level,
+    /// addressed in the volume's LBN space, ids dense from 0 in arrival
+    /// order).
     ///
     /// # Panics
     ///
-    /// Panics if the volume references a station outside `devices`, if
-    /// request ids are not dense `0..n` in order, or if the config asks
-    /// for zero shards/threads or a non-positive epoch.
+    /// Panics on the same setup errors as [`FleetEngine::streaming`];
+    /// the run panics if request ids are not dense `0..n` in order.
     pub fn new(
         devices: Vec<D>,
-        mut make_scheduler: impl FnMut(usize) -> S,
+        make_scheduler: impl FnMut(usize) -> S,
         volume: &VolumeSpec,
         requests: &[Request],
         config: FleetConfig,
     ) -> Self {
-        check_fleet_setup(devices.len(), volume, &config);
-
-        let n = devices.len();
-        let schedulers = (0..n).map(&mut make_scheduler).collect();
-        let mut workloads: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut expected = Vec::with_capacity(requests.len());
-        let mut arrivals = Vec::with_capacity(requests.len());
-        let mut subs: Vec<SubIo> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            assert_eq!(
-                req.id, i as u64,
-                "fleet request ids must be dense 0..n in order"
-            );
-            subs.clear();
-            volume.route(req, &mut subs);
-            expected.push(subs.len() as u32);
-            arrivals.push(req.arrival);
-            for sub in &subs {
-                workloads[sub.station].push(Request::new(
-                    req.id,
-                    req.arrival,
-                    sub.lbn,
-                    sub.sectors,
-                    sub.kind,
-                ));
-            }
-        }
-
-        FleetEngine {
+        FleetEngine::streaming(
             devices,
-            schedulers,
-            faults: (0..n).map(|_| FaultClock::empty()).collect(),
-            tracers: (0..n).map(|_| NoopTracer).collect(),
-            source: FleetSource::Materialized {
-                workloads,
-                expected,
-                arrivals,
-            },
-            foreground: requests.len() as u64,
-            bg_arrivals: Vec::new(),
+            make_scheduler,
+            volume.clone(),
+            VecWorkload::new(requests.to_vec()),
             config,
-        }
+        )
     }
 }
 
 impl<S: Scheduler, D: StorageDevice, W: Workload> FleetEngine<S, D, NoopTracer, W> {
     /// Builds a fleet whose foreground requests are pulled incrementally
-    /// from `workload` and routed through `volume` on demand — nothing is
-    /// materialized, so memory is constant in the run length while the
-    /// [`FleetReport`] stays bit-identical to [`FleetEngine::new`] over
-    /// the same request sequence, at every shard/thread split (gated by
-    /// the `streaming_equivalence` integration tests).
+    /// from `workload` and routed through `volume` on demand — only the
+    /// bounded run-ahead window is held, so memory is constant in the run
+    /// length — and the [`FleetReport`] is bit-identical at every
+    /// shard/thread/epoch split
+    /// (gated by the `streaming_equivalence` integration tests).
     ///
     /// The workload must yield requests with ids dense from 0 in arrival
-    /// order (every generator in `storage-trace` does) and must know its
-    /// exact length: the foreground block size anchors background id
-    /// allocation and the foreground/background billing split.
+    /// order (every generator in `storage-trace` does; the run panics
+    /// otherwise) and must know its exact length: the foreground block
+    /// size anchors background id allocation and the
+    /// foreground/background billing split.
     ///
     /// # Panics
     ///
-    /// Panics if `workload.len_hint()` is `None`, plus the same setup
-    /// checks as [`FleetEngine::new`].
+    /// Panics if `workload.len_hint()` is `None`, if the volume references
+    /// a station outside `devices`, or if the config asks for zero
+    /// shards/threads or a non-positive epoch.
     pub fn streaming(
         devices: Vec<D>,
         mut make_scheduler: impl FnMut(usize) -> S,
@@ -701,21 +858,27 @@ impl<S: Scheduler, D: StorageDevice, W: Workload> FleetEngine<S, D, NoopTracer, 
         workload: W,
         config: FleetConfig,
     ) -> Self {
-        check_fleet_setup(devices.len(), &volume, &config);
+        let n = devices.len();
+        assert!(n > 0, "fleet needs at least one device");
+        assert!(
+            volume.max_station() < n,
+            "volume references station {} but the fleet has {} devices",
+            volume.max_station(),
+            n
+        );
+        assert!(config.shards >= 1, "need at least one shard");
+        assert!(config.threads >= 1, "need at least one worker thread");
+        assert!(config.epoch > SimTime::ZERO, "epoch must be positive");
         let foreground = workload
             .len_hint()
             .expect("a streaming fleet workload must have an exact len_hint");
-
-        let n = devices.len();
         FleetEngine {
             schedulers: (0..n).map(&mut make_scheduler).collect(),
             faults: (0..n).map(|_| FaultClock::empty()).collect(),
             tracers: (0..n).map(|_| NoopTracer).collect(),
-            source: FleetSource::Streaming {
-                workload,
-                volume,
-                background: vec![Vec::new(); n],
-            },
+            workload,
+            volume,
+            background: vec![Vec::new(); n],
             foreground,
             bg_arrivals: Vec::new(),
             config,
@@ -740,7 +903,9 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             schedulers: self.schedulers,
             faults: self.faults,
             tracers: (0..n).map(&mut make).collect(),
-            source: self.source,
+            workload: self.workload,
+            volume: self.volume,
+            background: self.background,
             foreground: self.foreground,
             bg_arrivals: self.bg_arrivals,
             config: self.config,
@@ -750,21 +915,6 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     /// Number of stations.
     pub fn stations(&self) -> usize {
         self.devices.len()
-    }
-
-    /// Sub-I/Os routed to station `station`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming fleet, where routed counts are discovered
-    /// as the run streams rather than known up front.
-    pub fn routed_len(&self, station: usize) -> usize {
-        match &self.source {
-            FleetSource::Materialized { workloads, .. } => workloads[station].len(),
-            FleetSource::Streaming { .. } => {
-                panic!("routed counts of a streaming fleet are only known after the run")
-            }
-        }
     }
 
     /// Attaches a fault clock to one station's device.
@@ -786,18 +936,14 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     ) -> u64 {
         let id = self.foreground + self.bg_arrivals.len() as u64;
         self.bg_arrivals.push(at);
-        let req = Request::new(id, at, lbn, sectors, kind);
-        match &mut self.source {
-            FleetSource::Materialized { workloads, .. } => workloads[station].push(req),
-            FleetSource::Streaming { background, .. } => background[station].push(req),
-        }
+        self.background[station].push(Request::new(id, at, lbn, sectors, kind));
         id
     }
 
     /// Runs the fleet to exhaustion and aggregates the report.
     ///
-    /// `Send` bounds exist so shards can advance on worker threads; with
-    /// `threads == 1` everything runs on the caller's thread.
+    /// `Send` bounds exist so stations can advance on worker threads;
+    /// with `threads == 1` everything runs on the caller's thread.
     pub fn run(self) -> FleetReport
     where
         S: Send,
@@ -809,13 +955,18 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     }
 
     /// Runs the fleet and returns the report together with every
-    /// station's tracer and the engine's wall-clock profile.
+    /// station's tracer and the engine's profile.
     ///
     /// The simulation path is exactly [`FleetEngine::run`]'s — tracers
     /// observe through the driver's existing hooks and the profile reads
     /// the host clock without feeding anything back, so the report is
     /// bit-identical to an untraced run.
-    pub fn run_instrumented(mut self) -> FleetRun<D, T>
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from any worker (for example on non-dense
+    /// request ids) once every thread has stopped.
+    pub fn run_instrumented(self) -> FleetRun<D, T>
     where
         S: Send,
         D: Send,
@@ -824,189 +975,108 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     {
         let n = self.devices.len();
         let config = self.config;
-        let mut profile = FleetProfile::new(config.shards.min(n).max(1));
+        let shards = config.shards.min(n);
+        let splitter = Arc::new(Mutex::new(Splitter::new(
+            self.workload,
+            self.volume,
+            n,
+            self.foreground,
+        )));
 
-        let mut assembler = Assembler::new(self.foreground, std::mem::take(&mut self.bg_arrivals));
-        let mut splitter: Option<Arc<Mutex<Splitter<W>>>> = None;
-        let feeds: Vec<StationFeed<W>> = match self.source {
-            FleetSource::Materialized {
-                mut workloads,
-                expected,
-                arrivals,
-            } => {
-                // Background pushes may land before already-queued
-                // foreground subs; per-station order must be by arrival.
-                // The sort is stable, so equal-arrival subs keep
-                // insertion (fleet) order.
-                for w in &mut workloads {
-                    w.sort_by_key(|r| r.arrival);
-                }
-                for (e, a) in expected.into_iter().zip(arrivals) {
-                    assembler.push_meta(e, a);
-                }
-                workloads
-                    .into_iter()
-                    .map(|w| StationFeed::Ready(VecWorkload::new(w)))
-                    .collect()
-            }
-            FleetSource::Streaming {
-                workload,
-                volume,
-                mut background,
-            } => {
-                for b in &mut background {
-                    b.sort_by_key(|r| r.arrival);
-                }
-                let shared = Arc::new(Mutex::new(Splitter::new(
-                    workload,
-                    volume,
-                    n,
-                    self.foreground,
-                )));
-                splitter = Some(Arc::clone(&shared));
-                background
-                    .into_iter()
-                    .enumerate()
-                    .map(|(station, bg)| StationFeed::Routed {
-                        station,
-                        local: VecDeque::new(),
-                        background: VecDeque::from(bg),
-                        splitter: Arc::clone(&shared),
-                    })
-                    .collect()
-            }
-        };
-
-        let mut cells: Vec<Cell<S, D, T, W>> = Vec::with_capacity(n);
-        for (((device, scheduler), tracer), (feed, faults)) in self
+        let mut cells = Vec::with_capacity(n);
+        for (station, (((device, scheduler), tracer), (mut background, faults))) in self
             .devices
             .into_iter()
             .zip(self.schedulers)
             .zip(self.tracers)
-            .zip(feeds.into_iter().zip(self.faults))
+            .zip(self.background.into_iter().zip(self.faults))
+            .enumerate()
         {
+            // Background requests may be queued in any order; the stable
+            // sort keeps insertion order among equal arrivals.
+            background.sort_by_key(|r| r.arrival);
+            let feed = StationFeed {
+                station,
+                local: VecDeque::new(),
+                background: VecDeque::from(background),
+                splitter: Arc::clone(&splitter),
+            };
             let mut driver = Driver::new(feed, scheduler, device)
                 .with_tracer(tracer)
                 .record_completions(true)
                 .streaming_stats(config.streaming_stats)
                 .with_faults(faults);
             let state = driver.begin();
-            let pending = state.pending_events() > 0;
+            let next = state.next_event_time();
             cells.push(Cell {
                 driver,
                 state,
-                pending,
+                next,
             });
         }
-        let mut report = FleetReport {
-            completed: 0,
-            background_completed: 0,
-            subs_completed: 0,
-            makespan: SimTime::ZERO,
-            response: if config.streaming_stats {
-                ResponseStats::streaming()
-            } else {
-                ResponseStats::new()
+
+        let lanes = config.threads.min(n);
+        let mut cells = cells.into_iter();
+        let workers = (0..lanes)
+            .map(|w| {
+                let first = w * n / lanes;
+                let len = (w + 1) * n / lanes - first;
+                Worker {
+                    first,
+                    cells: cells.by_ref().take(len).collect(),
+                    epoch_secs: config.epoch.as_secs(),
+                    nanos: vec![0; len],
+                }
+            })
+            .collect();
+
+        let mut merge = Merge {
+            splitter,
+            assembler: Assembler::new(self.foreground, self.bg_arrivals),
+            report: FleetReport {
+                completed: 0,
+                background_completed: 0,
+                subs_completed: 0,
+                makespan: SimTime::ZERO,
+                response: if config.streaming_stats {
+                    ResponseStats::streaming()
+                } else {
+                    ResponseStats::new()
+                },
+                queue_time: Welford::new(),
+                service_time: Welford::new(),
+                background_response: Welford::new(),
+                tail: LogHistogram::response_times(),
+                busy_secs: 0.0,
+                fault_events: 0,
+                max_station_queue_depth: 0,
+                station_restructures: 0,
+                stations: Vec::with_capacity(n),
             },
-            queue_time: Welford::new(),
-            service_time: Welford::new(),
-            background_response: Welford::new(),
-            tail: LogHistogram::response_times(),
-            busy_secs: 0.0,
-            fault_events: 0,
-            max_station_queue_depth: 0,
-            station_restructures: 0,
-            stations: Vec::with_capacity(n),
+            station_completions: vec![Vec::new(); n],
+            keep_station_completions: config.keep_station_completions,
+            warmup_requests: config.warmup_requests,
+            emitted_fg: 0,
         };
-        let mut station_completions: Vec<Vec<Completion>> = vec![Vec::new(); n];
-        let mut emitted_fg: u64 = 0;
-        let mut batch: Vec<(Completion, usize)> = Vec::new();
-        let epoch_secs = config.epoch.as_secs();
+        let mut profile = FleetProfile {
+            shard_nanos: vec![0; shards],
+            ..FleetProfile::default()
+        };
+        let workers = drive(workers, &mut merge, &mut profile);
 
-        // Run until every station's event queue is empty. The barrier is
-        // the smallest epoch-grid point covering the earliest pending
-        // event anywhere (a pure function of sim state — identical for
-        // every shard/thread split).
-        while let Some(next) = cells.iter().filter_map(|c| c.state.next_event_time()).min() {
-            let grid = SimTime::from_secs((next.as_secs() / epoch_secs).ceil() * epoch_secs);
-            let barrier = grid.max(next);
-
-            let t0 = T::PROFILE.then(Instant::now);
-            advance_shards(
-                &mut cells,
-                barrier,
-                config.shards,
-                config.threads,
-                T::PROFILE.then_some(&mut profile.shard_nanos),
-            );
-            if let Some(t0) = t0 {
-                profile
-                    .profiler
-                    .on_scope(ProfScope::BarrierWait, t0.elapsed().as_nanos() as u64);
-            }
-            profile.barriers += 1;
-            let m0 = T::PROFILE.then(Instant::now);
-
-            // Streaming fleets discover request metadata as stations pull
-            // from the splitter; everything routed during this barrier
-            // interval is registered before its completions are fed (a
-            // sub completes only after it was routed, and routing happens
-            // strictly before the barrier's drain below).
-            if let Some(shared) = &splitter {
-                let metas = shared.lock().expect("splitter lock poisoned").take_meta();
-                for (e, a) in metas {
-                    assembler.push_meta(e, a);
-                }
-            }
-
-            // Drain in station order, then impose the global order:
-            // (completion time, station, per-station drain order). The
-            // sort is stable, so the third key is implicit.
-            batch.clear();
-            for (i, cell) in cells.iter_mut().enumerate() {
-                for c in cell.state.drain_completions() {
-                    batch.push((c, i));
-                }
-            }
-            batch.sort_by(|a, b| a.0.completion.cmp(&b.0.completion).then(a.1.cmp(&b.1)));
-
-            for &(c, station) in batch.iter() {
-                report.subs_completed += 1;
-                if config.keep_station_completions {
-                    station_completions[station].push(c);
-                }
-                if let Some(fc) = assembler.feed(&c) {
-                    report.makespan = report.makespan.max(fc.end);
-                    let response = (fc.end - fc.arrival).as_secs();
-                    if fc.id < self.foreground {
-                        emitted_fg += 1;
-                        if emitted_fg > config.warmup_requests {
-                            report.completed += 1;
-                            report.response.push(response);
-                            report
-                                .queue_time
-                                .push((fc.first_start - fc.arrival).as_secs());
-                            report
-                                .service_time
-                                .push((fc.end - fc.first_start).as_secs());
-                            report.tail.push(response);
-                        }
-                    } else {
-                        report.background_completed += 1;
-                        report.background_response.push(response);
-                    }
-                }
-            }
-            if let Some(m0) = m0 {
-                profile
-                    .profiler
-                    .on_scope(ProfScope::FleetMerge, m0.elapsed().as_nanos() as u64);
-            }
-        }
-
+        let Merge {
+            mut report,
+            station_completions,
+            ..
+        } = merge;
+        let mut station_nanos = Vec::with_capacity(n);
         let mut tracers = Vec::with_capacity(n);
         let mut devices = Vec::with_capacity(n);
-        for (cell, completions) in cells.into_iter().zip(station_completions) {
+        let cells = workers.into_iter().flat_map(|w| {
+            station_nanos.extend(w.nanos);
+            w.cells
+        });
+        for (cell, completions) in cells.zip(station_completions) {
             let Cell {
                 mut driver, state, ..
             } = cell;
@@ -1022,90 +1092,16 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             tracers.push(tracer);
             devices.push(device);
         }
+        for (s, slot) in profile.shard_nanos.iter_mut().enumerate() {
+            *slot = station_nanos[s * n / shards..(s + 1) * n / shards]
+                .iter()
+                .sum();
+        }
         FleetRun {
             report,
             tracers,
             devices,
             profile,
         }
-    }
-}
-
-/// Advances every station to `barrier`, shard by shard. Shards are
-/// contiguous station ranges; worker threads take shards round-robin.
-/// Stations never share state, so the split is embarrassingly parallel
-/// and the post-barrier fleet state is independent of both knobs.
-///
-/// When `shard_nanos` is supplied (profiled runs), each shard's advance
-/// wall time accumulates into its slot — slots are disjoint per shard,
-/// so workers never contend. Timing reads the host clock and feeds
-/// nothing back into simulation state.
-/// One shard's unit of work: its contiguous cell slice plus the
-/// optional wall-clock accumulator slot (profiled runs only).
-type ShardJob<'a, S, D, T, W> = (&'a mut [Cell<S, D, T, W>], Option<&'a mut u64>);
-
-fn advance_shards<
-    S: Scheduler + Send,
-    D: StorageDevice + Send,
-    T: Tracer + Send,
-    W: Workload + Send,
->(
-    cells: &mut [Cell<S, D, T, W>],
-    barrier: SimTime,
-    shards: usize,
-    threads: usize,
-    shard_nanos: Option<&mut [u64]>,
-) {
-    let n = cells.len();
-    let shards = shards.min(n).max(1);
-    let mut slices: Vec<&mut [Cell<S, D, T, W>]> = Vec::with_capacity(shards);
-    let mut rest = cells;
-    let mut start = 0;
-    for s in 0..shards {
-        let end = (s + 1) * n / shards;
-        let (head, tail) = rest.split_at_mut(end - start);
-        slices.push(head);
-        rest = tail;
-        start = end;
-    }
-    let mut nanos_slots: Vec<Option<&mut u64>> = match shard_nanos {
-        Some(slots) => slots.iter_mut().map(Some).collect(),
-        None => (0..shards).map(|_| None).collect(),
-    };
-    let mut jobs: Vec<ShardJob<'_, S, D, T, W>> =
-        slices.into_iter().zip(nanos_slots.drain(..)).collect();
-
-    let advance = |(shard, slot): ShardJob<'_, S, D, T, W>| {
-        let t0 = slot.is_some().then(Instant::now);
-        for cell in shard.iter_mut() {
-            if cell.pending {
-                cell.pending = cell.driver.advance_until(&mut cell.state, barrier);
-            }
-        }
-        if let (Some(slot), Some(t0)) = (slot, t0) {
-            *slot += t0.elapsed().as_nanos() as u64;
-        }
-    };
-
-    if threads <= 1 || shards <= 1 {
-        for job in jobs {
-            advance(job);
-        }
-    } else {
-        let workers = threads.min(shards);
-        let mut queues: Vec<Vec<ShardJob<'_, S, D, T, W>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.drain(..).enumerate() {
-            queues[i % workers].push(job);
-        }
-        std::thread::scope(|scope| {
-            for queue in queues {
-                scope.spawn(move || {
-                    for job in queue {
-                        advance(job);
-                    }
-                });
-            }
-        });
     }
 }

@@ -8,9 +8,9 @@
 //!   routes fleet-level requests into per-station sub-I/Os using the
 //!   same span and parity math as the `mems_os::array` wrappers;
 //! * [`FleetEngine`] — per-station event loops (each a
-//!   [`storage_sim::Driver`] stepped through its session API) sharded
-//!   across worker threads and stitched by a deterministic cross-shard
-//!   completion merge at sim-time barriers;
+//!   [`storage_sim::Driver`] stepped through its session API) on
+//!   persistent worker threads, stitched by a deterministic streaming
+//!   merge of their sim-time batches;
 //! * [`RebuildPlan`] — paced background copy streams for
 //!   rebuild-under-load experiments, layered on the per-station
 //!   [`storage_sim::FaultClock`] fault machinery;
@@ -25,7 +25,7 @@
 //!   engine's [`FleetProfile`].
 //!
 //! Results are bit-identical for any shard count, thread count, and
-//! barrier width (see the [`engine`] module docs for the argument), so
+//! batch width (see the [`engine`] module docs for the argument), so
 //! every fleet experiment stays replayable byte for byte — the same
 //! contract the single-device figures honor.
 

@@ -14,7 +14,7 @@
 //!   width, reached by the same exact pairwise merge the memory bound
 //!   uses;
 //! * **order**: windows fold in (window index, station index) order, a
-//!   total order independent of shard/thread/barrier configuration, so
+//!   total order independent of shard/thread/epoch configuration, so
 //!   the merged series is bit-identical across engine configs;
 //! * **exactness**: counts, sums, and histogram bins merge losslessly, so
 //!   fleet window totals reconcile *exactly* (integer-equal, not

@@ -1,6 +1,8 @@
 //! The fleet determinism contract: bit-identical reports for any shard
-//! count, worker-thread count, and barrier width — including faulted and
-//! rebuild-under-load runs — plus the realloc-free pre-sizing guarantee.
+//! count, worker-thread count, and batch width — including faulted and
+//! rebuild-under-load runs, idle stations, and more workers than
+//! stations — plus the realloc-free pre-sizing guarantee and panic
+//! propagation out of worker threads.
 
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
@@ -15,6 +17,14 @@ use mems_fleet::{FleetConfig, FleetEngine, FleetReport, RebuildPlan, VolumeSpec}
 
 const MEMS_CAPACITY: u64 = 6_750_000;
 
+/// Worker-thread counts the contract is checked at: serial, an even
+/// split, an uneven one, and more workers than the small cells have
+/// stations.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+/// Batch widths in milliseconds: far below, near, and far above the
+/// mean inter-arrival gap of a station.
+const EPOCHS_MS: [f64; 3] = [1.0, 37.0, 1000.0];
+
 fn collect(mut w: impl Workload) -> Vec<Request> {
     let mut out = Vec::new();
     while let Some(r) = w.next_request() {
@@ -23,23 +33,34 @@ fn collect(mut w: impl Workload) -> Vec<Request> {
     out
 }
 
-/// A 16-station striped MEMS fleet cell, run with the given knobs.
-fn striped_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
-    let stations = 16;
-    let volume = VolumeSpec::flat(stations, 64);
+/// A striped MEMS fleet of `stations` devices, of which the volume routes
+/// to the first `routed` only, run with the given knobs.
+fn fleet_cell(stations: usize, routed: usize, requests: u64, config: FleetConfig) -> FleetReport {
+    let volume = VolumeSpec::flat(routed, 64);
     let requests = collect(RandomWorkload::paper(
         volume.capacity(MEMS_CAPACITY),
-        2000.0,
-        600,
+        125.0 * routed as f64,
+        requests,
         42,
     ));
-    let engine = FleetEngine::new(
+    FleetEngine::new(
         (0..stations)
             .map(|_| MemsDevice::new(MemsParams::default()))
             .collect(),
         |_| SptfScheduler::new(),
         &volume,
         &requests,
+        config,
+    )
+    .run()
+}
+
+/// The 16-station striped MEMS fleet cell, run with the given knobs.
+fn striped_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
+    fleet_cell(
+        16,
+        16,
+        600,
         FleetConfig {
             shards,
             threads,
@@ -47,8 +68,7 @@ fn striped_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
             warmup_requests: 50,
             ..FleetConfig::default()
         },
-    );
-    engine.run()
+    )
 }
 
 #[test]
@@ -57,9 +77,9 @@ fn digest_is_invariant_across_shards_and_threads() {
     assert!(baseline.completed > 0);
     assert_eq!(
         baseline.station_restructures, 0,
-        "routed len_hint pre-sizing must keep every calendar queue realloc-free"
+        "chain-bounded pre-sizing must keep every calendar queue realloc-free"
     );
-    for (shards, threads) in [(4, 1), (4, 4), (16, 8), (16, 16)] {
+    for (shards, threads) in [(4, 1), (4, 2), (5, 3), (4, 4), (16, 8), (16, 16), (1, 32)] {
         let run = striped_cell(shards, threads, 10.0);
         assert_eq!(
             baseline.digest(),
@@ -71,11 +91,78 @@ fn digest_is_invariant_across_shards_and_threads() {
 
 #[test]
 fn digest_is_invariant_across_epoch_widths() {
-    let narrow = striped_cell(4, 2, 1.0);
-    let medium = striped_cell(4, 2, 37.0);
-    let wide = striped_cell(4, 2, 1000.0);
-    assert_eq!(narrow.digest(), medium.digest());
-    assert_eq!(narrow.digest(), wide.digest());
+    let baseline = striped_cell(1, 1, 10.0).digest();
+    for threads in THREADS {
+        for epoch in EPOCHS_MS {
+            assert_eq!(
+                baseline,
+                striped_cell(4, threads, epoch).digest(),
+                "threads={threads} epoch={epoch} ms diverged"
+            );
+        }
+    }
+}
+
+#[test]
+fn idle_station_worker_finishes_at_once() {
+    // Station 3 is routed nothing; with 4+ threads it gets a worker of
+    // its own, which finishes before its first batch and closes its
+    // channel while the others are still running.
+    let cell = |threads| {
+        fleet_cell(
+            4,
+            3,
+            300,
+            FleetConfig {
+                threads,
+                ..FleetConfig::default()
+            },
+        )
+    };
+    let baseline = cell(1);
+    assert_eq!(baseline.completed, 300);
+    assert_eq!(baseline.stations[3].completed, 0);
+    for threads in THREADS {
+        assert_eq!(
+            baseline.digest(),
+            cell(threads).digest(),
+            "threads={threads} diverged"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "dense")]
+fn worker_panic_propagates_instead_of_a_partial_report() {
+    // Ids skip one value late in the stream, so a worker thread (not the
+    // set-up, which routes only the first few hundred) hits the check.
+    let volume = VolumeSpec::flat(4, 64);
+    let mut requests = collect(RandomWorkload::paper(
+        volume.capacity(MEMS_CAPACITY),
+        2000.0,
+        2000,
+        9,
+    ));
+    for r in &mut requests[1500..] {
+        r.id += 1;
+    }
+    let report = FleetEngine::new(
+        (0..4)
+            .map(|_| MemsDevice::new(MemsParams::default()))
+            .collect(),
+        |_| SptfScheduler::new(),
+        &volume,
+        &requests,
+        FleetConfig {
+            threads: 2,
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    unreachable!(
+        "a run with skipped ids returned a report: {}",
+        report.digest()
+    );
 }
 
 #[test]
@@ -146,7 +233,7 @@ fn single_station_fleet_reproduces_the_single_loop_driver() {
 
 /// A mirrored pair with a tip failure on one replica and a paced rebuild
 /// stream copying the survivor back — the rebuild-under-load scenario.
-fn rebuild_cell(shards: usize, threads: usize) -> FleetReport {
+fn rebuild_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
     let volume = VolumeSpec::mirror(vec![VolumeSpec::leaf(0), VolumeSpec::leaf(1)]);
     let requests = collect(RandomWorkload::paper(
         volume.capacity(MEMS_CAPACITY),
@@ -167,7 +254,7 @@ fn rebuild_cell(shards: usize, threads: usize) -> FleetReport {
         FleetConfig {
             shards,
             threads,
-            epoch: SimTime::from_ms(20.0),
+            epoch: SimTime::from_ms(epoch_ms),
             warmup_requests: 0,
             ..FleetConfig::default()
         },
@@ -191,9 +278,16 @@ fn rebuild_cell(shards: usize, threads: usize) -> FleetReport {
 
 #[test]
 fn faulted_rebuild_runs_stay_deterministic() {
-    let a = rebuild_cell(1, 1);
-    let b = rebuild_cell(2, 2);
-    assert_eq!(a.digest(), b.digest());
+    let a = rebuild_cell(1, 1, 20.0);
+    for threads in THREADS {
+        for epoch in EPOCHS_MS {
+            assert_eq!(
+                a.digest(),
+                rebuild_cell(2, threads, epoch).digest(),
+                "threads={threads} epoch={epoch} ms diverged"
+            );
+        }
+    }
     assert!(a.fault_events > 0, "tip failures must be delivered");
     assert_eq!(
         a.background_completed,

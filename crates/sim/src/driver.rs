@@ -99,9 +99,9 @@ enum Ev<A, C> {
 /// [`Driver::begin`] and consumed by [`Driver::finish`].
 ///
 /// Extracting the state lets callers interleave many drivers on one
-/// thread — the fleet engine steps every device of a shard to a common
-/// sim-time barrier via [`Driver::advance_until`], draining completions
-/// between barriers with [`RunState::drain_completions`]. The fields are
+/// thread — a fleet worker steps each of its stations to the end of a
+/// sim-time batch via [`Driver::advance_until`], draining completions
+/// after each batch with [`RunState::drain_completions`]. The fields are
 /// exactly the locals of the pre-session one-shot loop, so stepped runs
 /// and [`Driver::run`] share one code path and one result.
 pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = SlabStore> {
@@ -135,21 +135,22 @@ impl<Q: QueuePolicy, R: RequestStore> RunState<Q, R> {
         self.events.len()
     }
 
-    /// Sim-time of the earliest pending event, if any. The fleet engine
-    /// uses the minimum across stations to pick the next barrier.
+    /// Sim-time of the earliest pending event, if any. A fleet worker
+    /// ends its next batch on the epoch grid point covering the minimum
+    /// across its stations.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
 
     /// Takes every completion recorded so far (in completion order),
-    /// leaving the recording buffer empty for the next barrier interval.
-    /// Returns an empty vector unless the driver was built with
+    /// leaving the recording buffer empty, its capacity kept, for the
+    /// next batch. Yields nothing unless the driver was built with
     /// [`Driver::record_completions`]`(true)`.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        match self.report.completions.as_mut() {
-            Some(all) => std::mem::take(all),
-            None => Vec::new(),
-        }
+    pub fn drain_completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
+        self.report
+            .completions
+            .iter_mut()
+            .flat_map(|all| all.drain(..))
     }
 }
 
@@ -601,9 +602,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 
     /// Processes every event scheduled at or before `limit`, in exactly the
     /// order the one-shot [`Driver::run`] loop would. Returns `true` while
-    /// events remain pending beyond the limit — the caller advances the
-    /// barrier and calls again. The fleet engine uses this to step every
-    /// device of a shard to a common sim-time barrier.
+    /// events remain pending beyond the limit — the caller moves the
+    /// limit on and calls again. A fleet worker uses this to step each of
+    /// its stations to the end of a sim-time batch.
     pub fn advance_until(&mut self, state: &mut RunState<Q, R>, limit: SimTime) -> bool {
         self.advance_inner(state, Some(limit))
     }

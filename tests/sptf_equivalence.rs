@@ -77,6 +77,24 @@ fn pruned_aged_sptf_reports_match_naive_scan() {
 }
 
 #[test]
+fn shallow_queue_sptf_reports_match_rescan() {
+    // At 300 req/s a MEMS station runs mostly empty or one deep, so nearly
+    // every pick takes the empty- or single-entry short-circuit; the
+    // rescan reference scores every pick.
+    for seed in SEEDS {
+        let wl = || RandomWorkload::paper(CAPACITY, 300.0, 1500, seed);
+        let fast = run(wl(), SptfScheduler::new(), true);
+        let rescan = run(wl(), RescanSptfScheduler::new(), true);
+        assert!(fast.mean_queue_depth < 1.0, "cell is not shallow");
+        assert_reports_identical(&fast, &rescan, &format!("shallow SPTF seed {seed}"));
+        assert_eq!(fast.mean_queue_depth, rescan.mean_queue_depth);
+        let fast = run(wl(), AgedSptfScheduler::new(2.0), true);
+        let rescan = run(wl(), RescanAgedSptfScheduler::new(2.0), true);
+        assert_reports_identical(&fast, &rescan, &format!("shallow aged SPTF seed {seed}"));
+    }
+}
+
+#[test]
 fn incremental_sptf_reports_match_rescan() {
     // The incremental per-bucket cache vs the B-tree rescan-every-pick
     // reference: same pruned-scan semantics, different candidate

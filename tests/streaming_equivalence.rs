@@ -173,9 +173,9 @@ fn ramp_streamed_identical() {
     });
 }
 
-/// The streaming fleet must reproduce the materialized fleet bit for bit
-/// at every shard/thread split, with background traffic in flight and the
-/// per-station event queues never restructuring.
+/// A fleet pulling from the generator must reproduce one over the collected
+/// request slice bit for bit at every shard/thread split, with background
+/// traffic in flight and the per-station event queues never restructuring.
 #[test]
 fn fleet_streamed_identical_across_splits() {
     let stations = 16;
