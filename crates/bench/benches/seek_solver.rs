@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mems_bench::surfaced_mems_device;
-use mems_device::{MemsDevice, MemsParams, SledState, SpringSled};
+use mems_device::{MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
 use std::hint::black_box;
 use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
 
@@ -35,6 +35,16 @@ fn bench_kinematics(c: &mut Criterion) {
             let p1 = ((x >> 40) % 1000) as f64 * 1e-7 - 50e-6;
             black_box(sled.seek_time(p0, 0.028, p1, -0.028))
         })
+    });
+    // The surface build is the solver core run over every on-grid pair; the
+    // 200-cylinder device keeps one build to a few milliseconds.
+    let small = MemsParams {
+        bit_width: 500e-9,
+        per_tip_rate: 56e3, // keep the access velocity at 28 mm/s
+        ..MemsParams::default()
+    };
+    c.bench_function("surface_build_small", |b| {
+        b.iter(|| black_box(SeekSurface::build(black_box(&small))))
     });
 }
 

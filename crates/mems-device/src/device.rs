@@ -733,12 +733,7 @@ mod tests {
         // bit for bit — like a memo-backed one: both serve on-grid queries
         // from solves of the same mapper floats and fall back to the same
         // direct solver off-grid.
-        use crate::surface::SeekSurface;
-        use std::sync::Arc;
-
-        let params = MemsParams::default();
-        let surface = Arc::new(SeekSurface::build(&params).expect("paper device fits the guard"));
-        let mut surfaced = device().with_seek_surface(surface);
+        let mut surfaced = device().with_seek_surface(crate::surface::tests::paper_surface());
         let mut memoized = device();
         let total = memoized.capacity_lbns();
         let mut lbn = 98_765u64;

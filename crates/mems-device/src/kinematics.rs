@@ -26,6 +26,31 @@
 //! * turnaround time depends on position *and* direction of motion
 //!   (§2.3, Table 2: ≈0.07 ms at center, less when the spring assists);
 //! * X-seek settle is a separate additive constant (§2.4.2).
+//!
+//! # One solver core over endpoint terms
+//!
+//! Every seek runs through one core, `SpringSled::transfer_time`, which
+//! takes each endpoint as precomputed *endpoint terms*: for a state
+//! `(p, v)` and both circle centers `c = ±a/ω²`, the squared radius
+//! `(p − c)² + w²` and the phase angle `atan2(−w, p − c)`, with `w = v/ω`.
+//! Those terms depend on one endpoint only. [`SpringSled::seek_time`]
+//! computes them for its two states; the seek surface computes them once
+//! per cylinder (and per Y boundary and direction) and reuses them across
+//! a whole matrix row or column. A two-phase candidate then costs its
+//! switch point and two `atan2`s, the switch point's angle on each circle.
+//! Each arc's swept angle serves both its time and its over-travel check,
+//! and that check runs only for a candidate whose time could lower the
+//! best so far.
+//!
+//! The core is bit-identical to the earlier solver that evaluated every
+//! candidate from scratch; that solver is kept verbatim under `cfg(test)`
+//! (`kinematics::reference`) as a frozen reference for the tests.
+//! Hoisting moves only pure subexpressions: each endpoint term is the same
+//! floating-point expression on the same operands wherever it is used, and
+//! every candidate keeps its expression tree — operand order, `powi(2)`,
+//! `rem_euclid`, the `ANGLE_EPS` clamp, `min`. A candidate whose time is
+//! above the running best leaves `best.min(t)` unchanged, so skipping its
+//! over-travel check is exact too.
 
 /// Tolerance for treating two phase-plane states as identical, in meters.
 const POS_EPS: f64 = 1e-12;
@@ -40,6 +65,53 @@ const ANGLE_EPS: f64 = 1e-9;
 /// 0.036 ms requires it); candidate trajectories that swing far outside
 /// the device are rejected.
 const OVERTRAVEL_SLACK: f64 = 0.05;
+
+/// One full revolution, the period every phase angle is reduced by.
+const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+
+/// The terms of one seek endpoint `(p, v)` that do not depend on the other
+/// endpoint. With `w = v/ω`, for each circle center `c` of
+/// `SpringSled::centers`, they are the squared radius `(p − c)² + w²` and
+/// the phase angle `atan2(−w, p − c)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Endpoint {
+    p: f64,
+    v: f64,
+    r_sq: [f64; 2],
+    theta: [f64; 2],
+}
+
+/// Clockwise sweep from phase angle `th0` to `th1`, normalized into
+/// `[0, 2π)`; a sweep within `ANGLE_EPS` of a full revolution is empty.
+fn sweep(th0: f64, th1: f64) -> f64 {
+    // Clockwise in (p-c, w) space is increasing θ under this sign
+    // convention.
+    let mut dth = th1 - th0;
+    dth = dth.rem_euclid(TWO_PI);
+    if dth > TWO_PI - ANGLE_EPS {
+        dth = 0.0;
+    }
+    dth
+}
+
+/// Maximum |p| reached on the clockwise arc around `c` (squared radius
+/// `r_sq`) that starts at angle `th0` and position `p0`, sweeps `dth`, and
+/// ends at `p1`; used to reject trajectories that fly far outside the
+/// device.
+fn arc_reach(c: f64, r_sq: f64, th0: f64, dth: f64, p0: f64, p1: f64) -> f64 {
+    let r = r_sq.sqrt();
+    let th0 = th0.rem_euclid(TWO_PI);
+    let mut max_abs = p0.abs().max(p1.abs());
+    // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
+    // (p = c − r); check whether the swept arc crosses them.
+    for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
+        let offset = (theta_ext - th0).rem_euclid(TWO_PI);
+        if offset <= dth {
+            max_abs = max_abs.max(p_ext.abs());
+        }
+    }
+    max_abs
+}
 
 /// One axis of the sled: actuator strength, spring stiffness, travel limit.
 ///
@@ -119,83 +191,61 @@ impl SpringSled {
         u - self.omega * self.omega * p
     }
 
-    /// Time of the clockwise arc on the circle centered at `c` from state
-    /// `(p0, w0)` to `(p1, w1)`, where `w = v/ω`. Both states must lie on
-    /// the circle. A zero-length arc returns 0.
-    fn arc_time(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
-        let th0 = f64::atan2(-w0, p0 - c);
-        let th1 = f64::atan2(-w1, p1 - c);
-        // Clockwise in (p-c, w) space is increasing θ under this sign
-        // convention; normalize the sweep into [0, 2π).
-        let mut dth = th1 - th0;
-        dth = dth.rem_euclid(2.0 * std::f64::consts::PI);
-        if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
-            dth = 0.0;
-        }
-        dth / self.omega
+    /// Circle centers `u/ω²` of the two controls `u = +a` and `u = −a`,
+    /// indexed like [`Endpoint`]'s per-center terms.
+    fn centers(&self) -> [f64; 2] {
+        [1.0f64, -1.0].map(|u_sign| u_sign * self.accel / (self.omega * self.omega))
     }
 
-    /// Maximum |p| reached on the clockwise arc described above, used to
-    /// reject trajectories that fly far outside the device.
-    fn arc_max_abs_pos(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
-        let r = ((p0 - c).powi(2) + w0 * w0).sqrt();
-        let th0 = f64::atan2(-w0, p0 - c).rem_euclid(2.0 * std::f64::consts::PI);
-        let mut dth = (f64::atan2(-w1, p1 - c) - f64::atan2(-w0, p0 - c))
-            .rem_euclid(2.0 * std::f64::consts::PI);
-        if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
-            dth = 0.0;
-        }
-        let mut max_abs = p0.abs().max(p1.abs());
-        // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
-        // (p = c − r); check whether the swept arc crosses them.
-        for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
-            let offset = (theta_ext - th0).rem_euclid(2.0 * std::f64::consts::PI);
-            if offset <= dth {
-                max_abs = max_abs.max(p_ext.abs());
-            }
-        }
-        max_abs
-    }
-
-    /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
-    /// in seconds.
-    ///
-    /// Evaluates both control orderings (+a then −a, and −a then +a) and
-    /// both phase-plane intersection branches, rejecting trajectories that
-    /// leave the travel range by more than a small slack, and returns the
-    /// fastest feasible transfer.
+    /// Endpoint terms of the state `(p, v)`, ready for
+    /// [`SpringSled::transfer_time`].
     ///
     /// # Panics
     ///
-    /// Panics if start or goal position lies outside the travel range.
-    pub fn seek_time(&self, p0: f64, v0: f64, p1: f64, v1: f64) -> f64 {
+    /// Panics if `p` lies outside the travel range.
+    pub(crate) fn endpoint(&self, p: f64, v: f64) -> Endpoint {
         let lim = self.p_max * (1.0 + OVERTRAVEL_SLACK) + POS_EPS;
         assert!(
-            p0.abs() <= lim && p1.abs() <= lim,
+            p.abs() <= lim,
             "seek endpoints must lie within the sled travel range"
         );
-        if (p0 - p1).abs() < POS_EPS && (v0 - v1).abs() < self.omega * POS_EPS {
+        let w = v / self.omega;
+        let centers = self.centers();
+        Endpoint {
+            p,
+            v,
+            r_sq: centers.map(|c| (p - c).powi(2) + w * w),
+            theta: centers.map(|c| f64::atan2(-w, p - c)),
+        }
+    }
+
+    /// [`SpringSled::seek_time`] between two endpoints' precomputed terms:
+    /// the one solver core behind every seek and the seek surface.
+    pub(crate) fn transfer_time(&self, from: &Endpoint, to: &Endpoint) -> f64 {
+        if (from.p - to.p).abs() < POS_EPS && (from.v - to.v).abs() < self.omega * POS_EPS {
             return 0.0;
         }
 
-        let w0 = v0 / self.omega;
-        let w1 = v1 / self.omega;
         let slack_lim = self.p_max * (1.0 + OVERTRAVEL_SLACK);
+        let centers = self.centers();
 
         let mut best = f64::INFINITY;
         let mut best_unchecked = f64::INFINITY;
-        for u1_sign in [1.0f64, -1.0] {
-            let c1 = u1_sign * self.accel / (self.omega * self.omega);
-            let c2 = -c1;
-            let r1_sq = (p0 - c1).powi(2) + w0 * w0;
-            let r2_sq = (p1 - c2).powi(2) + w1 * w1;
+        // Circle 1 (the first control) is centered at `centers[i1]`,
+        // circle 2 at `centers[i2]`. Only a candidate with `t <= best` gets
+        // its over-travel check: a slower one cannot change `best.min(t)`.
+        for (i1, i2) in [(0, 1), (1, 0)] {
+            let (c1, c2) = (centers[i1], centers[i2]);
+            let r1_sq = from.r_sq[i1];
+            let r2_sq = to.r_sq[i2];
+            let th0 = from.theta[i1];
 
             // Single-phase candidate: the goal already lies on circle 1.
-            let goal_on_c1 = (p1 - c1).powi(2) + w1 * w1;
+            let goal_on_c1 = to.r_sq[i1];
             if (goal_on_c1 - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS) {
-                let t = self.arc_time(c1, p0, w0, p1, w1);
-                let reach = self.arc_max_abs_pos(c1, p0, w0, p1, w1);
-                if reach <= slack_lim {
+                let dth = sweep(th0, to.theta[i1]);
+                let t = dth / self.omega;
+                if t <= best && arc_reach(c1, r1_sq, th0, dth, from.p, to.p) <= slack_lim {
                     best = best.min(t);
                 }
                 best_unchecked = best_unchecked.min(t);
@@ -211,12 +261,24 @@ impl SpringSled {
             }
             let h = h_sq.max(0.0).sqrt();
             for wx in [h, -h] {
-                let t = self.arc_time(c1, p0, w0, px, wx) + self.arc_time(c2, px, wx, p1, w1);
-                let reach = self
-                    .arc_max_abs_pos(c1, p0, w0, px, wx)
-                    .max(self.arc_max_abs_pos(c2, px, wx, p1, w1));
-                if reach <= slack_lim {
-                    best = best.min(t);
+                // The switch point's angle on each circle.
+                let sw1 = f64::atan2(-wx, px - c1);
+                let sw2 = f64::atan2(-wx, px - c2);
+                let dth1 = sweep(th0, sw1);
+                let dth2 = sweep(sw2, to.theta[i2]);
+                let t = dth1 / self.omega + dth2 / self.omega;
+                if t <= best {
+                    let reach = arc_reach(c1, r1_sq, th0, dth1, from.p, px).max(arc_reach(
+                        c2,
+                        (px - c2).powi(2) + wx * wx,
+                        sw2,
+                        dth2,
+                        px,
+                        to.p,
+                    ));
+                    if reach <= slack_lim {
+                        best = best.min(t);
+                    }
                 }
                 best_unchecked = best_unchecked.min(t);
             }
@@ -229,6 +291,21 @@ impl SpringSled {
             debug_assert!(best_unchecked.is_finite(), "no bang-bang solution found");
             best_unchecked
         }
+    }
+
+    /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
+    /// in seconds.
+    ///
+    /// Evaluates both control orderings (+a then −a, and −a then +a) and
+    /// both phase-plane intersection branches, rejecting trajectories that
+    /// leave the travel range by more than a small slack, and returns the
+    /// fastest feasible transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if start or goal position lies outside the travel range.
+    pub fn seek_time(&self, p0: f64, v0: f64, p1: f64, v1: f64) -> f64 {
+        self.transfer_time(&self.endpoint(p0, v0), &self.endpoint(p1, v1))
     }
 
     /// Rest-to-rest seek time between positions, the X-dimension case.
@@ -319,9 +396,147 @@ impl SpringSled {
     }
 }
 
+/// The closed-form solver exactly as it stood before the endpoint-term core,
+/// frozen as the oracle that [`SpringSled::transfer_time`] and the seek
+/// surface must match bit for bit. Do not edit it: its bits are the
+/// specification.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{SpringSled, ANGLE_EPS, OVERTRAVEL_SLACK, POS_EPS};
+
+    /// A [`SpringSled`] answered by the frozen reference solver.
+    pub(crate) struct ReferenceSled(pub(crate) SpringSled);
+
+    // Lets the frozen bodies read the sled's fields as `self.omega` etc.,
+    // unchanged.
+    impl std::ops::Deref for ReferenceSled {
+        type Target = SpringSled;
+
+        fn deref(&self) -> &SpringSled {
+            &self.0
+        }
+    }
+
+    impl ReferenceSled {
+        /// Time of the clockwise arc on the circle centered at `c` from state
+        /// `(p0, w0)` to `(p1, w1)`, where `w = v/ω`. Both states must lie on
+        /// the circle. A zero-length arc returns 0.
+        fn arc_time(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
+            let th0 = f64::atan2(-w0, p0 - c);
+            let th1 = f64::atan2(-w1, p1 - c);
+            // Clockwise in (p-c, w) space is increasing θ under this sign
+            // convention; normalize the sweep into [0, 2π).
+            let mut dth = th1 - th0;
+            dth = dth.rem_euclid(2.0 * std::f64::consts::PI);
+            if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
+                dth = 0.0;
+            }
+            dth / self.omega
+        }
+
+        /// Maximum |p| reached on the clockwise arc described above, used to
+        /// reject trajectories that fly far outside the device.
+        fn arc_max_abs_pos(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
+            let r = ((p0 - c).powi(2) + w0 * w0).sqrt();
+            let th0 = f64::atan2(-w0, p0 - c).rem_euclid(2.0 * std::f64::consts::PI);
+            let mut dth = (f64::atan2(-w1, p1 - c) - f64::atan2(-w0, p0 - c))
+                .rem_euclid(2.0 * std::f64::consts::PI);
+            if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
+                dth = 0.0;
+            }
+            let mut max_abs = p0.abs().max(p1.abs());
+            // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
+            // (p = c − r); check whether the swept arc crosses them.
+            for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
+                let offset = (theta_ext - th0).rem_euclid(2.0 * std::f64::consts::PI);
+                if offset <= dth {
+                    max_abs = max_abs.max(p_ext.abs());
+                }
+            }
+            max_abs
+        }
+
+        /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
+        /// in seconds.
+        ///
+        /// Evaluates both control orderings (+a then −a, and −a then +a) and
+        /// both phase-plane intersection branches, rejecting trajectories that
+        /// leave the travel range by more than a small slack, and returns the
+        /// fastest feasible transfer.
+        ///
+        /// # Panics
+        ///
+        /// Panics if start or goal position lies outside the travel range.
+        pub(crate) fn seek_time(&self, p0: f64, v0: f64, p1: f64, v1: f64) -> f64 {
+            let lim = self.p_max * (1.0 + OVERTRAVEL_SLACK) + POS_EPS;
+            assert!(
+                p0.abs() <= lim && p1.abs() <= lim,
+                "seek endpoints must lie within the sled travel range"
+            );
+            if (p0 - p1).abs() < POS_EPS && (v0 - v1).abs() < self.omega * POS_EPS {
+                return 0.0;
+            }
+
+            let w0 = v0 / self.omega;
+            let w1 = v1 / self.omega;
+            let slack_lim = self.p_max * (1.0 + OVERTRAVEL_SLACK);
+
+            let mut best = f64::INFINITY;
+            let mut best_unchecked = f64::INFINITY;
+            for u1_sign in [1.0f64, -1.0] {
+                let c1 = u1_sign * self.accel / (self.omega * self.omega);
+                let c2 = -c1;
+                let r1_sq = (p0 - c1).powi(2) + w0 * w0;
+                let r2_sq = (p1 - c2).powi(2) + w1 * w1;
+
+                // Single-phase candidate: the goal already lies on circle 1.
+                let goal_on_c1 = (p1 - c1).powi(2) + w1 * w1;
+                if (goal_on_c1 - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS) {
+                    let t = self.arc_time(c1, p0, w0, p1, w1);
+                    let reach = self.arc_max_abs_pos(c1, p0, w0, p1, w1);
+                    if reach <= slack_lim {
+                        best = best.min(t);
+                    }
+                    best_unchecked = best_unchecked.min(t);
+                }
+
+                // Two-phase candidates: circle-1/circle-2 intersections.
+                let denom = 2.0 * (c2 - c1);
+                debug_assert!(denom.abs() > 0.0);
+                let px = (r1_sq - r2_sq + c2 * c2 - c1 * c1) / denom;
+                let h_sq = r1_sq - (px - c1).powi(2);
+                if h_sq < -1e-18 {
+                    continue; // circles do not intersect under this ordering
+                }
+                let h = h_sq.max(0.0).sqrt();
+                for wx in [h, -h] {
+                    let t = self.arc_time(c1, p0, w0, px, wx) + self.arc_time(c2, px, wx, p1, w1);
+                    let reach = self
+                        .arc_max_abs_pos(c1, p0, w0, px, wx)
+                        .max(self.arc_max_abs_pos(c2, px, wx, p1, w1));
+                    if reach <= slack_lim {
+                        best = best.min(t);
+                    }
+                    best_unchecked = best_unchecked.min(t);
+                }
+            }
+            if best.is_finite() {
+                best
+            } else {
+                // All candidates over-travelled (possible only for contrived
+                // states); fall back to the fastest unchecked trajectory.
+                debug_assert!(best_unchecked.is_finite(), "no bang-bang solution found");
+                best_unchecked
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceSled;
     use super::*;
+    use proptest::prelude::*;
 
     fn paper_sled() -> SpringSled {
         SpringSled::from_spring_factor(803.6, 0.75, 50e-6)
@@ -467,6 +682,96 @@ mod tests {
         let a_edge = sled.acceleration(sled.accel(), 50e-6);
         assert_eq!(a_center, 803.6);
         assert!((a_edge - 803.6 * 0.25).abs() < 1e-9);
+    }
+
+    /// Spring factors spanning weak to strong springs, the paper's 0.75
+    /// first.
+    const SPRING_FACTORS: [f64; 4] = [0.75, 0.1, 0.5, 0.95];
+
+    /// Asserts that every seek shape from `(p0, v0)` toward `(p1, v1)` — the
+    /// general transfer, rest-to-rest, the turnaround `(p0, v0) → (p0, −v0)`
+    /// and the equal-endpoint seek — matches the frozen reference bit for
+    /// bit.
+    fn assert_matches_reference(sled: SpringSled, p0: f64, v0: f64, p1: f64, v1: f64) {
+        let reference = ReferenceSled(sled);
+        for (got, want, shape) in [
+            (
+                sled.seek_time(p0, v0, p1, v1),
+                reference.seek_time(p0, v0, p1, v1),
+                "general",
+            ),
+            (
+                sled.rest_seek_time(p0, p1),
+                reference.seek_time(p0, 0.0, p1, 0.0),
+                "rest",
+            ),
+            (
+                sled.turnaround_time(p0, v0),
+                reference.seek_time(p0, v0, p0, -v0),
+                "turnaround",
+            ),
+            (
+                sled.seek_time(p0, v0, p0, v0),
+                reference.seek_time(p0, v0, p0, v0),
+                "equal endpoints",
+            ),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{shape} seek ({p0}, {v0}) -> ({p1}, {v1}): core {got} vs reference {want}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The solver core reproduces the frozen reference bit for bit over
+        /// positions up to the over-travel limit and velocities at rest, at
+        /// ±the access velocity, and arbitrary up to twice it.
+        #[test]
+        fn seek_time_matches_frozen_reference(
+            spring in 0usize..SPRING_FACTORS.len(),
+            (a, b) in (-1.05f64..1.05, -1.05f64..1.05),
+            (sel0, sel1) in (0u8..4, 0u8..4),
+            (f0, f1) in (-2.0f64..2.0, -2.0f64..2.0),
+        ) {
+            let sled = SpringSled::from_spring_factor(803.6, SPRING_FACTORS[spring], 50e-6);
+            let velocity = |sel: u8, f: f64| match sel {
+                0 => 0.0,
+                1 => V_ACCESS,
+                2 => -V_ACCESS,
+                _ => f * V_ACCESS,
+            };
+            let p_max = sled.p_max();
+            assert_matches_reference(
+                sled,
+                a * p_max,
+                velocity(sel0, f0),
+                b * p_max,
+                velocity(sel1, f1),
+            );
+        }
+    }
+
+    #[test]
+    fn edge_states_match_frozen_reference() {
+        for factor in SPRING_FACTORS {
+            let sled = SpringSled::from_spring_factor(803.6, factor, 50e-6);
+            let lim = sled.p_max() * (1.0 + OVERTRAVEL_SLACK);
+            let positions = [-lim, -sled.p_max(), -1e-12, 0.0, 1e-12, sled.p_max(), lim];
+            let velocities = [0.0, -0.0, V_ACCESS, -V_ACCESS, 2.0 * V_ACCESS];
+            for p0 in positions {
+                for p1 in positions {
+                    for v0 in velocities {
+                        for v1 in velocities {
+                            assert_matches_reference(sled, p0, v0, p1, v1);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

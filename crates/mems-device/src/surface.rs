@@ -24,12 +24,22 @@
 //! rows and refused entirely (returning `None`) for exotic geometries whose
 //! matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`]; callers then
 //! stay on the memo table.
+//!
+//! Construction computes each cylinder's (and each Y boundary and
+//! direction's) endpoint terms once, then runs the solver core behind
+//! [`SpringSled::seek_time`] on every cell (see the `kinematics` module
+//! docs). Every cell is solved: the physics is symmetric under swapping or
+//! mirroring the endpoints, but the floating-point solves are not. On the
+//! paper surface 4,617,768 of the 6,250,000 X cells differ in bits from
+//! their transpose and 5,052,468 from their mirror (by at most ~3·10⁻¹²
+//! relative), so a symmetric fill would not be bit-identical to the memo
+//! table.
 
 use std::fmt;
 use std::thread;
 
 use crate::geometry::Mapper;
-use crate::kinematics::SpringSled;
+use crate::kinematics::{Endpoint, SpringSled};
 use crate::params::MemsParams;
 use crate::seek_table::YKey;
 
@@ -96,6 +106,12 @@ impl SeekSurface {
             params.half_mobility(),
         );
 
+        // Every on-grid X start and goal is a cylinder center at rest, so
+        // each cylinder's endpoint terms are computed once and shared by
+        // its whole matrix row and column.
+        let x_ends: Vec<Endpoint> = (0..geom.cylinders)
+            .map(|cyl| sled.endpoint(mapper.x_of_cylinder(cyl), 0.0))
+            .collect();
         let n = geom.cylinders as usize;
         let mut x = vec![0.0f64; n * n].into_boxed_slice();
         let workers = thread::available_parallelism()
@@ -105,16 +121,13 @@ impl SeekSurface {
         let rows_per_worker = n.div_ceil(workers);
         thread::scope(|scope| {
             for (i, block) in x.chunks_mut(rows_per_worker * n).enumerate() {
-                let first_row = (i * rows_per_worker) as u32;
-                let mapper = &mapper;
+                let first_row = i * rows_per_worker;
+                let x_ends = &x_ends;
                 let sled = &sled;
                 scope.spawn(move || {
-                    for (r, row) in block.chunks_mut(n).enumerate() {
-                        // Exactly the memo table's solve: the queried
-                        // on-grid start is the mapper's cylinder center.
-                        let from_x = mapper.x_of_cylinder(first_row + r as u32);
-                        for (to, cell) in row.iter_mut().enumerate() {
-                            *cell = sled.rest_seek_time(from_x, mapper.x_of_cylinder(to as u32));
+                    for (row, from) in block.chunks_mut(n).zip(&x_ends[first_row..]) {
+                        for (cell, to) in row.iter_mut().zip(x_ends) {
+                            *cell = sled.transfer_time(from, to);
                         }
                     }
                 });
@@ -127,15 +140,19 @@ impl SeekSurface {
         let boundaries = geom.rows_per_track + 1;
         let b = boundaries as usize;
         let v = params.access_velocity();
+        let y_ends: Vec<[Endpoint; 3]> = (0..boundaries)
+            .map(|bound| {
+                let y = mapper.y_of_row_start(bound);
+                [-v, 0.0, v].map(|vy| sled.endpoint(y, vy))
+            })
+            .collect();
         let mut y = vec![0.0f64; b * 3 * b * 2].into_boxed_slice();
-        for from_b in 0..b {
-            let from_y = mapper.y_of_row_start(from_b as u32);
-            for (fdir, from_vy) in [(0usize, -v), (1, 0.0), (2, v)] {
-                for to_b in 0..b {
-                    let to_y = mapper.y_of_row_start(to_b as u32);
-                    for (tdir, to_vy) in [(0usize, -v), (1, v)] {
+        for (from_b, from_ends) in y_ends.iter().enumerate() {
+            for (fdir, from) in from_ends.iter().enumerate() {
+                for (to_b, to_ends) in y_ends.iter().enumerate() {
+                    for (tdir, to) in [&to_ends[0], &to_ends[2]].into_iter().enumerate() {
                         y[((from_b * 3 + fdir) * b + to_b) * 2 + tdir] =
-                            sled.seek_time(from_y, from_vy, to_y, to_vy);
+                            sled.transfer_time(from, to);
                     }
                 }
             }
@@ -214,8 +231,10 @@ impl fmt::Debug for SeekSurface {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::kinematics::reference::ReferenceSled;
+    use std::sync::{Arc, OnceLock};
 
     /// A geometrically valid but small device (200 cylinders, 2 rows per
     /// track) so exhaustive checks stay fast.
@@ -234,45 +253,45 @@ mod tests {
         assert_eq!(g.rows_per_track, 2);
     }
 
-    #[test]
-    fn x_matrix_matches_direct_solver_bitwise() {
-        let params = small_params();
-        let s = SeekSurface::build(&params).expect("small device fits");
-        let mapper = Mapper::new(&params);
-        let sled = SpringSled::from_spring_factor(
-            params.accel,
-            params.spring_factor,
-            params.half_mobility(),
-        );
-        for from in (0..200).step_by(7) {
-            for to in (0..200).step_by(3) {
-                let direct =
-                    sled.rest_seek_time(mapper.x_of_cylinder(from), mapper.x_of_cylinder(to));
-                assert_eq!(
-                    s.x_seek(from, to).to_bits(),
-                    direct.to_bits(),
-                    "x_seek({from}, {to}) differs from the direct solve"
-                );
-            }
-        }
-        assert_eq!(s.x_seek(42, 42), 0.0);
+    /// A solver's `seek_time(p0, v0, p1, v1)`.
+    type Solve<'a> = &'a (dyn Fn(f64, f64, f64, f64) -> f64 + Sync);
+
+    fn sled_for(params: &MemsParams) -> SpringSled {
+        SpringSled::from_spring_factor(params.accel, params.spring_factor, params.half_mobility())
     }
 
-    #[test]
-    fn y_table_matches_direct_solver_bitwise() {
-        let params = small_params();
-        let s = SeekSurface::build(&params).expect("small device fits");
-        let mapper = Mapper::new(&params);
-        let sled = SpringSled::from_spring_factor(
-            params.accel,
-            params.spring_factor,
-            params.half_mobility(),
-        );
-        let v = params.access_velocity();
-        let boundaries = params.geometry().rows_per_track + 1;
-        for from_b in 0..boundaries as u16 {
+    /// Asserts that X rows `rows` of `s` (every column) equal `solve` bit
+    /// for bit. Rows are checked in parallel, one block per core.
+    fn assert_x_rows_match(s: &SeekSurface, rows: &[u32], solve: Solve) {
+        let mapper = Mapper::new(s.params());
+        let workers = thread::available_parallelism().map_or(1, |w| w.get());
+        thread::scope(|scope| {
+            for block in rows.chunks(rows.len().div_ceil(workers).max(1)) {
+                let mapper = &mapper;
+                scope.spawn(move || {
+                    for &from in block {
+                        let from_x = mapper.x_of_cylinder(from);
+                        for to in 0..s.cylinders() {
+                            let want = solve(from_x, 0.0, mapper.x_of_cylinder(to), 0.0);
+                            assert_eq!(
+                                s.x_seek(from, to).to_bits(),
+                                want.to_bits(),
+                                "x_seek({from}, {to}) differs from the solver"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Asserts that the whole Y table of `s` equals `solve` bit for bit.
+    fn assert_y_table_matches(s: &SeekSurface, solve: Solve) {
+        let mapper = Mapper::new(s.params());
+        let v = s.params().access_velocity();
+        for from_b in 0..s.boundaries as u16 {
             for from_dir in [-1i8, 0, 1] {
-                for to_b in 0..boundaries as u16 {
+                for to_b in 0..s.boundaries as u16 {
                     for to_dir in [-1i8, 1] {
                         let key = YKey {
                             from_boundary: from_b,
@@ -280,7 +299,7 @@ mod tests {
                             to_boundary: to_b,
                             to_dir,
                         };
-                        let direct = sled.seek_time(
+                        let want = solve(
                             mapper.y_of_row_start(u32::from(from_b)),
                             f64::from(from_dir) * v,
                             mapper.y_of_row_start(u32::from(to_b)),
@@ -288,13 +307,73 @@ mod tests {
                         );
                         assert_eq!(
                             s.y_seek(key).to_bits(),
-                            direct.to_bits(),
-                            "y_seek({key:?}) differs from the direct solve"
+                            want.to_bits(),
+                            "y_seek({key:?}) differs from the solver"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// Asserts that X rows `rows` and the whole Y table of `s` equal the
+    /// frozen reference solver. It catches a solver change that moves the
+    /// surface and the direct solve alike, which the direct-solver checks
+    /// cannot.
+    fn assert_matches_reference(s: &SeekSurface, rows: &[u32]) {
+        let sled = ReferenceSled(sled_for(s.params()));
+        let solve = |p0, v0, p1, v1| sled.seek_time(p0, v0, p1, v1);
+        assert_x_rows_match(s, rows, &solve);
+        assert_y_table_matches(s, &solve);
+    }
+
+    #[test]
+    fn x_matrix_matches_direct_solver_bitwise() {
+        let s = SeekSurface::build(&small_params()).expect("small device fits");
+        let sled = sled_for(s.params());
+        let rows: Vec<u32> = (0..200).step_by(7).collect();
+        assert_x_rows_match(&s, &rows, &|p0, _, p1, _| sled.rest_seek_time(p0, p1));
+        assert_eq!(s.x_seek(42, 42), 0.0);
+    }
+
+    #[test]
+    fn y_table_matches_direct_solver_bitwise() {
+        let s = SeekSurface::build(&small_params()).expect("small device fits");
+        let sled = sled_for(s.params());
+        assert_y_table_matches(&s, &|p0, v0, p1, v1| sled.seek_time(p0, v0, p1, v1));
+    }
+
+    /// The paper-device surface, built once per test process and shared by
+    /// every test that needs it.
+    pub(crate) fn paper_surface() -> Arc<SeekSurface> {
+        static SURFACE: OnceLock<Arc<SeekSurface>> = OnceLock::new();
+        Arc::clone(SURFACE.get_or_init(|| {
+            Arc::new(SeekSurface::build(&MemsParams::default()).expect("paper device fits"))
+        }))
+    }
+
+    #[test]
+    fn small_surface_matches_frozen_reference_everywhere() {
+        let s = SeekSurface::build(&small_params()).expect("small device fits");
+        assert_matches_reference(&s, &(0..s.cylinders()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn paper_surface_sampled_rows_match_frozen_reference() {
+        let s = paper_surface();
+        let n = s.cylinders();
+        let mut rows = vec![0, 1, n / 2 - 1, n / 2, n - 2, n - 1];
+        rows.extend((0..n).step_by(97));
+        assert_matches_reference(&s, &rows);
+    }
+
+    /// Every one of the paper surface's 6.25 M X cells; seconds in release,
+    /// far longer in debug, so it runs only when asked for (`-- --ignored`).
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn paper_surface_matches_frozen_reference_everywhere() {
+        let s = paper_surface();
+        assert_matches_reference(&s, &(0..s.cylinders()).collect::<Vec<_>>());
     }
 
     #[test]
