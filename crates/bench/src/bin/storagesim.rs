@@ -6,6 +6,8 @@
 //!
 //! ```text
 //! storagesim [--device mems|mems-nosettle|atlas|travelstar|raid0|raid5]
+//!                                     (raid0: stripe of 4 MEMS devices;
+//!                                      raid5: RAID-Z over 5; 64-sector strips)
 //!            [--scheduler fcfs|sstf|clook|sptf|look|fscan|aged-sptf|vr]
 //!            [--workload random|cello|tpcc|streaming]
 //!            [--rate REQS_PER_SEC]        (random workload; default 1000)
@@ -21,7 +23,7 @@ use std::process::exit;
 
 use atlas_disk::{DiskDevice, DiskEnergyModel, DiskParams};
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
-use mems_os::array::{Raid0Device, Raid5Device};
+use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::power::{PowerManagedDevice, PowerProfile};
 use mems_os::sched::{
@@ -68,6 +70,8 @@ impl Default for Args {
 fn usage() -> ! {
     eprintln!(
         "usage: storagesim [--device mems|mems-nosettle|atlas|travelstar|raid0|raid5]\n\
+         \x20                 (raid0: stripe of 4 MEMS devices; raid5: RAID-Z over 5;\n\
+         \x20                  64-sector strips)\n\
          \x20                 [--scheduler fcfs|sstf|clook|sptf|look|fscan|aged-sptf|vr]\n\
          \x20                 [--workload random|cello|tpcc|streaming] [--rate R] [--scale S]\n\
          \x20                 [--requests N] [--seed S] [--warmup N]\n\
@@ -173,6 +177,13 @@ fn run<D: StorageDevice>(device: D, args: &Args) -> (SimReport, String) {
     (driver.run(), name)
 }
 
+/// `n` default MEMS devices as array leaves.
+fn mems_leaves(n: usize) -> Vec<Vdev<MemsDevice>> {
+    (0..n)
+        .map(|_| Vdev::leaf(MemsDevice::new(MemsParams::default())))
+        .collect()
+}
+
 fn dispatch(args: &Args) -> (SimReport, String) {
     // Compose wrappers inside-out: base device, then cache, then power.
     macro_rules! finish {
@@ -206,24 +217,8 @@ fn dispatch(args: &Args) -> (SimReport, String) {
             DiskDevice::new(DiskParams::ibm_travelstar_class()),
             mobile_profile
         ),
-        "raid0" => finish!(
-            Raid0Device::new(
-                (0..4)
-                    .map(|_| MemsDevice::new(MemsParams::default()))
-                    .collect::<Vec<_>>(),
-                64,
-            ),
-            mems_profile
-        ),
-        "raid5" => finish!(
-            Raid5Device::new(
-                (0..5)
-                    .map(|_| MemsDevice::new(MemsParams::default()))
-                    .collect::<Vec<_>>(),
-                64,
-            ),
-            mems_profile
-        ),
+        "raid0" => finish!(Vdev::stripe(mems_leaves(4), 64), mems_profile),
+        "raid5" => finish!(Vdev::raidz(mems_leaves(5), 64), mems_profile),
         other => {
             eprintln!("unknown device {other}");
             usage();

@@ -103,18 +103,10 @@ impl<D: StorageDevice> Raid5Array<D> {
     }
 
     /// Maps an array-logical strip number to (data device, parity device,
-    /// device-local LBN) with left-symmetric parity rotation.
+    /// device-local LBN) with left-symmetric parity rotation, the layout
+    /// every RAID-Z array uses.
     pub fn locate(&self, strip: u64) -> (usize, usize, u64) {
-        let n = self.devices.len() as u64;
-        let stripe = strip / (n - 1);
-        let within = strip % (n - 1);
-        let parity = (n - 1 - (stripe % n)) as usize;
-        let mut data = within as usize;
-        if data >= parity {
-            data += 1;
-        }
-        let lbn = stripe * u64::from(self.stripe_unit);
-        (data, parity, lbn)
+        crate::array::raidz_locate(strip, self.devices.len(), self.stripe_unit)
     }
 
     /// Time of a small (partial-strip) write of `sectors` sectors within

@@ -19,8 +19,9 @@
 //! * [`power`] — power management (§7): a single aggressive idle mode
 //!   (0.5 ms restart) instead of the disk's reluctant spin-down bargain,
 //!   and power as a near-linear function of bits accessed.
-//! * [`array`](mod@array) — RAID-0/1/5 arrays as composable devices (§6.2), with
-//!   positioning-aware mirror read steering and the small-write RMW path.
+//! * [`array`](mod@array) — stripe/mirror/RAID-Z arrays as composable
+//!   devices (§6.2): one `Layout` plan per node, positioning-aware mirror
+//!   read steering, and the small-write RMW path.
 //! * [`placement`] — adaptive hot/cold placement: decayed per-block
 //!   frequency tracking and idle-window migration of hot blocks toward
 //!   the cheap center cylinders, as a composable device wrapper.

@@ -5,8 +5,9 @@
 //! as a storage cluster:
 //!
 //! * [`VolumeSpec`] — a stripe/mirror/RAID-Z composition tree that
-//!   routes fleet-level requests into per-station sub-I/Os using the
-//!   same span and parity math as the `mems_os::array` wrappers;
+//!   routes fleet-level requests into per-station sub-I/Os with the
+//!   same per-node plan (`mems_os::array::Layout`) that the inline
+//!   `Vdev` arrays service;
 //! * [`FleetEngine`] — per-station event loops (each a
 //!   [`storage_sim::Driver`] stepped through its session API) on
 //!   persistent worker threads, stitched by a deterministic streaming

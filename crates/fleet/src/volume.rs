@@ -1,13 +1,11 @@
 //! Volume composition and request routing for fleet mode.
 //!
-//! In *array mode* (the `mems_os::array` wrappers and the recursive
-//! [`mems_os::array::Vdev`]), a composed device services sub-requests
+//! In *array mode* a [`mems_os::array::Vdev`] services sub-requests
 //! inline inside one event loop. In *fleet mode* each leaf device is a
 //! **station** with its own queue, scheduler, and event loop; the volume
 //! layer splits every fleet-level request into per-station sub-I/Os at
-//! arrival time, using the same span and parity math as the array
-//! wrappers ([`mems_os::array::stripe_spans`],
-//! [`mems_os::array::raidz_locate`]).
+//! arrival time. Both run the same per-node plan,
+//! [`mems_os::array::Layout::plan`].
 //!
 //! Routing happens before simulation starts, so it can only consult
 //! statically known facts (LBNs, ids), never mechanical state. Two
@@ -23,7 +21,7 @@
 
 use storage_sim::{IoKind, Request};
 
-use mems_os::array::{raidz_locate, stripe_spans};
+use mems_os::array::Layout;
 
 /// One routed sub-I/O: a station index plus the member-local access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,31 +38,20 @@ pub struct SubIo {
 
 /// A volume composition tree over fleet stations.
 ///
-/// Leaves name station indices; interior nodes apply the RAID-0/1/5
-/// algorithms at routing time. The tree nests arbitrarily (a stripe of
-/// mirrors is the classic RAID-10 fleet).
+/// Leaves name station indices; interior nodes apply their [`Layout`] at
+/// routing time. The tree nests arbitrarily (a stripe of mirrors is the
+/// classic RAID-10 fleet).
 #[derive(Debug, Clone)]
 pub enum VolumeSpec {
     /// A single station.
     Leaf(usize),
-    /// Block-interleaved striping across children.
-    Stripe {
+    /// An interior node applying `layout` to its children; mirror reads
+    /// steer by `id % n`.
+    Node {
+        /// How requests spread over the children.
+        layout: Layout,
         /// Child volumes.
         children: Vec<VolumeSpec>,
-        /// Sectors per strip.
-        stripe_unit: u32,
-    },
-    /// Replication across children; reads steer by `id % n`.
-    Mirror {
-        /// Child volumes.
-        children: Vec<VolumeSpec>,
-    },
-    /// Left-symmetric rotating parity across children.
-    RaidZ {
-        /// Child volumes.
-        children: Vec<VolumeSpec>,
-        /// Sectors per strip.
-        stripe_unit: u32,
     },
 }
 
@@ -80,12 +67,7 @@ impl VolumeSpec {
     ///
     /// Panics with fewer than two children or a zero stripe unit.
     pub fn stripe(children: Vec<VolumeSpec>, stripe_unit: u32) -> Self {
-        assert!(children.len() >= 2, "striping needs at least two members");
-        assert!(stripe_unit > 0);
-        VolumeSpec::Stripe {
-            children,
-            stripe_unit,
-        }
+        Self::node(Layout::Stripe { stripe_unit }, children)
     }
 
     /// A mirrored volume.
@@ -94,8 +76,7 @@ impl VolumeSpec {
     ///
     /// Panics with fewer than two children.
     pub fn mirror(children: Vec<VolumeSpec>) -> Self {
-        assert!(children.len() >= 2, "mirroring needs at least two replicas");
-        VolumeSpec::Mirror { children }
+        Self::node(Layout::Mirror, children)
     }
 
     /// A rotating-parity volume.
@@ -104,12 +85,12 @@ impl VolumeSpec {
     ///
     /// Panics with fewer than three children or a zero stripe unit.
     pub fn raidz(children: Vec<VolumeSpec>, stripe_unit: u32) -> Self {
-        assert!(children.len() >= 3, "RAID-Z needs at least three members");
-        assert!(stripe_unit > 0);
-        VolumeSpec::RaidZ {
-            children,
-            stripe_unit,
-        }
+        Self::node(Layout::RaidZ { stripe_unit }, children)
+    }
+
+    fn node(layout: Layout, children: Vec<VolumeSpec>) -> Self {
+        layout.check(children.len());
+        VolumeSpec::Node { layout, children }
     }
 
     /// A stripe directly over `n` leaf stations `0..n` (the plain
@@ -124,45 +105,13 @@ impl VolumeSpec {
     }
 
     /// Addressable volume capacity in LBNs, assuming every leaf has
-    /// `leaf_cap` LBNs.
-    ///
-    /// Striped and parity nodes round each child down to whole strips
-    /// (block interleaving distributes strips round-robin, so a partial
-    /// trailing strip on one child would route past another child's
-    /// end). Every LBN below this capacity routes to in-bounds leaf
-    /// accesses; device capacities that are strip-multiples lose
-    /// nothing.
+    /// `leaf_cap` LBNs, per [`Layout::capacity`]: every LBN below it
+    /// routes to in-bounds leaf accesses.
     pub fn capacity(&self, leaf_cap: u64) -> u64 {
         match self {
             VolumeSpec::Leaf(_) => leaf_cap,
-            VolumeSpec::Stripe {
-                children,
-                stripe_unit,
-            } => {
-                let su = u64::from(*stripe_unit);
-                let strips = children
-                    .iter()
-                    .map(|c| c.capacity(leaf_cap) / su)
-                    .min()
-                    .expect("non-empty children");
-                children.len() as u64 * strips * su
-            }
-            VolumeSpec::Mirror { children } => children
-                .iter()
-                .map(|c| c.capacity(leaf_cap))
-                .min()
-                .expect("non-empty children"),
-            VolumeSpec::RaidZ {
-                children,
-                stripe_unit,
-            } => {
-                let su = u64::from(*stripe_unit);
-                let strips = children
-                    .iter()
-                    .map(|c| c.capacity(leaf_cap) / su)
-                    .min()
-                    .expect("non-empty children");
-                (children.len() as u64 - 1) * strips * su
+            VolumeSpec::Node { layout, children } => {
+                layout.capacity(children.iter().map(|c| c.capacity(leaf_cap)))
             }
         }
     }
@@ -171,9 +120,7 @@ impl VolumeSpec {
     pub fn max_station(&self) -> usize {
         match self {
             VolumeSpec::Leaf(i) => *i,
-            VolumeSpec::Stripe { children, .. }
-            | VolumeSpec::Mirror { children }
-            | VolumeSpec::RaidZ { children, .. } => children
+            VolumeSpec::Node { children, .. } => children
                 .iter()
                 .map(VolumeSpec::max_station)
                 .max()
@@ -182,7 +129,7 @@ impl VolumeSpec {
     }
 
     /// Routes a fleet-level request into per-station sub-I/Os, appended
-    /// to `out` in deterministic order (child order, LBN-ascending).
+    /// to `out` in deterministic order (each node's plan order).
     pub fn route(&self, req: &Request, out: &mut Vec<SubIo>) {
         self.route_inner(req.id, req.lbn, req.sectors, req.kind, out);
     }
@@ -195,86 +142,16 @@ impl VolumeSpec {
                 sectors,
                 kind,
             }),
-            VolumeSpec::Stripe {
-                children,
-                stripe_unit,
-            } => {
-                for span in stripe_spans(lbn, sectors, *stripe_unit, children.len()) {
-                    children[span.member].route_inner(id, span.lbn, span.sectors, kind, out);
-                }
-            }
-            VolumeSpec::Mirror { children } => match kind {
-                IoKind::Read => {
-                    // Steered by id, not position: routing precedes
-                    // simulation, so mechanical state is unknowable here.
-                    let target = (id % children.len() as u64) as usize;
-                    children[target].route_inner(id, lbn, sectors, kind, out);
-                }
-                IoKind::Write => {
-                    for c in children {
-                        c.route_inner(id, lbn, sectors, kind, out);
-                    }
-                }
-            },
-            VolumeSpec::RaidZ {
-                children,
-                stripe_unit,
-            } => {
-                let su = u64::from(*stripe_unit);
-                let n = children.len();
-                let full_stripe_width = (n - 1) as u64 * su;
-                let full_stripe_aligned = kind == IoKind::Write
-                    && lbn.is_multiple_of(full_stripe_width)
-                    && u64::from(sectors) % full_stripe_width == 0;
-                let mut a = lbn;
-                let end = lbn + u64::from(sectors);
-                while a < end {
-                    let strip = a / su;
-                    let offset = a % su;
-                    let chunk = (su - offset).min(end - a) as u32;
-                    let (data, parity, base) = raidz_locate(strip, n, *stripe_unit);
-                    let member_lbn = base + offset;
-                    match kind {
-                        IoKind::Read => {
-                            children[data].route_inner(id, member_lbn, chunk, IoKind::Read, out);
-                        }
-                        IoKind::Write if full_stripe_aligned => {
-                            children[data].route_inner(id, member_lbn, chunk, IoKind::Write, out);
-                            if strip.is_multiple_of(n as u64 - 1) {
-                                children[parity].route_inner(
-                                    id,
-                                    base,
-                                    *stripe_unit,
-                                    IoKind::Write,
-                                    out,
-                                );
-                            }
-                        }
-                        IoKind::Write => {
-                            // RMW: read + write on both the data and the
-                            // parity member (issued as independent subs;
-                            // see the module docs for the ordering caveat).
-                            for member in [data, parity] {
-                                children[member].route_inner(
-                                    id,
-                                    member_lbn,
-                                    chunk,
-                                    IoKind::Read,
-                                    out,
-                                );
-                                children[member].route_inner(
-                                    id,
-                                    member_lbn,
-                                    chunk,
-                                    IoKind::Write,
-                                    out,
-                                );
-                            }
-                        }
-                    }
-                    a += u64::from(chunk);
-                }
-            }
+            // Mirror reads steer by id, not position: routing precedes
+            // simulation, so mechanical state is unknowable here.
+            VolumeSpec::Node { layout, children } => layout.plan(
+                children.len(),
+                lbn,
+                sectors,
+                kind,
+                || (id % children.len() as u64) as usize,
+                |io| children[io.member].route_inner(id, io.lbn, io.sectors, io.kind, out),
+            ),
         }
     }
 }
@@ -387,15 +264,17 @@ mod tests {
 
     #[test]
     fn routed_lbns_match_array_span_math() {
+        // Sectors 5..15 at 8-sector strips: strip 0 (station 0, lbn
+        // 5..8), strip 1 (station 1, lbn 0..7).
         let v = VolumeSpec::flat(4, 8);
         let mut out = Vec::new();
         v.route(&read(0, 5, 10), &mut out);
-        let spans = stripe_spans(5, 10, 8, 4);
-        assert_eq!(out.len(), spans.len());
-        for (sub, span) in out.iter().zip(&spans) {
-            assert_eq!(sub.station, span.member);
-            assert_eq!(sub.lbn, span.lbn);
-            assert_eq!(sub.sectors, span.sectors);
-        }
+        let sub = |station, lbn, sectors| SubIo {
+            station,
+            lbn,
+            sectors,
+            kind: IoKind::Read,
+        };
+        assert_eq!(out, [sub(0, 5, 3), sub(1, 0, 7)]);
     }
 }

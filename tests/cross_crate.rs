@@ -64,26 +64,15 @@ fn power_managed_device_serves_full_workloads() {
 
 #[test]
 fn arrays_serve_full_workloads() {
-    let raid0 = mems_os::array::Raid0Device::new(
-        (0..4)
-            .map(|_| MemsDevice::new(MemsParams::default()))
-            .collect::<Vec<_>>(),
-        64,
-    );
-    check_conservation(raid0, Algorithm::Sptf, 800);
-    let raid1 = mems_os::array::Raid1Device::new(
-        (0..2)
-            .map(|_| MemsDevice::new(MemsParams::default()))
-            .collect::<Vec<_>>(),
-    );
-    check_conservation(raid1, Algorithm::Clook, 800);
-    let raid5 = mems_os::array::Raid5Device::new(
-        (0..5)
-            .map(|_| MemsDevice::new(MemsParams::default()))
-            .collect::<Vec<_>>(),
-        64,
-    );
-    check_conservation(raid5, Algorithm::SstfLbn, 800);
+    use mems_os::array::Vdev;
+    let leaves = |n| {
+        (0..n)
+            .map(|_| Vdev::leaf(MemsDevice::new(MemsParams::default())))
+            .collect::<Vec<_>>()
+    };
+    check_conservation(Vdev::stripe(leaves(4), 64), Algorithm::Sptf, 800);
+    check_conservation(Vdev::mirror(leaves(2)), Algorithm::Clook, 800);
+    check_conservation(Vdev::raidz(leaves(5), 64), Algorithm::SstfLbn, 800);
 }
 
 #[test]

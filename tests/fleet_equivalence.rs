@@ -1,12 +1,13 @@
-//! The flat RAID wrappers and the recursive fleet vdev tree are the
-//! same machine: a `Raid{0,1,5}Device` served by the single-loop
-//! [`Driver`] and a one-station [`FleetEngine`] whose station device is
-//! the equivalent [`Vdev`] produce byte-identical [`SimReport`]s, on
-//! MEMS and on disk.
+//! The single-loop driver and the fleet engine are the same machine for
+//! arrays: a [`Vdev`] served by the [`Driver`] and a one-station
+//! [`FleetEngine`] whose station device is the same tree produce
+//! byte-identical [`SimReport`]s, on MEMS and on disk. Each driver run
+//! also reproduces the report digest recorded from the flat
+//! RAID-0/1/5 array devices that the depth-1 trees replaced.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::array::{Raid0Device, Raid1Device, Raid5Device, Vdev};
+use mems_os::array::Vdev;
 use mems_os::sched::SptfScheduler;
 use storage_sim::{Driver, Request, SimReport, StorageDevice, VecWorkload, Workload};
 use storage_trace::RandomWorkload;
@@ -49,55 +50,41 @@ fn fleet_run<D: StorageDevice + Send>(device: Vdev<D>, requests: &[Request]) -> 
     fleet.stations.remove(0)
 }
 
-/// Every field that the driver fills in, compared bit for bit.
-fn assert_reports_identical(wrapper: &SimReport, vdev: &SimReport) {
-    assert_eq!(wrapper.completed, vdev.completed);
-    assert_eq!(wrapper.makespan, vdev.makespan);
-    assert_eq!(
-        wrapper.response.mean().to_bits(),
-        vdev.response.mean().to_bits()
-    );
-    assert_eq!(
-        wrapper.service_time.mean().to_bits(),
-        vdev.service_time.mean().to_bits()
-    );
-    assert_eq!(wrapper.busy_secs.to_bits(), vdev.busy_secs.to_bits());
-    assert_eq!(
-        wrapper.mean_queue_depth.to_bits(),
-        vdev.mean_queue_depth.to_bits()
-    );
-    let (a, b) = (
-        wrapper.completions.as_ref().unwrap(),
-        vdev.completions.as_ref().unwrap(),
-    );
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.request.id, y.request.id);
-        assert_eq!(x.start_service, y.start_service);
-        assert_eq!(x.completion, y.completion);
+/// FNV-1a over every field the driver fills in, floats by bit pattern,
+/// completions one by one.
+fn report_digest(r: &SimReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+    put(r.completed);
+    put(r.makespan.as_secs().to_bits());
+    put(r.response.mean().to_bits());
+    put(r.service_time.mean().to_bits());
+    put(r.busy_secs.to_bits());
+    put(r.mean_queue_depth.to_bits());
+    for c in r.completions.as_ref().expect("recorded") {
+        put(c.request.id);
+        put(c.start_service.as_secs().to_bits());
+        put(c.completion.as_secs().to_bits());
     }
+    h
 }
 
-/// Run one wrapper-vs-vdev pair over the paper's random workload.
-fn check<W, D>(wrapper: W, vdev: Vdev<D>, rate: f64)
+/// Runs the paper's random workload over a driver and a one-station
+/// fleet, each on a fresh tree from `build`, and checks both against the
+/// digest `recorded` from the equivalent flat array device.
+fn check<D>(build: impl Fn() -> Vdev<D>, rate: f64, recorded: u64)
 where
-    W: StorageDevice,
     D: StorageDevice + Send,
 {
-    assert_eq!(
-        wrapper.capacity_lbns(),
-        vdev.capacity_lbns(),
-        "wrapper and vdev must expose the same address space"
-    );
     let requests = collect(RandomWorkload::paper(
-        wrapper.capacity_lbns(),
+        build().capacity_lbns(),
         rate,
         REQUESTS,
         0xF1EE7,
     ));
-    let solo = solo_run(wrapper, &requests);
-    let fleet = fleet_run(vdev, &requests);
-    assert_reports_identical(&solo, &fleet);
+    let solo = report_digest(&solo_run(build(), &requests));
+    assert_eq!(solo, report_digest(&fleet_run(build(), &requests)));
+    assert_eq!(solo, recorded);
 }
 
 fn mems() -> MemsDevice {
@@ -108,56 +95,60 @@ fn disk() -> DiskDevice {
     DiskDevice::new(DiskParams::quantum_atlas_10k())
 }
 
+fn leaves<D: StorageDevice>(n: usize, device: fn() -> D) -> Vec<Vdev<D>> {
+    (0..n).map(|_| Vdev::leaf(device())).collect()
+}
+
 #[test]
 fn raid0_wrapper_matches_one_station_fleet_vdev_on_mems() {
     check(
-        Raid0Device::new((0..4).map(|_| mems()).collect(), STRIPE_UNIT),
-        Vdev::stripe((0..4).map(|_| Vdev::leaf(mems())).collect(), STRIPE_UNIT),
+        || Vdev::stripe(leaves(4, mems), STRIPE_UNIT),
         2000.0,
+        0x29a0_3ea5_4a9f_4423,
     );
 }
 
 #[test]
 fn raid1_wrapper_matches_one_station_fleet_vdev_on_mems() {
     check(
-        Raid1Device::new((0..2).map(|_| mems()).collect()),
-        Vdev::mirror((0..2).map(|_| Vdev::leaf(mems())).collect()),
+        || Vdev::mirror(leaves(2, mems)),
         1200.0,
+        0xdb05_7ab1_30ee_83c7,
     );
 }
 
 #[test]
 fn raid5_wrapper_matches_one_station_fleet_vdev_on_mems() {
     check(
-        Raid5Device::new((0..5).map(|_| mems()).collect(), STRIPE_UNIT),
-        Vdev::raidz((0..5).map(|_| Vdev::leaf(mems())).collect(), STRIPE_UNIT),
+        || Vdev::raidz(leaves(5, mems), STRIPE_UNIT),
         1600.0,
+        0x64f9_3938_56aa_2838,
     );
 }
 
 #[test]
 fn raid0_wrapper_matches_one_station_fleet_vdev_on_disk() {
     check(
-        Raid0Device::new((0..4).map(|_| disk()).collect(), STRIPE_UNIT),
-        Vdev::stripe((0..4).map(|_| Vdev::leaf(disk())).collect(), STRIPE_UNIT),
+        || Vdev::stripe(leaves(4, disk), STRIPE_UNIT),
         600.0,
+        0x811b_09ff_471a_0a22,
     );
 }
 
 #[test]
 fn raid1_wrapper_matches_one_station_fleet_vdev_on_disk() {
     check(
-        Raid1Device::new((0..2).map(|_| disk()).collect()),
-        Vdev::mirror((0..2).map(|_| Vdev::leaf(disk())).collect()),
+        || Vdev::mirror(leaves(2, disk)),
         400.0,
+        0xecdb_6592_f586_f22b,
     );
 }
 
 #[test]
 fn raid5_wrapper_matches_one_station_fleet_vdev_on_disk() {
     check(
-        Raid5Device::new((0..5).map(|_| disk()).collect(), STRIPE_UNIT),
-        Vdev::raidz((0..5).map(|_| Vdev::leaf(disk())).collect(), STRIPE_UNIT),
+        || Vdev::raidz(leaves(5, disk), STRIPE_UNIT),
         500.0,
+        0xb9bb_1cdd_2406_1e4c,
     );
 }
