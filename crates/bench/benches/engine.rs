@@ -1,100 +1,13 @@
-//! Simulation-engine primitives: event queue throughput, LBN mapping,
-//! and end-to-end simulated requests per second.
+//! Simulation-engine primitives: LBN mapping and end-to-end simulated
+//! requests per second.
 
 use atlas_disk::{DiskMapper, DiskParams};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mems_device::{Mapper, MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
 use std::hint::black_box;
-use storage_sim::{BinaryHeapEventQueue, Driver, EventQueue, SimQueue, SimTime};
+use storage_sim::Driver;
 use storage_trace::RandomWorkload;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_queue");
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut x = 1u64;
-            for i in 0..10_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.push(SimTime::from_us((x >> 32) as f64), i);
-            }
-            while let Some(e) = q.pop() {
-                black_box(e.payload);
-            }
-        })
-    });
-    group.finish();
-}
-
-/// Uniform interarrivals: LCG-jittered timestamps spread evenly over the
-/// run, the shape of an open-loop arrival process.
-fn uniform_times(n: usize) -> Vec<SimTime> {
-    let mut x = 0x5EED_0006u64;
-    (0..n)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            // Mean interarrival 1 µs, total span ~n µs.
-            SimTime::from_us((x >> 40) as f64 * n as f64 / (1u64 << 24) as f64)
-        })
-        .collect()
-}
-
-/// Bursty interarrivals: clusters of 64 events sharing one timestamp with
-/// millisecond-scale gaps between clusters — the worst case for calendar
-/// bucket occupancy and the seq tie-break.
-fn bursty_times(n: usize) -> Vec<SimTime> {
-    let mut x = 0xB0B5_1EADu64;
-    let mut base = 0.0f64;
-    (0..n)
-        .map(|i| {
-            if i % 64 == 0 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                base += 1e-3 + (x >> 50) as f64 * 1e-6;
-            }
-            SimTime::from_secs(base)
-        })
-        .collect()
-}
-
-fn fill_drain<Q: SimQueue<u64>>(times: &[SimTime]) -> u64 {
-    let mut q = Q::with_capacity(times.len());
-    for (i, &t) in times.iter().enumerate() {
-        q.push(t, i as u64);
-    }
-    let mut last = 0u64;
-    while let Some(e) = q.pop() {
-        last = e.payload;
-    }
-    last
-}
-
-/// The calendar-vs-heap ladder: both queue implementations across three
-/// orders of magnitude of pending-event population, under uniform and
-/// bursty interarrivals. The heap pays O(log n) per operation and cache
-/// misses across the whole array; the calendar stays O(1) amortized.
-fn bench_event_queue_ladder(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_queue_ladder");
-    for &n in &[1_000usize, 100_000, 10_000_000] {
-        group.throughput(Throughput::Elements(n as u64));
-        // Big populations take seconds per fill+drain; keep samples small.
-        group.sample_size(if n >= 10_000_000 { 10 } else { 20 });
-        for (pattern, times) in [("uniform", uniform_times(n)), ("bursty", bursty_times(n))] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("calendar_{pattern}"), n),
-                &times,
-                |b, times| b.iter(|| black_box(fill_drain::<EventQueue<u64>>(times))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("heap_{pattern}"), n),
-                &times,
-                |b, times| b.iter(|| black_box(fill_drain::<BinaryHeapEventQueue<u64>>(times))),
-            );
-        }
-    }
-    group.finish();
-}
 
 fn bench_mapping(c: &mut Criterion) {
     let mems = Mapper::new(&MemsParams::default());
@@ -138,11 +51,5 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_event_queue_ladder,
-    bench_mapping,
-    bench_end_to_end
-);
+criterion_group!(benches, bench_mapping, bench_end_to_end);
 criterion_main!(benches);

@@ -113,7 +113,7 @@ fn determinism_gate() {
     }
     if baseline.station_restructures != 0 {
         eprintln!(
-            "FAIL: {} calendar-queue restructures; routed len_hint pre-sizing regressed",
+            "FAIL: {} station event-store restructures; expected 0",
             baseline.station_restructures
         );
         std::process::exit(1);
@@ -196,7 +196,10 @@ fn scaling_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
         let shards = devices.min(16);
         let threads = shards.min(8);
         let r = scale_cell(devices, shards, threads, scale);
-        assert_eq!(r.station_restructures, 0, "pre-sizing must hold at scale");
+        assert_eq!(
+            r.station_restructures, 0,
+            "station event stores never restructure"
+        );
         let capacity = VolumeSpec::flat(devices, STRIPE_UNIT).capacity(MEMS_CAPACITY);
         table.row(vec![
             format!("{devices}"),

@@ -19,14 +19,12 @@
 //!    sweep vs the shared-surface devices. All three configurations must
 //!    report identical mean response times (the fast paths are
 //!    pick-equivalent); only the wall clock moves.
-//! 6. **events_per_sec** — the engine-throughput headline: per-component
-//!    ns/op for the calendar event queue (vs the binary-heap reference)
-//!    and the request slab, then two whole cells measured serially on one
-//!    thread so the number is per-core by construction — the Fig. 6 SPTF
-//!    cell on the shared surface, and a high-rate FCFS cell that stresses
-//!    the raw event engine. Both report `simulated requests per core
-//!    second` (the gated CI metric) and confirm the pre-sized event queue
-//!    never restructured mid-run.
+//! 6. **events_per_sec** — the engine-throughput headline: two whole
+//!    cells measured serially on one thread so the number is per-core by
+//!    construction — the Fig. 6 SPTF cell on the shared surface, and a
+//!    high-rate FCFS cell that stresses the raw event loop. Both report
+//!    `simulated requests per core second` (the gated CI metric) and
+//!    confirm the event store never restructured mid-run.
 //! 7. **streaming_scale** — the constant-memory headline: a 10⁷-request
 //!    open-loop FIFO cell pulled incrementally from the generator
 //!    (arrival look-ahead + log-histogram stats, nothing materialized)
@@ -51,8 +49,8 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
 use storage_sim::{
-    BinaryHeapEventQueue, Driver, DynScheduler, EventQueue, FifoScheduler, IoKind, PositionOracle,
-    Request, Scheduler, SimQueue, SimReport, SimTime, Slab, StorageDevice, VecWorkload, Workload,
+    Driver, DynScheduler, FifoScheduler, IoKind, PositionOracle, Request, Scheduler, SimReport,
+    SimTime, StorageDevice, VecWorkload, Workload,
 };
 use storage_trace::RandomWorkload;
 
@@ -137,42 +135,6 @@ fn time_drain<S: Scheduler>(make: impl Fn() -> S, dev: &MemsDevice, depth: usize
         }
     });
     secs * 1e6 / (rounds * depth) as f64
-}
-
-/// ns per push+pop pair at a steady pending population: the queue holds
-/// `pending` events, each iteration pushes one at the tail and pops the
-/// head — the steady-state shape of a running simulation.
-fn time_queue_pair<Q: SimQueue<u64>>(pending: usize, n: u64) -> f64 {
-    let mut q: Q = SimQueue::with_capacity(pending + 1);
-    let mut t = 0.0f64;
-    let mut x = 0x9E37_79B9u64;
-    for i in 0..pending as u64 {
-        t += 1e-4;
-        q.push(SimTime::from_secs(t), i);
-    }
-    let (_, secs) = timed(|| {
-        for i in 0..n {
-            t += 1e-4 + (lcg(&mut x) >> 60) as f64 * 1e-5;
-            q.push(SimTime::from_secs(t), i);
-            std::hint::black_box(q.pop());
-        }
-    });
-    secs * 1e9 / n as f64
-}
-
-/// ns per slab insert+take pair at driver-like occupancy (one resident
-/// request plus the churning one).
-fn time_slab_pair(n: u64) -> f64 {
-    let mut slab: Slab<Request> = Slab::with_capacity(4);
-    let r = Request::new(0, SimTime::ZERO, 0, 8, IoKind::Read);
-    let _resident = slab.insert(r);
-    let (_, secs) = timed(|| {
-        for _ in 0..n {
-            let h = slab.insert(r);
-            std::hint::black_box(slab.take(h));
-        }
-    });
-    secs * 1e9 / n as f64
 }
 
 /// One serially-measured whole-cell throughput sample.
@@ -472,19 +434,9 @@ fn main() {
         eprintln!("warning: fast path changed the simulation result — pick equivalence broken");
     }
 
-    // 6. events/sec: per-component ns/op, then whole cells measured
-    // serially on this thread so the requests/sec figure is per-core.
-    let n_ops = 2_000_000u64;
-    let cal_sparse_ns = time_queue_pair::<EventQueue<u64>>(2, n_ops);
-    let heap_sparse_ns = time_queue_pair::<BinaryHeapEventQueue<u64>>(2, n_ops);
-    let cal_deep_ns = time_queue_pair::<EventQueue<u64>>(4096, n_ops);
-    let heap_deep_ns = time_queue_pair::<BinaryHeapEventQueue<u64>>(4096, n_ops);
-    let slab_ns = time_slab_pair(n_ops);
-    println!(
-        "events/sec:  queue pair sparse {cal_sparse_ns:5.1} ns (heap {heap_sparse_ns:5.1})   deep {cal_deep_ns:5.1} ns (heap {heap_deep_ns:5.1})   slab pair {slab_ns:5.1} ns"
-    );
-
-    // The gated headline: the Fig. 6 SPTF cell on the shared surface.
+    // 6. events/sec: whole cells measured serially on this thread so the
+    // requests/sec figure is per-core. The gated headline is the Fig. 6
+    // SPTF cell on the shared surface.
     let fig6_cell = time_cell(&SEEDS, RATE, requests, warmup, SptfScheduler::new);
     // A high-rate open-loop cell with an O(1) scheduler: deep queues and
     // dense event traffic with the pick cost out of the picture, so the
@@ -499,7 +451,7 @@ fn main() {
     );
     let realloc_free = fig6_cell.restructures == 0 && high_cell.restructures == 0;
     println!(
-        "             fig6 cell {:9.0} req/core-s ({:.0} events/core-s, {:.3} s wall)",
+        "events/sec:  fig6 cell {:9.0} req/core-s ({:.0} events/core-s, {:.3} s wall)",
         fig6_cell.requests_per_core_sec, fig6_cell.events_per_core_sec, fig6_cell.wall_secs
     );
     println!(
@@ -508,7 +460,7 @@ fn main() {
     );
     if !realloc_free {
         eprintln!(
-            "warning: event queue restructured mid-run (fig6 {}, high-rate {}) — pre-sizing failed",
+            "warning: event store restructured mid-run (fig6 {}, high-rate {})",
             fig6_cell.restructures, high_cell.restructures
         );
     }
@@ -636,12 +588,6 @@ fn main() {
             "    \"means_identical\": {}\n",
             "  }},\n",
             "  \"events_per_sec\": {{\n",
-            "    \"queue_pair_ops\": {},\n",
-            "    \"calendar_sparse_ns_per_pair\": {:.2},\n",
-            "    \"heap_sparse_ns_per_pair\": {:.2},\n",
-            "    \"calendar_deep_ns_per_pair\": {:.2},\n",
-            "    \"heap_deep_ns_per_pair\": {:.2},\n",
-            "    \"slab_ns_per_pair\": {:.2},\n",
             "    \"realloc_free\": {},\n",
             "    \"fig6_cell\": {{\n",
             "      \"seeds\": {},\n",
@@ -722,12 +668,6 @@ fn main() {
         fast_point.mean_ms,
         surface_point.mean_ms,
         means_match,
-        n_ops,
-        cal_sparse_ns,
-        heap_sparse_ns,
-        cal_deep_ns,
-        heap_deep_ns,
-        slab_ns,
         realloc_free,
         SEEDS.len(),
         fig6_cell.requests,

@@ -94,8 +94,8 @@ fn parse_args() -> Args {
             "--device" => args.device = value("--device"),
             "--scheduler" => args.scheduler = value("--scheduler"),
             "--workload" => args.workload = value("--workload"),
-            "--rate" => args.rate = value("--rate").parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = value("--scale").parse().unwrap_or_else(|_| usage()),
+            "--rate" => args.rate = positive("--rate", &value("--rate")),
+            "--scale" => args.scale = positive("--scale", &value("--scale")),
             "--requests" => args.requests = value("--requests").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--warmup" => args.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
@@ -112,6 +112,18 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// Parses the value of `flag` as a finite, positive number. Anything else
+/// prints the flag's name and the usage text and exits with status 2.
+fn positive(flag: &str, text: &str) -> f64 {
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => v,
+        _ => {
+            eprintln!("{flag} must be a finite positive number, got {text}");
+            usage()
+        }
+    }
 }
 
 fn build_scheduler(name: &str) -> Box<dyn DynScheduler> {

@@ -4,8 +4,8 @@
 //! # Execution model
 //!
 //! Every leaf device is a **station**: its own request queue, scheduler,
-//! and calendar-queue event loop (a [`Driver`] stepped through the
-//! session API). A shared splitter pulls fleet requests from the workload
+//! and three-slot event loop (a [`Driver`] stepped through the session
+//! API). A shared splitter pulls fleet requests from the workload
 //! on demand, routes them through the [`VolumeSpec`], and parks each
 //! station's sub-I/Os in a ring until that station's driver asks.
 //!
@@ -130,8 +130,8 @@ pub struct FleetReport {
     pub fault_events: u64,
     /// Largest scheduler queue depth seen at any station.
     pub max_station_queue_depth: usize,
-    /// Event-queue restructures summed over stations; the drivers'
-    /// chain-bounded event-queue pre-sizing keeps this at zero.
+    /// Event-store restructures summed over stations. Each driver keeps
+    /// one fixed slot per event chain, so this is always zero.
     pub station_restructures: u64,
     /// Each station's own [`SimReport`], in station order.
     pub stations: Vec<SimReport>,
@@ -171,9 +171,9 @@ impl FleetReport {
     /// Every public field participates — aggregate moments (mean, spread,
     /// extremes, counts) of each statistic plus an FNV-1a rollup of every
     /// per-station report — so a divergence anywhere in the fleet cannot
-    /// slip past the CI identity gates. Digests are only ever compared
-    /// run-to-run within one process, never stored as goldens, so
-    /// extending this format is always safe.
+    /// slip past the CI identity gates. The benchmark stores recorded
+    /// digests per seed, so a change to this format means re-recording
+    /// them.
     pub fn digest(&self) -> String {
         format!(
             "fg={} bg={} subs={} mk={:016x} rn={} rm={:016x} rsd={:016x} rmax={:016x} \
@@ -345,8 +345,7 @@ struct StationFeed<W: Workload> {
 }
 
 /// `len_hint` stays the default `None`: routed counts are discovered as
-/// the run streams, and the driver's chain-bounded event-queue pre-sizing
-/// keeps restructures at zero without it.
+/// the run streams, and the driver needs no count to run.
 impl<W: Workload> Workload for StationFeed<W> {
     fn next_request(&mut self) -> Option<Request> {
         if self.local.is_empty() {

@@ -1,8 +1,8 @@
 //! The fleet determinism contract: bit-identical reports for any shard
 //! count, worker-thread count, and batch width — including faulted and
 //! rebuild-under-load runs, idle stations, and more workers than
-//! stations — plus the realloc-free pre-sizing guarantee and panic
-//! propagation out of worker threads.
+//! stations — plus zero event-store restructures and panic propagation
+//! out of worker threads.
 
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
@@ -77,7 +77,7 @@ fn digest_is_invariant_across_shards_and_threads() {
     assert!(baseline.completed > 0);
     assert_eq!(
         baseline.station_restructures, 0,
-        "chain-bounded pre-sizing must keep every calendar queue realloc-free"
+        "station event stores never restructure"
     );
     for (shards, threads) in [(4, 1), (4, 2), (5, 3), (4, 4), (16, 8), (16, 16), (1, 32)] {
         let run = striped_cell(shards, threads, 10.0);

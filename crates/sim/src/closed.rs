@@ -8,7 +8,7 @@
 //! an open queue would grow without bound.
 
 use crate::device::{ServiceBreakdown, StorageDevice};
-use crate::event::EventQueue;
+use crate::event::BinaryHeapEventQueue;
 use crate::request::{Completion, IoKind, Request};
 use crate::sched::Scheduler;
 use crate::stats::ResponseStats;
@@ -98,7 +98,7 @@ where
 {
     assert!(thinkers > 0, "need at least one thinker");
     assert!(total_requests > 0, "need at least one request");
-    let mut events: EventQueue<Ev> = EventQueue::new();
+    let mut events = BinaryHeapEventQueue::new();
     for t in 0..thinkers {
         events.push(SimTime::ZERO, Ev::Issue(t));
     }
@@ -111,9 +111,8 @@ where
     // Remember which thinker issued each request id.
     let mut owner: Vec<u32> = Vec::new();
 
-    while let Some(event) = events.pop() {
-        let now = event.at;
-        match event.payload {
+    while let Some((now, event)) = events.pop() {
+        match event {
             Ev::Issue(thinker) => {
                 if issued >= total_requests {
                     continue; // population drains at the end of the run
@@ -159,7 +158,7 @@ fn start_next<S: Scheduler, D: StorageDevice>(
     scheduler: &mut S,
     device: &mut D,
     now: SimTime,
-    events: &mut EventQueue<Ev>,
+    events: &mut BinaryHeapEventQueue<Ev>,
 ) -> bool {
     match scheduler.pick(device, now) {
         Some(req) => {

@@ -7,27 +7,22 @@
 //! SPTF's positioning-time oracle gets consulted). One device, one
 //! outstanding request — the configuration used throughout the paper.
 //!
-//! The event loop is generic over two hot-path strategies, both proven
-//! observationally identical by the `perf_identity` integration tests:
-//!
-//! * the event queue ([`QueuePolicy`]): the calendar queue by default, or
-//!   the reference binary heap via [`crate::HeapQueuePolicy`];
-//! * in-flight request storage ([`RequestStore`]): a slab passing `u32`
-//!   slot handles through event payloads by default ([`SlabStore`]), or
-//!   moving the values themselves via [`crate::MoveStore`].
+//! That configuration bounds the pending events at three, one per chain:
+//! the next arrival, the completion in service and the next fault. A
+//! chain schedules its next event only once its pending one has fired, so
+//! the loop keeps one slot per chain instead of a priority queue and pops
+//! the least `(time, seq)`, where `seq` counts pushes — the order in which
+//! every stable event queue pops.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::time::Instant;
 
 use crate::device::{ServiceBreakdown, StorageDevice};
-use crate::event::{CalendarQueuePolicy, Event, QueuePolicy, SimQueue};
 use crate::fault::{FaultClock, FaultKind};
 use crate::overload::OverloadPolicy;
 use crate::profile::ProfScope;
 use crate::request::{Completion, Request};
 use crate::sched::{SchedCounters, Scheduler};
-use crate::slab::{RequestStore, SlabStore};
 use crate::stats::{ResponseStats, Welford};
 use crate::time::SimTime;
 use crate::tracer::{NoopTracer, Tracer};
@@ -62,8 +57,9 @@ pub struct SimReport {
     /// Queued requests abandoned by the pick loop after aging past the
     /// overload policy's queue timeout; always zero without a policy.
     pub timed_out: u64,
-    /// Times the event queue had to restructure mid-run (heap reallocation
-    /// or calendar rebuild); zero means the driver's pre-sizing held.
+    /// Times the driver's event store restructured mid-run. The store is
+    /// one fixed slot per event chain, so this is always zero; recorded
+    /// report digests fold it in.
     pub event_queue_restructures: u64,
     /// Every completion, in completion order (only if recording was enabled).
     pub completions: Option<Vec<Completion>>,
@@ -86,13 +82,69 @@ impl SimReport {
     }
 }
 
-/// Event payload, generic over the store's handle types: a [`SlabStore`]
-/// run moves 4-byte slot handles through the queue, a [`crate::MoveStore`]
-/// run moves the request/completion values themselves.
-enum Ev<A, C> {
-    Arrival(A),
-    Complete(C),
+/// A pending event; the variant names the chain it belongs to.
+#[derive(Clone, Copy)]
+enum Ev {
+    Arrival(Request),
+    Complete(Completion),
     Fault(FaultKind),
+}
+
+impl Ev {
+    /// Index of the event's chain, and of its slot in [`Pending`].
+    fn chain(&self) -> usize {
+        match self {
+            Ev::Arrival(_) => 0,
+            Ev::Complete(_) => 1,
+            Ev::Fault(_) => 2,
+        }
+    }
+}
+
+/// The driver's pending events: one slot per chain, each event stamped
+/// with a global push sequence number. [`Pending::pop`] takes the least
+/// `(time, seq)`, so simultaneous events fire in push order, exactly as
+/// from a stable priority queue.
+#[derive(Default)]
+struct Pending {
+    slots: [Option<(SimTime, u64, Ev)>; 3],
+    seq: u64,
+}
+
+impl Pending {
+    /// Schedules `ev` to fire at `at` in its chain's slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain already has a pending event: overwriting it
+    /// would drop that event.
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        let slot = &mut self.slots[ev.chain()];
+        assert!(slot.is_none(), "event chain already has a pending event");
+        *slot = Some((at, self.seq, ev));
+        self.seq += 1;
+    }
+
+    /// Removes and returns the earliest event by `(time, seq)`, if any.
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        let (_, chain) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(chain, slot)| slot.as_ref().map(|&(at, seq, _)| ((at, seq), chain)))
+            .min()?;
+        self.slots[chain].take().map(|(at, _, ev)| (at, ev))
+    }
+
+    /// Firing time of the earliest event, if any.
+    fn peek_time(&self) -> Option<SimTime> {
+        self.slots.iter().flatten().map(|&(at, _, _)| at).min()
+    }
+
+    /// Number of pending events.
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
 }
 
 /// Loop state of an in-progress simulation session, produced by
@@ -104,8 +156,8 @@ enum Ev<A, C> {
 /// after each batch with [`RunState::drain_completions`]. The fields are
 /// exactly the locals of the pre-session one-shot loop, so stepped runs
 /// and [`Driver::run`] share one code path and one result.
-pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = SlabStore> {
-    events: Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>>,
+pub struct RunState {
+    events: Pending,
     report: SimReport,
     device_busy: bool,
     completed_total: u64,
@@ -117,8 +169,8 @@ pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = Slab
     last_arrival: SimTime,
     /// Bounded look-ahead buffer between the workload and the arrival
     /// chain: refilled in batches of the driver's look-ahead size whenever
-    /// it runs dry. Exactly one buffered arrival is ever in the event
-    /// queue, so buffer size never changes event order — only how often
+    /// it runs dry. Exactly one buffered arrival is ever pending as an
+    /// event, so buffer size never changes event order — only how often
     /// the workload is consulted.
     lookahead_buf: VecDeque<Request>,
     /// Whether the overload policy is currently shedding arrivals
@@ -128,9 +180,9 @@ pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = Slab
     event_count: u64,
 }
 
-impl<Q: QueuePolicy, R: RequestStore> RunState<Q, R> {
-    /// Number of events still pending in the queue. Zero means the run is
-    /// over: nothing is in flight and the workload chain has ended.
+impl RunState {
+    /// Number of events still pending. Zero means the run is over:
+    /// nothing is in flight and the workload chain has ended.
     pub fn pending_events(&self) -> usize {
         self.events.len()
     }
@@ -154,46 +206,13 @@ impl<Q: QueuePolicy, R: RequestStore> RunState<Q, R> {
     }
 }
 
-/// Pushes with the event-queue scope timer (compiled out unless the tracer
-/// profiles). Free function so the tracer and queue borrows stay disjoint.
-fn push_timed<T: Tracer, P, Q: SimQueue<P>>(
-    tracer: &mut T,
-    events: &mut Q,
-    at: SimTime,
-    payload: P,
-) {
-    if T::PROFILE {
-        let t0 = Instant::now();
-        events.push(at, payload);
-        tracer.on_scope(ProfScope::EventPush, t0.elapsed().as_nanos() as u64);
-    } else {
-        events.push(at, payload);
-    }
-}
-
-/// Pops with the event-queue scope timer (compiled out unless profiling).
-fn pop_timed<T: Tracer, P, Q: SimQueue<P>>(tracer: &mut T, events: &mut Q) -> Option<Event<P>> {
-    if T::PROFILE {
-        let t0 = Instant::now();
-        let popped = events.pop();
-        tracer.on_scope(ProfScope::EventPop, t0.elapsed().as_nanos() as u64);
-        popped
-    } else {
-        events.pop()
-    }
-}
-
 /// Couples a [`Workload`], a [`Scheduler`], and a [`StorageDevice`] and
 /// runs the workload to exhaustion.
 ///
 /// The driver is generic over a [`Tracer`]; the default [`NoopTracer`]
 /// compiles every observation hook to nothing, so an untraced driver is
 /// exactly the pre-observability driver (asserted bit-identical by test).
-/// Attach a recording tracer with [`Driver::with_tracer`]. The queue and
-/// request-store strategies default to the fast paths (calendar queue,
-/// slab handles); swap them with [`Driver::with_queue_policy`] and
-/// [`Driver::with_request_store`] — every combination produces the same
-/// [`SimReport`] bit for bit.
+/// Attach a recording tracer with [`Driver::with_tracer`].
 ///
 /// # Examples
 ///
@@ -214,102 +233,54 @@ fn pop_timed<T: Tracer, P, Q: SimQueue<P>>(tracer: &mut T, events: &mut Q) -> Op
 /// // Second request queues behind the first: responses are 1 ms and 2 ms.
 /// assert!((report.response.mean_ms() - 1.5).abs() < 1e-9);
 /// ```
-pub struct Driver<W, S, D, T = NoopTracer, Q = CalendarQueuePolicy, R = SlabStore> {
+pub struct Driver<W, S, D, T = NoopTracer> {
     workload: W,
     scheduler: S,
     device: D,
     tracer: T,
-    store: R,
     faults: FaultClock,
     warmup_requests: u64,
     record_completions: bool,
     overload: Option<OverloadPolicy>,
     lookahead: usize,
     streaming_stats: bool,
-    _queue: PhantomData<Q>,
 }
 
 impl<W: Workload, S: Scheduler, D: StorageDevice> Driver<W, S, D> {
     /// Creates an untraced driver with no warm-up exclusion and completion
-    /// recording disabled, using the default calendar queue and slab store.
+    /// recording disabled.
     pub fn new(workload: W, scheduler: S, device: D) -> Self {
         Driver {
             workload,
             scheduler,
             device,
             tracer: NoopTracer,
-            store: SlabStore::new(),
             faults: FaultClock::empty(),
             warmup_requests: 0,
             record_completions: false,
             overload: None,
             lookahead: 1,
             streaming_stats: false,
-            _queue: PhantomData,
         }
     }
 }
 
-impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: RequestStore>
-    Driver<W, S, D, T, Q, R>
-{
+impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> {
     /// Replaces the tracer, rebinding the driver to the new tracer type.
     /// Typically called right after [`Driver::new`] to attach a
     /// [`crate::RingTracer`].
-    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Driver<W, S, D, T2, Q, R> {
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Driver<W, S, D, T2> {
         Driver {
             workload: self.workload,
             scheduler: self.scheduler,
             device: self.device,
             tracer,
-            store: self.store,
             faults: self.faults,
             warmup_requests: self.warmup_requests,
             record_completions: self.record_completions,
             overload: self.overload,
             lookahead: self.lookahead,
             streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
-        }
-    }
-
-    /// Selects the event-queue implementation (see [`QueuePolicy`]). The
-    /// default calendar queue and the [`crate::HeapQueuePolicy`] reference
-    /// produce bit-identical reports; the policy only changes wall-clock.
-    pub fn with_queue_policy<Q2: QueuePolicy>(self) -> Driver<W, S, D, T, Q2, R> {
-        Driver {
-            workload: self.workload,
-            scheduler: self.scheduler,
-            device: self.device,
-            tracer: self.tracer,
-            store: self.store,
-            faults: self.faults,
-            warmup_requests: self.warmup_requests,
-            record_completions: self.record_completions,
-            overload: self.overload,
-            lookahead: self.lookahead,
-            streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
-        }
-    }
-
-    /// Selects the in-flight request storage strategy (see
-    /// [`RequestStore`]). The default [`SlabStore`] and the
-    /// [`crate::MoveStore`] reference produce bit-identical reports.
-    pub fn with_request_store<R2: RequestStore>(self) -> Driver<W, S, D, T, Q, R2> {
-        Driver {
-            workload: self.workload,
-            scheduler: self.scheduler,
-            device: self.device,
-            tracer: self.tracer,
-            store: R2::new(),
-            faults: self.faults,
-            warmup_requests: self.warmup_requests,
-            record_completions: self.record_completions,
-            overload: self.overload,
-            lookahead: self.lookahead,
-            streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
         }
     }
 
@@ -347,7 +318,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 
     /// Sets the arrival look-ahead: how many requests are pulled from the
     /// workload per refill of the internal buffer. Exactly one arrival is
-    /// ever in the event queue regardless, so this never changes simulated
+    /// ever pending as an event regardless, so this never changes simulated
     /// results — only the batching of workload pulls (larger values
     /// amortize per-pull overhead for streaming generators). Default 1.
     ///
@@ -396,58 +367,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         (self.tracer, self.device)
     }
 
-    /// Parks an arriving request in the store (slab-alloc scope timed).
-    fn park_arrival(&mut self, req: Request) -> R::ArrivalHandle {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let handle = self.store.put_arrival(req);
-            self.tracer
-                .on_scope(ProfScope::SlabAlloc, t0.elapsed().as_nanos() as u64);
-            handle
-        } else {
-            self.store.put_arrival(req)
-        }
-    }
-
-    /// Redeems an arrival handle (slab-free scope timed).
-    fn redeem_arrival(&mut self, handle: R::ArrivalHandle) -> Request {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let req = self.store.take_arrival(handle);
-            self.tracer
-                .on_scope(ProfScope::SlabFree, t0.elapsed().as_nanos() as u64);
-            req
-        } else {
-            self.store.take_arrival(handle)
-        }
-    }
-
-    /// Parks a completion record in the store (slab-alloc scope timed).
-    fn park_completion(&mut self, completion: Completion) -> R::CompletionHandle {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let handle = self.store.put_completion(completion);
-            self.tracer
-                .on_scope(ProfScope::SlabAlloc, t0.elapsed().as_nanos() as u64);
-            handle
-        } else {
-            self.store.put_completion(completion)
-        }
-    }
-
-    /// Redeems a completion handle (slab-free scope timed).
-    fn redeem_completion(&mut self, handle: R::CompletionHandle) -> Completion {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let completion = self.store.take_completion(handle);
-            self.tracer
-                .on_scope(ProfScope::SlabFree, t0.elapsed().as_nanos() as u64);
-            completion
-        } else {
-            self.store.take_completion(handle)
-        }
-    }
-
     /// Runs the workload to exhaustion and returns the aggregated report.
     ///
     /// Equivalent to [`Driver::begin`], advancing through every event, then
@@ -464,24 +383,13 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         self.finish(state)
     }
 
-    /// Starts a resumable simulation session: primes the event queue with
-    /// the first arrival (and the first fault, if a clock is attached) and
-    /// returns the loop state. Drive it with [`Driver::advance_until`] and
+    /// Starts a resumable simulation session: schedules the first arrival
+    /// (and the first fault, if a clock is attached) and returns the loop
+    /// state. Drive it with [`Driver::advance_until`] and
     /// close it with [`Driver::finish`]; [`Driver::run`] composes exactly
     /// these steps, so a stepped run reproduces a one-shot run bit for bit.
-    pub fn begin(&mut self) -> RunState<Q, R> {
-        // The pending-event population is bounded by the chains, not the
-        // workload: one in-flight arrival, one completion, and (with a
-        // non-empty fault clock) one fault. Tiny workloads bound it lower
-        // still. Pre-sizing from this estimate keeps the queue
-        // restructure-free for the whole run (reported in the report).
-        let chain = 2 + u64::from(!self.faults.is_empty());
-        let capacity = match self.workload.len_hint() {
-            Some(n) => chain.min(n.max(1)),
-            None => chain,
-        } as usize;
-        let mut events: Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>> =
-            SimQueue::with_capacity(capacity);
+    pub fn begin(&mut self) -> RunState {
+        let mut events = Pending::default();
         let report = SimReport {
             completed: 0,
             makespan: SimTime::ZERO,
@@ -517,13 +425,11 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         );
         let mut primed = false;
         if let Some(first) = lookahead_buf.pop_front() {
-            let at = first.arrival;
-            let handle = self.park_arrival(first);
-            push_timed(&mut self.tracer, &mut events, at, Ev::Arrival(handle));
+            events.push(first.arrival, Ev::Arrival(first));
             primed = true;
         }
 
-        // Faults enter the queue one at a time (the clock is already time-
+        // Faults are scheduled one at a time (the clock is already time-
         // ordered); each delivery schedules its successor, exactly like the
         // workload's arrival chain. An empty clock pushes nothing, so the
         // fault-free event sequence is untouched. An empty *workload*
@@ -531,12 +437,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         // pre-session driver, which returned before touching the clock.
         if primed {
             if let Some(fault) = self.faults.pop() {
-                push_timed(
-                    &mut self.tracer,
-                    &mut events,
-                    fault.at,
-                    Ev::Fault(fault.kind),
-                );
+                events.push(fault.at, Ev::Fault(fault.kind));
             }
         }
 
@@ -588,7 +489,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// Pops the next buffered arrival, refilling the buffer from the
     /// workload when it has run dry. `None` means the workload is
     /// exhausted and the arrival chain ends.
-    fn pull_arrival(&mut self, state: &mut RunState<Q, R>) -> Option<Request> {
+    fn pull_arrival(&mut self, state: &mut RunState) -> Option<Request> {
         if state.lookahead_buf.is_empty() {
             Self::refill_lookahead(
                 &mut self.workload,
@@ -605,14 +506,14 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// events remain pending beyond the limit — the caller moves the
     /// limit on and calls again. A fleet worker uses this to step each of
     /// its stations to the end of a sim-time batch.
-    pub fn advance_until(&mut self, state: &mut RunState<Q, R>, limit: SimTime) -> bool {
+    pub fn advance_until(&mut self, state: &mut RunState, limit: SimTime) -> bool {
         self.advance_inner(state, Some(limit))
     }
 
     /// The event loop shared by [`Driver::run`] (no limit) and
     /// [`Driver::advance_until`] (barrier-bounded). With `limit == None`
     /// the peek is skipped entirely, so the one-shot hot path is untouched.
-    fn advance_inner(&mut self, state: &mut RunState<Q, R>, limit: Option<SimTime>) -> bool {
+    fn advance_inner(&mut self, state: &mut RunState, limit: Option<SimTime>) -> bool {
         loop {
             if let Some(limit) = limit {
                 match state.events.peek_time() {
@@ -620,10 +521,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     _ => break,
                 }
             }
-            let Some(event) = pop_timed(&mut self.tracer, &mut state.events) else {
+            let Some((now, event)) = state.events.pop() else {
                 break;
             };
-            let now = event.at;
             if T::PROFILE {
                 state.event_count += 1;
             }
@@ -634,9 +534,8 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                 self.tracer.on_queue_depth(now, self.scheduler.len());
             }
 
-            match event.payload {
-                Ev::Arrival(handle) => {
-                    let req = self.redeem_arrival(handle);
+            match event {
+                Ev::Arrival(req) => {
                     // Overload admission: update the hysteresis state
                     // against the pre-enqueue depth, then shed or admit.
                     // Shed arrivals never reach the scheduler; they are
@@ -667,17 +566,14 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                             state.report.max_queue_depth.max(self.scheduler.len());
                     }
                     if let Some(next) = self.pull_arrival(state) {
-                        let at = next.arrival;
-                        let handle = self.park_arrival(next);
-                        push_timed(&mut self.tracer, &mut state.events, at, Ev::Arrival(handle));
+                        state.events.push(next.arrival, Ev::Arrival(next));
                     }
                     if !state.device_busy {
                         state.device_busy =
                             self.start_next(now, &mut state.events, &mut state.report);
                     }
                 }
-                Ev::Complete(handle) => {
-                    let completion = self.redeem_completion(handle);
+                Ev::Complete(completion) => {
                     state.completed_total += 1;
                     if state.completed_total > self.warmup_requests {
                         state.report.completed += 1;
@@ -721,29 +617,23 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                         self.tracer.on_fault(&kind, now);
                     }
                     if let Some(next) = self.faults.pop() {
-                        push_timed(
-                            &mut self.tracer,
-                            &mut state.events,
-                            next.at,
-                            Ev::Fault(next.kind),
-                        );
+                        state.events.push(next.at, Ev::Fault(next.kind));
                     }
                 }
             }
         }
-        !state.events.is_empty()
+        state.events.len() > 0
     }
 
     /// Closes a session and returns the aggregated report. Call after
     /// [`Driver::advance_until`] reports no pending events; finishing a
     /// session with events still queued simply leaves them unprocessed.
-    pub fn finish(&mut self, state: RunState<Q, R>) -> SimReport {
+    pub fn finish(&mut self, state: RunState) -> SimReport {
         if let Some(run_start) = state.run_start {
             self.tracer
                 .on_run_wall(state.event_count, run_start.elapsed().as_nanos() as u64);
         }
         let mut report = state.report;
-        report.event_queue_restructures = state.events.restructures();
         let span = report.makespan.as_secs();
         report.mean_queue_depth = if span > 0.0 {
             state.depth_integral / span
@@ -755,12 +645,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 
     /// Starts servicing the scheduler's next pick at `now`, if any.
     /// Returns whether the device is now busy.
-    fn start_next(
-        &mut self,
-        now: SimTime,
-        events: &mut Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>>,
-        report: &mut SimReport,
-    ) -> bool {
+    fn start_next(&mut self, now: SimTime, events: &mut Pending, report: &mut SimReport) -> bool {
         let depth_before = if T::ENABLED { self.scheduler.len() } else { 0 };
         let counters_before = if T::ENABLED {
             self.scheduler.counters()
@@ -832,9 +717,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     start_service: now,
                     completion: now + total,
                 };
-                let at = completion.completion;
-                let handle = self.park_completion(completion);
-                push_timed(&mut self.tracer, events, at, Ev::Complete(handle));
+                events.push(completion.completion, Ev::Complete(completion));
                 true
             }
             None => false,
@@ -846,11 +729,11 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 mod tests {
     use super::*;
     use crate::device::ConstantDevice;
-    use crate::event::HeapQueuePolicy;
+    use crate::event::BinaryHeapEventQueue;
     use crate::request::IoKind;
     use crate::sched::FifoScheduler;
-    use crate::slab::MoveStore;
     use crate::workload::VecWorkload;
+    use proptest::prelude::*;
 
     fn req(id: u64, at_ms: f64, lbn: u64) -> Request {
         Request::new(id, SimTime::from_ms(at_ms), lbn, 8, IoKind::Read)
@@ -948,55 +831,72 @@ mod tests {
         assert_eq!(t.counters().completions, 3);
     }
 
-    #[test]
-    fn queue_and_store_strategies_are_bit_identical() {
-        let reqs: Vec<Request> = (0..200)
-            .map(|i| req(i, f64::from(i as u32) * 0.37, (i * 8) % 4096))
-            .collect();
-        let run_default = Driver::new(
-            VecWorkload::new(reqs.clone()),
-            FifoScheduler::new(),
-            ConstantDevice::new(10_000, 1e-3),
-        )
-        .record_completions(true)
-        .run();
-        let run_heap_move = Driver::new(
-            VecWorkload::new(reqs),
-            FifoScheduler::new(),
-            ConstantDevice::new(10_000, 1e-3),
-        )
-        .with_queue_policy::<HeapQueuePolicy>()
-        .with_request_store::<MoveStore>()
-        .record_completions(true)
-        .run();
-        assert_eq!(run_default.completed, run_heap_move.completed);
-        assert_eq!(run_default.makespan, run_heap_move.makespan);
-        assert_eq!(
-            run_default.response.mean().to_bits(),
-            run_heap_move.response.mean().to_bits()
-        );
-        let (a, b) = (
-            run_default.completions.as_ref().unwrap(),
-            run_heap_move.completions.as_ref().unwrap(),
-        );
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.request.id, y.request.id);
-            assert_eq!(x.start_service, y.start_service);
-            assert_eq!(x.completion, y.completion);
+    /// Identifies a test event by its chain and the id it carries.
+    fn label(ev: &Ev) -> (usize, u64) {
+        let id = match *ev {
+            Ev::Arrival(r) => r.id,
+            Ev::Complete(c) => c.request.id,
+            Ev::Fault(FaultKind::TipFailure { tip }) => u64::from(tip),
+            Ev::Fault(_) => unreachable!("scripts only schedule tip failures"),
+        };
+        (ev.chain(), id)
+    }
+
+    proptest! {
+        /// On random scripts that keep each chain at most one event deep
+        /// and interleave pops with pushes, `Pending` pops the same
+        /// `(time, payload)` sequence as the stable heap queue. Times come
+        /// from eight values, so ties across chains are common.
+        #[test]
+        fn pending_pops_in_heap_order(
+            ops in prop::collection::vec((0usize..4, 0u32..8), 0..200),
+        ) {
+            let mut pending = Pending::default();
+            let mut heap = BinaryHeapEventQueue::new();
+            let mut busy = [false; 3];
+            for (i, &(op, t)) in ops.iter().enumerate() {
+                if op < 3 && !busy[op] {
+                    let at = SimTime::from_us(f64::from(t));
+                    let request = req(i as u64, 0.0, 0);
+                    let ev = match op {
+                        0 => Ev::Arrival(request),
+                        1 => Ev::Complete(Completion {
+                            request,
+                            start_service: at,
+                            completion: at,
+                        }),
+                        _ => Ev::Fault(FaultKind::TipFailure { tip: i as u32 }),
+                    };
+                    pending.push(at, ev);
+                    heap.push(at, label(&ev));
+                    busy[op] = true;
+                } else if op == 3 {
+                    let peek = pending.peek_time();
+                    let popped = pending.pop().map(|(at, ev)| (at, label(&ev)));
+                    prop_assert_eq!(popped, heap.pop());
+                    prop_assert_eq!(peek, popped.map(|(at, _)| at));
+                    if let Some((_, (chain, _))) = popped {
+                        busy[chain] = false;
+                    }
+                }
+                prop_assert_eq!(pending.len(), busy.iter().filter(|&&b| b).count());
+            }
+            loop {
+                let popped = pending.pop().map(|(at, ev)| (at, label(&ev)));
+                prop_assert_eq!(popped, heap.pop());
+                if popped.is_none() {
+                    break;
+                }
+            }
         }
     }
 
     #[test]
-    fn pre_sized_queue_never_restructures() {
-        let reqs: Vec<Request> = (0..500).map(|i| req(i, i as f64 * 0.1, i * 8)).collect();
-        let r = Driver::new(
-            VecWorkload::new(reqs),
-            FifoScheduler::new(),
-            ConstantDevice::new(10_000, 1e-3),
-        )
-        .run();
-        assert_eq!(r.completed, 500);
-        assert_eq!(r.event_queue_restructures, 0);
+    #[should_panic(expected = "event chain already has a pending event")]
+    fn second_event_on_one_chain_panics() {
+        let mut pending = Pending::default();
+        pending.push(SimTime::ZERO, Ev::Arrival(req(0, 0.0, 0)));
+        pending.push(SimTime::ZERO, Ev::Arrival(req(1, 0.0, 8)));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Discrete-event storage simulation engine.
 //!
 //! `storage-sim` provides the substrate that the memsstore project uses in
-//! place of DiskSim \[GWP98]: a simulation clock, a stable event queue, the
-//! request/workload/scheduler/device abstractions, a driver that couples
-//! them into an open-arrival queueing simulation, and the statistics the
-//! paper reports (mean response time and the squared coefficient of
-//! variation used as a starvation metric).
+//! place of DiskSim \[GWP98]: a simulation clock, the request/workload/
+//! scheduler/device abstractions, a driver that couples them into an
+//! open-arrival queueing simulation, and the statistics the paper reports
+//! (mean response time and the squared coefficient of variation used as a
+//! starvation metric).
 //!
 //! The engine is deliberately single-threaded and deterministic: a fixed
 //! workload seed always produces the same simulated timeline, so every
@@ -40,14 +40,13 @@
 pub mod closed;
 pub mod device;
 pub mod driver;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod overload;
 pub mod profile;
 pub mod request;
 pub mod rng;
 pub mod sched;
-pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -59,16 +58,11 @@ pub use device::{
     ConstantDevice, PhaseEnergy, PositionOracle, PowerState, ServiceBreakdown, StorageDevice,
 };
 pub use driver::{Driver, RunState, SimReport};
-pub use event::{
-    BinaryHeapEventQueue, CalendarQueuePolicy, Event, EventQueue, HeapQueuePolicy, QueuePolicy,
-    SimQueue,
-};
 pub use fault::{FaultClock, FaultEvent, FaultKind};
 pub use overload::OverloadPolicy;
 pub use profile::{ProfScope, Profiler, ScopeStats};
 pub use request::{Completion, IoKind, Request, RequestId};
 pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
-pub use slab::{MoveStore, RequestStore, Slab, SlabStore, SlotHandle};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;

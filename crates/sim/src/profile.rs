@@ -34,14 +34,6 @@ pub enum ProfScope {
     DeviceService,
     /// One fault delivery (`on_fault` on the device).
     FaultDelivery,
-    /// One event-queue `push` (calendar bucket insert or heap sift-up).
-    EventPush,
-    /// One event-queue `pop` (bucket scan or heap sift-down).
-    EventPop,
-    /// One slab insertion parking in-flight request state.
-    SlabAlloc,
-    /// One slab removal redeeming a slot handle.
-    SlabFree,
     /// One fleet barrier: the engine waiting for every shard worker to
     /// advance its stations to the epoch-grid barrier time.
     BarrierWait,
@@ -57,10 +49,6 @@ impl ProfScope {
             ProfScope::SchedPick => "sched_pick",
             ProfScope::DeviceService => "device_service",
             ProfScope::FaultDelivery => "fault_delivery",
-            ProfScope::EventPush => "event_push",
-            ProfScope::EventPop => "event_pop",
-            ProfScope::SlabAlloc => "slab_alloc",
-            ProfScope::SlabFree => "slab_free",
             ProfScope::BarrierWait => "barrier_wait",
             ProfScope::FleetMerge => "fleet_merge",
         }
@@ -119,10 +107,6 @@ pub struct Profiler {
     sched_pick: ScopeStats,
     device_service: ScopeStats,
     fault_delivery: ScopeStats,
-    event_push: ScopeStats,
-    event_pop: ScopeStats,
-    slab_alloc: ScopeStats,
-    slab_free: ScopeStats,
     barrier_wait: ScopeStats,
     fleet_merge: ScopeStats,
     events: u64,
@@ -141,10 +125,6 @@ impl Profiler {
             ProfScope::SchedPick => self.sched_pick,
             ProfScope::DeviceService => self.device_service,
             ProfScope::FaultDelivery => self.fault_delivery,
-            ProfScope::EventPush => self.event_push,
-            ProfScope::EventPop => self.event_pop,
-            ProfScope::SlabAlloc => self.slab_alloc,
-            ProfScope::SlabFree => self.slab_free,
             ProfScope::BarrierWait => self.barrier_wait,
             ProfScope::FleetMerge => self.fleet_merge,
         }
@@ -189,10 +169,6 @@ impl Profiler {
             ProfScope::SchedPick,
             ProfScope::DeviceService,
             ProfScope::FaultDelivery,
-            ProfScope::EventPush,
-            ProfScope::EventPop,
-            ProfScope::SlabAlloc,
-            ProfScope::SlabFree,
             ProfScope::BarrierWait,
             ProfScope::FleetMerge,
         ];
@@ -243,10 +219,6 @@ impl Tracer for Profiler {
             ProfScope::SchedPick => self.sched_pick.record(wall_nanos),
             ProfScope::DeviceService => self.device_service.record(wall_nanos),
             ProfScope::FaultDelivery => self.fault_delivery.record(wall_nanos),
-            ProfScope::EventPush => self.event_push.record(wall_nanos),
-            ProfScope::EventPop => self.event_pop.record(wall_nanos),
-            ProfScope::SlabAlloc => self.slab_alloc.record(wall_nanos),
-            ProfScope::SlabFree => self.slab_free.record(wall_nanos),
             ProfScope::BarrierWait => self.barrier_wait.record(wall_nanos),
             ProfScope::FleetMerge => self.fleet_merge.record(wall_nanos),
         }
@@ -276,16 +248,8 @@ mod tests {
         assert_eq!(pick.max_nanos, 300);
         assert_eq!(p.events(), 10);
         assert!((p.events_per_sec() - 10.0 / 2e-6).abs() < 1e-6);
-        p.on_scope(ProfScope::EventPush, 50);
-        p.on_scope(ProfScope::EventPop, 60);
-        p.on_scope(ProfScope::SlabAlloc, 20);
-        p.on_scope(ProfScope::SlabFree, 10);
         let json = p.profile_json(Some((7, 3)));
         assert!(json.contains("\"sched_pick\": { \"calls\": 2"));
-        assert!(json.contains("\"event_push\": { \"calls\": 1"));
-        assert!(json.contains("\"event_pop\": { \"calls\": 1"));
-        assert!(json.contains("\"slab_alloc\": { \"calls\": 1"));
-        assert!(json.contains("\"slab_free\": { \"calls\": 1"));
         assert!(json.contains("\"hit_rate\": 0.7000"));
         assert!(json.contains("\"events\": 10"));
     }

@@ -2,88 +2,10 @@
 
 use proptest::prelude::*;
 use storage_sim::{
-    BinaryHeapEventQueue, ConstantDevice, Driver, EventQueue, FifoScheduler, IoKind, Request,
-    SimTime, VecWorkload, Welford,
+    ConstantDevice, Driver, FifoScheduler, IoKind, Request, SimTime, VecWorkload, Welford,
 };
 
 proptest! {
-    /// The event queue dequeues in exactly sorted-stable order.
-    #[test]
-    fn event_queue_matches_stable_sort(times in prop::collection::vec(0u32..1000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_us(f64::from(t)), i);
-        }
-        let mut expected: Vec<(u32, usize)> =
-            times.iter().copied().enumerate().map(|(i, t)| (t, i)).collect();
-        expected.sort_by_key(|&(t, i)| (t, i));
-        let mut actual = Vec::new();
-        while let Some(e) = q.pop() {
-            actual.push(e.payload);
-        }
-        let expected_order: Vec<usize> = expected.into_iter().map(|(_, i)| i).collect();
-        prop_assert_eq!(actual, expected_order);
-    }
-
-    /// The calendar queue pops in exactly the order the binary-heap
-    /// reference pops, on arbitrary push streams. The narrow time domain
-    /// forces duplicate timestamps, exercising the seq FIFO tie-break.
-    #[test]
-    fn calendar_pop_order_matches_heap(times in prop::collection::vec(0u32..50, 0..300)) {
-        let mut cal = EventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            let at = SimTime::from_us(f64::from(t));
-            cal.push(at, i);
-            heap.push(at, i);
-        }
-        loop {
-            match (cal.pop(), heap.pop()) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.at, b.at);
-                    prop_assert_eq!(a.payload, b.payload);
-                }
-                (None, None) => break,
-                (a, b) => prop_assert!(false, "length diverged: {:?} vs {:?}", a, b),
-            }
-        }
-    }
-
-    /// Calendar and heap agree under interleaved push/pop, including
-    /// pushes at (or before) the time of the last pop — the clamp path.
-    #[test]
-    fn calendar_matches_heap_interleaved(
-        ops in prop::collection::vec((0u32..10_000, prop::bool::ANY), 0..400),
-    ) {
-        let mut cal = EventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        for (i, &(t, is_pop)) in ops.iter().enumerate() {
-            if is_pop {
-                let (a, b) = (cal.pop(), heap.pop());
-                match (a, b) {
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.at, b.at);
-                        prop_assert_eq!(a.payload, b.payload);
-                    }
-                    (None, None) => {}
-                    (a, b) => prop_assert!(false, "pop diverged: {:?} vs {:?}", a, b),
-                }
-            } else {
-                let at = SimTime::from_us(f64::from(t));
-                cal.push(at, i);
-                heap.push(at, i);
-            }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-        }
-        while let Some(b) = heap.pop() {
-            let a = cal.pop().expect("calendar drained early");
-            prop_assert_eq!(a.at, b.at);
-            prop_assert_eq!(a.payload, b.payload);
-        }
-        prop_assert!(cal.pop().is_none());
-    }
-
     /// Welford matches the naive two-pass computation on arbitrary data.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 1..300)) {

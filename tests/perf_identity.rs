@@ -1,21 +1,26 @@
-//! Bit-identity of every events/sec fast path against its reference.
+//! Bit-identity of the driver's fast paths against their references.
 //!
-//! The perf work of the events/sec milestone swaps three engine components
-//! behind unchanged semantics: the calendar event queue (vs the binary
-//! heap), the slab request store (vs moving payloads through the queue),
-//! and the incremental SPTF pick (vs the rescan-every-pick B-tree index).
-//! Each swap must leave the `SimReport` of a Fig. 6-style cell
-//! bit-identical — same completions in the same order at the same times,
-//! same accumulated statistics — on both the MEMS device and the Atlas 10K
-//! disk. Any drift here means a fast path changed *what* is simulated, not
-//! just how fast.
+//! The scheduler axis runs one Fig. 6-style cell under the pruned SPTF
+//! pick and under each reference pick (the naive scan, the
+//! rescan-every-pick B-tree index): the `SimReport`s must match field for
+//! field — same completions in the same order at the same times, same
+//! accumulated statistics.
+//!
+//! The engine axis replays a matrix of driver cells — MEMS and the Atlas
+//! 10K disk; FIFO, SPTF and aged SPTF; with and without a degraded device
+//! under a Poisson fault storm; with and without an overload policy that
+//! both sheds and times out — and checks each report digest against the
+//! value recorded from the calendar-queue and slab engine that the
+//! three-slot event loop replaced. Any drift here means the event loop
+//! changed *what* is simulated, not just how fast.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::sched::{NaiveSptfScheduler, RescanSptfScheduler, SptfScheduler};
+use mems_os::fault::DegradedDevice;
+use mems_os::sched::{AgedSptfScheduler, NaiveSptfScheduler, RescanSptfScheduler, SptfScheduler};
 use storage_sim::{
-    CalendarQueuePolicy, Driver, HeapQueuePolicy, MoveStore, Scheduler, SimReport, SlabStore,
-    StorageDevice, Workload,
+    Driver, DynScheduler, FaultClock, FifoScheduler, OverloadPolicy, Scheduler, SimReport, SimTime,
+    StorageDevice,
 };
 use storage_trace::RandomWorkload;
 
@@ -52,122 +57,206 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
     }
 }
 
-/// Runs one Fig. 6-style cell with the default engine (calendar queue +
-/// slab store).
-fn run_default<W: Workload, S: Scheduler, D: storage_sim::StorageDevice>(
-    workload: W,
-    scheduler: S,
-    device: D,
-) -> SimReport {
-    Driver::new(workload, scheduler, device)
-        .warmup_requests(200)
-        .record_completions(true)
-        .run()
-}
-
-/// Same cell with the reference engine (binary-heap queue, payloads moved
-/// through the queue instead of parked in slabs).
-fn run_reference<W: Workload, S: Scheduler, D: storage_sim::StorageDevice>(
-    workload: W,
-    scheduler: S,
-    device: D,
-) -> SimReport {
-    Driver::new(workload, scheduler, device)
-        .with_queue_policy::<HeapQueuePolicy>()
-        .with_request_store::<MoveStore>()
-        .warmup_requests(200)
-        .record_completions(true)
-        .run()
-}
-
-#[test]
-fn calendar_queue_and_slab_match_heap_and_moves_on_mems() {
-    let fast = run_default(
+/// Runs one Fig. 6-style cell on the MEMS device.
+fn run_mems_cell<S: Scheduler>(scheduler: S) -> SimReport {
+    Driver::new(
         mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let reference = run_reference(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    assert_reports_identical(&fast, &reference, "MEMS queue+store");
-}
-
-#[test]
-fn calendar_queue_and_slab_match_heap_and_moves_on_disk() {
-    let disk = || DiskDevice::new(DiskParams::quantum_atlas_10k());
-    let capacity = disk().capacity_lbns();
-    let wl = || RandomWorkload::paper(capacity, 220.0, 1000, SEED);
-    let fast = run_default(wl(), SptfScheduler::new(), disk());
-    let reference = run_reference(wl(), SptfScheduler::new(), disk());
-    assert_reports_identical(&fast, &reference, "disk queue+store");
-}
-
-#[test]
-fn queue_policies_swap_independently_of_store() {
-    // The two axes are independent: calendar+moves and heap+slab must both
-    // match the default as well.
-    let fast = run_default(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let cal_moves = Driver::new(
-        mems_workload(),
-        SptfScheduler::new(),
+        scheduler,
         MemsDevice::new(MemsParams::default()),
     )
-    .with_queue_policy::<CalendarQueuePolicy>()
-    .with_request_store::<MoveStore>()
     .warmup_requests(200)
     .record_completions(true)
-    .run();
-    let heap_slab = Driver::new(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    )
-    .with_queue_policy::<HeapQueuePolicy>()
-    .with_request_store::<SlabStore>()
-    .warmup_requests(200)
-    .record_completions(true)
-    .run();
-    assert_reports_identical(&fast, &cal_moves, "calendar+moves");
-    assert_reports_identical(&fast, &heap_slab, "heap+slab");
+    .run()
 }
 
 #[test]
 fn full_fast_stack_matches_full_reference_stack() {
-    // Everything on vs everything off, with the scheduler axis included:
-    // incremental SPTF + calendar + slab vs naive scan + heap + moves.
-    let fast = run_default(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let reference = run_reference(
-        mems_workload(),
-        NaiveSptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    assert_reports_identical(&fast, &reference, "full stack");
+    // Pruned, cached SPTF against the naive scan over every candidate.
+    let fast = run_mems_cell(SptfScheduler::new());
+    let reference = run_mems_cell(NaiveSptfScheduler::new());
+    assert_reports_identical(&fast, &reference, "pruned vs naive");
 }
 
 #[test]
 fn incremental_pick_matches_rescan_under_reference_engine() {
-    // Cross axis: the scheduler swap must also hold when the engine runs
-    // on the reference queue and store.
-    let a = run_reference(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let b = run_reference(
-        mems_workload(),
-        RescanSptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    assert_reports_identical(&a, &b, "incremental vs rescan on reference engine");
+    // Incremental candidate maintenance against the index rebuilt by a
+    // rescan on every pick.
+    let a = run_mems_cell(SptfScheduler::new());
+    let b = run_mems_cell(RescanSptfScheduler::new());
+    assert_reports_identical(&a, &b, "incremental vs rescan");
+}
+
+/// Requests per engine-axis cell, and the completions excluded as warm-up.
+const CELL_REQUESTS: u64 = 800;
+const CELL_WARMUP: u64 = 100;
+const CELL_SEED: u64 = 0x00D1_6E57;
+const FAULT_SEED: u64 = 0x00FA_0175;
+
+#[derive(Clone, Copy, Debug)]
+enum Sched {
+    Fifo,
+    Sptf,
+    AgedSptf,
+}
+
+/// One engine-axis cell: the scheduler, whether the device is degraded
+/// under a fault storm, whether the overload policy is attached, and the
+/// report digest recorded for the cell.
+type Cell = (Sched, bool, bool, u64);
+
+/// FNV-1a over the completion stream and every report field, floats by
+/// bit pattern.
+fn report_digest(r: &SimReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+    for c in r.completions.as_ref().expect("recorded") {
+        put(c.request.id);
+        put(c.start_service.as_secs().to_bits());
+        put(c.completion.as_secs().to_bits());
+    }
+    let b = &r.breakdown_sum;
+    for x in [
+        r.makespan.as_secs(),
+        r.response.mean(),
+        r.response.sq_coeff_var(),
+        r.response.max(),
+        r.queue_time.mean(),
+        r.service_time.mean(),
+        r.busy_secs,
+        r.mean_queue_depth,
+        b.positioning,
+        b.seek_x,
+        b.settle,
+        b.seek_y,
+        b.rotation,
+        b.transfer,
+        b.turnaround,
+        b.overhead,
+        b.fault_recovery,
+        b.background_wait,
+    ] {
+        put(x.to_bits());
+    }
+    for n in [
+        r.completed,
+        u64::from(b.turnaround_count),
+        r.max_queue_depth as u64,
+        r.fault_events,
+        r.shed,
+        r.timed_out,
+        r.event_queue_restructures,
+    ] {
+        put(n);
+    }
+    h
+}
+
+/// Runs `cell` on `device` at `rate` under `policy` (attached only when
+/// the cell asks for overload control) and `faults`, and checks the
+/// digest. Every cell must complete requests past warm-up, and an
+/// overload cell must both shed and time out.
+fn check_cell<D: StorageDevice>(
+    cell: Cell,
+    device: D,
+    rate: f64,
+    faults: FaultClock,
+    policy: OverloadPolicy,
+) {
+    let (sched, faulted, overload, digest) = cell;
+    let workload = RandomWorkload::paper(device.capacity_lbns(), rate, CELL_REQUESTS, CELL_SEED);
+    let scheduler: Box<dyn DynScheduler> = match sched {
+        Sched::Fifo => Box::new(FifoScheduler::new()),
+        Sched::Sptf => Box::new(SptfScheduler::new()),
+        Sched::AgedSptf => Box::new(AgedSptfScheduler::new(2.0)),
+    };
+    let mut driver = Driver::new(workload, scheduler, device)
+        .with_faults(faults)
+        .warmup_requests(CELL_WARMUP)
+        .record_completions(true);
+    if overload {
+        driver = driver.with_overload(policy);
+    }
+    let report = driver.run();
+    assert!(report.completed > 0, "{cell:?}: nothing completed");
+    assert_eq!(report.fault_events > 0, faulted, "{cell:?}: faults");
+    if overload {
+        assert!(
+            report.shed > 0 && report.timed_out > 0,
+            "{cell:?}: overload"
+        );
+    }
+    assert_eq!(report_digest(&report), digest, "{cell:?}: digest");
+}
+
+/// A Poisson storm over the cell's arrival window, scaled to the arrival
+/// rate: a transient seek error per ten arrivals, a media defect per 40
+/// and a tip failure per 80.
+fn storm(rate: f64, tips: u32) -> FaultClock {
+    let horizon = SimTime::from_secs(CELL_REQUESTS as f64 / rate);
+    FaultClock::poisson(
+        FAULT_SEED,
+        horizon,
+        rate / 80.0,
+        rate / 10.0,
+        rate / 40.0,
+        tips,
+        27,
+    )
+}
+
+#[test]
+fn driver_matches_recorded_digests_on_mems() {
+    const RATE: f64 = 3000.0;
+    let policy = OverloadPolicy::watermarks(64, 16).with_queue_timeout(SimTime::from_ms(40.0));
+    let tips = MemsParams::default().tips;
+    for cell @ (_, faulted, _, _) in [
+        (Sched::Fifo, false, false, 0x5219_66ce_b9fb_bb00),
+        (Sched::Fifo, false, true, 0x7216_1b46_e450_5607),
+        (Sched::Fifo, true, false, 0xf7d2_36df_ee83_7373),
+        (Sched::Fifo, true, true, 0x618c_3382_7d28_f291),
+        (Sched::Sptf, false, false, 0x1856_f1ce_eaef_4036),
+        (Sched::Sptf, false, true, 0x48a3_ba67_c032_3c33),
+        (Sched::Sptf, true, false, 0xf33c_d158_c1a4_ec39),
+        (Sched::Sptf, true, true, 0xad1d_9465_08a6_05f0),
+        (Sched::AgedSptf, false, false, 0xb37c_b96a_e1f1_92d5),
+        (Sched::AgedSptf, false, true, 0x6890_16da_a0b8_7939),
+        (Sched::AgedSptf, true, false, 0x9912_b4e5_6916_c338),
+        (Sched::AgedSptf, true, true, 0xf3cc_64e5_0c7d_82b0),
+    ] {
+        let mems = MemsDevice::new(MemsParams::default());
+        if faulted {
+            let device = DegradedDevice::mems(mems, FAULT_SEED).with_spare_tips(1);
+            check_cell(cell, device, RATE, storm(RATE, tips), policy);
+        } else {
+            check_cell(cell, mems, RATE, FaultClock::empty(), policy);
+        }
+    }
+}
+
+#[test]
+fn driver_matches_recorded_digests_on_disk() {
+    const RATE: f64 = 300.0;
+    let policy = OverloadPolicy::watermarks(16, 4).with_queue_timeout(SimTime::from_ms(80.0));
+    for cell @ (_, faulted, _, _) in [
+        (Sched::Fifo, false, false, 0x62b8_379c_7be7_c11e),
+        (Sched::Fifo, false, true, 0xdb32_4397_2d91_e571),
+        (Sched::Fifo, true, false, 0x2e69_ef49_70bd_6670),
+        (Sched::Fifo, true, true, 0x7d31_a7ab_935c_a677),
+        (Sched::Sptf, false, false, 0xa59e_3617_d424_86ea),
+        (Sched::Sptf, false, true, 0x51d6_cbcb_7ca9_4959),
+        (Sched::Sptf, true, false, 0xe0c2_1cd5_e7f2_a7b0),
+        (Sched::Sptf, true, true, 0x535a_d22e_42fe_7c36),
+        (Sched::AgedSptf, false, false, 0x6df5_c85f_2b65_16d9),
+        (Sched::AgedSptf, false, true, 0x29a4_a175_6b4a_2b38),
+        (Sched::AgedSptf, true, false, 0x2d34_1679_a2ec_0ad3),
+        (Sched::AgedSptf, true, true, 0x1bfe_91d4_b546_14a2),
+    ] {
+        let disk = DiskDevice::new(DiskParams::quantum_atlas_10k());
+        if faulted {
+            let device = DegradedDevice::disk(disk, FAULT_SEED);
+            check_cell(cell, device, RATE, storm(RATE, 1), policy);
+        } else {
+            check_cell(cell, disk, RATE, FaultClock::empty(), policy);
+        }
+    }
 }

@@ -72,7 +72,7 @@ fn assert_streamed_identical<W, D, S>(
         .run();
     assert_eq!(
         materialized.event_queue_restructures, 0,
-        "{name}: materialized pre-sizing regressed"
+        "{name}: materialized run restructured its event store"
     );
     for lookahead in [1, 7, 4096] {
         let streamed = Driver::new(make(), scheduler(), device())
