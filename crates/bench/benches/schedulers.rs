@@ -8,10 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::sched::{
-    Algorithm, ClookScheduler, NaiveSptfScheduler, RescanSptfScheduler, SptfScheduler,
-    SstfScheduler,
-};
+use mems_os::sched::{Algorithm, ClookScheduler, NaiveSptfScheduler, SptfScheduler, SstfScheduler};
 use std::hint::black_box;
 use storage_sim::{IoKind, Request, Scheduler, SimTime};
 
@@ -77,9 +74,8 @@ fn bench_pick(c: &mut Criterion) {
     }
     group.finish();
 
-    // The devirtualization ladder: one SPTF drain, four dispatch tiers.
-    // "naive" re-scans the whole queue per pick, "rescan" is the pruned
-    // B-tree bucket scan re-scored on every pick, "pruned" is the
+    // The devirtualization ladder: one SPTF drain, three dispatch tiers.
+    // "naive" re-scans the whole queue per pick, "pruned" is the
     // incremental flat-index scan with the per-bucket winner cache (the
     // drain never services the device, so the rest state is fixed and the
     // cache fires — the scenario the incremental maintenance targets), and
@@ -92,17 +88,6 @@ fn bench_pick(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", depth), &reqs, |b, reqs| {
             b.iter(|| {
                 let mut s = NaiveSptfScheduler::new();
-                for r in reqs {
-                    s.enqueue(*r);
-                }
-                while let Some(r) = s.pick(&dev, SimTime::ZERO) {
-                    black_box(r);
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("rescan", depth), &reqs, |b, reqs| {
-            b.iter(|| {
-                let mut s = RescanSptfScheduler::new();
                 for r in reqs {
                     s.enqueue(*r);
                 }

@@ -3,7 +3,6 @@
 //! on every dispatch decision.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mems_bench::surfaced_mems_device;
 use mems_device::{MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
 use std::hint::black_box;
 use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
@@ -84,8 +83,8 @@ fn bench_device_service(c: &mut Criterion) {
 
 fn bench_seek_table(c: &mut Criterion) {
     // Park each device on-grid (sled exactly on a cylinder center / row
-    // boundary, the post-service steady state) so the memoized device can
-    // actually hit its table; the direct device always re-solves.
+    // boundary, the post-service steady state) so the cached device reads
+    // its surface; the direct device always re-solves.
     let park = |table: bool| {
         let mut d = MemsDevice::new(MemsParams::default()).with_seek_table(table);
         let r = Request::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Read);
@@ -93,18 +92,9 @@ fn bench_seek_table(c: &mut Criterion) {
         d
     };
     let direct = park(false);
-    let memo = park(true);
-    // The shared immutable surface: every on-grid query is a bounds-checked
-    // array read, no memoization or solving at query time.
-    let surface = {
-        let mut d = surfaced_mems_device(&MemsParams::default());
-        let r = Request::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Read);
-        let _ = d.service(&r, SimTime::ZERO);
-        d
-    };
+    let surface = park(true);
     for (name, dev) in [
         ("position_time_direct_solve", &direct),
-        ("position_time_seek_table", &memo),
         ("position_time_seek_surface", &surface),
     ] {
         c.bench_function(name, |b| {

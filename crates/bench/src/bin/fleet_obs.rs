@@ -42,8 +42,8 @@
 //! carry no energy numbers — its `energy_j` column is structurally zero
 //! (per-station energy lives in the timeline's `energy_w` series).
 
-use mems_bench::{surfaced_mems_device, write_csv};
-use mems_device::{MediaHeatmap, MemsParams};
+use mems_bench::write_csv;
+use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_fleet::{
     detect_stragglers, tail_skew, utilization_skew, FleetConfig, FleetEngine, FleetTimeline,
     ProgressSeries, RebuildPlan, StationHealth, StragglerPolicy, VolumeSpec,
@@ -143,7 +143,7 @@ fn fleet16_engine(
     let mut engine = FleetEngine::new(
         (0..FLEET16_DEVICES)
             .map(|i| {
-                DegradedDevice::mems(surfaced_mems_device(&params), FAULT_SEED + i as u64)
+                DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
                     .with_spare_tips(0)
                     .with_parity(TIPS as usize)
             })
@@ -348,7 +348,7 @@ fn rebuild_cell(
     let mut engine = FleetEngine::new(
         (0..2 * PAIRS)
             .map(|i| {
-                DegradedDevice::mems(surfaced_mems_device(&params), FAULT_SEED + i as u64)
+                DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
                     .with_spare_tips(8)
             })
             .collect(),
@@ -444,7 +444,7 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
     };
     let run = FleetEngine::new(
         (0..ADAPTIVE_DEVICES)
-            .map(|_| AdaptiveDevice::new(surfaced_mems_device(&params), placement))
+            .map(|_| AdaptiveDevice::new(MemsDevice::new(params.clone()), placement))
             .collect(),
         |_| SptfScheduler::new(),
         &volume,

@@ -21,8 +21,8 @@
 //! for the informational 10× horizon: CSVs land under `target/long/`
 //! and the byte-gated goldens in `results/` are never touched.
 
-use mems_bench::{surfaced_mems_device, write_csv, Table};
-use mems_device::MemsParams;
+use mems_bench::{write_csv, Table};
+use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, FleetReport, RebuildPlan, VolumeSpec};
 use mems_os::fault::DegradedDevice;
 use mems_os::sched::SptfScheduler;
@@ -81,7 +81,7 @@ fn scale_cell(devices: usize, shards: usize, threads: usize, scale: u64) -> Flee
     ));
     FleetEngine::new(
         (0..devices)
-            .map(|_| surfaced_mems_device(&params))
+            .map(|_| MemsDevice::new(params.clone()))
             .collect(),
         |_| SptfScheduler::new(),
         &volume,
@@ -131,12 +131,12 @@ fn determinism_gate() {
     let solo = Driver::new(
         storage_sim::VecWorkload::new(requests.clone()),
         SptfScheduler::new(),
-        surfaced_mems_device(&params),
+        MemsDevice::new(params.clone()),
     )
     .record_completions(true)
     .run();
     let fleet = FleetEngine::new(
-        vec![surfaced_mems_device(&params)],
+        vec![MemsDevice::new(params.clone())],
         |_| SptfScheduler::new(),
         &VolumeSpec::leaf(0),
         &requests,
@@ -254,7 +254,7 @@ fn tail_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
         ));
         let mut r = FleetEngine::new(
             (0..DEVICES)
-                .map(|_| surfaced_mems_device(&params))
+                .map(|_| MemsDevice::new(params.clone()))
                 .collect(),
             |_| SptfScheduler::new(),
             &volume,
@@ -319,7 +319,7 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
         FleetEngine::new(
             (0..2 * PAIRS)
                 .map(|i| {
-                    DegradedDevice::mems(surfaced_mems_device(&params), FAULT_SEED + i as u64)
+                    DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
                         .with_spare_tips(8)
                 })
                 .collect(),

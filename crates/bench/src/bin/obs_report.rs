@@ -12,10 +12,9 @@
 //! 2. **Parallel seeks**: `positioning == max(seek_x + settle, seek_y)` —
 //!    the X and Y actuators move concurrently (§2.4.1).
 //! 3. **Closed-form replay**: replaying the serviced request sequence on a
-//!    fresh device with the seek-time memo table *disabled* (every seek a
-//!    direct closed-form solve) reproduces each per-phase breakdown to
-//!    ≤ 1e-9 s — the traced numbers are the kinematics, not cache
-//!    artifacts.
+//!    fresh device with the seek cache *disabled* (every seek a direct
+//!    closed-form solve) reproduces each per-phase breakdown to ≤ 1e-9 s —
+//!    the traced numbers are the kinematics, not cache artifacts.
 //!
 //! Outputs: an aligned phase table on stdout, `results/obs_phase_breakdown.csv`
 //! (committed; CI diffs it against the golden), and the raw event stream as
@@ -31,7 +30,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use mems_bench::{surfaced_mems_device, write_csv, Table};
+use mems_bench::{write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::SptfScheduler;
@@ -43,7 +42,7 @@ use storage_trace::{RandomWorkload, ZipfWorkload};
 const SEED: u64 = 0x5EED_0006;
 const RATE: f64 = 1000.0;
 /// Agreement tolerance between traced phases and recomputed/closed-form
-/// values, seconds (same bound the device's own memo-table test uses).
+/// values, seconds.
 const TOL: f64 = 1e-9;
 /// Companion migration cell: Zipf(0.99) over 512 KB placement blocks in
 /// ON/OFF bursts — the regime idle-window migration is built for (same
@@ -186,9 +185,9 @@ fn main() -> ExitCode {
         failures += 1;
     }
 
-    // (3) Replay the serviced sequence on a fresh device with the seek-time
-    // memo table off: every positioning number must come straight out of
-    // the closed-form spring-mass solver.
+    // (3) Replay the serviced sequence on a fresh device with the seek
+    // cache off: every positioning number must come straight out of the
+    // closed-form spring-mass solver.
     let mut oracle = MemsDevice::new(params).with_seek_table(false);
     let mut replay_worst = 0.0f64;
     for &id in &service_order {
@@ -243,7 +242,6 @@ fn main() -> ExitCode {
     println!("{}", table.render());
     write_csv("obs_phase_breakdown.csv", &table.to_csv());
 
-    let stats = driver.device().seek_table_stats();
     let e = trace.energy_sum();
     println!("mean response      {:8.3} ms", report.response.mean_ms());
     println!("mean service       {:8.3} ms", report.mean_service_ms());
@@ -268,12 +266,6 @@ fn main() -> ExitCode {
         trace.mean_candidates_per_pick(),
         trace.mean_depth_at_pick()
     );
-    println!(
-        "seek-table         {:8.1} % hit rate ({} hits / {} misses)",
-        100.0 * stats.hit_rate(),
-        stats.hits,
-        stats.misses
-    );
     println!("replay worst err   {replay_worst:8.2e} s vs closed-form kinematics");
 
     // Companion cell: adaptive placement on a skewed bursty stream. Only
@@ -291,7 +283,7 @@ fn main() -> ExitCode {
         .bursty(MIGRATION_BURST_LEN, MIGRATION_BURST_IDLE),
         SptfScheduler::new(),
         AdaptiveDevice::new(
-            surfaced_mems_device(&MemsParams::default()),
+            MemsDevice::new(MemsParams::default()),
             migration_placement(),
         ),
     );
@@ -311,18 +303,14 @@ fn main() -> ExitCode {
     );
 
     // Raw exports (untracked; for ad-hoc analysis). The summary carries
-    // the device's seek-cache counters so cache effectiveness is visible
-    // per run, not only in unit tests, plus the companion cell's
-    // migration ledger.
+    // the companion cell's migration ledger.
     let _ = std::fs::create_dir_all("target");
     let jsonl = std::path::Path::new("target").join("obs_trace.jsonl");
     let summary = std::path::Path::new("target").join("obs_summary.json");
     if std::fs::write(&jsonl, trace.to_jsonl()).is_ok() {
         println!("wrote {}", jsonl.display());
     }
-    let mut summary_trace = trace.clone();
-    summary_trace.set_cache_stats(stats.hits, stats.misses);
-    let base = summary_trace.summary_json();
+    let base = trace.summary_json();
     let base = base
         .strip_suffix("\n}\n")
         .expect("ring summary closes with a bare brace");

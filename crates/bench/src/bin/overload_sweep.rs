@@ -27,8 +27,8 @@
 //! in CI. Pass a request-budget scale factor to experiment; goldens are
 //! only valid at the default.
 
-use mems_bench::{surfaced_mems_device, write_csv, Table};
-use mems_device::MemsParams;
+use mems_bench::{write_csv, Table};
+use mems_device::{MemsDevice, MemsParams};
 use storage_sim::{Driver, FifoScheduler, OverloadPolicy, SimReport, SimTime};
 use storage_trace::RampWorkload;
 
@@ -64,7 +64,7 @@ fn run_cell(rate_high: f64, scale: u64, policy: Option<OverloadPolicy>) -> SimRe
     let mut driver = Driver::new(
         workload,
         FifoScheduler::new(),
-        surfaced_mems_device(&MemsParams::default()),
+        MemsDevice::new(MemsParams::default()),
     )
     .with_arrival_lookahead(1024);
     if let Some(p) = policy {

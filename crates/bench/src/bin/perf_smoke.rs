@@ -2,30 +2,32 @@
 //! path, written to `BENCH_sched.json` so the perf trajectory is tracked
 //! in-repo from PR to PR.
 //!
-//! Seven sections:
+//! The shared seek surface for the paper device is solved first, in
+//! parallel, and held for the whole run, so every device below reads a
+//! fully solved surface and no timed section includes lazy fills.
 //!
-//! 1. **seek_table** — `position_time` cost from an on-grid sled state,
-//!    direct solve vs memo table (the SPTF oracle's unit of work);
-//! 2. **seek_surface** — the fully materialized immutable surface: build
-//!    cost, footprint, and ns/query against both the direct solver and
-//!    the memo table;
-//! 3. **sptf_pick** — draining a deep queue, naive full scan vs pruned
+//! Six sections:
+//!
+//! 1. **seek_surface** — the surface's solve time and footprint, and the
+//!    `position_time` cost from an on-grid sled state (the SPTF oracle's
+//!    unit of work), direct solve vs surface;
+//! 2. **sptf_pick** — draining a deep queue, naive full scan vs pruned
 //!    bucket scan (same picks, different work);
-//! 4. **devirt_pick** — the same pruned drain through the type-erased
+//! 3. **devirt_pick** — the same pruned drain through the type-erased
 //!    `DynScheduler` box vs the monomorphized static path;
-//! 5. **fig6_sptf** — the acceptance measurement: the Fig. 6 SPTF cell at
+//! 4. **fig6_sptf** — the acceptance measurement: the Fig. 6 SPTF cell at
 //!    the highest arrival rate over several seeds, naive scan + direct
-//!    solves + serial seed loop vs pruned pick + seek table + parallel
-//!    sweep vs the shared-surface devices. All three configurations must
-//!    report identical mean response times (the fast paths are
-//!    pick-equivalent); only the wall clock moves.
-//! 6. **events_per_sec** — the engine-throughput headline: two whole
+//!    solves + serial seed loop vs pruned pick + shared surface +
+//!    parallel sweep. Both configurations must report identical mean
+//!    response times (the fast path is pick-equivalent); only the wall
+//!    clock moves.
+//! 5. **events_per_sec** — the engine-throughput headline: two whole
 //!    cells measured serially on one thread so the number is per-core by
 //!    construction — the Fig. 6 SPTF cell on the shared surface, and a
 //!    high-rate FCFS cell that stresses the raw event loop. Both report
 //!    `simulated requests per core second` (the gated CI metric) and
 //!    confirm the event store never restructured mid-run.
-//! 7. **streaming_scale** — the constant-memory headline: a 10⁷-request
+//! 6. **streaming_scale** — the constant-memory headline: a 10⁷-request
 //!    open-loop FIFO cell pulled incrementally from the generator
 //!    (arrival look-ahead + log-histogram stats, nothing materialized)
 //!    and a 10⁶-request 64-station streaming fleet cell, both reporting
@@ -44,7 +46,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mems_bench::{replicated_point, shared_seek_surface, surfaced_mems_device};
+use mems_bench::{replicated_point, shared_seek_surface};
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
@@ -89,7 +91,7 @@ fn park(mut d: MemsDevice) -> MemsDevice {
     d
 }
 
-/// A parked device with or without the memoizing seek table.
+/// A parked device with or without the seek cache.
 fn parked(table: bool) -> MemsDevice {
     park(MemsDevice::new(MemsParams::default()).with_seek_table(table))
 }
@@ -165,7 +167,7 @@ fn time_cell<S: Scheduler>(
                 Driver::new(
                     RandomWorkload::paper(CAPACITY, rate, requests, seed),
                     make_sched(),
-                    surfaced_mems_device(&MemsParams::default()),
+                    MemsDevice::new(MemsParams::default()),
                 )
                 .warmup_requests(warmup)
                 .run()
@@ -240,14 +242,14 @@ fn streaming_identity_gate() -> bool {
             CAPACITY, 500.0, N, 11,
         ))),
         FifoScheduler::new(),
-        surfaced_mems_device(&params),
+        MemsDevice::new(params.clone()),
     )
     .warmup_requests(WARMUP)
     .run();
     let streamed = Driver::new(
         RandomWorkload::paper(CAPACITY, 500.0, N, 11),
         FifoScheduler::new(),
-        surfaced_mems_device(&params),
+        MemsDevice::new(params.clone()),
     )
     .with_arrival_lookahead(4096)
     .streaming_stats(true)
@@ -278,7 +280,7 @@ fn streaming_identity_gate() -> bool {
     ));
     let fleet_materialized = FleetEngine::new(
         (0..stations)
-            .map(|_| surfaced_mems_device(&params))
+            .map(|_| MemsDevice::new(params.clone()))
             .collect(),
         |_| SptfScheduler::new(),
         &volume,
@@ -288,7 +290,7 @@ fn streaming_identity_gate() -> bool {
     .run();
     let fleet_streamed = FleetEngine::streaming(
         (0..stations)
-            .map(|_| surfaced_mems_device(&params))
+            .map(|_| MemsDevice::new(params.clone()))
             .collect(),
         |_| SptfScheduler::new(),
         volume.clone(),
@@ -330,56 +332,49 @@ fn main() {
 
     println!("perf_smoke: positioning fast path, before/after\n");
 
-    // 1. Seek-table micro.
-    let direct_dev = parked(false);
-    let memo_dev = parked(true);
-    let n_queries = 200_000u64;
-    let direct_ns = time_queries(&direct_dev, n_queries);
-    let memo_ns = time_queries(&memo_dev, n_queries);
-    let stats = memo_dev.seek_table_stats();
-    println!("seek_table:  direct {direct_ns:8.1} ns/query   memo {memo_ns:8.1} ns/query   ({:.1}x, hit rate {:.3})",
-        direct_ns / memo_ns, stats.hit_rate());
-
-    // 2. Seek-surface micro: the fully materialized immutable surface,
-    // built once and shared process-wide through the sweep registry.
+    // 1. Seek-surface micro. The surface stays alive until the end of
+    // `main`, so no timed section below pays for lazy fills, whatever
+    // else the registry hands out meanwhile.
     let (surface, build_secs) = timed(|| {
         shared_seek_surface(&MemsParams::default()).expect("paper surface within size guard")
     });
     let surface_bytes = surface.bytes();
-    let surface_dev = park(surfaced_mems_device(&MemsParams::default()));
+    let direct_dev = parked(false);
+    let surface_dev = parked(true);
+    let n_queries = 200_000u64;
+    let direct_ns = time_queries(&direct_dev, n_queries);
     let surface_ns = time_queries(&surface_dev, n_queries);
     println!(
-        "seek_surface: built in {build_secs:.2} s ({:.1} MB)   surface {surface_ns:6.1} ns/query  ({:.1}x vs direct, {:.1}x vs memo)",
+        "seek_surface: built in {build_secs:.2} s ({:.1} MB)   direct {direct_ns:8.1} ns/query   surface {surface_ns:6.1} ns/query  ({:.1}x)",
         surface_bytes as f64 / (1 << 20) as f64,
         direct_ns / surface_ns,
-        memo_ns / surface_ns
     );
 
-    // 3. Pick micro.
+    // 2. Pick micro.
     let depth = 1024;
     let naive_us = time_drain(NaiveSptfScheduler::new, &direct_dev, depth);
-    let pruned_us = time_drain(SptfScheduler::new, &memo_dev, depth);
+    let pruned_us = time_drain(SptfScheduler::new, &surface_dev, depth);
     println!(
         "sptf_pick:   naive {naive_us:9.2} us/pick    pruned {pruned_us:7.2} us/pick    ({:.1}x at depth {depth})",
         naive_us / pruned_us
     );
 
-    // 4. Devirtualization micro: the identical pruned drain, dispatched
+    // 3. Devirtualization micro: the identical pruned drain, dispatched
     // through the type-erased box (one virtual pick_dyn hop plus a dyn
     // positioning oracle) vs the fully monomorphized path.
     let dyn_us = time_drain(
         || -> Box<dyn DynScheduler> { Box::new(SptfScheduler::new()) },
-        &memo_dev,
+        &surface_dev,
         depth,
     );
-    let static_us = time_drain(SptfScheduler::new, &memo_dev, depth);
+    let static_us = time_drain(SptfScheduler::new, &surface_dev, depth);
     println!(
         "devirt_pick: dyn {dyn_us:11.2} us/pick    static {static_us:7.2} us/pick    ({:.2}x at depth {depth})",
         dyn_us / static_us
     );
 
-    // 5. Fig. 6 SPTF cell at the highest rate: serial+naive+direct vs
-    // parallel+pruned+table vs parallel+pruned+shared-surface.
+    // 4. Fig. 6 SPTF cell at the highest rate: serial+naive+direct vs
+    // parallel+pruned+shared-surface.
     let (baseline_means, baseline_secs) = timed(|| {
         SEEDS
             .iter()
@@ -398,7 +393,7 @@ fn main() {
     });
     let baseline_mean = baseline_means.iter().sum::<f64>() / SEEDS.len() as f64;
 
-    let (fast_point, fast_secs) = timed_best(3, || {
+    let (surface_point, surface_secs) = timed_best(3, || {
         replicated_point(
             RATE,
             Algorithm::Sptf,
@@ -408,33 +403,21 @@ fn main() {
             warmup,
         )
     });
-    let (surface_point, surface_secs) = timed_best(3, || {
-        replicated_point(
-            RATE,
-            Algorithm::Sptf,
-            &SEEDS,
-            |rate, seed| RandomWorkload::paper(CAPACITY, rate, requests, seed),
-            || surfaced_mems_device(&MemsParams::default()),
-            warmup,
-        )
-    });
-    let speedup = baseline_secs / fast_secs;
     let surface_speedup = baseline_secs / surface_secs;
-    let means_match =
-        baseline_mean == fast_point.mean_ms && fast_point.mean_ms == surface_point.mean_ms;
+    let means_match = baseline_mean == surface_point.mean_ms;
     println!(
-        "fig6_sptf:   baseline {baseline_secs:6.2} s      fast {fast_secs:6.2} s      surface {surface_secs:6.2} s  ({speedup:.1}x / {surface_speedup:.1}x, {} seeds x {requests} reqs @ {RATE} req/s, {threads} threads)",
+        "fig6_sptf:   baseline {baseline_secs:6.2} s      surface {surface_secs:6.2} s  ({surface_speedup:.1}x, {} seeds x {requests} reqs @ {RATE} req/s, {threads} threads)",
         SEEDS.len()
     );
     println!(
-        "             mean response {baseline_mean:.4} ms vs {:.4} ms vs {:.4} ms  (identical: {means_match})",
-        fast_point.mean_ms, surface_point.mean_ms
+        "             mean response {baseline_mean:.4} ms vs {:.4} ms  (identical: {means_match})",
+        surface_point.mean_ms
     );
     if !means_match {
         eprintln!("warning: fast path changed the simulation result — pick equivalence broken");
     }
 
-    // 6. events/sec: whole cells measured serially on this thread so the
+    // 5. events/sec: whole cells measured serially on this thread so the
     // requests/sec figure is per-core. The gated headline is the Fig. 6
     // SPTF cell on the shared surface.
     let fig6_cell = time_cell(&SEEDS, RATE, requests, warmup, SptfScheduler::new);
@@ -465,7 +448,7 @@ fn main() {
         );
     }
 
-    // 7. streaming_scale: the constant-memory headline. Identity gate
+    // 6. streaming_scale: the constant-memory headline. Identity gate
     // first, then the two big cells, measuring wall clock and the
     // peak-RSS growth over the post-surface baseline.
     let streamed_identical = streaming_identity_gate();
@@ -479,7 +462,7 @@ fn main() {
         Driver::new(
             RandomWorkload::paper(CAPACITY, STREAM_RATE, stream_requests, 21),
             FifoScheduler::new(),
-            surfaced_mems_device(&MemsParams::default()),
+            MemsDevice::new(MemsParams::default()),
         )
         .with_arrival_lookahead(STREAM_LOOKAHEAD)
         .streaming_stats(true)
@@ -505,7 +488,7 @@ fn main() {
     let (fleet_report, fleet_secs) = timed(|| {
         FleetEngine::streaming(
             (0..FLEET_STATIONS)
-                .map(|_| surfaced_mems_device(&MemsParams::default()))
+                .map(|_| MemsDevice::new(MemsParams::default()))
                 .collect(),
             |_| SptfScheduler::new(),
             fleet_volume.clone(),
@@ -546,19 +529,13 @@ fn main() {
         concat!(
             "{{\n",
             "  \"host_threads\": {},\n",
-            "  \"seek_table\": {{\n",
-            "    \"queries\": {},\n",
-            "    \"direct_ns_per_query\": {:.2},\n",
-            "    \"memo_ns_per_query\": {:.2},\n",
-            "    \"speedup\": {:.2},\n",
-            "    \"hit_rate\": {:.4}\n",
-            "  }},\n",
             "  \"seek_surface\": {{\n",
             "    \"build_secs\": {:.3},\n",
             "    \"bytes\": {},\n",
+            "    \"queries\": {},\n",
+            "    \"direct_ns_per_query\": {:.2},\n",
             "    \"surface_ns_per_query\": {:.2},\n",
-            "    \"speedup_vs_direct\": {:.2},\n",
-            "    \"speedup_vs_memo\": {:.2}\n",
+            "    \"speedup_vs_direct\": {:.2}\n",
             "  }},\n",
             "  \"sptf_pick\": {{\n",
             "    \"queue_depth\": {},\n",
@@ -578,12 +555,9 @@ fn main() {
             "    \"warmup\": {},\n",
             "    \"seeds\": {},\n",
             "    \"baseline_naive_serial_secs\": {:.3},\n",
-            "    \"fast_pruned_parallel_secs\": {:.3},\n",
             "    \"surface_shared_secs\": {:.3},\n",
-            "    \"speedup\": {:.2},\n",
             "    \"surface_speedup\": {:.2},\n",
             "    \"baseline_mean_response_ms\": {:.6},\n",
-            "    \"fast_mean_response_ms\": {:.6},\n",
             "    \"surface_mean_response_ms\": {:.6},\n",
             "    \"means_identical\": {}\n",
             "  }},\n",
@@ -637,16 +611,12 @@ fn main() {
             "}}\n"
         ),
         threads,
-        n_queries,
-        direct_ns,
-        memo_ns,
-        direct_ns / memo_ns,
-        stats.hit_rate(),
         build_secs,
         surface_bytes,
+        n_queries,
+        direct_ns,
         surface_ns,
         direct_ns / surface_ns,
-        memo_ns / surface_ns,
         depth,
         naive_us,
         pruned_us,
@@ -660,12 +630,9 @@ fn main() {
         warmup,
         SEEDS.len(),
         baseline_secs,
-        fast_secs,
         surface_secs,
-        speedup,
         surface_speedup,
         baseline_mean,
-        fast_point.mean_ms,
         surface_point.mean_ms,
         means_match,
         realloc_free,

@@ -1,7 +1,6 @@
 //! Adaptive vs static placement on skewed workloads.
 //!
-//! Three series per workload, all under SPTF on the surfaced MEMS
-//! device:
+//! Three series per workload, all under SPTF on the MEMS device:
 //!
 //! * `bare` — no placement layer (the device's native layout);
 //! * `organ_static` — the strongest static baseline: an offline
@@ -32,8 +31,8 @@
 //! 10× horizon (CSV under `target/long/`, goldens untouched).
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{surfaced_mems_device, write_csv, Table};
-use mems_device::MemsParams;
+use mems_bench::{write_csv, Table};
+use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::OrganPipeMap;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
@@ -128,14 +127,14 @@ fn run_series(requests: &[Request], series: &str) -> (SimReport, Option<Migratio
             let mut driver = Driver::new(
                 workload,
                 SptfScheduler::new(),
-                surfaced_mems_device(&params),
+                MemsDevice::new(params.clone()),
             )
             .warmup_requests(WARMUP);
             (driver.run(), None)
         }
         "organ_static" => {
             let map = OrganPipeMap::build(&census(requests, MEMS_CAPACITY));
-            let dev = AdaptiveDevice::new(surfaced_mems_device(&params), placement_config(false))
+            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), placement_config(false))
                 .with_initial_placement(&map);
             let mut driver =
                 Driver::new(workload, SptfScheduler::new(), dev).warmup_requests(WARMUP);
@@ -144,7 +143,7 @@ fn run_series(requests: &[Request], series: &str) -> (SimReport, Option<Migratio
             (report, Some(stats))
         }
         "adaptive" => {
-            let dev = AdaptiveDevice::new(surfaced_mems_device(&params), placement_config(true));
+            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), placement_config(true));
             let mut driver =
                 Driver::new(workload, SptfScheduler::new(), dev).warmup_requests(WARMUP);
             let report = driver.run();
@@ -216,7 +215,7 @@ fn identity_gate() {
     }
     gate(
         "MEMS",
-        surfaced_mems_device(&MemsParams::default()),
+        MemsDevice::new(MemsParams::default()),
         MEMS_CAPACITY,
     );
     let disk_params = DiskParams::quantum_atlas_10k();

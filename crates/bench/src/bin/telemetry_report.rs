@@ -21,8 +21,7 @@
 //! are committed goldens byte-gated by the CI `figures` job — plus
 //! `target/telemetry_profile.json` and `target/telemetry_summary.json`;
 //! the profile contains *wall-clock* numbers (events/sec, per-component
-//! shares, seek-cache hit rate) and is therefore untracked and
-//! informational only.
+//! shares) and is therefore untracked and informational only.
 //!
 //! Two gates make the bin a regression check (exit non-zero on failure):
 //! the telemetry window totals must reconcile with the driver's report,
@@ -35,7 +34,7 @@
 use std::process::ExitCode;
 
 use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
-use mems_bench::{surfaced_mems_device, write_csv};
+use mems_bench::write_csv;
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
@@ -308,10 +307,7 @@ fn main() -> ExitCode {
         )
         .bursty(ADAPTIVE_BURST_LEN, ADAPTIVE_BURST_IDLE),
         SptfScheduler::new(),
-        AdaptiveDevice::new(
-            surfaced_mems_device(&MemsParams::default()),
-            adaptive_placement(),
-        ),
+        AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), adaptive_placement()),
     )
     .with_tracer(recorder(ADAPTIVE_REQUESTS));
     let adaptive_report = driver.run();
@@ -368,9 +364,8 @@ fn main() -> ExitCode {
         &mut failures,
         "profiled rerun diverged from the telemetry run",
     );
-    let stats = driver.device().seek_table_stats();
     let prof = driver.tracer();
-    let json = prof.profile_json(Some((stats.hits, stats.misses)));
+    let json = prof.profile_json();
     let _ = std::fs::create_dir_all("target");
     let path = std::path::Path::new("target").join("telemetry_profile.json");
     if std::fs::write(&path, &json).is_ok() {

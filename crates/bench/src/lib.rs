@@ -11,6 +11,5 @@ pub mod sweep;
 
 pub use report::{write_csv, Table};
 pub use sweep::{
-    replicated_point, run_one, sched_sweep, shared_seek_surface, surfaced_mems_device,
-    ReplicatedPoint, SweepPoint,
+    replicated_point, run_one, sched_sweep, shared_seek_surface, ReplicatedPoint, SweepPoint,
 };

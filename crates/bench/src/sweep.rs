@@ -9,17 +9,18 @@
 //! (and hence every downstream table, CSV, and statistic) is identical to
 //! the serial runner's.
 //!
-//! Cells that share MEMS parameters can also share one immutable
-//! [`SeekSurface`] through [`shared_seek_surface`]: the surface is solved
-//! once, in parallel, and every cell's device borrows it via `Arc` — the
-//! per-cell cost drops from re-memoizing thousands of seeks to a
-//! read-only table lookup.
+//! Cells that share MEMS parameters share one [`SeekSurface`]: every
+//! `MemsDevice` resolves the process-wide surface for its parameters and
+//! fills it lazily, so concurrent cells solve each on-grid seek once
+//! between them. [`shared_seek_surface`] solves the whole surface up
+//! front, in parallel, for callers that time the solve apart from the
+//! simulation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::thread;
 
-use mems_device::{MemsDevice, MemsParams, SeekSurface};
+use mems_device::{MemsParams, SeekSurface};
 use mems_os::sched::{Algorithm, ClookScheduler, SptfScheduler, SstfScheduler};
 use storage_sim::{Driver, FifoScheduler, Scheduler, SimReport, StorageDevice, Workload};
 
@@ -124,47 +125,16 @@ where
     merged.into_iter().map(|(_, result)| result).collect()
 }
 
-/// One registry entry: the parameter set and the surface solved for it.
-type SurfaceEntry = (MemsParams, Arc<SeekSurface>);
-
-/// Process-wide registry of immutable seek surfaces, keyed by the MEMS
-/// parameter set that produced them. `MemsParams` is not hashable (it
-/// holds floats), so lookup is a linear scan — the registry holds a
-/// handful of parameter sets at most.
-static SURFACE_REGISTRY: OnceLock<Mutex<Vec<SurfaceEntry>>> = OnceLock::new();
-
-/// Returns the process-shared [`SeekSurface`] for `params`, solving it
-/// (once, across all cores) on first request. Subsequent calls — from any
-/// sweep cell on any thread — get an [`Arc`] clone of the same read-only
-/// tables. Returns `None` when the surface would exceed its size guard
-/// ([`SeekSurface::MAX_X_MATRIX_BYTES`]); callers fall back to the
-/// per-device memo table.
-///
-/// The registry lock is held across the build on purpose: two cells
-/// racing for the same parameters must not both pay the full-matrix
-/// solve (≈50 MB for the paper device).
+/// Returns the process-wide [`SeekSurface`] for `params` with every cell
+/// solved, across all cores ([`SeekSurface::fill`]). Every
+/// `MemsDevice::new(params)` resolves the same surface while the returned
+/// [`Arc`] (or any device on it) is alive. Returns `None` when the surface
+/// would exceed its size guard ([`SeekSurface::MAX_X_MATRIX_BYTES`]);
+/// devices then solve every seek directly.
 pub fn shared_seek_surface(params: &MemsParams) -> Option<Arc<SeekSurface>> {
-    let registry = SURFACE_REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-    let mut entries = registry.lock().expect("surface registry poisoned");
-    if let Some((_, surface)) = entries.iter().find(|(p, _)| p == params) {
-        return Some(Arc::clone(surface));
-    }
-    let surface = Arc::new(SeekSurface::build(params)?);
-    entries.push((params.clone(), Arc::clone(&surface)));
+    let surface = SeekSurface::shared(params)?;
+    surface.fill();
     Some(surface)
-}
-
-/// A MEMS device whose positioning queries hit the process-shared
-/// [`SeekSurface`] for `params` — the fastest query path. Falls back to
-/// the memoizing seek table when the surface exceeds its size guard, so
-/// the device is always usable and always bit-identical to the direct
-/// solver.
-pub fn surfaced_mems_device(params: &MemsParams) -> MemsDevice {
-    let dev = MemsDevice::new(params.clone()).with_seek_table(true);
-    match shared_seek_surface(params) {
-        Some(surface) => dev.with_seek_surface(surface),
-        None => dev,
-    }
 }
 
 /// Sweeps every algorithm over a set of rates, running the cells in

@@ -14,7 +14,6 @@
 //!    `placement_sweep --identity-only`).
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::surfaced_mems_device;
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
@@ -229,7 +228,7 @@ fn assert_identity<D: StorageDevice + Clone>(device: D, label: &str) {
 
 #[test]
 fn zero_migration_wrap_is_bit_identical_on_mems() {
-    assert_identity(surfaced_mems_device(&MemsParams::default()), "mems");
+    assert_identity(MemsDevice::new(MemsParams::default()), "mems");
 }
 
 #[test]

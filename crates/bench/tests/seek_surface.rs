@@ -1,15 +1,14 @@
-//! Regression: the PR's two fast paths — the shared immutable seek
-//! surface and the devirtualized scheduler dispatch — change performance
-//! only. Full simulations run through them must produce byte-identical
+//! Regression: two fast paths — the shared seek surface and the
+//! devirtualized scheduler dispatch — change performance only. Full
+//! simulations run through them must produce byte-identical
 //! [`SimReport`]s (every statistic, every recorded completion) to the
-//! paths they replace.
+//! reference paths.
 //!
 //! Reports are compared through their `Debug` rendering: Rust prints
 //! `f64` as the shortest string that round-trips, so two reports render
 //! identically iff every float in them is bitwise equal.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::surfaced_mems_device;
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{Driver, DynScheduler, SimReport, StorageDevice};
@@ -52,19 +51,23 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
 }
 
 #[test]
-fn surface_backed_mems_sim_matches_memo_backed_byte_for_byte() {
-    let memo = run_static(
-        MemsDevice::new(MemsParams::default()).with_seek_table(true),
+fn surface_backed_mems_sim_matches_direct_solver_byte_for_byte() {
+    let direct = run_static(
+        MemsDevice::new(MemsParams::default()).with_seek_table(false),
         2000.0,
         9,
     );
-    let surfaced = run_static(surfaced_mems_device(&MemsParams::default()), 2000.0, 9);
-    assert_reports_identical(&memo, &surfaced, "seek surface changed simulation results");
+    let surfaced = run_static(MemsDevice::new(MemsParams::default()), 2000.0, 9);
+    assert_reports_identical(
+        &direct,
+        &surfaced,
+        "seek surface changed simulation results",
+    );
 }
 
 #[test]
 fn dyn_dispatch_matches_static_dispatch_on_mems() {
-    let device = || surfaced_mems_device(&MemsParams::default());
+    let device = || MemsDevice::new(MemsParams::default());
     let fixed = run_static(device(), 1500.0, 4);
     let boxed = run_dyn(device(), 1500.0, 4);
     assert_reports_identical(&fixed, &boxed, "DynScheduler shim changed MEMS results");

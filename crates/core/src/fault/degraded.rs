@@ -18,7 +18,7 @@
 //! * **Grown media defects** accumulate in [`FaultState`]; sectors whose
 //!   stripes exceed the parity budget are counted unrecoverable and
 //!   (optionally) far-remapped to a spare region, after which their
-//!   physical timing changes — the memo-table regression case.
+//!   physical timing changes — the seek-cache regression case.
 //!
 //! A zero-fault wrapped run is bit-identical to the bare device: every
 //! delegation passes the request through [`RemapTable::effective`], which

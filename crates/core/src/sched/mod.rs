@@ -26,10 +26,7 @@ mod vscan;
 
 pub use clook::ClookScheduler;
 pub use scan::{FscanScheduler, LookScheduler};
-pub use sptf::{
-    AgedSptfScheduler, NaiveAgedSptfScheduler, NaiveSptfScheduler, RescanAgedSptfScheduler,
-    RescanSptfScheduler, SptfScheduler,
-};
+pub use sptf::{AgedSptfScheduler, NaiveAgedSptfScheduler, NaiveSptfScheduler, SptfScheduler};
 pub use sstf::SstfScheduler;
 pub use vscan::VrScheduler;
 

@@ -37,16 +37,14 @@
 //!
 //! [`SptfScheduler`] goes one step further than pruning: it keeps the
 //! bucket index in a *flat* dense array with an occupancy bitmap (the ring
-//! walk becomes bit scans instead of B-tree iterator hops) and caches each
+//! walk becomes bit scans) and caches each
 //! bucket's best candidate under the device's [`PositionOracle::rest_key`]
 //! — the collision-free fingerprint of everything positioning depends on
 //! besides the request. A cached bucket answers a visit without rescoring
 //! any candidate; the cache slot is invalidated only when the bucket is
 //! touched by an arrival or removal, and the whole cache turns over when
 //! the rest key changes. Debug builds cross-check every cache hit against
-//! a fresh rescan of that bucket. [`RescanSptfScheduler`] retains the
-//! previous B-tree rescan-every-pick implementation as the equivalence
-//! reference.
+//! a fresh rescan of that bucket.
 //!
 //! [`AgedSptfScheduler`] is the classic aged variant \[WGP94]: each
 //! request's positioning estimate is discounted by how long it has waited,
@@ -54,142 +52,19 @@
 //! applies with the maximum outstanding age credit
 //! (`weight × oldest wait`) folded into the bounds. Aged scores depend on
 //! `now`, so the aged pick uses the flat index without the per-bucket
-//! cache ([`RescanAgedSptfScheduler`] keeps the B-tree reference).
+//! cache. [`NaiveAgedSptfScheduler`] is its full-scan reference.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::BTreeSet;
 
 use storage_sim::{PositionOracle, Request, SchedCounters, Scheduler, SimTime};
 
-/// Pending requests indexed by positioning bucket; entries carry the
-/// enqueue sequence number that breaks exact-tie scores.
-type BucketIndex = BTreeMap<u64, Vec<(u64, Request)>>;
-
-/// How many emptied bucket `Vec`s a rescan scheduler keeps around for
-/// reuse. At steady state a bucket drains and refills once per handful of
-/// picks; recycling its allocation removes a malloc/free pair per cycle.
-const SPARE_BUCKET_CAP: usize = 64;
-
-/// Expands the bucket index outward from the device's current bucket and
-/// returns the `(bucket, index-within-bucket)` of the request minimizing
-/// `score(req, position_time)`, ties broken by enqueue sequence.
-///
-/// `credit_bound` is the largest amount by which any pending request's
-/// score may undercut its positioning-time floor (0 for plain SPTF,
-/// `weight × oldest wait` for the aged variant).
-fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
-    buckets: &BucketIndex,
-    device: &O,
-    now: SimTime,
-    score: F,
-    credit_bound: f64,
-    counters: &mut SchedCounters,
-) -> Option<(u64, usize)> {
-    let cur = device.current_bucket();
-    let mut down = buckets.range(..=cur).rev().peekable();
-    let mut up = buckets
-        .range((Bound::Excluded(cur), Bound::Unbounded))
-        .peekable();
-    // (score, seq, bucket, index) of the incumbent.
-    let mut best: Option<(f64, u64, u64, usize)> = None;
-    loop {
-        let d_down = down.peek().map(|(b, _)| cur - **b);
-        let d_up = up.peek().map(|(b, _)| **b - cur);
-        // Visit the nearer side first (lower bucket on equal distance —
-        // the choice cannot affect the result: every unpruned candidate
-        // is scored exactly and ties break on enqueue order).
-        let take_down = match (d_down, d_up) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(a), Some(b)) => a <= b,
-        };
-        let dist = if take_down {
-            d_down.unwrap()
-        } else {
-            d_up.unwrap()
-        };
-        if let Some((best_score, ..)) = best {
-            // Every unexplored bucket on either side is at least `dist`
-            // buckets away, and the floor is nondecreasing in distance.
-            if device.min_position_time_at_bucket_distance(dist) - credit_bound > best_score {
-                break;
-            }
-        }
-        let (&bucket, entries) = if take_down {
-            down.next().unwrap()
-        } else {
-            up.next().unwrap()
-        };
-        if let Some((best_score, ..)) = best {
-            if device.bucket_position_time_floor(bucket) - credit_bound > best_score {
-                counters.buckets_pruned += 1;
-                continue;
-            }
-        }
-        counters.candidates_examined += entries.len() as u64;
-        for (idx, (seq, req)) in entries.iter().enumerate() {
-            let s = score(req, device.position_time(req, now));
-            let better = match best {
-                None => true,
-                Some((best_score, best_seq, ..)) => {
-                    s < best_score || (s == best_score && *seq < best_seq)
-                }
-            };
-            if better {
-                best = Some((s, *seq, bucket, idx));
-            }
-        }
-    }
-    best.map(|(_, _, bucket, idx)| (bucket, idx))
-}
-
-/// Removes and returns entry `idx` of `bucket`, dropping the bucket when
-/// it empties (its allocation is recycled into `spare`). Order within the
-/// bucket (enqueue order) is preserved.
-fn take_entry(
-    buckets: &mut BucketIndex,
-    spare: &mut Vec<Vec<(u64, Request)>>,
-    bucket: u64,
-    idx: usize,
-) -> (u64, Request) {
-    let entries = buckets.get_mut(&bucket).expect("bucket exists");
-    let entry = entries.remove(idx);
-    if entries.is_empty() {
-        let emptied = buckets.remove(&bucket).expect("bucket exists");
-        if spare.len() < SPARE_BUCKET_CAP {
-            spare.push(emptied);
-        }
-    }
-    entry
-}
-
-/// Moves the arrivals of `inbox` into their positioning buckets, drawing
-/// recycled `Vec`s from `spare` for buckets that spring into existence.
-/// Sequence numbers grow monotonically, so appending keeps each bucket
-/// sorted by enqueue order.
-fn index_arrivals<O: PositionOracle + ?Sized>(
-    inbox: &mut Vec<(u64, Request)>,
-    buckets: &mut BucketIndex,
-    spare: &mut Vec<Vec<(u64, Request)>>,
-    device: &O,
-) {
-    for (seq, req) in inbox.drain(..) {
-        buckets
-            .entry(device.position_bucket(&req))
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push((seq, req));
-    }
-}
-
 /// Flat dense bucket index: bucket `b` lives at `buckets[b]`, occupancy is
 /// a bitmap, and the outward ring walk of the pruned scan becomes
-/// next/previous-set-bit scans instead of B-tree iterator hops.
+/// next/previous-set-bit scans.
 ///
 /// Positioning buckets are small dense cylinder indices on every device in
 /// the workspace (MEMS: 2500, disks: a few thousand), so the dense array
-/// stays tiny; emptied buckets keep their `Vec` allocation in place, which
-/// replaces the rescan scheduler's spare-list recycling.
+/// stays tiny; emptied buckets keep their `Vec` allocation in place.
 #[derive(Debug, Default)]
 struct FlatIndex {
     buckets: Vec<Vec<(u64, Request)>>,
@@ -346,16 +221,21 @@ fn bucket_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     best
 }
 
-/// The flat-index pruned scan: identical visit order, floor comparisons,
-/// and tie-breaks to [`pruned_best`], with the ring walk on the occupancy
-/// bitmap and (when `cache` is given) per-bucket winners answered from the
-/// incremental cache.
+/// Expands the bucket index outward from the device's current bucket and
+/// returns the `(bucket, index-within-bucket)` of the request minimizing
+/// `score(req, position_time)`, ties broken by enqueue sequence. When
+/// `cache` is given, per-bucket winners are answered from the incremental
+/// cache.
+///
+/// `credit_bound` is the largest amount by which any pending request's
+/// score may undercut its positioning-time floor (0 for plain SPTF,
+/// `weight × oldest wait` for the aged variant).
 ///
 /// `cache` must be `None` unless `score` depends only on the request and
 /// the device rest state (plain SPTF); the caller is responsible for
 /// keying and invalidating it. Debug builds cross-check every cache hit
 /// against a fresh rescan of the hit bucket.
-fn pruned_best_flat<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
+fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     index: &FlatIndex,
     mut cache: Option<&mut PickCache>,
     device: &O,
@@ -378,6 +258,9 @@ fn pruned_best_flat<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     loop {
         let d_down = down.map(|b| cur - b as u64);
         let d_up = up.map(|b| b as u64 - cur);
+        // Visit the nearer side first (lower bucket on equal distance —
+        // the choice cannot affect the result: every unpruned candidate
+        // is scored exactly and ties break on enqueue order).
         let take_down = match (d_down, d_up) {
             (None, None) => break,
             (Some(_), None) => true,
@@ -467,7 +350,7 @@ fn pruned_best_flat<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
 
 /// Moves the arrivals of `inbox` into the flat index, invalidating the
 /// cache slot of every touched bucket.
-fn index_arrivals_flat<O: PositionOracle + ?Sized>(
+fn index_arrivals<O: PositionOracle + ?Sized>(
     inbox: &mut Vec<(u64, Request)>,
     index: &mut FlatIndex,
     mut cache: Option<&mut PickCache>,
@@ -575,14 +458,14 @@ impl Scheduler for SptfScheduler {
         if let Some(shallow) = pick_shallow(&mut self.len, &mut self.counters, inbox, index) {
             return shallow;
         }
-        index_arrivals_flat(
+        index_arrivals(
             &mut self.inbox,
             &mut self.index,
             Some(&mut self.cache),
             device,
         );
         self.cache.sync_key(device.rest_key(now));
-        let (bucket, idx) = pruned_best_flat(
+        let (bucket, idx) = pruned_best(
             &self.index,
             Some(&mut self.cache),
             device,
@@ -596,62 +479,6 @@ impl Scheduler for SptfScheduler {
         let bucket = bucket as usize;
         self.cache.invalidate_bucket(bucket);
         Some(self.index.remove(bucket, idx).1)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-}
-
-/// The previous pruned SPTF: a B-tree bucket index rescanned on every
-/// pick. Retained as the reference [`SptfScheduler`]'s incremental cache
-/// is proven against (equivalence tests and `perf_smoke` ladders).
-#[derive(Debug, Default)]
-pub struct RescanSptfScheduler {
-    inbox: Vec<(u64, Request)>,
-    buckets: BucketIndex,
-    /// Recycled allocations of emptied buckets.
-    spare: Vec<Vec<(u64, Request)>>,
-    len: usize,
-    next_seq: u64,
-    counters: SchedCounters,
-}
-
-impl RescanSptfScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for RescanSptfScheduler {
-    fn name(&self) -> &str {
-        "SPTF"
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        index_arrivals(&mut self.inbox, &mut self.buckets, &mut self.spare, device);
-        let (bucket, idx) = pruned_best(
-            &self.buckets,
-            device,
-            now,
-            |_, t| t,
-            0.0,
-            &mut self.counters,
-        )?;
-        self.counters.picks += 1;
-        self.len -= 1;
-        Some(take_entry(&mut self.buckets, &mut self.spare, bucket, idx).1)
     }
 
     fn len(&self) -> usize {
@@ -782,95 +609,7 @@ impl Scheduler for AgedSptfScheduler {
             self.arrivals.clear();
             return shallow;
         }
-        index_arrivals_flat(&mut self.inbox, &mut self.index, None, device);
-        let credit_bound = match self.arrivals.first() {
-            Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
-            None => return None,
-        };
-        let weight = self.weight;
-        let score = |req: &Request, t: f64| {
-            let wait = (now - req.arrival).as_secs().max(0.0);
-            t - weight * wait
-        };
-        let (bucket, idx) = pruned_best_flat(
-            &self.index,
-            None,
-            device,
-            now,
-            score,
-            credit_bound,
-            &mut self.counters,
-        )?;
-        self.counters.picks += 1;
-        let (seq, req) = self.index.remove(bucket as usize, idx);
-        self.arrivals.remove(&(req.arrival, seq));
-        self.len -= 1;
-        Some(req)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-}
-
-/// The previous pruned aged SPTF on the B-tree bucket index, the
-/// reference for [`AgedSptfScheduler`]'s flat-index pick.
-#[derive(Debug)]
-pub struct RescanAgedSptfScheduler {
-    inbox: Vec<(u64, Request)>,
-    buckets: BucketIndex,
-    /// Recycled allocations of emptied buckets.
-    spare: Vec<Vec<(u64, Request)>>,
-    /// `(arrival, seq)` of every pending request; the first entry gives
-    /// the oldest wait, hence the largest possible age credit.
-    arrivals: BTreeSet<(SimTime, u64)>,
-    len: usize,
-    next_seq: u64,
-    weight: f64,
-    name: String,
-    counters: SchedCounters,
-}
-
-impl RescanAgedSptfScheduler {
-    /// Creates an aged SPTF scheduler with the given aging weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or not finite.
-    pub fn new(weight: f64) -> Self {
-        assert!(weight.is_finite() && weight >= 0.0, "weight must be >= 0");
-        RescanAgedSptfScheduler {
-            inbox: Vec::new(),
-            buckets: BTreeMap::new(),
-            spare: Vec::new(),
-            arrivals: BTreeSet::new(),
-            len: 0,
-            next_seq: 0,
-            weight,
-            name: format!("SPTF-aged({weight})"),
-            counters: SchedCounters::default(),
-        }
-    }
-}
-
-impl Scheduler for RescanAgedSptfScheduler {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        self.arrivals.insert((req.arrival, self.next_seq));
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        index_arrivals(&mut self.inbox, &mut self.buckets, &mut self.spare, device);
+        index_arrivals(&mut self.inbox, &mut self.index, None, device);
         let credit_bound = match self.arrivals.first() {
             Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
             None => return None,
@@ -881,7 +620,8 @@ impl Scheduler for RescanAgedSptfScheduler {
             t - weight * wait
         };
         let (bucket, idx) = pruned_best(
-            &self.buckets,
+            &self.index,
+            None,
             device,
             now,
             score,
@@ -889,7 +629,7 @@ impl Scheduler for RescanAgedSptfScheduler {
             &mut self.counters,
         )?;
         self.counters.picks += 1;
-        let (seq, req) = take_entry(&mut self.buckets, &mut self.spare, bucket, idx);
+        let (seq, req) = self.index.remove(bucket as usize, idx);
         self.arrivals.remove(&(req.arrival, seq));
         self.len -= 1;
         Some(req)
@@ -1200,45 +940,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_sptf_matches_rescan_across_seeds() {
-        for seed in [1u64, 0xDEAD_BEEF, 0x5EED_0006] {
-            assert_pick_equivalence(SptfScheduler::new(), RescanSptfScheduler::new(), seed, true);
-        }
-    }
-
-    #[test]
-    fn rescan_sptf_matches_naive_scan_across_seeds() {
-        for seed in [1u64, 0x5EED_0006] {
-            assert_pick_equivalence(
-                RescanSptfScheduler::new(),
-                NaiveSptfScheduler::new(),
-                seed,
-                true,
-            );
-        }
-    }
-
-    #[test]
     fn aged_sptf_matches_naive_scan_across_seeds() {
         for seed in [2u64, 42, 0x5EED_0006] {
             for weight in [0.5, 3.0] {
                 assert_pick_equivalence(
                     AgedSptfScheduler::new(weight),
                     NaiveAgedSptfScheduler::new(weight),
-                    seed,
-                    true,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn aged_sptf_matches_rescan_across_seeds() {
-        for seed in [2u64, 0x5EED_0006] {
-            for weight in [0.5, 3.0] {
-                assert_pick_equivalence(
-                    AgedSptfScheduler::new(weight),
-                    RescanAgedSptfScheduler::new(weight),
                     seed,
                     true,
                 );
@@ -1303,8 +1010,9 @@ mod tests {
             s.enqueue(Request::new(id, SimTime::ZERO, next_lbn(), 8, IoKind::Read));
             id += 1;
         }
-        // Same stream through the rescan reference must pick identically.
-        let mut r = RescanSptfScheduler::new();
+        // Same stream through the full-scan reference must pick
+        // identically.
+        let mut r = NaiveSptfScheduler::new();
         let mut next_lbn = lbn_stream(7, dev.capacity_lbns());
         let mut id = 0u64;
         for _ in 0..128 {

@@ -7,6 +7,7 @@
 //! at the fixed access velocity, and switch tracks/cylinders with
 //! turnarounds whose cost depends on sled position and direction.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use storage_sim::{PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
@@ -15,8 +16,7 @@ use crate::geometry::{Mapper, Segment};
 use crate::kinematics::SpringSled;
 use crate::params::{MemsGeometry, MemsParams};
 use crate::power::MemsEnergyModel;
-use crate::seek_table::{SeekTable, SeekTableStats, YKey};
-use crate::surface::SeekSurface;
+use crate::surface::{SeekSurface, YKey};
 
 /// Tolerance for deciding a continuous coordinate sits exactly on the
 /// discrete media grid (cylinder center / row boundary / ±access velocity).
@@ -74,9 +74,10 @@ pub struct MemsDevice {
     /// velocity, cached for the same reason as `rest_cyl`.
     rest_y: Option<(u16, i8)>,
     name: String,
-    seek_table: SeekTable,
-    use_seek_table: bool,
-    surface: Option<Arc<SeekSurface>>,
+    /// The surface answering on-grid seeks: unset until the first on-grid
+    /// query resolves the process-wide one for `params`; `None` solves
+    /// every seek directly.
+    surface: OnceCell<Option<Arc<SeekSurface>>>,
     energy_model: MemsEnergyModel,
 }
 
@@ -109,9 +110,7 @@ impl MemsDevice {
             rest_cyl: None,
             rest_y: None,
             name,
-            seek_table: SeekTable::new(),
-            use_seek_table: true,
-            surface: None,
+            surface: OnceCell::new(),
             energy_model: MemsEnergyModel::default(),
         };
         dev.requantize_rest();
@@ -136,22 +135,23 @@ impl MemsDevice {
         &self.energy_model
     }
 
-    /// Enables or disables the seek-time memo table (on by default). The
-    /// disabled device runs every positioning query through the closed-form
-    /// solver — the reference the equivalence tests and the `perf_smoke`
-    /// baseline compare against.
+    /// Turns the seek cache on (the default) or off. With the cache on,
+    /// on-grid positioning queries are answered by the shared
+    /// [`SeekSurface`] for these parameters ([`SeekSurface::shared`]),
+    /// resolved on the first on-grid query. With it off, every query runs
+    /// the closed-form solver — the reference the equivalence tests and
+    /// the `perf_smoke` baseline compare against.
     pub fn with_seek_table(mut self, enabled: bool) -> Self {
-        self.use_seek_table = enabled;
         if !enabled {
-            self.seek_table.clear();
+            self.surface = OnceCell::from(None);
+        } else if matches!(self.surface.get(), Some(None)) {
+            self.surface = OnceCell::new();
         }
         self
     }
 
-    /// Attaches a prebuilt, shared [`SeekSurface`]: on-grid positioning
-    /// queries become array lookups instead of memo-table probes (off-grid
-    /// states still run the direct solver). The surface takes precedence
-    /// over the memo table regardless of [`MemsDevice::with_seek_table`].
+    /// Attaches a prebuilt, shared [`SeekSurface`] in place of the
+    /// process-wide one (off-grid states still run the direct solver).
     ///
     /// # Panics
     ///
@@ -162,18 +162,22 @@ impl MemsDevice {
             &self.params,
             "seek surface was solved for different device parameters"
         );
-        self.surface = Some(surface);
+        self.surface = OnceCell::from(Some(surface));
         self
     }
 
-    /// The attached shared seek surface, if any.
+    /// The seek surface answering on-grid queries, once attached or
+    /// resolved.
     pub fn seek_surface(&self) -> Option<&Arc<SeekSurface>> {
-        self.surface.as_ref()
+        self.surface.get().and_then(Option::as_ref)
     }
 
-    /// Hit/miss counters of the seek-time memo table.
-    pub fn seek_table_stats(&self) -> SeekTableStats {
-        self.seek_table.stats()
+    /// The seek surface, resolved from the process-wide registry on first
+    /// use; `None` when the seek cache is off.
+    fn surface(&self) -> Option<&SeekSurface> {
+        self.surface
+            .get_or_init(|| SeekSurface::shared(&self.params))
+            .as_deref()
     }
 
     /// The device parameters.
@@ -209,41 +213,27 @@ impl MemsDevice {
     }
 
     /// X rest-seek time from `from_x` to the center of `to_cyl`, served
-    /// from the seek surface or memo table when the start lies exactly on a
-    /// cylinder center (always true after the first completed request).
+    /// from the seek surface when the start lies exactly on a cylinder
+    /// center (always true after the first completed request).
     fn x_seek_time(&self, from_x: f64, to_cyl: u32, x_target: f64) -> f64 {
-        let solve = || self.sled_x.rest_seek_time(from_x, x_target);
-        if !self.use_seek_table && self.surface.is_none() {
-            return solve();
-        }
         // Seeks from the rest state (every SPTF candidate) reuse the
         // cached quantization; bit equality guarantees the cached answer
         // is exactly what `quantize_cylinder` would return.
-        let quantized = if from_x.to_bits() == self.state.x.to_bits() {
+        let from_cyl = if from_x.to_bits() == self.state.x.to_bits() {
             self.rest_cyl
         } else {
             self.quantize_cylinder(from_x)
         };
-        match quantized {
-            Some(from_cyl) => {
-                if let Some(surface) = &self.surface {
-                    return surface.x_seek(from_cyl, to_cyl);
-                }
-                self.seek_table
-                    .x_seek(from_cyl, to_cyl, self.geom.cylinders as usize, solve)
-            }
-            None => solve(),
-        }
+        from_cyl
+            .and_then(|from_cyl| Some(self.surface()?.x_at(from_cyl as usize, to_cyl as usize)))
+            .unwrap_or_else(|| self.sled_x.rest_seek_time(from_x, x_target))
     }
 
     /// Y seek time from `from` to the boundary `to_boundary` (whose
-    /// coordinate is `y_target`) at velocity `v_target`, memoized when the
-    /// start is exactly on a row boundary at a grid velocity.
+    /// coordinate is `y_target`) at velocity `v_target`, served from the
+    /// seek surface when the start is exactly on a row boundary at a grid
+    /// velocity.
     fn y_seek_time(&self, from: SledState, to_boundary: u32, y_target: f64, v_target: f64) -> f64 {
-        let solve = || self.sled_y.seek_time(from.y, from.vy, y_target, v_target);
-        if !self.use_seek_table && self.surface.is_none() {
-            return solve();
-        }
         let quantized = if from.y.to_bits() == self.state.y.to_bits()
             && from.vy.to_bits() == self.state.vy.to_bits()
         {
@@ -251,21 +241,14 @@ impl MemsDevice {
         } else {
             self.quantize_y(from.y, from.vy)
         };
-        match quantized {
-            Some((from_boundary, from_dir)) => {
-                let key = YKey {
-                    from_boundary,
-                    from_dir,
-                    to_boundary: to_boundary as u16,
-                    to_dir: if v_target >= 0.0 { 1 } else { -1 },
-                };
-                if let Some(surface) = &self.surface {
-                    return surface.y_seek(key);
-                }
-                self.seek_table.y_seek(key, solve)
-            }
-            None => solve(),
-        }
+        let key = quantized.map(|(from_boundary, from_dir)| YKey {
+            from_boundary,
+            from_dir,
+            to_boundary: to_boundary as u16,
+            to_dir: if v_target >= 0.0 { 1 } else { -1 },
+        });
+        key.and_then(|key| Some(self.surface()?.y_at(key)))
+            .unwrap_or_else(|| self.sled_y.seek_time(from.y, from.vy, y_target, v_target))
     }
 
     /// The cylinder whose center `x` sits on exactly, if any.
@@ -329,9 +312,17 @@ impl MemsDevice {
     }
 
     /// Lower bound on the positioning time of any request whose first
-    /// segment is in cylinder `cyl`, computed through the same (memoized)
+    /// segment is in cylinder `cyl`, computed through the same (cached)
     /// X path `plan_segment` uses so the bound is exact for that term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cyl` is not a cylinder of the device.
     pub fn cylinder_positioning_floor(&self, cyl: u32) -> f64 {
+        assert!(
+            cyl < self.geom.cylinders,
+            "cylinder {cyl} is off the device"
+        );
         let x_target = self.mapper.x_of_cylinder(cyl);
         if (x_target - self.state.x).abs() <= GRID_EPS {
             return 0.0;
@@ -694,67 +685,52 @@ mod tests {
         *lbn
     }
 
-    #[test]
-    fn seek_table_matches_direct_solves() {
-        // Walk the same deterministic request stream on a memoized device
-        // and a direct-solve device; estimates, service breakdowns, and
-        // mechanical states must agree to ≤1e-9 s at every step.
-        let mut fast = device();
-        let mut slow = device().with_seek_table(false);
-        let total = fast.capacity_lbns();
-        let mut lbn = 98_765u64;
-        for i in 0..3000 {
-            let r = req(lbn_walk(&mut lbn, total), 8);
-            let _ = i;
-            let est_fast = fast.position_time(&r, SimTime::ZERO);
-            let est_slow = slow.position_time(&r, SimTime::ZERO);
-            assert!(
-                (est_fast - est_slow).abs() <= 1e-9,
-                "estimate diverged: {est_fast} vs {est_slow}"
-            );
-            let b_fast = fast.service(&r, SimTime::ZERO);
-            let b_slow = slow.service(&r, SimTime::ZERO);
-            assert!(
-                (b_fast.total() - b_slow.total()).abs() <= 1e-9,
-                "service diverged: {} vs {}",
-                b_fast.total(),
-                b_slow.total()
-            );
-            assert_eq!(fast.state(), slow.state(), "mechanical state diverged");
-        }
-        let stats = fast.seek_table_stats();
-        assert!(stats.hits > 0, "table never hit: {stats:?}");
-        assert_eq!(slow.seek_table_stats(), Default::default());
-    }
-
-    #[test]
-    fn seek_surface_matches_memo_table_bitwise() {
-        // A surface-backed device must replay a request stream *exactly* —
-        // bit for bit — like a memo-backed one: both serve on-grid queries
-        // from solves of the same mapper floats and fall back to the same
-        // direct solver off-grid.
-        let mut surfaced = device().with_seek_surface(crate::surface::tests::paper_surface());
-        let mut memoized = device();
-        let total = memoized.capacity_lbns();
+    /// Walks one deterministic request stream on two devices, asserting
+    /// bit-identical estimates, service breakdowns and mechanical states
+    /// at every step.
+    fn assert_devices_track(mut a: MemsDevice, mut b: MemsDevice) -> (MemsDevice, MemsDevice) {
+        let total = a.capacity_lbns();
         let mut lbn = 98_765u64;
         for _ in 0..3000 {
             let r = req(lbn_walk(&mut lbn, total), 8);
             assert_eq!(
-                surfaced.position_time(&r, SimTime::ZERO).to_bits(),
-                memoized.position_time(&r, SimTime::ZERO).to_bits(),
+                a.position_time(&r, SimTime::ZERO).to_bits(),
+                b.position_time(&r, SimTime::ZERO).to_bits(),
                 "estimate diverged"
             );
-            let b_surf = surfaced.service(&r, SimTime::ZERO);
-            let b_memo = memoized.service(&r, SimTime::ZERO);
-            assert_eq!(b_surf, b_memo, "service breakdown diverged");
             assert_eq!(
-                surfaced.state(),
-                memoized.state(),
-                "mechanical state diverged"
+                a.service(&r, SimTime::ZERO),
+                b.service(&r, SimTime::ZERO),
+                "service breakdown diverged"
             );
+            assert_eq!(a.state(), b.state(), "mechanical state diverged");
         }
-        // The surface bypasses the memo table entirely.
-        assert_eq!(surfaced.seek_table_stats(), Default::default());
+        (a, b)
+    }
+
+    #[test]
+    fn seek_table_matches_direct_solves() {
+        // The seek cache answers on-grid queries from solves of the same
+        // mapper floats the direct solver sees, so it is exact.
+        let fresh = device();
+        assert!(fresh.seek_surface().is_none(), "new() resolves no surface");
+        let (cached, direct) = assert_devices_track(fresh, device().with_seek_table(false));
+        assert!(
+            cached.seek_surface().is_some(),
+            "on-grid queries resolve one"
+        );
+        assert!(direct.seek_surface().is_none());
+    }
+
+    #[test]
+    fn attached_surface_matches_registry_surface_bitwise() {
+        // An eagerly built surface attached to one device, and the
+        // process-wide surface the other resolves and fills lazily.
+        let eager = crate::surface::tests::paper_surface();
+        let (attached, resolved) =
+            assert_devices_track(device().with_seek_surface(Arc::clone(&eager)), device());
+        assert!(Arc::ptr_eq(attached.seek_surface().unwrap(), &eager));
+        assert!(!Arc::ptr_eq(resolved.seek_surface().unwrap(), &eager));
     }
 
     #[test]
@@ -784,6 +760,16 @@ mod tests {
             assert!(f >= prev, "floor decreased at distance {dist}");
             prev = f;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "off the device")]
+    fn positioning_floor_of_a_cylinder_off_the_device_panics() {
+        // The floor reads the shared surface, which must not answer for a
+        // cylinder past the last one with a neighbouring row's cell.
+        let mut d = device();
+        let _ = d.service(&req(0, 8), SimTime::ZERO);
+        d.cylinder_positioning_floor(2500);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod heatmap;
 pub mod kinematics;
 pub mod params;
 pub mod power;
-pub mod seek_table;
 pub mod surface;
 
 pub use device::{MemsDevice, SledState};
@@ -50,5 +49,4 @@ pub use heatmap::MediaHeatmap;
 pub use kinematics::SpringSled;
 pub use params::{MemsGeometry, MemsParams};
 pub use power::MemsEnergyModel;
-pub use seek_table::{SeekTable, SeekTableStats};
 pub use surface::SeekSurface;

@@ -1,54 +1,96 @@
-//! Fully materialized, immutable seek surface for one parameter set.
+//! The shared seek surface: every on-grid seek solve for one parameter
+//! set, filled on first use and shared by every device with those
+//! parameters.
 //!
-//! The memoized [`crate::seek_table::SeekTable`] answers repeated on-grid
-//! positioning queries from an LRU cache, but every query still pays a hash
-//! probe plus LRU bookkeeping under a `RefCell` borrow, and every parallel
-//! sweep cell cold-starts its own cache. A [`SeekSurface`] removes both
-//! costs: it solves the *complete* on-grid query space up front — the dense
-//! `cylinders × cylinders` rest-to-rest X seek-time matrix and the full
-//! row-boundary × direction Y table (~4.7k entries) — so a hot-path query
-//! is one bounds-checked array index, and the surface is immutable, so one
-//! `Arc<SeekSurface>` is shared read-only across every cell and worker
-//! thread of a sweep.
+//! After every request the sled rests exactly on a cylinder center, with
+//! its Y coordinate on a tip-sector-row boundary and its Y velocity at
+//! ±the access velocity. The positioning questions a simulation asks
+//! therefore come from a small discrete grid: the dense
+//! `cylinders × cylinders` rest-to-rest X matrix and the row-boundary ×
+//! direction Y table (~4.7k entries). A [`SeekSurface`] holds one cell per
+//! grid question, answered by the solver core behind
+//! [`SpringSled::seek_time`] over endpoint terms computed once per
+//! cylinder (and per Y boundary and direction); see the `kinematics`
+//! module docs. Off-grid states (the centered initial state, or states
+//! set through `MemsDevice::set_state`) never reach the surface; the
+//! device solves them directly.
 //!
-//! Entries are bit-identical to the memo table's cached solves: both are
-//! produced by the same closed-form solver applied to the exact mapper
-//! coordinates (`x_of_cylinder`, `y_of_row_start`, ±the access velocity),
-//! which are the only on-grid states a simulation ever reaches (the sled
-//! lands exactly on those floats after every request). Off-grid states
-//! (e.g. the centered initial state) never consult the surface and fall
-//! back to the direct solver, exactly as the memo table does.
+//! Filling is lazy: a cell is solved on first use. The tables are one
+//! zeroed allocation each, and zero marks a cell unsolved, so the OS
+//! commits a page of the X matrix only when a query first touches it, and
+//! returns the whole matrix when the surface is freed. Cells are atomics,
+//! and two threads racing to fill one cell both store the same bits, so
+//! every fill order, serial or concurrent, yields the same surface. A cell
+//! publishes no data but its own value, so relaxed ordering suffices.
+//! [`SeekSurface::build`] and [`SeekSurface::fill`] solve every cell up
+//! front, rows in parallel, into the same storage.
 //!
-//! The X matrix is `cylinders² × 8` bytes — ≈50 MB for the paper's
-//! 2500-cylinder device — so construction is parallelized across matrix
-//! rows and refused entirely (returning `None`) for exotic geometries whose
-//! matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`]; callers then
-//! stay on the memo table.
+//! [`SeekSurface::shared`] is the process-wide registry: one surface per
+//! parameter set. It holds surfaces weakly, except that it keeps the one
+//! it handed out last alive. A sweep whose cells each build and drop a
+//! device therefore fills one surface instead of one per cell, and a
+//! sweep over many parameter sets keeps one surface resident at a time.
 //!
-//! Construction computes each cylinder's (and each Y boundary and
-//! direction's) endpoint terms once, then runs the solver core behind
-//! [`SpringSled::seek_time`] on every cell (see the `kinematics` module
-//! docs). Every cell is solved: the physics is symmetric under swapping or
+//! Every cell is solved: the physics is symmetric under swapping or
 //! mirroring the endpoints, but the floating-point solves are not. On the
 //! paper surface 4,617,768 of the 6,250,000 X cells differ in bits from
 //! their transpose and 5,052,468 from their mirror (by at most ~3·10⁻¹²
-//! relative), so a symmetric fill would not be bit-identical to the memo
-//! table.
+//! relative), so a symmetric fill would not be bit-identical to the
+//! direct solver.
+//!
+//! The X matrix is `cylinders² × 8` bytes, ≈50 MB for the paper's
+//! 2500-cylinder device. Geometries whose matrix would exceed
+//! [`SeekSurface::MAX_X_MATRIX_BYTES`] get no surface, and their devices
+//! solve every seek directly.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread;
 
 use crate::geometry::Mapper;
 use crate::kinematics::{Endpoint, SpringSled};
 use crate::params::MemsParams;
-use crate::seek_table::YKey;
 
-/// Immutable dense table of every on-grid seek solve for one [`MemsParams`].
+/// Bits of a cell not yet solved: zero, so a zeroed allocation is an
+/// unfilled surface. A zero-length seek solves to these bits too; its cell
+/// is solved again on every query, by the solver's early exit.
+const UNSOLVED: u64 = 0;
+
+/// The process-wide surfaces, see [`SeekSurface::shared`].
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    latest: None,
+});
+
+/// Live surfaces by parameter set, held weakly, and the surface handed out
+/// last, held strongly. `MemsParams` holds floats and is not hashable, so
+/// lookup is a linear scan over a handful of entries.
+struct Registry {
+    live: Vec<(MemsParams, Weak<SeekSurface>)>,
+    latest: Option<Arc<SeekSurface>>,
+}
+
+/// Quantized Y seek endpoints: row-boundary indices (`0..=rows_per_track`)
+/// plus velocity direction (−1, 0, +1 in units of the access velocity).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct YKey {
+    /// Boundary index the sled starts from.
+    pub from_boundary: u16,
+    /// Sign of the starting Y velocity (0 = at rest).
+    pub from_dir: i8,
+    /// Boundary index the seek targets.
+    pub to_boundary: u16,
+    /// Sign of the target Y velocity (±1).
+    pub to_dir: i8,
+}
+
+/// Every on-grid seek solve for one [`MemsParams`], filled on first use.
 ///
-/// Build once (optionally behind a process-wide registry), wrap in an
-/// `Arc`, and attach to any number of `MemsDevice` instances via
-/// `MemsDevice::with_seek_surface`; lookups are plain array indexing and
-/// take `&self`, so the surface is freely shared across threads.
+/// Lookups take `&self` and the surface is `Sync`, so one `Arc` serves
+/// every device and worker thread with these parameters: through the
+/// registry ([`SeekSurface::shared`]), or attached explicitly with
+/// `MemsDevice::with_seek_surface`.
 ///
 /// # Examples
 ///
@@ -64,19 +106,27 @@ use crate::seek_table::YKey;
 /// ```
 pub struct SeekSurface {
     params: MemsParams,
-    cylinders: u32,
-    /// Row-boundary indices per track: `rows_per_track + 1`.
-    boundaries: u32,
-    /// Rest-to-rest X seek times, row-major `[from * cylinders + to]`.
-    x: Box<[f64]>,
-    /// Y boundary-to-boundary seek times, see [`SeekSurface::y_index`].
-    y: Box<[f64]>,
+    sled: SpringSled,
+    /// Endpoint terms of each cylinder center at rest: every on-grid X
+    /// start and goal.
+    x_ends: Box<[Endpoint]>,
+    /// Endpoint terms of each row boundary at −v, rest and +v.
+    y_ends: Box<[[Endpoint; 3]]>,
+    /// Rest-to-rest X seek times, row-major `[from · cylinders + to]`.
+    x: Box<[AtomicU64]>,
+    /// Y boundary-to-boundary seek times, see [`SeekSurface::y_seek`].
+    y: Box<[AtomicU64]>,
+    /// Set once [`SeekSurface::fill`] has solved every cell. It only skips
+    /// work: a thread that sees it set but a cell still unsolved solves
+    /// that cell itself, so relaxed ordering suffices.
+    filled: AtomicBool,
 }
 
 impl SeekSurface {
     /// Hard cap on the dense X matrix size (256 MB ≈ 5800 cylinders).
-    /// [`SeekSurface::build`] refuses larger geometries so a misconfigured
-    /// parameter sweep degrades to the memo table instead of allocating an
+    /// Larger geometries get no surface: [`SeekSurface::build`] and
+    /// [`SeekSurface::shared`] return `None`, so a misconfigured parameter
+    /// sweep degrades to the direct solver instead of growing an
     /// oversized matrix.
     pub const MAX_X_MATRIX_BYTES: u64 = 256 << 20;
 
@@ -86,18 +136,9 @@ impl SeekSurface {
         n * n * std::mem::size_of::<f64>() as u64
     }
 
-    /// Builds the complete surface for `params`, solving X-matrix rows in
-    /// parallel across the available cores. Returns `None` when the X
-    /// matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`].
-    pub fn build(params: &MemsParams) -> Option<Self> {
-        Self::build_with_limit(params, Self::MAX_X_MATRIX_BYTES)
-    }
-
-    /// [`SeekSurface::build`] with an explicit X-matrix size cap in bytes.
-    pub fn build_with_limit(params: &MemsParams, max_x_bytes: u64) -> Option<Self> {
-        if Self::x_matrix_bytes(params) > max_x_bytes {
-            return None;
-        }
+    /// An unfilled surface for `params`: endpoint terms computed, every
+    /// cell unsolved.
+    fn empty(params: &MemsParams) -> Self {
         let geom = params.geometry();
         let mapper = Mapper::new(params);
         let sled = SpringSled::from_spring_factor(
@@ -105,79 +146,116 @@ impl SeekSurface {
             params.spring_factor,
             params.half_mobility(),
         );
-
-        // Every on-grid X start and goal is a cylinder center at rest, so
-        // each cylinder's endpoint terms are computed once and shared by
-        // its whole matrix row and column.
-        let x_ends: Vec<Endpoint> = (0..geom.cylinders)
+        let x_ends: Box<[Endpoint]> = (0..geom.cylinders)
             .map(|cyl| sled.endpoint(mapper.x_of_cylinder(cyl), 0.0))
             .collect();
-        let n = geom.cylinders as usize;
-        let mut x = vec![0.0f64; n * n].into_boxed_slice();
-        let workers = thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1)
-            .clamp(1, n);
-        let rows_per_worker = n.div_ceil(workers);
-        thread::scope(|scope| {
-            for (i, block) in x.chunks_mut(rows_per_worker * n).enumerate() {
-                let first_row = i * rows_per_worker;
-                let x_ends = &x_ends;
-                let sled = &sled;
-                scope.spawn(move || {
-                    for (row, from) in block.chunks_mut(n).zip(&x_ends[first_row..]) {
-                        for (cell, to) in row.iter_mut().zip(x_ends) {
-                            *cell = sled.transfer_time(from, to);
-                        }
-                    }
-                });
-            }
-        });
-
-        // The Y table is tiny (~4.7k entries for the paper device); solve
-        // it serially. Directions: -v, rest, +v for the start; the target
-        // is always approached at ±the access velocity.
-        let boundaries = geom.rows_per_track + 1;
-        let b = boundaries as usize;
+        // Directions: -v, rest, +v for the start; the target is always
+        // approached at ±the access velocity.
         let v = params.access_velocity();
-        let y_ends: Vec<[Endpoint; 3]> = (0..boundaries)
+        let y_ends: Box<[[Endpoint; 3]]> = (0..=geom.rows_per_track)
             .map(|bound| {
                 let y = mapper.y_of_row_start(bound);
                 [-v, 0.0, v].map(|vy| sled.endpoint(y, vy))
             })
             .collect();
-        let mut y = vec![0.0f64; b * 3 * b * 2].into_boxed_slice();
-        for (from_b, from_ends) in y_ends.iter().enumerate() {
-            for (fdir, from) in from_ends.iter().enumerate() {
-                for (to_b, to_ends) in y_ends.iter().enumerate() {
-                    for (tdir, to) in [&to_ends[0], &to_ends[2]].into_iter().enumerate() {
-                        y[((from_b * 3 + fdir) * b + to_b) * 2 + tdir] =
-                            sled.transfer_time(from, to);
-                    }
-                }
-            }
-        }
-
-        Some(SeekSurface {
+        let (n, b) = (x_ends.len(), y_ends.len());
+        SeekSurface {
             params: params.clone(),
-            cylinders: geom.cylinders,
-            boundaries,
-            x,
-            y,
-        })
+            sled,
+            x_ends,
+            y_ends,
+            x: unsolved_cells(n * n),
+            y: unsolved_cells(b * 3 * b * 2),
+            filled: AtomicBool::new(false),
+        }
     }
 
-    /// The parameter set this surface was solved for.
+    /// Builds the complete surface for `params`, solving X rows in
+    /// parallel across the available cores. Returns `None` when the X
+    /// matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`].
+    pub fn build(params: &MemsParams) -> Option<Self> {
+        if Self::x_matrix_bytes(params) > Self::MAX_X_MATRIX_BYTES {
+            return None;
+        }
+        let surface = Self::empty(params);
+        surface.fill();
+        Some(surface)
+    }
+
+    /// The process-wide surface for `params`: the live one when any holder
+    /// keeps it, else a new, unfilled one. Returns `None` when the X
+    /// matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`].
+    ///
+    /// The registry holds surfaces weakly, except the one this call
+    /// returns, which it keeps alive until a call returns another. A
+    /// surface is therefore freed once its last holder drops and the
+    /// registry has handed out a surface for other parameters.
+    pub fn shared(params: &MemsParams) -> Option<Arc<Self>> {
+        if Self::x_matrix_bytes(params) > Self::MAX_X_MATRIX_BYTES {
+            return None;
+        }
+        // Each update below leaves the registry valid, so a lock poisoned
+        // by a panicking holder is safe to keep using.
+        let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        let Registry { live, latest } = &mut *registry;
+        live.retain(|(_, surface)| surface.strong_count() > 0);
+        let surface = live
+            .iter()
+            .find_map(|(p, surface)| (p == params).then(|| surface.upgrade()).flatten())
+            .unwrap_or_else(|| {
+                let surface = Arc::new(Self::empty(params));
+                live.push((params.clone(), Arc::downgrade(&surface)));
+                surface
+            });
+        *latest = Some(Arc::clone(&surface));
+        Some(surface)
+    }
+
+    /// Solves every cell: X rows in parallel across the available cores,
+    /// then the Y table. X cells are stored without checking whether they
+    /// were already filled, which keeps the eager fill as cheap as a plain
+    /// write of every cell; a filled cell gets the same bits again, so
+    /// concurrent lookups and fills stay sound. Once a fill has finished,
+    /// later ones return at once.
+    pub fn fill(&self) {
+        if self.filled.load(Relaxed) {
+            return;
+        }
+        let n = self.x_ends.len();
+        let workers = thread::available_parallelism()
+            .map_or(1, |w| w.get())
+            .clamp(1, n);
+        let rows_per_worker = n.div_ceil(workers);
+        thread::scope(|scope| {
+            for (i, block) in self.x.chunks(rows_per_worker * n).enumerate() {
+                let (sled, ends) = (self.sled, &self.x_ends[..]);
+                scope.spawn(move || {
+                    for (row, from) in block.chunks(n).zip(&ends[i * rows_per_worker..]) {
+                        for (cell, to) in row.iter().zip(ends) {
+                            cell.store(sled.transfer_time(from, to).to_bits(), Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        for i in 0..self.y.len() {
+            self.y_cell(i);
+        }
+        self.filled.store(true, Relaxed);
+    }
+
+    /// The parameter set this surface solves.
     pub fn params(&self) -> &MemsParams {
         &self.params
     }
 
     /// Number of cylinders (side length of the X matrix).
     pub fn cylinders(&self) -> u32 {
-        self.cylinders
+        self.x_ends.len() as u32
     }
 
-    /// Total resident size of both tables in bytes.
+    /// Size of both tables in bytes; a lazily filled surface keeps the
+    /// pages no query has touched out of the resident set.
     pub fn bytes(&self) -> u64 {
         ((self.x.len() + self.y.len()) * std::mem::size_of::<f64>()) as u64
     }
@@ -189,42 +267,95 @@ impl SeekSurface {
     /// Panics if either cylinder is out of range.
     #[inline]
     pub fn x_seek(&self, from: u32, to: u32) -> f64 {
-        debug_assert!(from < self.cylinders && to < self.cylinders);
-        self.x[from as usize * self.cylinders as usize + to as usize]
+        let n = self.x_ends.len();
+        let (from, to) = (from as usize, to as usize);
+        assert!(
+            from < n && to < n,
+            "X seek from cylinder {from} to {to} is off the grid"
+        );
+        self.x_at(from, to)
     }
 
-    /// Y seek time for the quantized endpoints `key` (the same key the memo
-    /// table uses: row-boundary indices plus velocity directions, where the
-    /// target direction is ±1).
+    /// [`SeekSurface::x_seek`] without its range check, for the device,
+    /// whose quantized cylinders are in range by construction; the check
+    /// costs ~7% of an SPTF-bound run. An out-of-range `to` would read a
+    /// neighbouring row's cell.
+    #[inline]
+    pub(crate) fn x_at(&self, from: usize, to: usize) -> f64 {
+        let n = self.x_ends.len();
+        solved(&self.x[from * n + to], || {
+            self.sled
+                .transfer_time(&self.x_ends[from], &self.x_ends[to])
+        })
+    }
+
+    /// Y seek time for the quantized endpoints `key`.
     ///
     /// # Panics
     ///
-    /// Panics if a boundary index or direction is out of range.
+    /// Panics if a boundary index is out of range, `from_dir` is not −1,
+    /// 0 or 1, or `to_dir` is not ±1.
     #[inline]
     pub fn y_seek(&self, key: YKey) -> f64 {
-        self.y[self.y_index(key)]
+        let b = self.y_ends.len();
+        let (from, to) = (usize::from(key.from_boundary), usize::from(key.to_boundary));
+        assert!(
+            from < b && to < b && matches!(key.from_dir, -1..=1) && matches!(key.to_dir, -1 | 1),
+            "Y seek key {key:?} is off the grid"
+        );
+        self.y_at(key)
     }
 
-    /// Flat index of `key`: `((from · 3 + (from_dir+1)) · boundaries + to)
-    /// · 2 + (to_dir > 0)`.
+    /// [`SeekSurface::y_seek`] without its range check, for the device,
+    /// whose quantized keys are on the grid by construction.
     #[inline]
-    fn y_index(&self, key: YKey) -> usize {
-        debug_assert!(u32::from(key.from_boundary) < self.boundaries);
-        debug_assert!(u32::from(key.to_boundary) < self.boundaries);
-        debug_assert!((-1..=1).contains(&key.from_dir));
-        debug_assert!(key.to_dir == -1 || key.to_dir == 1);
-        let b = self.boundaries as usize;
-        (usize::from(key.from_boundary) * 3 + (key.from_dir + 1) as usize) * b * 2
-            + usize::from(key.to_boundary) * 2
-            + usize::from(key.to_dir > 0)
+    pub(crate) fn y_at(&self, key: YKey) -> f64 {
+        let b = self.y_ends.len();
+        let (from, to) = (usize::from(key.from_boundary), usize::from(key.to_boundary));
+        let from_dir = (key.from_dir + 1) as usize;
+        self.y_cell(((from * 3 + from_dir) * b + to) * 2 + usize::from(key.to_dir > 0))
+    }
+
+    /// Y cell `i`, solved on first use. Cells are laid out as
+    /// `((from · 3 + from_dir + 1) · boundaries + to) · 2 + (to_dir > 0)`.
+    #[inline]
+    fn y_cell(&self, i: usize) -> f64 {
+        solved(&self.y[i], || {
+            let b = self.y_ends.len();
+            let (from, from_dir, to, to_up) = (i / (6 * b), i / (2 * b) % 3, i / 2 % b, i % 2);
+            self.sled
+                .transfer_time(&self.y_ends[from][from_dir], &self.y_ends[to][2 * to_up])
+        })
+    }
+}
+
+/// `n` unsolved cells. The allocation is zeroed rather than written, so a
+/// large one stays out of the resident set until its pages are touched.
+fn unsolved_cells(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: `AtomicU64` has the same in-memory representation as `u64`,
+    // so all-zero bytes are a valid `AtomicU64` holding `UNSOLVED`.
+    unsafe { Box::new_zeroed_slice(n).assume_init() }
+}
+
+/// The time in `cell`, solving and storing it on first use. Racing
+/// solvers store the same bits.
+#[inline]
+fn solved(cell: &AtomicU64, solve: impl FnOnce() -> f64) -> f64 {
+    match cell.load(Relaxed) {
+        UNSOLVED => {
+            let t = solve();
+            cell.store(t.to_bits(), Relaxed);
+            t
+        }
+        bits => f64::from_bits(bits),
     }
 }
 
 impl fmt::Debug for SeekSurface {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SeekSurface")
-            .field("cylinders", &self.cylinders)
-            .field("boundaries", &self.boundaries)
+            .field("cylinders", &self.cylinders())
+            .field("boundaries", &self.y_ends.len())
             .field("bytes", &self.bytes())
             .finish()
     }
@@ -234,7 +365,7 @@ impl fmt::Debug for SeekSurface {
 pub(crate) mod tests {
     use super::*;
     use crate::kinematics::reference::ReferenceSled;
-    use std::sync::{Arc, OnceLock};
+    use std::sync::{Barrier, OnceLock};
 
     /// A geometrically valid but small device (200 cylinders, 2 rows per
     /// track) so exhaustive checks stay fast.
@@ -285,34 +416,43 @@ pub(crate) mod tests {
         });
     }
 
+    /// Every on-grid Y key of `s`.
+    fn y_keys(s: &SeekSurface) -> Vec<YKey> {
+        let b = s.y_ends.len() as u16;
+        let mut keys = Vec::new();
+        for from_boundary in 0..b {
+            for from_dir in [-1i8, 0, 1] {
+                for to_boundary in 0..b {
+                    for to_dir in [-1i8, 1] {
+                        keys.push(YKey {
+                            from_boundary,
+                            from_dir,
+                            to_boundary,
+                            to_dir,
+                        });
+                    }
+                }
+            }
+        }
+        keys
+    }
+
     /// Asserts that the whole Y table of `s` equals `solve` bit for bit.
     fn assert_y_table_matches(s: &SeekSurface, solve: Solve) {
         let mapper = Mapper::new(s.params());
         let v = s.params().access_velocity();
-        for from_b in 0..s.boundaries as u16 {
-            for from_dir in [-1i8, 0, 1] {
-                for to_b in 0..s.boundaries as u16 {
-                    for to_dir in [-1i8, 1] {
-                        let key = YKey {
-                            from_boundary: from_b,
-                            from_dir,
-                            to_boundary: to_b,
-                            to_dir,
-                        };
-                        let want = solve(
-                            mapper.y_of_row_start(u32::from(from_b)),
-                            f64::from(from_dir) * v,
-                            mapper.y_of_row_start(u32::from(to_b)),
-                            f64::from(to_dir) * v,
-                        );
-                        assert_eq!(
-                            s.y_seek(key).to_bits(),
-                            want.to_bits(),
-                            "y_seek({key:?}) differs from the solver"
-                        );
-                    }
-                }
-            }
+        for key in y_keys(s) {
+            let want = solve(
+                mapper.y_of_row_start(u32::from(key.from_boundary)),
+                f64::from(key.from_dir) * v,
+                mapper.y_of_row_start(u32::from(key.to_boundary)),
+                f64::from(key.to_dir) * v,
+            );
+            assert_eq!(
+                s.y_seek(key).to_bits(),
+                want.to_bits(),
+                "y_seek({key:?}) differs from the solver"
+            );
         }
     }
 
@@ -325,6 +465,51 @@ pub(crate) mod tests {
         let solve = |p0, v0, p1, v1| sled.seek_time(p0, v0, p1, v1);
         assert_x_rows_match(s, rows, &solve);
         assert_y_table_matches(s, &solve);
+    }
+
+    /// Asserts that X rows `rows` and the whole Y table of `a` and `b`
+    /// hold the same bits.
+    fn assert_surfaces_equal(a: &SeekSurface, b: &SeekSurface, rows: &[u32]) {
+        for &from in rows {
+            for to in 0..a.cylinders() {
+                assert_eq!(
+                    a.x_seek(from, to).to_bits(),
+                    b.x_seek(from, to).to_bits(),
+                    "x_seek({from}, {to})"
+                );
+            }
+        }
+        for key in y_keys(a) {
+            assert_eq!(a.y_seek(key).to_bits(), b.y_seek(key).to_bits(), "{key:?}");
+        }
+    }
+
+    /// `items` in a deterministic pseudo-random order (Fisher–Yates over
+    /// an LCG seeded by `seed`).
+    fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+        let mut state = seed;
+        for i in (1..items.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            items.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        items
+    }
+
+    /// Queries X rows `rows` (every column) and the whole Y table of `s`
+    /// in an order shuffled by `seed`, filling a lazy surface as it goes.
+    fn touch_shuffled(s: &SeekSurface, rows: &[u32], seed: u64) {
+        let cells = rows
+            .iter()
+            .flat_map(|&from| (0..s.cylinders()).map(move |to| (from, to)))
+            .collect();
+        for (from, to) in shuffled(cells, seed) {
+            s.x_seek(from, to);
+        }
+        for key in shuffled(y_keys(s), seed) {
+            s.y_seek(key);
+        }
     }
 
     #[test]
@@ -343,13 +528,22 @@ pub(crate) mod tests {
         assert_y_table_matches(&s, &|p0, v0, p1, v1| sled.seek_time(p0, v0, p1, v1));
     }
 
-    /// The paper-device surface, built once per test process and shared by
-    /// every test that needs it.
+    /// The paper-device surface, built eagerly once per test process and
+    /// shared by every test that needs it.
     pub(crate) fn paper_surface() -> Arc<SeekSurface> {
         static SURFACE: OnceLock<Arc<SeekSurface>> = OnceLock::new();
         Arc::clone(SURFACE.get_or_init(|| {
             Arc::new(SeekSurface::build(&MemsParams::default()).expect("paper device fits"))
         }))
+    }
+
+    /// The sampled paper rows: both edges, both sides of the center, and
+    /// every 97th.
+    fn paper_rows() -> Vec<u32> {
+        let n = MemsParams::default().geometry().cylinders;
+        let mut rows = vec![0, 1, n / 2 - 1, n / 2, n - 2, n - 1];
+        rows.extend((0..n).step_by(97));
+        rows
     }
 
     #[test]
@@ -360,20 +554,123 @@ pub(crate) mod tests {
 
     #[test]
     fn paper_surface_sampled_rows_match_frozen_reference() {
-        let s = paper_surface();
-        let n = s.cylinders();
-        let mut rows = vec![0, 1, n / 2 - 1, n / 2, n - 2, n - 1];
-        rows.extend((0..n).step_by(97));
-        assert_matches_reference(&s, &rows);
+        assert_matches_reference(&paper_surface(), &paper_rows());
     }
 
-    /// Every one of the paper surface's 6.25 M X cells; seconds in release,
-    /// far longer in debug, so it runs only when asked for (`-- --ignored`).
+    /// Every one of the paper surface's 6.25 M X cells, on the eager
+    /// surface and on one the check itself fills lazily; seconds in
+    /// release, far longer in debug, so it runs only when asked for
+    /// (`-- --ignored`).
     #[test]
     #[ignore = "exhaustive; run in release with --ignored"]
     fn paper_surface_matches_frozen_reference_everywhere() {
-        let s = paper_surface();
-        assert_matches_reference(&s, &(0..s.cylinders()).collect::<Vec<_>>());
+        let rows: Vec<u32> = (0..paper_surface().cylinders()).collect();
+        assert_matches_reference(&paper_surface(), &rows);
+        assert_matches_reference(&SeekSurface::empty(&MemsParams::default()), &rows);
+    }
+
+    #[test]
+    fn lazy_fill_in_shuffled_order_matches_eager_build() {
+        let params = small_params();
+        let lazy = SeekSurface::empty(&params);
+        let all: Vec<u32> = (0..lazy.cylinders()).collect();
+        touch_shuffled(&lazy, &all, 0x5EED);
+        let eager = SeekSurface::build(&params).expect("small device fits");
+        assert_eq!(lazy.bytes(), eager.bytes());
+        assert_surfaces_equal(&lazy, &eager, &all);
+
+        let lazy = SeekSurface::empty(&MemsParams::default());
+        touch_shuffled(&lazy, &paper_rows(), 0xFACE);
+        assert_surfaces_equal(&lazy, &paper_surface(), &paper_rows());
+    }
+
+    #[test]
+    fn concurrent_fills_of_one_surface_match_eager_build() {
+        // Four threads query every cell in their own shuffled orders while
+        // a fifth fills the whole surface, all released at once; every
+        // cell is raced for.
+        let params = small_params();
+        let lazy = SeekSurface::empty(&params);
+        let all: Vec<u32> = (0..lazy.cylinders()).collect();
+        let start = Barrier::new(5);
+        thread::scope(|scope| {
+            for seed in 1..=4 {
+                let (lazy, all, start) = (&lazy, &all, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    touch_shuffled(lazy, all, seed);
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                lazy.fill();
+            });
+        });
+        assert_surfaces_equal(&lazy, &SeekSurface::build(&params).unwrap(), &all);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn x_seek_past_the_last_cylinder_panics() {
+        let s = SeekSurface::empty(&small_params());
+        s.x_seek(0, s.cylinders());
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn y_seek_past_the_last_boundary_panics() {
+        let s = SeekSurface::empty(&small_params());
+        s.y_seek(YKey {
+            from_boundary: 0,
+            from_dir: 0,
+            to_boundary: s.y_ends.len() as u16,
+            to_dir: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn y_seek_to_a_resting_target_panics() {
+        SeekSurface::empty(&small_params()).y_seek(YKey {
+            from_boundary: 0,
+            from_dir: 0,
+            to_boundary: 1,
+            to_dir: 0,
+        });
+    }
+
+    #[test]
+    fn registry_shares_live_surfaces_and_frees_dropped_ones() {
+        // Parameter sets no other test uses, so no other holder can keep
+        // their surfaces alive.
+        let params = MemsParams {
+            spring_factor: 0.5,
+            ..small_params()
+        };
+        let other = MemsParams {
+            spring_factor: 0.25,
+            ..small_params()
+        };
+        let a = SeekSurface::shared(&params).expect("small device fits");
+        let b = SeekSurface::shared(&params).expect("small device fits");
+        assert!(Arc::ptr_eq(&a, &b), "live surfaces are shared");
+        a.x_seek(3, 4);
+        let weak = Arc::downgrade(&a);
+        drop((a, b));
+        // Whatever other tests resolved since, the call below hands out
+        // another surface, so nothing keeps this one alive any more.
+        SeekSurface::shared(&other).expect("small device fits");
+        assert!(
+            weak.upgrade().is_none(),
+            "the registry holds all but its latest surface weakly"
+        );
+        let fresh = SeekSurface::shared(&params).expect("small device fits");
+        let n = fresh.x_ends.len();
+        assert_eq!(
+            fresh.x[3 * n + 4].load(Relaxed),
+            UNSOLVED,
+            "a fresh surface is unfilled"
+        );
     }
 
     #[test]
@@ -385,21 +682,18 @@ pub(crate) mod tests {
         };
         assert!(SeekSurface::x_matrix_bytes(&huge) > SeekSurface::MAX_X_MATRIX_BYTES);
         assert!(SeekSurface::build(&huge).is_none());
-        // The same guard, exercised without a big allocation: a tight
-        // explicit limit refuses even the small device...
-        let params = small_params();
-        assert!(SeekSurface::build_with_limit(&params, 1024).is_none());
-        // ...while a sufficient limit accepts it.
-        assert!(SeekSurface::build_with_limit(&params, u64::MAX).is_some());
+        assert!(SeekSurface::shared(&huge).is_none());
+        assert!(SeekSurface::build(&small_params()).is_some());
     }
 
     #[test]
     fn reports_its_own_footprint() {
-        let s = SeekSurface::build(&small_params()).expect("small device fits");
         // 200² X entries + (2+1)·3·(2+1)·2 Y entries, 8 bytes each.
+        let s = SeekSurface::build(&small_params()).expect("small device fits");
         assert_eq!(s.bytes(), (200 * 200 + 3 * 3 * 6) * 8);
         assert_eq!(s.cylinders(), 200);
         let dbg = format!("{s:?}");
         assert!(dbg.contains("cylinders: 200"), "{dbg}");
+        assert_eq!(SeekSurface::empty(&small_params()).bytes(), s.bytes());
     }
 }

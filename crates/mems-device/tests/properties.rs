@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mems_device::seek_table::YKey;
+use mems_device::surface::YKey;
 use mems_device::{Mapper, MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
 use proptest::prelude::*;
 use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
@@ -208,21 +208,23 @@ proptest! {
         prop_assert_eq!(s.y_seek(key).to_bits(), y_direct.to_bits());
     }
 
-    /// A surface-backed device tracks a memo-table device bit-for-bit over
+    /// Devices on an attached eager surface, on the lazily filled shared
+    /// one, and on the direct solver track each other bit for bit over
     /// arbitrary request streams: positioning estimates, full service
-    /// breakdowns, and the mechanical state all stay identical — including
-    /// the off-grid centered state both start from, which must bypass the
-    /// surface and memo table the same way.
+    /// breakdowns, and the mechanical state all stay identical, including
+    /// the off-grid centered state all start from, which must bypass both
+    /// surfaces.
     #[test]
-    fn surfaced_device_tracks_memo_device(
+    fn surfaced_device_tracks_direct_solver_device(
         raws in prop::collection::vec(any::<u64>(), 1..40),
     ) {
         let params = small_params();
-        let mut memo = MemsDevice::new(params.clone()).with_seek_table(true);
-        let mut surfaced = MemsDevice::new(params.clone())
-            .with_seek_table(true)
-            .with_seek_surface(small_surface());
-        let capacity = memo.capacity_lbns();
+        let mut devices = [
+            MemsDevice::new(params.clone()).with_seek_table(false),
+            MemsDevice::new(params.clone()).with_seek_surface(small_surface()),
+            MemsDevice::new(params.clone()),
+        ];
+        let capacity = devices[0].capacity_lbns();
         for (i, raw) in raws.iter().enumerate() {
             let req = Request::new(
                 i as u64,
@@ -231,13 +233,18 @@ proptest! {
                 8,
                 IoKind::Read,
             );
-            let est_m = memo.position_time(&req, SimTime::ZERO);
-            let est_s = surfaced.position_time(&req, SimTime::ZERO);
-            prop_assert_eq!(est_m.to_bits(), est_s.to_bits(), "estimate for {:?}", req);
-            let b_m = memo.service(&req, SimTime::ZERO);
-            let b_s = surfaced.service(&req, SimTime::ZERO);
-            prop_assert_eq!(format!("{:?}", b_m), format!("{:?}", b_s));
-            prop_assert_eq!(format!("{:?}", memo.state()), format!("{:?}", surfaced.state()));
+            let est: Vec<u64> = devices
+                .iter()
+                .map(|d| d.position_time(&req, SimTime::ZERO).to_bits())
+                .collect();
+            prop_assert!(est.iter().all(|&e| e == est[0]), "estimates {:?} for {:?}", est, req);
+            let b: Vec<String> = devices
+                .iter_mut()
+                .map(|d| format!("{:?}", d.service(&req, SimTime::ZERO)))
+                .collect();
+            prop_assert!(b.iter().all(|x| *x == b[0]), "breakdowns {:?}", b);
+            let states: Vec<String> = devices.iter().map(|d| format!("{:?}", d.state())).collect();
+            prop_assert!(states.iter().all(|x| *x == states[0]), "states {:?}", states);
         }
     }
 }

@@ -2,8 +2,9 @@
 //! time?
 //!
 //! The roadmap's "as fast as the hardware allows" goal needs data, not
-//! guesses: is a run bound by scheduler picks (positioning solves, memo
-//! lookups), by device service computation, or by the event loop itself?
+//! guesses: is a run bound by scheduler picks (positioning solves, seek
+//! surface lookups), by device service computation, or by the event loop
+//! itself?
 //! [`Profiler`] is a [`Tracer`] that answers this with wall-clock scoped
 //! timers the driver wraps around its hot components. The timers are gated
 //! on [`Tracer::PROFILE`], which defaults to `false` — a [`NoopTracer`] or
@@ -27,7 +28,7 @@ use crate::tracer::Tracer;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfScope {
     /// One scheduler `pick` call — includes every positioning-time query
-    /// (and seek-table memo lookup) the scheduler issues while scoring
+    /// (and seek surface lookup) the scheduler issues while scoring
     /// candidates.
     SchedPick,
     /// One device `service` call (kinematic solves and state advance).
@@ -149,13 +150,11 @@ impl Profiler {
         }
     }
 
-    /// The profile as one pretty-printed JSON object. `cache` optionally
-    /// carries the device's seek-time memo-table `(hits, misses)` counters
-    /// so cache effectiveness lands next to the time it saves.
+    /// The profile as one pretty-printed JSON object.
     ///
     /// Wall-clock derived and therefore nondeterministic: informational
     /// artifacts only, never a byte-gated golden.
-    pub fn profile_json(&self, cache: Option<(u64, u64)>) -> String {
+    pub fn profile_json(&self) -> String {
         let wall = self.run_nanos as f64 * 1e-9;
         let mut s = String::with_capacity(1024);
         let _ = write!(
@@ -193,18 +192,6 @@ impl Profiler {
             "  }},\n  \"event_loop_other_seconds\": {:.6}",
             (wall - attributed).max(0.0)
         );
-        if let Some((hits, misses)) = cache {
-            let total = hits + misses;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            };
-            let _ = write!(
-                s,
-                ",\n  \"seek_cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {rate:.4} }}"
-            );
-        }
         s.push_str("\n}\n");
         s
     }
@@ -248,9 +235,8 @@ mod tests {
         assert_eq!(pick.max_nanos, 300);
         assert_eq!(p.events(), 10);
         assert!((p.events_per_sec() - 10.0 / 2e-6).abs() < 1e-6);
-        let json = p.profile_json(Some((7, 3)));
+        let json = p.profile_json();
         assert!(json.contains("\"sched_pick\": { \"calls\": 2"));
-        assert!(json.contains("\"hit_rate\": 0.7000"));
         assert!(json.contains("\"events\": 10"));
     }
 
@@ -258,8 +244,7 @@ mod tests {
     fn empty_profile_is_benign() {
         let p = Profiler::new();
         assert_eq!(p.events_per_sec(), 0.0);
-        let json = p.profile_json(None);
+        let json = p.profile_json();
         assert!(json.contains("\"events\": 0"));
-        assert!(!json.contains("seek_cache"));
     }
 }

@@ -381,9 +381,6 @@ pub struct RingTracer {
     /// the event ring).
     depth_series: VecDeque<(f64, usize)>,
     max_queue_depth: usize,
-    /// Device-side positioning-cache `(hits, misses)`, attached by the
-    /// harness after a run (the tracer itself cannot see the device).
-    cache_stats: Option<(u64, u64)>,
 }
 
 impl RingTracer {
@@ -404,21 +401,7 @@ impl RingTracer {
             energy_sum: PhaseEnergy::default(),
             depth_series: VecDeque::with_capacity(capacity.min(4096)),
             max_queue_depth: 0,
-            cache_stats: None,
         }
-    }
-
-    /// Attaches the device's seek-time memo-table hit/miss counters so the
-    /// summary JSON reports cache effectiveness alongside the scheduler
-    /// counters. Call after the run (e.g. with
-    /// `device.seek_table_stats()`); pass the raw `(hits, misses)`.
-    pub fn set_cache_stats(&mut self, hits: u64, misses: u64) {
-        self.cache_stats = Some((hits, misses));
-    }
-
-    /// The attached positioning-cache `(hits, misses)`, if any.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache_stats
     }
 
     fn push_event(&mut self, ev: TraceEvent) {
@@ -549,18 +532,6 @@ impl RingTracer {
             e.overhead_j,
             e.total(),
         );
-        if let Some((hits, misses)) = self.cache_stats {
-            let total = hits + misses;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            };
-            let _ = write!(
-                s,
-                ",\n  \"seek_cache\": {{\n    \"hits\": {hits},\n    \"misses\": {misses},\n    \"hit_rate\": {rate:.4}\n  }}"
-            );
-        }
         s.push_str("\n}\n");
         s
     }
@@ -769,21 +740,6 @@ mod tests {
             "evicted samples are accounted, not silent"
         );
         assert!(t.summary_json().contains("\"dropped_depth_samples\": 7"));
-    }
-
-    #[test]
-    fn summary_reports_cache_stats_when_attached() {
-        let mut t = RingTracer::new(4);
-        assert!(
-            !t.summary_json().contains("seek_cache"),
-            "no cache section until stats are attached"
-        );
-        t.set_cache_stats(30, 10);
-        assert_eq!(t.cache_stats(), Some((30, 10)));
-        let s = t.summary_json();
-        assert!(s.contains("\"seek_cache\""));
-        assert!(s.contains("\"hits\": 30"));
-        assert!(s.contains("\"hit_rate\": 0.7500"));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! 1. A zero-fault [`DegradedDevice`] run is *bit-identical* to the bare
 //!    device — on MEMS and on disk — so the wrapper is free until a fault
 //!    actually fires.
-//! 2. The seek-time memo table and the reference closed-form path agree
-//!    on degraded runs with far-remapped LBNs (the remap translates the
-//!    request *before* memoization, so cached physical timings stay
-//!    exact).
+//! 2. The seek cache and the reference closed-form path agree on degraded
+//!    runs with far-remapped LBNs (the remap translates the request
+//!    *before* the device positions for it, so cached physical timings
+//!    stay exact).
 //! 3. Every sector the timing layer reconstructs is byte-identical to
 //!    the original when the same damage is replayed through the
 //!    byte-accurate [`ReliableStore`].
@@ -82,15 +82,15 @@ fn zero_fault_disk_run_is_bit_identical_to_bare_device() {
     assert_eq!(wrapped.breakdown_sum.fault_recovery, 0.0);
 }
 
-/// Regression for the memo-table bugfix: far-remapped LBNs must hit the
-/// seek-time memo table with their *remapped* physical coordinates. With
-/// parity 0 every touched damaged stripe far-remaps, so the run exercises
-/// redirected requests heavily; the memoized and closed-form devices must
+/// Regression for the seek-cache bugfix: far-remapped LBNs must hit the
+/// seek cache with their *remapped* physical coordinates. With parity 0
+/// every touched damaged stripe far-remaps, so the run exercises
+/// redirected requests heavily; the cached and closed-form devices must
 /// agree bit for bit.
 #[test]
-fn degraded_runs_agree_with_and_without_seek_memo_table() {
-    let run = |memo: bool| {
-        let inner = MemsDevice::new(MemsParams::default()).with_seek_table(memo);
+fn degraded_runs_agree_with_and_without_seek_cache() {
+    let run = |cached: bool| {
+        let inner = MemsDevice::new(MemsParams::default()).with_seek_table(cached);
         let device = DegradedDevice::mems(inner, 3).with_parity(0);
         let clock = FaultClock::tip_failures(77, 40, 6400, SimTime::from_ms(200.0));
         let mut driver = Driver::new(mems_workload(600, 21), SptfScheduler::new(), device)
@@ -100,13 +100,13 @@ fn degraded_runs_agree_with_and_without_seek_memo_table() {
         let remapped = driver.device().remap_table().len();
         (report, remapped)
     };
-    let (with_memo, remapped_a) = run(true);
-    let (without_memo, remapped_b) = run(false);
+    let (cached, remapped_a) = run(true);
+    let (direct, remapped_b) = run(false);
     assert!(remapped_a > 0, "the run must actually far-remap LBNs");
     assert_eq!(remapped_a, remapped_b);
-    assert_reports_identical(&with_memo, &without_memo);
-    assert!(with_memo.fault_events > 0);
-    assert!(with_memo.breakdown_sum.fault_recovery > 0.0);
+    assert_reports_identical(&cached, &direct);
+    assert!(cached.fault_events > 0);
+    assert!(cached.breakdown_sum.fault_recovery > 0.0);
 }
 
 /// Reconstruction correctness: replay the exact damage a degraded run

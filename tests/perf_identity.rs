@@ -1,9 +1,8 @@
 //! Bit-identity of the driver's fast paths against their references.
 //!
 //! The scheduler axis runs one Fig. 6-style cell under the pruned SPTF
-//! pick and under each reference pick (the naive scan, the
-//! rescan-every-pick B-tree index): the `SimReport`s must match field for
-//! field — same completions in the same order at the same times, same
+//! pick and under the naive full scan: the `SimReport`s must match field
+//! for field — same completions in the same order at the same times, same
 //! accumulated statistics.
 //!
 //! The engine axis replays a matrix of driver cells — MEMS and the Atlas
@@ -17,7 +16,7 @@
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::sched::{AgedSptfScheduler, NaiveSptfScheduler, RescanSptfScheduler, SptfScheduler};
+use mems_os::sched::{AgedSptfScheduler, NaiveSptfScheduler, SptfScheduler};
 use storage_sim::{
     Driver, DynScheduler, FaultClock, FifoScheduler, OverloadPolicy, Scheduler, SimReport, SimTime,
     StorageDevice,
@@ -75,15 +74,6 @@ fn full_fast_stack_matches_full_reference_stack() {
     let fast = run_mems_cell(SptfScheduler::new());
     let reference = run_mems_cell(NaiveSptfScheduler::new());
     assert_reports_identical(&fast, &reference, "pruned vs naive");
-}
-
-#[test]
-fn incremental_pick_matches_rescan_under_reference_engine() {
-    // Incremental candidate maintenance against the index rebuilt by a
-    // rescan on every pick.
-    let a = run_mems_cell(SptfScheduler::new());
-    let b = run_mems_cell(RescanSptfScheduler::new());
-    assert_reports_identical(&a, &b, "incremental vs rescan");
 }
 
 /// Requests per engine-axis cell, and the completions excluded as warm-up.

@@ -8,8 +8,7 @@
 use mems_bench::run_one;
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::{
-    AgedSptfScheduler, Algorithm, NaiveAgedSptfScheduler, NaiveSptfScheduler,
-    RescanAgedSptfScheduler, RescanSptfScheduler, SptfScheduler,
+    AgedSptfScheduler, Algorithm, NaiveAgedSptfScheduler, NaiveSptfScheduler, SptfScheduler,
 };
 use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
@@ -79,77 +78,18 @@ fn pruned_aged_sptf_reports_match_naive_scan() {
 #[test]
 fn shallow_queue_sptf_reports_match_rescan() {
     // At 300 req/s a MEMS station runs mostly empty or one deep, so nearly
-    // every pick takes the empty- or single-entry short-circuit; the
-    // rescan reference scores every pick.
+    // every pick takes the empty- or single-entry short-circuit; the naive
+    // full-scan reference rescans every pick.
     for seed in SEEDS {
         let wl = || RandomWorkload::paper(CAPACITY, 300.0, 1500, seed);
         let fast = run(wl(), SptfScheduler::new(), true);
-        let rescan = run(wl(), RescanSptfScheduler::new(), true);
+        let rescan = run(wl(), NaiveSptfScheduler::new(), true);
         assert!(fast.mean_queue_depth < 1.0, "cell is not shallow");
         assert_reports_identical(&fast, &rescan, &format!("shallow SPTF seed {seed}"));
         assert_eq!(fast.mean_queue_depth, rescan.mean_queue_depth);
         let fast = run(wl(), AgedSptfScheduler::new(2.0), true);
-        let rescan = run(wl(), RescanAgedSptfScheduler::new(2.0), true);
+        let rescan = run(wl(), NaiveAgedSptfScheduler::new(2.0), true);
         assert_reports_identical(&fast, &rescan, &format!("shallow aged SPTF seed {seed}"));
-    }
-}
-
-#[test]
-fn incremental_sptf_reports_match_rescan() {
-    // The incremental per-bucket cache vs the B-tree rescan-every-pick
-    // reference: same pruned-scan semantics, different candidate
-    // maintenance — reports must stay bit-identical.
-    for seed in SEEDS {
-        for rate in RATES {
-            let wl = || RandomWorkload::paper(CAPACITY, rate, 1500, seed);
-            let incremental = run(wl(), SptfScheduler::new(), true);
-            let rescan = run(wl(), RescanSptfScheduler::new(), true);
-            assert_reports_identical(
-                &incremental,
-                &rescan,
-                &format!("SPTF incremental seed {seed} rate {rate}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn incremental_aged_sptf_reports_match_rescan() {
-    for seed in SEEDS {
-        let wl = || RandomWorkload::paper(CAPACITY, 1800.0, 1200, seed);
-        let incremental = run(wl(), AgedSptfScheduler::new(2.0), true);
-        let rescan = run(wl(), RescanAgedSptfScheduler::new(2.0), true);
-        assert_reports_identical(
-            &incremental,
-            &rescan,
-            &format!("aged SPTF incremental seed {seed}"),
-        );
-    }
-}
-
-#[test]
-fn incremental_sptf_reports_match_rescan_on_disk() {
-    // The disk oracle's rest key includes the query time (rotational
-    // phase), so the cache turns over every pick — correctness must not
-    // depend on hits.
-    use atlas_disk::{DiskDevice, DiskParams};
-    let disk = || DiskDevice::new(DiskParams::quantum_atlas_10k());
-    let disk_capacity = disk().capacity_lbns();
-    for seed in [3u64, 0xD15C] {
-        let wl = || RandomWorkload::paper(disk_capacity, 220.0, 1000, seed);
-        let incremental = Driver::new(wl(), SptfScheduler::new(), disk())
-            .warmup_requests(200)
-            .record_completions(true)
-            .run();
-        let rescan = Driver::new(wl(), RescanSptfScheduler::new(), disk())
-            .warmup_requests(200)
-            .record_completions(true)
-            .run();
-        assert_reports_identical(
-            &incremental,
-            &rescan,
-            &format!("disk SPTF incremental seed {seed}"),
-        );
     }
 }
 
