@@ -10,7 +10,7 @@ use mems_bench::{write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::cache::CachedDevice;
 use storage_sim::{Driver, FifoScheduler, IoKind, Request, SimTime, VecWorkload};
-use storage_trace::{cello_for_capacity, TraceWorkload};
+use storage_trace::{cello_for_capacity, Replay};
 
 fn sequential_workload(n: u64) -> Vec<Request> {
     (0..n)
@@ -68,7 +68,7 @@ fn main() {
         let seq_hit = d1.device().stats().hit_rate();
 
         let trace = cello_for_capacity(capacity, n, 0xCACE);
-        let mut d2 = Driver::new(TraceWorkload::new(trace, 4.0), FifoScheduler::new(), make());
+        let mut d2 = Driver::new(Replay::new(trace, 4.0), FifoScheduler::new(), make());
         let r2 = d2.run();
         let cello_ms = r2.mean_service_ms();
         let cello_hit = d2.device().stats().hit_rate();

@@ -13,9 +13,13 @@
 use mems_bench::{run_one, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
-use storage_trace::{cello_for_capacity, tpcc_for_capacity, TraceRecord, TraceWorkload};
+use storage_trace::{cello_for_capacity, tpcc_for_capacity, Replay, TraceRecord};
 
-fn run_panel(name: &str, csv: &str, records: &[TraceRecord], scales: &[f64], requests: usize) {
+/// Replays a fresh copy of the `trace` stream for every cell.
+fn run_panel<I>(name: &str, csv: &str, trace: I, scales: &[f64])
+where
+    I: Iterator<Item = TraceRecord> + Clone,
+{
     println!("Figure 7 {name}: average response time (ms) vs trace scale factor");
     let mut headers = vec!["scale".to_string()];
     headers.extend(Algorithm::ALL.iter().map(|a| a.label().to_string()));
@@ -23,7 +27,7 @@ fn run_panel(name: &str, csv: &str, records: &[TraceRecord], scales: &[f64], req
     for &scale in scales {
         let mut row = vec![format!("{scale}")];
         for alg in Algorithm::ALL {
-            let workload = TraceWorkload::new(records[..requests].to_vec(), scale);
+            let workload = Replay::new(trace.clone(), scale);
             let report = run_one(workload, alg, MemsDevice::new(MemsParams::default()), 200);
             row.push(format!("{:.3}", report.response.mean_ms()));
         }
@@ -34,29 +38,24 @@ fn run_panel(name: &str, csv: &str, records: &[TraceRecord], scales: &[f64], req
 }
 
 fn main() {
-    let requests: usize = std::env::args()
+    let requests: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(10_000);
     let capacity = MemsParams::default().geometry().total_sectors();
 
-    // Generate traces once; the base (scale-1) arrival rates are modest,
-    // so the sweep scales them up toward device saturation.
-    let cello = cello_for_capacity(capacity, requests as u64, 0x5EED_0007);
-    let tpcc = tpcc_for_capacity(capacity, requests as u64, 0x5EED_0007);
-
+    // The base (scale-1) arrival rates are modest, so the sweep scales
+    // them up toward device saturation.
     run_panel(
         "(a) Cello-like",
         "fig07_a_cello.csv",
-        &cello,
+        cello_for_capacity(capacity, requests, 0x5EED_0007),
         &[1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0],
-        requests,
     );
     run_panel(
         "(b) TPC-C-like",
         "fig07_b_tpcc.csv",
-        &tpcc,
+        tpcc_for_capacity(capacity, requests, 0x5EED_0007),
         &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0],
-        requests,
     );
 }

@@ -17,20 +17,14 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::{
     BipartiteWorkload, ColumnarLayout, Layout, OrganPipeLayout, SimpleLayout, SubregionedLayout,
 };
-use storage_sim::{Driver, FifoScheduler, StorageDevice, Workload};
+use storage_sim::{Driver, FifoScheduler, StorageDevice};
 
 /// Mean service time (ms) of the paper's bipartite workload on a device
 /// under a layout. Arrivals are spaced out so no queueing occurs; Fig. 11
 /// reports pure access times.
 fn measure<D: StorageDevice>(layout: &dyn Layout, device: D, requests: u64) -> f64 {
-    struct W(BipartiteWorkload);
-    impl Workload for W {
-        fn next_request(&mut self) -> Option<storage_sim::Request> {
-            self.0.next_request()
-        }
-    }
     let w = BipartiteWorkload::paper(layout, requests, 0x5EED_0011);
-    let mut driver = Driver::new(W(w), FifoScheduler::new(), device);
+    let mut driver = Driver::new(w, FifoScheduler::new(), device);
     let report = driver.run();
     report.mean_service_ms()
 }

@@ -36,7 +36,7 @@
 //! [`mems_fleet::FleetProfile`] (barrier wait, merge time, shard
 //! imbalance) from a profiled rerun and is therefore untracked. Pass
 //! `--long` for the informational 10× horizon (CSVs under
-//! `target/long/`), `--identity-only` to run just the identity gate.
+//! `target/long/`).
 //!
 //! The pooled heatmap is built from recorded completion streams, which
 //! carry no energy numbers — its `energy_j` column is structurally zero
@@ -52,7 +52,7 @@ use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
-    FaultClock, IoKind, Profiler, Request, SimReport, SimTime, Telemetry, TracerPair, Workload,
+    FaultClock, IoKind, NoopTracer, Profiler, SimReport, SimTime, Telemetry, TracerPair,
 };
 use storage_trace::{RandomWorkload, ZipfWorkload};
 
@@ -93,14 +93,6 @@ const ADAPTIVE_BLOCK_SECTORS: u32 = 1024;
 const ADAPTIVE_BURST_LEN: u64 = 50 * ADAPTIVE_DEVICES as u64;
 const ADAPTIVE_BURST_IDLE: f64 = 0.060;
 
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
-
 /// Writes a CSV to the byte-gated goldens (`results/`) or, on the
 /// informational `--long` horizon, to `target/long/`.
 fn emit_csv(long: bool, name: &str, contents: &str) {
@@ -130,17 +122,17 @@ fn fleet16_engine(
     scale: u64,
     shards: usize,
     threads: usize,
-) -> FleetEngine<SptfScheduler, DegradedDevice<mems_device::MemsDevice>> {
+) -> FleetEngine<SptfScheduler, DegradedDevice<MemsDevice>, NoopTracer, RandomWorkload> {
     let params = MemsParams::default();
     let volume = VolumeSpec::flat(FLEET16_DEVICES, STRIPE_UNIT);
     let reqs = FLEET16_REQS_PER_DEV * FLEET16_DEVICES as u64 * scale;
-    let requests = collect(RandomWorkload::paper(
+    let workload = RandomWorkload::paper(
         volume.capacity(MEMS_CAPACITY),
         RATE_PER_DEV * FLEET16_DEVICES as f64,
         reqs,
         WORKLOAD_SEED,
-    ));
-    let mut engine = FleetEngine::new(
+    );
+    let mut engine = FleetEngine::streaming(
         (0..FLEET16_DEVICES)
             .map(|i| {
                 DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
@@ -149,8 +141,8 @@ fn fleet16_engine(
             })
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards,
             threads,
@@ -339,13 +331,8 @@ fn rebuild_cell(
         (0..PAIRS).map(|p| pair(2 * p, 2 * p + 1)).collect(),
         STRIPE_UNIT,
     );
-    let requests = collect(RandomWorkload::paper(
-        volume.capacity(MEMS_CAPACITY),
-        RATE,
-        reqs,
-        WORKLOAD_SEED,
-    ));
-    let mut engine = FleetEngine::new(
+    let workload = RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), RATE, reqs, WORKLOAD_SEED);
+    let mut engine = FleetEngine::streaming(
         (0..2 * PAIRS)
             .map(|i| {
                 DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
@@ -353,8 +340,8 @@ fn rebuild_cell(
             })
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards: 4,
             threads: 4,
@@ -421,17 +408,15 @@ fn rebuild_cell(
 fn adaptive_cell(scale: u64) -> MigrationStats {
     let params = MemsParams::default();
     let volume = VolumeSpec::flat(ADAPTIVE_DEVICES, ADAPTIVE_BLOCK_SECTORS);
-    let requests = collect(
-        ZipfWorkload::new(
-            volume.capacity(MEMS_CAPACITY),
-            ADAPTIVE_BLOCK_SECTORS,
-            0.99,
-            RATE_PER_DEV * ADAPTIVE_DEVICES as f64,
-            ADAPTIVE_REQUESTS * scale,
-            WORKLOAD_SEED,
-        )
-        .bursty(ADAPTIVE_BURST_LEN, ADAPTIVE_BURST_IDLE),
-    );
+    let workload = ZipfWorkload::new(
+        volume.capacity(MEMS_CAPACITY),
+        ADAPTIVE_BLOCK_SECTORS,
+        0.99,
+        RATE_PER_DEV * ADAPTIVE_DEVICES as f64,
+        ADAPTIVE_REQUESTS * scale,
+        WORKLOAD_SEED,
+    )
+    .bursty(ADAPTIVE_BURST_LEN, ADAPTIVE_BURST_IDLE);
     let placement = PlacementConfig {
         block_sectors: ADAPTIVE_BLOCK_SECTORS,
         half_life: 1.0,
@@ -442,13 +427,13 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
         min_heat: 4.0,
         migrate: true,
     };
-    let run = FleetEngine::new(
+    let run = FleetEngine::streaming(
         (0..ADAPTIVE_DEVICES)
             .map(|_| AdaptiveDevice::new(MemsDevice::new(params.clone()), placement))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards: ADAPTIVE_DEVICES,
             threads: ADAPTIVE_DEVICES,
@@ -502,13 +487,9 @@ fn profiled_rerun(reference_digest: &str) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let identity_only = args.iter().any(|a| a == "--identity-only");
     let long = args.iter().any(|a| a == "--long");
 
     identity_gate();
-    if identity_only {
-        return;
-    }
     let scale = if long { 10 } else { 1 };
 
     let mut timeline_csv = String::from(FleetTimeline::csv_header());

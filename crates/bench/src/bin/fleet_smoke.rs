@@ -16,17 +16,16 @@
 //! rerun at shards=1/4/16 (and across thread counts) and must produce
 //! identical digests, and a one-station fleet must reproduce the
 //! single-loop [`Driver`] bit for bit — any divergence exits non-zero
-//! before a single CSV is written. Pass `--determinism-only` to run just
-//! the gate (the CI `fleet-scale determinism` step does). Pass `--long`
-//! for the informational 10× horizon: CSVs land under `target/long/`
-//! and the byte-gated goldens in `results/` are never touched.
+//! before a single CSV is written. Pass `--long` for the informational
+//! 10× horizon: CSVs land under `target/long/` and the byte-gated
+//! goldens in `results/` are never touched.
 
 use mems_bench::{write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, FleetReport, RebuildPlan, VolumeSpec};
 use mems_os::fault::DegradedDevice;
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Driver, FaultClock, Request, SimTime, Workload};
+use storage_sim::{Driver, FaultClock, SimTime};
 use storage_trace::RandomWorkload;
 
 const MEMS_CAPACITY: u64 = 6_750_000;
@@ -38,14 +37,6 @@ const FAULT_SEED: u64 = 0x5EED_0077;
 /// under a single device's saturation point.
 const SCALE_RATE_PER_DEV: f64 = 500.0;
 const SCALE_REQS_PER_DEV: u64 = 100;
-
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
 
 /// Writes a CSV to the byte-gated goldens (`results/`) or, on the
 /// informational `--long` horizon, to `target/long/` so the goldens stay
@@ -73,19 +64,19 @@ fn scale_cell(devices: usize, shards: usize, threads: usize, scale: u64) -> Flee
     let params = MemsParams::default();
     let volume = VolumeSpec::flat(devices, STRIPE_UNIT);
     let reqs = SCALE_REQS_PER_DEV * devices as u64 * scale;
-    let requests = collect(RandomWorkload::paper(
+    let workload = RandomWorkload::paper(
         volume.capacity(MEMS_CAPACITY),
         SCALE_RATE_PER_DEV * devices as f64,
         reqs,
         WORKLOAD_SEED,
-    ));
-    FleetEngine::new(
+    );
+    FleetEngine::streaming(
         (0..devices)
             .map(|_| MemsDevice::new(params.clone()))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards,
             threads,
@@ -122,24 +113,26 @@ fn determinism_gate() {
     // A one-station fleet must reproduce the pre-existing single-loop
     // driver bit for bit.
     let params = MemsParams::default();
-    let requests = collect(RandomWorkload::paper(
-        MEMS_CAPACITY,
-        SCALE_RATE_PER_DEV,
-        SCALE_REQS_PER_DEV,
-        WORKLOAD_SEED,
-    ));
+    let workload = || {
+        RandomWorkload::paper(
+            MEMS_CAPACITY,
+            SCALE_RATE_PER_DEV,
+            SCALE_REQS_PER_DEV,
+            WORKLOAD_SEED,
+        )
+    };
     let solo = Driver::new(
-        storage_sim::VecWorkload::new(requests.clone()),
+        workload(),
         SptfScheduler::new(),
         MemsDevice::new(params.clone()),
     )
     .record_completions(true)
     .run();
-    let fleet = FleetEngine::new(
+    let fleet = FleetEngine::streaming(
         vec![MemsDevice::new(params.clone())],
         |_| SptfScheduler::new(),
-        &VolumeSpec::leaf(0),
-        &requests,
+        VolumeSpec::leaf(0),
+        workload(),
         FleetConfig::default(),
     )
     .run();
@@ -246,19 +239,19 @@ fn tail_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
         "rate_per_dev,completed,mean_ms,p50_ms,p95_ms,p99_ms,p999_ms,max_ms,utilization\n",
     );
     for rate_per_dev in [400.0f64, 800.0, 1200.0] {
-        let requests = collect(RandomWorkload::paper(
+        let workload = RandomWorkload::paper(
             volume.capacity(MEMS_CAPACITY),
             rate_per_dev * DEVICES as f64,
             reqs,
             WORKLOAD_SEED,
-        ));
-        let mut r = FleetEngine::new(
+        );
+        let mut r = FleetEngine::streaming(
             (0..DEVICES)
                 .map(|_| MemsDevice::new(params.clone()))
                 .collect(),
             |_| SptfScheduler::new(),
-            &volume,
-            &requests,
+            volume.clone(),
+            workload,
             FleetConfig {
                 shards: 16,
                 threads: 8,
@@ -309,14 +302,8 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
         (0..PAIRS).map(|p| pair(2 * p, 2 * p + 1)).collect(),
         STRIPE_UNIT,
     );
-    let requests = collect(RandomWorkload::paper(
-        volume.capacity(MEMS_CAPACITY),
-        RATE,
-        reqs,
-        WORKLOAD_SEED,
-    ));
     let build = || {
-        FleetEngine::new(
+        FleetEngine::streaming(
             (0..2 * PAIRS)
                 .map(|i| {
                     DegradedDevice::mems(MemsDevice::new(params.clone()), FAULT_SEED + i as u64)
@@ -324,8 +311,8 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
                 })
                 .collect(),
             |_| SptfScheduler::new(),
-            &volume,
-            &requests,
+            volume.clone(),
+            RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), RATE, reqs, WORKLOAD_SEED),
             FleetConfig {
                 shards: 4,
                 threads: 4,
@@ -409,12 +396,8 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let determinism_only = args.iter().any(|a| a == "--determinism-only");
     let long = args.iter().any(|a| a == "--long");
     determinism_gate();
-    if determinism_only {
-        return;
-    }
     let scale = if long { 10 } else { 1 };
     let mut written = Vec::new();
     scaling_experiment(&mut written, scale, long);

@@ -220,27 +220,17 @@ fn sim_digest(r: &SimReport) -> String {
     )
 }
 
-fn collect_requests(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
-
 /// The streamed-vs-materialized identity gate, run in-process before the
 /// big streaming cells: a buffered-arrival constant-memory driver run must
 /// be digest-identical to its fully materialized twin, and a fleet pulling
-/// from the generator (`FleetEngine::streaming`) to one over the collected
-/// request slice (`FleetEngine::new`). CI greps the resulting
-/// `"streamed_identical"`.
+/// from the generator to one over the collected request list (a
+/// `VecWorkload`). CI greps the resulting `"streamed_identical"`.
 fn streaming_identity_gate() -> bool {
     let params = MemsParams::default();
     const N: u64 = 50_000;
+    let mut source = RandomWorkload::paper(CAPACITY, 500.0, N, 11);
     let materialized = Driver::new(
-        VecWorkload::new(collect_requests(RandomWorkload::paper(
-            CAPACITY, 500.0, N, 11,
-        ))),
+        VecWorkload::new(std::iter::from_fn(|| source.next_request()).collect()),
         FifoScheduler::new(),
         MemsDevice::new(params.clone()),
     )
@@ -272,19 +262,14 @@ fn streaming_identity_gate() -> bool {
         keep_station_completions: false,
         ..FleetConfig::default()
     };
-    let fleet_requests = collect_requests(RandomWorkload::paper(
-        volume.capacity(CAPACITY),
-        rate,
-        fleet_n,
-        12,
-    ));
-    let fleet_materialized = FleetEngine::new(
+    let mut fleet_source = RandomWorkload::paper(volume.capacity(CAPACITY), rate, fleet_n, 12);
+    let fleet_materialized = FleetEngine::streaming(
         (0..stations)
             .map(|_| MemsDevice::new(params.clone()))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &fleet_requests,
+        volume.clone(),
+        VecWorkload::new(std::iter::from_fn(|| fleet_source.next_request()).collect()),
         cfg,
     )
     .run();

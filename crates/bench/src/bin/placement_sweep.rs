@@ -24,11 +24,13 @@
 //! The bin opens with an in-process zero-migration identity gate: a
 //! migrations-off wrap at the identity placement must reproduce the
 //! bare device bit for bit on MEMS and disk, or the process exits
-//! non-zero before any CSV is written (pass `--identity-only` to run
-//! just the gate, as the CI step does). It closes with the headline
+//! non-zero before any CSV is written. It closes with the headline
 //! gate: adaptive must beat the static organ pipe's foreground mean on
 //! the shifting-hotspot workload. Pass `--long` for the informational
 //! 10× horizon (CSV under `target/long/`, goldens untouched).
+//!
+//! Each series replays a fresh copy of its workload's generator stream,
+//! and the census takes one more pass, so no request list is ever held.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_bench::{write_csv, Table};
@@ -36,7 +38,7 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::OrganPipeMap;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Driver, Request, SimReport, StorageDevice, VecWorkload, Workload};
+use storage_sim::{Driver, SimReport, StorageDevice, Workload};
 use storage_trace::{RandomWorkload, ShiftingHotspotWorkload, ZipfWorkload};
 
 const MEMS_CAPACITY: u64 = 6_750_000;
@@ -92,22 +94,14 @@ fn placement_config(migrate: bool) -> PlacementConfig {
     }
 }
 
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
-
 /// Offline frequency census: accesses per placement block over the
 /// whole request stream (the same spanning-block rule the tracker
 /// uses).
-fn census(requests: &[Request], capacity: u64) -> Vec<f64> {
+fn census(mut workload: impl Workload, capacity: u64) -> Vec<f64> {
     let bs = u64::from(BLOCK_SECTORS);
     let n_blocks = (capacity / bs) as usize;
     let mut freqs = vec![0.0f64; n_blocks];
-    for r in requests {
+    while let Some(r) = workload.next_request() {
         let first = r.lbn / bs;
         let last = (r.end_lbn().max(r.lbn + 1) - 1) / bs;
         for b in first..=last.min(n_blocks as u64 - 1) {
@@ -117,11 +111,14 @@ fn census(requests: &[Request], capacity: u64) -> Vec<f64> {
     freqs
 }
 
-/// One series: runs the request stream and returns the report plus the
-/// wrapper's migration stats (`None` for the bare series).
-fn run_series(requests: &[Request], series: &str) -> (SimReport, Option<MigrationStats>) {
+/// One series: runs a fresh `make()` stream and returns the report plus
+/// the wrapper's migration stats (`None` for the bare series).
+fn run_series<W: Workload>(
+    make: impl Fn() -> W,
+    series: &str,
+) -> (SimReport, Option<MigrationStats>) {
     let params = MemsParams::default();
-    let workload = VecWorkload::new(requests.to_vec());
+    let workload = make();
     match series {
         "bare" => {
             let mut driver = Driver::new(
@@ -133,7 +130,7 @@ fn run_series(requests: &[Request], series: &str) -> (SimReport, Option<Migratio
             (driver.run(), None)
         }
         "organ_static" => {
-            let map = OrganPipeMap::build(&census(requests, MEMS_CAPACITY));
+            let map = OrganPipeMap::build(&census(make(), MEMS_CAPACITY));
             let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), placement_config(false))
                 .with_initial_placement(&map);
             let mut driver =
@@ -184,16 +181,12 @@ fn reports_identical(a: &SimReport, b: &SimReport) -> bool {
 /// and on the disk baseline. Exits non-zero on divergence.
 fn identity_gate() {
     fn gate<D: StorageDevice + Clone>(label: &str, device: D, capacity: u64) {
-        let requests = collect(RandomWorkload::paper(capacity, RATE, 4_000, WORKLOAD_SEED));
-        let bare = Driver::new(
-            VecWorkload::new(requests.clone()),
-            SptfScheduler::new(),
-            device.clone(),
-        )
-        .record_completions(true)
-        .run();
+        let workload = || RandomWorkload::paper(capacity, RATE, 4_000, WORKLOAD_SEED);
+        let bare = Driver::new(workload(), SptfScheduler::new(), device.clone())
+            .record_completions(true)
+            .run();
         let wrapped = Driver::new(
-            VecWorkload::new(requests),
+            workload(),
             SptfScheduler::new(),
             AdaptiveDevice::new(device, placement_config(false)),
         )
@@ -230,35 +223,9 @@ struct Cell {
     migration: Option<MigrationStats>,
 }
 
-fn run_workload(workload: &'static str, scale: u64, cells: &mut Vec<Cell>) {
-    let requests = match workload {
-        "zipf" => collect(
-            ZipfWorkload::new(
-                MEMS_CAPACITY,
-                BLOCK_SECTORS,
-                0.99,
-                RATE,
-                REQUESTS * scale,
-                WORKLOAD_SEED,
-            )
-            .bursty(BURST_LEN, BURST_IDLE),
-        ),
-        "hotspot" => collect(
-            ShiftingHotspotWorkload::new(
-                MEMS_CAPACITY,
-                HOT_SECTORS,
-                EPOCH_SECS,
-                HOT_FRACTION,
-                RATE,
-                REQUESTS * scale,
-                WORKLOAD_SEED,
-            )
-            .bursty(BURST_LEN, BURST_IDLE),
-        ),
-        _ => unreachable!(),
-    };
+fn run_workload<W: Workload>(workload: &'static str, make: impl Fn() -> W, cells: &mut Vec<Cell>) {
     for series in ["bare", "organ_static", "adaptive"] {
-        let (report, migration) = run_series(&requests, series);
+        let (report, migration) = run_series(&make, series);
         cells.push(Cell {
             workload,
             series,
@@ -270,13 +237,9 @@ fn run_workload(workload: &'static str, scale: u64, cells: &mut Vec<Cell>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let identity_only = args.iter().any(|a| a == "--identity-only");
     let long = args.iter().any(|a| a == "--long");
 
     identity_gate();
-    if identity_only {
-        return;
-    }
 
     let scale = if long { 10 } else { 1 };
     println!(
@@ -285,8 +248,32 @@ fn main() {
     );
 
     let mut cells = Vec::new();
-    run_workload("zipf", scale, &mut cells);
-    run_workload("hotspot", scale, &mut cells);
+    let requests = REQUESTS * scale;
+    let zipf = || {
+        ZipfWorkload::new(
+            MEMS_CAPACITY,
+            BLOCK_SECTORS,
+            0.99,
+            RATE,
+            requests,
+            WORKLOAD_SEED,
+        )
+        .bursty(BURST_LEN, BURST_IDLE)
+    };
+    let hotspot = || {
+        ShiftingHotspotWorkload::new(
+            MEMS_CAPACITY,
+            HOT_SECTORS,
+            EPOCH_SECS,
+            HOT_FRACTION,
+            RATE,
+            requests,
+            WORKLOAD_SEED,
+        )
+        .bursty(BURST_LEN, BURST_IDLE)
+    };
+    run_workload("zipf", zipf, &mut cells);
+    run_workload("hotspot", hotspot, &mut cells);
 
     let mut table = Table::new(
         [

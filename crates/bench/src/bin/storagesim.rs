@@ -32,8 +32,7 @@ use mems_os::sched::{
 };
 use storage_sim::{Driver, DynScheduler, FifoScheduler, SimReport, StorageDevice, Workload};
 use storage_trace::{
-    cello_for_capacity, generate_streaming, tpcc_for_capacity, RandomWorkload, StreamingParams,
-    TraceWorkload,
+    cello_for_capacity, tpcc_for_capacity, RandomWorkload, Replay, StreamingParams, StreamingTrace,
 };
 
 #[derive(Debug)]
@@ -153,16 +152,16 @@ fn run<D: StorageDevice>(device: D, args: &Args) -> (SimReport, String) {
             args.requests,
             args.seed,
         )),
-        "cello" => Box::new(TraceWorkload::new(
+        "cello" => Box::new(Replay::new(
             cello_for_capacity(capacity, args.requests, args.seed),
             args.scale,
         )),
-        "tpcc" => Box::new(TraceWorkload::new(
+        "tpcc" => Box::new(Replay::new(
             tpcc_for_capacity(capacity, args.requests, args.seed),
             args.scale,
         )),
-        "streaming" => Box::new(TraceWorkload::new(
-            generate_streaming(
+        "streaming" => Box::new(Replay::new(
+            StreamingTrace::new(
                 &StreamingParams {
                     capacity,
                     requests: args.requests,
@@ -177,13 +176,7 @@ fn run<D: StorageDevice>(device: D, args: &Args) -> (SimReport, String) {
             usage();
         }
     };
-    struct W(Box<dyn Workload>);
-    impl Workload for W {
-        fn next_request(&mut self) -> Option<storage_sim::Request> {
-            self.0.next_request()
-        }
-    }
-    let mut driver = Driver::new(W(workload), build_scheduler(&args.scheduler), device)
+    let mut driver = Driver::new(workload, build_scheduler(&args.scheduler), device)
         .warmup_requests(args.warmup)
         .record_completions(true);
     (driver.run(), name)

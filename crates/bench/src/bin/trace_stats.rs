@@ -3,22 +3,28 @@
 //! With no arguments, prints the summaries of the three built-in
 //! workloads (random / Cello-like / TPC-C-like) side by side, against
 //! the published characteristics each generator was calibrated to.
-//! With a file argument, parses the trace-format file and summarizes it.
+//! With a file argument, streams the trace-format file through
+//! [`TraceReader`] and summarizes it. A record that does not parse,
+//! arrives before its predecessor, or runs past `--capacity` stops the
+//! run with `line N: …` and exit status 1.
 //!
-//! The built-in summaries are computed with [`TraceSummary::from_stream`]
-//! in one pass over the generator stream — no `Vec<TraceRecord>` is ever
-//! built, so `--requests 10000000` characterizes a 10⁷-record trace in
+//! Every summary is computed with [`TraceSummary::from_stream`] in one
+//! pass over the record stream — no `Vec<TraceRecord>` is ever built, so
+//! `--requests 10000000` (or a file of any length) is characterized in
 //! constant memory.
 //!
 //! ```text
 //! trace_stats [FILE] [--capacity SECTORS] [--requests N]
 //! ```
 
+use std::fs::File;
+use std::io::BufReader;
+
 use mems_device::MemsParams;
 use storage_sim::Workload;
 use storage_trace::{
-    parse_trace, CelloParams, CelloWorkload, RandomWorkload, TpccParams, TpccWorkload, TraceRecord,
-    TraceSummary,
+    CelloParams, CelloTrace, RandomWorkload, TpccParams, TpccTrace, TraceError, TraceReader,
+    TraceRecord, TraceSummary,
 };
 
 /// Adapts any [`Workload`] into the record stream
@@ -38,6 +44,22 @@ impl<W: Workload> Iterator for RecordStream<W> {
     }
 }
 
+/// Summarizes the trace file at `path` in one streaming pass; the error
+/// is the message to print.
+fn summarize_file(path: &str, capacity: u64) -> Result<TraceSummary, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let bad = |e: TraceError| format!("cannot parse {path}: {e}");
+    let mut records = TraceReader::new(BufReader::new(file), capacity);
+    let first = match records.next() {
+        None => return Err(format!("{path} holds no records")),
+        Some(first) => first.map_err(bad)?,
+    };
+    let mut error = None;
+    let rest = records.map_while(|r| r.map_err(|e| error = Some(e)).ok());
+    let summary = TraceSummary::from_stream(std::iter::once(first).chain(rest), capacity);
+    error.map_or(Ok(summary), |e| Err(bad(e)))
+}
+
 fn flag(args: &[String], name: &str) -> Option<u64> {
     args.iter()
         .position(|a| a == name)
@@ -52,16 +74,12 @@ fn main() {
     let n = flag(&args, "--requests").unwrap_or(10_000);
 
     if let Some(path) = args.first().filter(|a| !a.starts_with("--")) {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
+        let summary = summarize_file(path, capacity).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(1);
         });
-        let records = parse_trace(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("{path} ({} records):\n", records.len());
-        println!("{}", TraceSummary::compute(&records, capacity).render());
+        println!("{path} ({} records):\n", summary.requests);
+        println!("{}", summary.render());
         return;
     }
 
@@ -77,7 +95,7 @@ fn main() {
         (
             "Cello-like (substituting the 1992 HP trace, §4.3)",
             TraceSummary::from_stream(
-                CelloWorkload::new(
+                CelloTrace::new(
                     &CelloParams {
                         capacity,
                         requests: n,
@@ -92,7 +110,7 @@ fn main() {
         (
             "TPC-C-like (substituting the OLTP trace, §4.3)",
             TraceSummary::from_stream(
-                TpccWorkload::new(
+                TpccTrace::new(
                     &TpccParams {
                         capacity,
                         requests: n,

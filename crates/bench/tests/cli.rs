@@ -1,5 +1,5 @@
-//! The `storagesim` command line rejects bad numeric flags with a usage
-//! error instead of panicking inside the workload generators.
+//! The command lines reject bad input with an error instead of panicking:
+//! `storagesim` on bad numeric flags, `trace_stats` on bad trace records.
 
 use std::process::Command;
 
@@ -27,4 +27,43 @@ fn storagesim_rejects_rates_and_scales_that_are_not_finite_and_positive() {
         assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
         assert!(stderr.contains("usage: storagesim"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn trace_stats_rejects_bad_records_with_their_line() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let cases = [
+        (
+            "decreasing.trace",
+            "0.5 100 8 R\n0.2 200 8 W\n0.9 300 8 R\n",
+            "line 2:",
+        ),
+        (
+            "beyond.trace",
+            "# t lbn n k\n0.1 100 8 R\n0.2 99999999999 8 R\n",
+            "line 3:",
+        ),
+        ("empty.trace", "# no records\n", "no records"),
+    ];
+    for (name, text, expected) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write trace");
+        let out = Command::new(env!("CARGO_BIN_EXE_trace_stats"))
+            .arg(&path)
+            .output()
+            .expect("trace_stats runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
+
+    let path = dir.join("good.trace");
+    std::fs::write(&path, "0.0 100 8 R\n0.5 200 16 W\n").expect("write trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_stats"))
+        .arg(&path)
+        .output()
+        .expect("trace_stats runs");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(2 records)"));
 }

@@ -59,6 +59,14 @@ impl<D: StorageDevice> Vdev<D> {
         Vdev::Leaf(device)
     }
 
+    /// The raw device, if this is a leaf.
+    fn as_leaf(&self) -> Option<&D> {
+        match self {
+            Vdev::Leaf(d) => Some(d),
+            Vdev::Node { .. } => None,
+        }
+    }
+
     /// Creates a striped node with `stripe_unit` sectors per strip.
     ///
     /// # Panics
@@ -207,6 +215,31 @@ impl<D: StorageDevice> PositionOracle for Vdev<D> {
                 children[data].position_time(&sub, now)
             }
         }
+    }
+
+    // A leaf positions exactly as its device, so it forwards the pruning
+    // and caching hooks too; an interior node keeps the safe defaults.
+
+    fn position_bucket(&self, req: &Request) -> u64 {
+        self.as_leaf().map_or(0, |d| d.position_bucket(req))
+    }
+
+    fn current_bucket(&self) -> u64 {
+        self.as_leaf().map_or(0, D::current_bucket)
+    }
+
+    fn min_position_time_at_bucket_distance(&self, distance: u64) -> f64 {
+        self.as_leaf()
+            .map_or(0.0, |d| d.min_position_time_at_bucket_distance(distance))
+    }
+
+    fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
+        self.as_leaf()
+            .map_or(0.0, |d| d.bucket_position_time_floor(bucket))
+    }
+
+    fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
+        self.as_leaf().and_then(|d| d.rest_key(now))
     }
 }
 

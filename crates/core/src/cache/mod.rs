@@ -122,6 +122,10 @@ impl<D: StorageDevice> CachedDevice<D> {
     }
 }
 
+/// Only `position_time` is answered; the bucket, floor and rest-key
+/// methods keep the trait defaults (one bucket, zero floors, no cache).
+/// A cached read positions in 0 s, below any floor the inner device
+/// could report, so forwarding those would prune unsoundly.
 impl<D: StorageDevice> PositionOracle for CachedDevice<D> {
     fn position_time(&self, req: &Request, now: SimTime) -> f64 {
         if req.kind == IoKind::Read && self.all_cached(req) {

@@ -139,10 +139,29 @@ impl<D: StorageDevice> RemappedDevice<D> {
     }
 }
 
+/// Positions the effective (possibly far-remapped) request, exactly as
+/// `DegradedDevice` does. No `rest_key`: a remap changes positioning
+/// without moving the inner device, so per-bucket winners cached under
+/// the inner key could go stale.
 impl<D: StorageDevice> PositionOracle for RemappedDevice<D> {
     fn position_time(&self, req: &Request, now: SimTime) -> f64 {
-        let eff = self.effective(req);
-        self.inner.position_time(&eff, now)
+        self.inner.position_time(&self.effective(req), now)
+    }
+
+    fn position_bucket(&self, req: &Request) -> u64 {
+        self.inner.position_bucket(&self.effective(req))
+    }
+
+    fn current_bucket(&self) -> u64 {
+        self.inner.current_bucket()
+    }
+
+    fn min_position_time_at_bucket_distance(&self, distance: u64) -> f64 {
+        self.inner.min_position_time_at_bucket_distance(distance)
+    }
+
+    fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
+        self.inner.bucket_position_time_floor(bucket)
     }
 }
 

@@ -20,7 +20,7 @@
 
 mod alloc;
 mod columnar;
-mod organ_pipe;
+pub(crate) mod organ_pipe;
 mod simple;
 mod subregion;
 

@@ -13,6 +13,17 @@ use std::ops::Range;
 
 use super::Layout;
 
+/// The center-out order of `n` slots: center (`n / 2`), center + 1,
+/// center − 1, center + 2, center − 2, …, each slot once. Rank `r` of an
+/// organ-pipe arrangement lives in the `r`-th slot of this order.
+pub(crate) fn center_out_slots(n: usize) -> impl Iterator<Item = usize> {
+    let center = n / 2;
+    std::iter::once(center).chain(
+        (1..=center)
+            .flat_map(move |d| [center + d, center - d].into_iter().filter(move |&s| s < n)),
+    )
+}
+
 /// A popularity-driven organ-pipe block permutation.
 ///
 /// Logical blocks ranked by access frequency are assigned physical
@@ -63,28 +74,9 @@ impl OrganPipeMap {
                 .expect("frequencies are finite")
                 .then(a.cmp(&b))
         });
-        // Center-out slot order: center, center+1, center-1, center+2, ...
-        let center = n / 2;
-        let mut slots = Vec::with_capacity(n);
-        slots.push(center);
-        for d in 1..=n {
-            if center + d < n {
-                slots.push(center + d);
-            }
-            if slots.len() == n {
-                break;
-            }
-            if center >= d {
-                slots.push(center - d);
-            }
-            if slots.len() == n {
-                break;
-            }
-        }
         let mut phys = vec![0u64; n];
         let mut logical = vec![0u64; n];
-        for (rank, &block) in ranked.iter().enumerate() {
-            let slot = slots[rank];
+        for (&block, slot) in ranked.iter().zip(center_out_slots(n)) {
             phys[block] = slot as u64;
             logical[slot] = block as u64;
         }
@@ -270,6 +262,20 @@ impl Layout for OrganPipeLayout {
 mod tests {
     use super::*;
     use crate::layout::ranges_len;
+
+    #[test]
+    fn center_out_slots_alternate_and_cover_every_slot() {
+        let order = |n| center_out_slots(n).collect::<Vec<_>>();
+        assert_eq!(order(1), [0]);
+        assert_eq!(order(2), [1, 0]);
+        assert_eq!(order(4), [2, 3, 1, 0]);
+        assert_eq!(order(5), [2, 3, 1, 4, 0]);
+        for n in 1..64 {
+            let mut slots = order(n);
+            slots.sort_unstable();
+            assert_eq!(slots, (0..n).collect::<Vec<_>>(), "n = {n}");
+        }
+    }
 
     #[test]
     fn map_places_hottest_at_center() {

@@ -35,6 +35,7 @@ use storage_sim::{
 };
 
 use super::frequency::{DoublePriorityQueue, FrequencyTracker};
+use crate::layout::organ_pipe::center_out_slots;
 use crate::layout::OrganPipeMap;
 
 /// Policy knobs for [`AdaptiveDevice`].
@@ -278,25 +279,10 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
             u32::try_from(inner.capacity_lbns() / u64::from(cfg.block_sectors)).unwrap_or(u32::MAX);
         assert!(n_blocks > 0, "device smaller than one placement block");
         let identity: Vec<u32> = (0..n_blocks).collect();
-        // Center-out slot ranking, identical to OrganPipeMap's slot
-        // enumeration: center, center+1, center-1, center+2, ...
-        let center = n_blocks / 2;
-        let mut slot_at_rank = Vec::with_capacity(n_blocks as usize);
-        slot_at_rank.push(center);
-        for d in 1..=n_blocks {
-            if center + d < n_blocks {
-                slot_at_rank.push(center + d);
-            }
-            if slot_at_rank.len() == n_blocks as usize {
-                break;
-            }
-            if center >= d {
-                slot_at_rank.push(center - d);
-            }
-            if slot_at_rank.len() == n_blocks as usize {
-                break;
-            }
-        }
+        // Slots ranked center-out, as OrganPipeMap places them.
+        let slot_at_rank: Vec<u32> = center_out_slots(n_blocks as usize)
+            .map(|s| s as u32)
+            .collect();
         let mut rank_of_slot = vec![0u32; n_blocks as usize];
         for (rank, &slot) in slot_at_rank.iter().enumerate() {
             rank_of_slot[slot as usize] = rank as u32;

@@ -122,9 +122,32 @@ impl<D: StorageDevice> PowerManagedDevice<D> {
     }
 }
 
+/// Power management adds wake-up time at service, never to positioning,
+/// so the whole oracle is the inner device's — pruned SPTF keeps its
+/// buckets, floors and rest-key cache behind this wrapper.
 impl<D: StorageDevice> PositionOracle for PowerManagedDevice<D> {
     fn position_time(&self, req: &Request, now: SimTime) -> f64 {
         self.inner.position_time(req, now)
+    }
+
+    fn position_bucket(&self, req: &Request) -> u64 {
+        self.inner.position_bucket(req)
+    }
+
+    fn current_bucket(&self) -> u64 {
+        self.inner.current_bucket()
+    }
+
+    fn min_position_time_at_bucket_distance(&self, distance: u64) -> f64 {
+        self.inner.min_position_time_at_bucket_distance(distance)
+    }
+
+    fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
+        self.inner.bucket_position_time_floor(bucket)
+    }
+
+    fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
+        self.inner.rest_key(now)
     }
 }
 

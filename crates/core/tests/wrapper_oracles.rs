@@ -1,0 +1,100 @@
+//! Wrappers that position exactly as their inner device must not cost
+//! SPTF its pruning: draining a deep queue through each one picks the
+//! same requests in the same order, with the same scheduler counters, as
+//! the bare device.
+
+use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
+use mems_os::array::Vdev;
+use mems_os::fault::{RemapPolicy, RemappedDevice};
+use mems_os::power::{PowerManagedDevice, PowerProfile, PredictiveDevice};
+use mems_os::sched::SptfScheduler;
+use storage_sim::{IoKind, Request, SchedCounters, Scheduler, SimTime, StorageDevice};
+
+const DEPTH: u64 = 256;
+
+/// Enqueues `DEPTH` requests at scattered LBNs, then drains them. With
+/// `serve`, each pick is served at the previous completion time, so the
+/// device keeps moving; without, the device rests and the per-bucket
+/// cache can answer. Returns the pick order and the scheduler's counters.
+fn drain<D: StorageDevice>(mut device: D, serve: bool) -> (Vec<u64>, SchedCounters) {
+    let capacity = device.capacity_lbns();
+    let mut sched = SptfScheduler::new();
+    let mut x = 0x5EED_u64;
+    for id in 0..DEPTH {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let lbn = (x >> 11) % (capacity - 8);
+        sched.enqueue(Request::new(id, SimTime::ZERO, lbn, 8, IoKind::Read));
+    }
+    let mut now = SimTime::ZERO;
+    let mut order = Vec::new();
+    while let Some(req) = sched.pick(&device, now) {
+        if serve {
+            now = now + SimTime::from_secs(device.service(&req, now).total());
+        }
+        order.push(req.id);
+    }
+    (order, sched.counters())
+}
+
+fn mems() -> MemsDevice {
+    MemsDevice::new(MemsParams::default())
+}
+
+fn profile() -> PowerProfile {
+    PowerProfile::mems(&MemsEnergyModel::default(), 1280)
+}
+
+#[test]
+fn identity_wrappers_keep_the_pruned_sptf_pick() {
+    for serve in [false, true] {
+        let (order, bare) = drain(mems(), serve);
+        assert_eq!(order.len() as u64, DEPTH);
+        assert!(
+            bare.candidates_examined < DEPTH * (DEPTH + 1) / 4,
+            "the bare device prunes: {bare:?}"
+        );
+        assert_eq!(bare.cached_best_hits > 0, !serve, "{bare:?}");
+
+        // Back-to-back service never idles, so neither power wrapper
+        // sleeps and both serve exactly as the bare device.
+        let wrapped = [
+            (
+                "power-managed",
+                drain(PowerManagedDevice::new(mems(), profile(), 0.01), serve),
+            ),
+            (
+                "predictive",
+                drain(PredictiveDevice::new(mems(), profile(), 0.5), serve),
+            ),
+            ("vdev leaf", drain(Vdev::leaf(mems()), serve)),
+        ];
+        for (name, (o, c)) in wrapped {
+            assert_eq!(o, order, "{name} (serve {serve}): pick order");
+            assert_eq!(c, bare, "{name} (serve {serve}): scheduler counters");
+        }
+    }
+}
+
+#[test]
+fn remapped_device_prunes_like_the_bare_device() {
+    // An empty far-spare table changes no request. Without a rest key
+    // the per-bucket cache stays cold, but the picks match and the
+    // buckets still prune.
+    let spare_base = mems().capacity_lbns() - 2700;
+    for serve in [false, true] {
+        let (order, bare) = drain(mems(), serve);
+        let (o, c) = drain(
+            RemappedDevice::new(mems(), RemapPolicy::FarSpare, spare_base),
+            serve,
+        );
+        assert_eq!(o, order);
+        assert_eq!(c.picks, bare.picks);
+        assert_eq!(c.cached_best_hits, 0);
+        assert!(
+            c.candidates_examined < DEPTH * (DEPTH + 1) / 4,
+            "the wrapper prunes: {c:?}"
+        );
+    }
+}

@@ -685,7 +685,7 @@ where
 ///
 /// Build one with [`FleetEngine::streaming`] (requests pulled
 /// incrementally from any [`Workload`], constant memory in the run
-/// length) or [`FleetEngine::new`] (the same over a request slice),
+/// length; an explicit request list goes in as a [`VecWorkload`]),
 /// optionally attach per-station fault clocks and background streams,
 /// then [`FleetEngine::run`] it. To observe the run, attach per-station
 /// tracers with [`FleetEngine::with_station_tracers`] and use
@@ -802,32 +802,6 @@ impl FleetProfile {
         }
         s.push_str("] }");
         s
-    }
-}
-
-impl<S: Scheduler, D: StorageDevice> FleetEngine<S, D> {
-    /// [`FleetEngine::streaming`] over a copy of `requests` (fleet-level,
-    /// addressed in the volume's LBN space, ids dense from 0 in arrival
-    /// order).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same setup errors as [`FleetEngine::streaming`];
-    /// the run panics if request ids are not dense `0..n` in order.
-    pub fn new(
-        devices: Vec<D>,
-        make_scheduler: impl FnMut(usize) -> S,
-        volume: &VolumeSpec,
-        requests: &[Request],
-        config: FleetConfig,
-    ) -> Self {
-        FleetEngine::streaming(
-            devices,
-            make_scheduler,
-            volume.clone(),
-            VecWorkload::new(requests.to_vec()),
-            config,
-        )
     }
 }
 

@@ -11,7 +11,10 @@
 //! * [`FleetEngine`] — per-station event loops (each a
 //!   [`storage_sim::Driver`] stepped through its session API) on
 //!   persistent worker threads, stitched by a deterministic streaming
-//!   merge of their sim-time batches;
+//!   merge of their sim-time batches. Its one constructor,
+//!   [`FleetEngine::streaming`], pulls fleet requests from any
+//!   [`storage_sim::Workload`]; an explicit list goes in as a
+//!   [`storage_sim::VecWorkload`];
 //! * [`RebuildPlan`] — paced background copy streams for
 //!   rebuild-under-load experiments, layered on the per-station
 //!   [`storage_sim::FaultClock`] fault machinery;

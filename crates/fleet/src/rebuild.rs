@@ -7,7 +7,7 @@
 //! precomputed [`storage_sim::FaultClock`]), so injecting it preserves
 //! the fleet's determinism guarantee.
 
-use storage_sim::{IoKind, Scheduler, SimTime, StorageDevice};
+use storage_sim::{IoKind, Scheduler, SimTime, StorageDevice, Tracer, Workload};
 
 use crate::engine::FleetEngine;
 
@@ -44,7 +44,13 @@ impl RebuildPlan {
     /// Queues the plan's background sub-I/Os on the engine: chunk `i`
     /// issues a peer read and a target write at `start + i * pace`.
     /// Returns the number of background requests queued.
-    pub fn inject<S: Scheduler, D: StorageDevice>(&self, engine: &mut FleetEngine<S, D>) -> u64 {
+    pub fn inject<S, D, T, W>(&self, engine: &mut FleetEngine<S, D, T, W>) -> u64
+    where
+        S: Scheduler,
+        D: StorageDevice,
+        T: Tracer,
+        W: Workload,
+    {
         assert!(self.chunk_sectors > 0);
         assert!(self.span_lbns > 0);
         assert!(self.pace > SimTime::ZERO);

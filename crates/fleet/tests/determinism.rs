@@ -25,31 +25,23 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// mean inter-arrival gap of a station.
 const EPOCHS_MS: [f64; 3] = [1.0, 37.0, 1000.0];
 
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
-
 /// A striped MEMS fleet of `stations` devices, of which the volume routes
 /// to the first `routed` only, run with the given knobs.
 fn fleet_cell(stations: usize, routed: usize, requests: u64, config: FleetConfig) -> FleetReport {
     let volume = VolumeSpec::flat(routed, 64);
-    let requests = collect(RandomWorkload::paper(
+    let workload = RandomWorkload::paper(
         volume.capacity(MEMS_CAPACITY),
         125.0 * routed as f64,
         requests,
         42,
-    ));
-    FleetEngine::new(
+    );
+    FleetEngine::streaming(
         (0..stations)
             .map(|_| MemsDevice::new(MemsParams::default()))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         config,
     )
     .run()
@@ -137,22 +129,18 @@ fn worker_panic_propagates_instead_of_a_partial_report() {
     // Ids skip one value late in the stream, so a worker thread (not the
     // set-up, which routes only the first few hundred) hits the check.
     let volume = VolumeSpec::flat(4, 64);
-    let mut requests = collect(RandomWorkload::paper(
-        volume.capacity(MEMS_CAPACITY),
-        2000.0,
-        2000,
-        9,
-    ));
+    let mut workload = RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), 2000.0, 2000, 9);
+    let mut requests: Vec<Request> = std::iter::from_fn(|| workload.next_request()).collect();
     for r in &mut requests[1500..] {
         r.id += 1;
     }
-    let report = FleetEngine::new(
+    let report = FleetEngine::streaming(
         (0..4)
             .map(|_| MemsDevice::new(MemsParams::default()))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        VecWorkload::new(requests),
         FleetConfig {
             threads: 2,
             ..FleetConfig::default()
@@ -191,11 +179,11 @@ fn single_station_fleet_reproduces_the_single_loop_driver() {
     .record_completions(true);
     let solo_report = solo.run();
 
-    let fleet = FleetEngine::new(
+    let fleet = FleetEngine::streaming(
         vec![ConstantDevice::new(10_000, 1e-3)],
         |_| FifoScheduler::new(),
-        &VolumeSpec::leaf(0),
-        &reqs,
+        VolumeSpec::leaf(0),
+        VecWorkload::new(reqs),
         FleetConfig::default(),
     )
     .run();
@@ -235,13 +223,8 @@ fn single_station_fleet_reproduces_the_single_loop_driver() {
 /// stream copying the survivor back — the rebuild-under-load scenario.
 fn rebuild_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
     let volume = VolumeSpec::mirror(vec![VolumeSpec::leaf(0), VolumeSpec::leaf(1)]);
-    let requests = collect(RandomWorkload::paper(
-        volume.capacity(MEMS_CAPACITY),
-        400.0,
-        400,
-        7,
-    ));
-    let mut engine = FleetEngine::new(
+    let workload = RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), 400.0, 400, 7);
+    let mut engine = FleetEngine::streaming(
         (0..2)
             .map(|i| {
                 DegradedDevice::mems(MemsDevice::new(MemsParams::default()), 90 + i)
@@ -249,8 +232,8 @@ fn rebuild_cell(shards: usize, threads: usize, epoch_ms: f64) -> FleetReport {
             })
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards,
             threads,
@@ -307,19 +290,19 @@ fn background_ids_do_not_disturb_foreground_stats() {
     let requests: Vec<Request> = (0..50)
         .map(|i| Request::new(i, SimTime::from_ms(i as f64), i * 64, 8, IoKind::Read))
         .collect();
-    let plain = FleetEngine::new(
+    let plain = FleetEngine::streaming(
         vec![ConstantDevice::new(100_000, 1e-3)],
         |_| FifoScheduler::new(),
-        &volume,
-        &requests,
+        volume.clone(),
+        VecWorkload::new(requests.clone()),
         FleetConfig::default(),
     )
     .run();
-    let mut with_bg = FleetEngine::new(
+    let mut with_bg = FleetEngine::streaming(
         vec![ConstantDevice::new(100_000, 1e-3)],
         |_| FifoScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        VecWorkload::new(requests),
         FleetConfig::default(),
     );
     // Foreground drains by ~51 ms; the background stream starts at 1 s.

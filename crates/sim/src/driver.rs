@@ -353,13 +353,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
         &self.tracer
     }
 
-    /// Consumes the driver and returns its tracer — for harnesses (e.g.
-    /// the fleet engine) that build drivers internally and need to hand
-    /// the recorded telemetry back out after the run.
-    pub fn into_tracer(self) -> T {
-        self.tracer
-    }
-
     /// Consumes the driver and returns its tracer together with the
     /// post-run device, whose wrapper state (migration ledgers, degraded-
     /// mode maps, cache counters) is itself an observability surface.

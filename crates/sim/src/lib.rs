@@ -67,4 +67,4 @@ pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;
 pub use tracer::{NoopTracer, RingTracer, TraceCounters, TraceEvent, Tracer};
-pub use workload::{FnWorkload, VecWorkload, Workload};
+pub use workload::{VecWorkload, Workload};

@@ -3,9 +3,9 @@
 //! A [`Workload`] streams requests with non-decreasing arrival times into
 //! the driver (an *open* arrival process, as in the paper's experiments).
 //! Generators for the paper's workloads — the *random* workload (§3) and
-//! the Cello-like / TPC-C-like traces (§4.3) — live in the `storage-trace`
-//! crate; this module defines the trait and a vector-backed source used in
-//! tests and replays.
+//! the Cello-like / TPC-C-like trace replays (§4.3) — live in the
+//! `storage-trace` crate; this module defines the trait and a
+//! vector-backed source for explicit request lists.
 
 use crate::request::Request;
 
@@ -73,13 +73,15 @@ impl Workload for VecWorkload {
     }
 }
 
-/// Adapts any `FnMut() -> Option<Request>` closure into a workload, handy
-/// for ad-hoc generators in tests and examples.
-pub struct FnWorkload<F: FnMut() -> Option<Request>>(pub F);
-
-impl<F: FnMut() -> Option<Request>> Workload for FnWorkload<F> {
+/// A boxed workload is a workload, so a source chosen at run time
+/// (`Box<dyn Workload>`) drives the same generic `Driver`.
+impl<W: Workload + ?Sized> Workload for Box<W> {
     fn next_request(&mut self) -> Option<Request> {
-        (self.0)()
+        (**self).next_request()
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        (**self).len_hint()
     }
 }
 
@@ -111,21 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn fn_workload_adapts_closures() {
-        let mut n = 0u64;
-        let mut w = FnWorkload(move || {
-            if n < 3 {
-                let r = Request::new(n, SimTime::from_ms(n as f64), 0, 1, IoKind::Read);
-                n += 1;
-                Some(r)
-            } else {
-                None
-            }
-        });
-        let mut count = 0;
-        while w.next_request().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 3);
+    fn boxed_workload_forwards_both_methods() {
+        let reqs: Vec<Request> = (0..3)
+            .map(|i| Request::new(i, SimTime::from_ms(i as f64), 0, 1, IoKind::Read))
+            .collect();
+        let mut w: Box<dyn Workload> = Box::new(VecWorkload::new(reqs));
+        assert_eq!(w.len_hint(), Some(3));
+        assert_eq!(w.next_request().unwrap().id, 0);
+        assert_eq!(w.len_hint(), Some(2));
     }
 }

@@ -20,7 +20,7 @@
 
 use rand::rngs::SmallRng;
 use storage_sim::rng;
-use storage_sim::{IoKind, Request, SimTime, Workload};
+use storage_sim::IoKind;
 
 use crate::record::TraceRecord;
 
@@ -64,31 +64,27 @@ impl Default for CelloParams {
     }
 }
 
-/// Constant-memory streaming Cello-like generator.
+/// Constant-memory Cello-like trace: an iterator of [`TraceRecord`]s,
+/// sorted by arrival time and a pure function of `(params, seed)`.
 ///
-/// Produces exactly the same record sequence per `(params, seed)` as
-/// [`generate_cello`] — that function is now a thin `collect()` over this
-/// type — but holds only O(hot regions) state, so a 10⁷-request trace
-/// streams through the driver without ever existing as a vector.
-///
-/// Use it directly as a [`Workload`] (requests get dense ids from 0 and
-/// as-traced arrival times), as an `Iterator` of [`TraceRecord`]s, or
-/// behind [`crate::Replay`] to scale the arrival rate. `len_hint` is
-/// exact, so it can feed a streaming fleet.
+/// It holds only O(hot regions) state, so a 10⁷-request trace streams
+/// through the driver without ever existing as a vector. Replay it with
+/// [`crate::Replay`] (scale 1.0 = as traced); its `size_hint` is exact,
+/// so the replay can feed a streaming fleet.
 ///
 /// # Examples
 ///
 /// ```
 /// use storage_sim::Workload;
-/// use storage_trace::{CelloParams, CelloWorkload};
+/// use storage_trace::{CelloParams, CelloTrace, Replay};
 ///
-/// let mut w = CelloWorkload::new(&CelloParams::default(), 7);
-/// assert_eq!(w.len_hint(), Some(10_000));
-/// let first = w.next_request().unwrap();
-/// assert_eq!(first.id, 0);
+/// let trace = CelloTrace::new(&CelloParams::default(), 7);
+/// assert_eq!(trace.len(), 10_000);
+/// let mut w = Replay::new(trace, 1.0);
+/// assert_eq!(w.next_request().unwrap().id, 0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CelloWorkload {
+pub struct CelloTrace {
     params: CelloParams,
     region_len: u64,
     hot_starts: Vec<u64>,
@@ -97,10 +93,9 @@ pub struct CelloWorkload {
     clock: f64,
     burst_left: u64,
     seq_lbn: u64,
-    next_id: u64,
 }
 
-impl CelloWorkload {
+impl CelloTrace {
     /// Creates the generator. Draws the hot-region placement eagerly so
     /// the record stream is a pure function of `(params, seed)`.
     ///
@@ -121,7 +116,7 @@ impl CelloWorkload {
         let hot_starts: Vec<u64> = (0..params.hot_regions)
             .map(|_| rng::uniform_u64(&mut r, params.capacity - region_len))
             .collect();
-        CelloWorkload {
+        CelloTrace {
             params: params.clone(),
             region_len,
             hot_starts,
@@ -130,12 +125,11 @@ impl CelloWorkload {
             clock: 0.0,
             burst_left: 0,
             seq_lbn: 0,
-            next_id: 0,
         }
     }
 }
 
-impl Iterator for CelloWorkload {
+impl Iterator for CelloTrace {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
@@ -193,46 +187,11 @@ impl Iterator for CelloWorkload {
     }
 }
 
-impl ExactSizeIterator for CelloWorkload {}
-
-impl Workload for CelloWorkload {
-    fn next_request(&mut self) -> Option<Request> {
-        let rec = Iterator::next(self)?;
-        let req = Request::new(
-            self.next_id,
-            SimTime::from_secs(rec.arrival),
-            rec.lbn,
-            rec.sectors,
-            rec.kind,
-        );
-        self.next_id += 1;
-        Some(req)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
-}
-
-/// Generates a Cello-like trace (sorted by arrival time) by collecting
-/// [`CelloWorkload`]'s stream — byte-identical to the streaming path.
-///
-/// # Examples
-///
-/// ```
-/// use storage_trace::{generate_cello, CelloParams};
-///
-/// let trace = generate_cello(&CelloParams::default(), 7);
-/// assert_eq!(trace.len(), 10_000);
-/// assert!(trace.windows(2).all(|p| p[0].arrival <= p[1].arrival));
-/// ```
-pub fn generate_cello(params: &CelloParams, seed: u64) -> Vec<TraceRecord> {
-    CelloWorkload::new(params, seed).collect()
-}
+impl ExactSizeIterator for CelloTrace {}
 
 /// Convenience: the default Cello-like trace for a device capacity.
-pub fn cello_for_capacity(capacity: u64, requests: u64, seed: u64) -> Vec<TraceRecord> {
-    generate_cello(
+pub fn cello_for_capacity(capacity: u64, requests: u64, seed: u64) -> CelloTrace {
+    CelloTrace::new(
         &CelloParams {
             capacity,
             requests,
@@ -242,28 +201,17 @@ pub fn cello_for_capacity(capacity: u64, requests: u64, seed: u64) -> Vec<TraceR
     )
 }
 
-/// Exposes the generator's RNG-free burstiness measure for tests: the
-/// squared coefficient of variation of interarrival times (1 for Poisson,
-/// larger for bursty processes).
-pub fn interarrival_cv2(records: &[TraceRecord]) -> f64 {
-    let gaps: Vec<f64> = records
-        .windows(2)
-        .map(|p| p[1].arrival - p[0].arrival)
-        .collect();
-    if gaps.is_empty() {
-        return 0.0;
-    }
-    let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
-    var / (mean * mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceSummary;
+
+    fn generate(params: &CelloParams, seed: u64) -> Vec<TraceRecord> {
+        CelloTrace::new(params, seed).collect()
+    }
 
     fn trace() -> Vec<TraceRecord> {
-        generate_cello(&CelloParams::default(), 1)
+        generate(&CelloParams::default(), 1)
     }
 
     #[test]
@@ -271,7 +219,7 @@ mod tests {
         let t = trace();
         assert!(t.windows(2).all(|p| p[0].arrival <= p[1].arrival));
         // Burstiness: interarrival CV² well above Poisson's 1.
-        let cv2 = interarrival_cv2(&t);
+        let cv2 = TraceSummary::from_stream(t, CelloParams::default().capacity).interarrival_cv2;
         assert!(cv2 > 2.0, "cv² {cv2} not bursty");
     }
 
@@ -286,7 +234,7 @@ mod tests {
     #[test]
     fn accesses_concentrate_in_hot_regions() {
         let p = CelloParams::default();
-        let t = generate_cello(&p, 2);
+        let t = generate(&p, 2);
         // Count accesses landing in the busiest 3% of the device (by
         // 0.5%-sized buckets).
         let bucket = p.capacity / 200;
@@ -315,7 +263,7 @@ mod tests {
     #[test]
     fn requests_stay_in_bounds() {
         let p = CelloParams::default();
-        for r in generate_cello(&p, 3) {
+        for r in generate(&p, 3) {
             assert!(r.lbn + u64::from(r.sectors) <= p.capacity);
             assert!(r.sectors >= 1);
         }
@@ -324,26 +272,31 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         assert_eq!(
-            generate_cello(&CelloParams::default(), 5),
-            generate_cello(&CelloParams::default(), 5)
+            generate(&CelloParams::default(), 5),
+            generate(&CelloParams::default(), 5)
         );
     }
 
     #[test]
     fn streaming_workload_matches_materialized_replay() {
-        use crate::record::TraceWorkload;
+        // Replaying the live stream must equal replaying its collected
+        // records, request for request, with an exact length hint at
+        // every step (a streaming fleet sizes its id block from it).
+        use crate::Replay;
+        use storage_sim::Workload;
         let p = CelloParams::default();
         for seed in [1u64, 9, 0x5EED] {
-            let mut streamed = CelloWorkload::new(&p, seed);
-            assert_eq!(streamed.len_hint(), Some(p.requests));
-            let mut replayed = TraceWorkload::new(generate_cello(&p, seed), 1.0);
-            let mut n = 0u64;
-            while let Some(want) = replayed.next_request() {
-                assert_eq!(streamed.next_request(), Some(want), "seed {seed} req {n}");
-                n += 1;
+            let mut streamed = Replay::new(CelloTrace::new(&p, seed), 1.0);
+            let records: Vec<TraceRecord> = CelloTrace::new(&p, seed).collect();
+            let mut materialized = Replay::new(records, 1.0);
+            loop {
+                assert_eq!(streamed.len_hint(), materialized.len_hint(), "seed {seed}");
+                let want = materialized.next_request();
+                assert_eq!(streamed.next_request(), want, "seed {seed}");
+                if want.is_none() {
+                    break;
+                }
             }
-            assert_eq!(streamed.next_request(), None);
-            assert_eq!(n, p.requests);
         }
     }
 }

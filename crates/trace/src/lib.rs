@@ -4,28 +4,26 @@
 //!
 //! * [`RandomWorkload`] — the §3 *random* workload: Poisson arrivals, 67%
 //!   reads, exponential 4 KB sizes, uniform locations;
-//! * [`generate_cello`] — a Cello-like bursty file-server trace (the
-//!   1992 HP trace is not redistributable; see the crate docs of
-//!   [`cello`] for the substitution rationale);
-//! * [`generate_tpcc`] — a TPC-C-like OLTP trace with the high
-//!   concurrency and tiny inter-LBN distances §4.3 credits for SPTF's
-//!   outsized win.
+//! * [`CelloTrace`] — a Cello-like bursty file-server trace (the 1992 HP
+//!   trace is not redistributable; see the crate docs of [`cello`] for
+//!   the substitution rationale);
+//! * [`TpccTrace`] — a TPC-C-like OLTP trace with the high concurrency
+//!   and tiny inter-LBN distances §4.3 credits for SPTF's outsized win.
 //!
-//! Plus a plain-text trace format ([`TraceRecord`], [`parse_trace`],
-//! [`format_trace`]) and scaled replay ([`TraceWorkload`]) implementing
-//! the paper's arrival-rate scaling methodology, and two skewed
+//! Plus a plain-text trace format ([`TraceRecord`], [`format_trace`])
+//! with a streaming, validating reader ([`TraceReader`], typed
+//! [`TraceError`]s, [`parse_trace`] to collect one), and two skewed
 //! workloads for the adaptive-placement experiments: [`ZipfWorkload`]
 //! (classical Zipf(0.99) block popularity, spatially scattered) and
 //! [`ShiftingHotspotWorkload`] (a contiguous hot span that relocates
 //! every epoch).
 //!
-//! Every generator is a **constant-memory stream**: the trace types
-//! ([`CelloWorkload`], [`TpccWorkload`], [`StreamingWorkload`]) are
-//! `Iterator<Item = TraceRecord>`s and `Workload`s at once, the
-//! `generate_*` functions are thin `collect()` wrappers over them, and
-//! [`Replay`] applies §4.3 arrival-rate scaling to any record stream
-//! without materializing it. [`RampWorkload`] adds the open-loop
-//! arrival-rate ramp used by the overload experiments.
+//! Every source is a **constant-memory stream**. The trace generators
+//! ([`CelloTrace`], [`TpccTrace`], [`StreamingTrace`]) and
+//! [`TraceReader`] yield [`TraceRecord`]s, and [`Replay`] is the one path
+//! from records to requests: it applies the §4.3 arrival-rate scaling to
+//! any record stream without materializing it. [`RampWorkload`] adds the
+//! open-loop arrival-rate ramp used by the overload experiments.
 
 #![warn(missing_docs)]
 
@@ -38,11 +36,13 @@ pub mod summary;
 pub mod tpcc;
 pub mod zipf;
 
-pub use cello::{cello_for_capacity, generate_cello, CelloParams, CelloWorkload};
+pub use cello::{cello_for_capacity, CelloParams, CelloTrace};
 pub use ramp::RampWorkload;
 pub use random::RandomWorkload;
-pub use record::{format_trace, parse_trace, Replay, TraceRecord, TraceWorkload};
-pub use streaming::{generate_streaming, StreamingParams, StreamingWorkload};
+pub use record::{
+    format_trace, parse_trace, Replay, TraceError, TraceErrorKind, TraceReader, TraceRecord,
+};
+pub use streaming::{StreamingParams, StreamingTrace};
 pub use summary::TraceSummary;
-pub use tpcc::{generate_tpcc, tpcc_for_capacity, TpccParams, TpccWorkload};
+pub use tpcc::{tpcc_for_capacity, TpccParams, TpccTrace};
 pub use zipf::{ShiftingHotspotWorkload, ZipfWorkload, FRAGMENTS};

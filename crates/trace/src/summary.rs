@@ -12,7 +12,6 @@
 //! log-spaced histogram for interarrival tails, and a fixed 100-bucket
 //! locality map — so a 10⁷-request generator stream can be characterized
 //! without ever materializing a `Vec<TraceRecord>`.
-//! [`TraceSummary::compute`] is the slice convenience over the same pass.
 
 use storage_sim::{IoKind, LogHistogram, Welford};
 
@@ -50,19 +49,10 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Computes the summary of `records` against a device of `capacity`
-    /// sectors. Convenience over [`TraceSummary::from_stream`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty or `capacity` is zero.
-    pub fn compute(records: &[TraceRecord], capacity: u64) -> Self {
-        Self::from_stream(records.iter().copied(), capacity)
-    }
-
-    /// Computes the summary in one streaming pass over any record
-    /// iterator — every generator in this crate yields its records this
-    /// way, so arbitrarily long traces summarize in O(1) memory.
+    /// Computes the summary against a device of `capacity` sectors in one
+    /// streaming pass over any record iterator — a `Vec`, a generator, or
+    /// a [`crate::TraceReader`] — so arbitrarily long traces summarize in
+    /// O(1) memory.
     ///
     /// # Panics
     ///
@@ -183,8 +173,8 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cello::{generate_cello, CelloParams, CelloWorkload};
-    use crate::tpcc::{generate_tpcc, TpccParams};
+    use crate::cello::{CelloParams, CelloTrace};
+    use crate::tpcc::{TpccParams, TpccTrace};
 
     fn uniform_trace(n: u64, capacity: u64) -> Vec<TraceRecord> {
         let mut lbn = 13u64;
@@ -204,7 +194,7 @@ mod tests {
     #[test]
     fn uniform_trace_summary_is_uniform() {
         let t = uniform_trace(20_000, 1_000_000);
-        let s = TraceSummary::compute(&t, 1_000_000);
+        let s = TraceSummary::from_stream(t, 1_000_000);
         assert_eq!(s.requests, 20_000);
         assert!((s.arrival_rate - 100.0).abs() < 1.0);
         assert!(s.interarrival_cv2 < 0.01, "constant arrivals");
@@ -220,8 +210,7 @@ mod tests {
     #[test]
     fn cello_like_summary_matches_published_characteristics() {
         let p = CelloParams::default();
-        let t = generate_cello(&p, 3);
-        let s = TraceSummary::compute(&t, p.capacity);
+        let s = TraceSummary::from_stream(CelloTrace::new(&p, 3), p.capacity);
         assert!(
             s.interarrival_cv2 > 2.0,
             "bursty: cv2 {}",
@@ -237,8 +226,7 @@ mod tests {
     #[test]
     fn tpcc_like_summary_matches_published_characteristics() {
         let p = TpccParams::default();
-        let t = generate_tpcc(&p, 3);
-        let s = TraceSummary::compute(&t, p.capacity);
+        let s = TraceSummary::from_stream(TpccTrace::new(&p, 3), p.capacity);
         assert!(
             (15.0..17.0).contains(&s.mean_sectors),
             "8 KB pages dominate"
@@ -248,19 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_summary_equals_slice_summary() {
-        // One pass over the generator stream, no Vec<TraceRecord> — must
-        // equal the slice path field for field (same single-pass core).
-        let p = CelloParams::default();
-        let streamed = TraceSummary::from_stream(CelloWorkload::new(&p, 5), p.capacity);
-        let sliced = TraceSummary::compute(&generate_cello(&p, 5), p.capacity);
-        assert_eq!(streamed, sliced);
-    }
-
-    #[test]
     fn render_contains_key_lines() {
         let t = uniform_trace(100, 10_000);
-        let text = TraceSummary::compute(&t, 10_000).render();
+        let text = TraceSummary::from_stream(t, 10_000).render();
         assert!(text.contains("arrival rate"));
         assert!(text.contains("interarrival p99"));
         assert!(text.contains("sequential fraction"));
@@ -269,6 +247,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_rejected() {
-        let _ = TraceSummary::compute(&[], 100);
+        let _ = TraceSummary::from_stream(std::iter::empty(), 100);
     }
 }

@@ -19,7 +19,7 @@ use mems_os::layout::{
 };
 use mems_os::sched::Algorithm;
 use storage_sim::{Driver, FifoScheduler};
-use storage_trace::{cello_for_capacity, TraceWorkload};
+use storage_trace::{cello_for_capacity, Replay};
 
 fn main() {
     let params = MemsParams::default();
@@ -63,7 +63,7 @@ fn main() {
         "algorithm", "mean resp (ms)", "sigma2/mu2"
     );
     for alg in Algorithm::ALL {
-        let workload = TraceWorkload::new(trace.clone(), 8.0);
+        let workload = Replay::new(trace.clone(), 8.0);
         let mut driver = Driver::new(workload, alg.build(), MemsDevice::new(params.clone()))
             .warmup_requests(200);
         let report = driver.run();

@@ -19,7 +19,7 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::Raid5Array;
 use mems_os::sched::Algorithm;
 use storage_sim::Driver;
-use storage_trace::{tpcc_for_capacity, TraceWorkload};
+use storage_trace::{tpcc_for_capacity, Replay};
 
 fn main() {
     let params = MemsParams::default();
@@ -34,7 +34,7 @@ fn main() {
     for scale in [2.0, 4.0, 8.0] {
         print!("{scale:>6}");
         for alg in Algorithm::ALL {
-            let workload = TraceWorkload::new(trace.clone(), scale);
+            let workload = Replay::new(trace.clone(), scale);
             let mut driver = Driver::new(workload, alg.build(), MemsDevice::new(params.clone()))
                 .warmup_requests(200);
             let report = driver.run();

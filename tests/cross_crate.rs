@@ -8,7 +8,7 @@ use mems_os::power::{PowerManagedDevice, PowerProfile};
 use mems_os::sched::Algorithm;
 use std::collections::HashSet;
 use storage_sim::{Driver, StorageDevice, Workload};
-use storage_trace::{cello_for_capacity, generate_tpcc, RandomWorkload, TpccParams, TraceWorkload};
+use storage_trace::{cello_for_capacity, RandomWorkload, Replay, TpccParams, TpccTrace};
 
 /// Every request completes exactly once, responses dominate service
 /// times, and the timeline is causally consistent.
@@ -87,16 +87,11 @@ fn trace_generators_drive_both_devices() {
     let mems = MemsDevice::new(MemsParams::default());
     let capacity = mems.capacity_lbns();
     let cello = cello_for_capacity(capacity, 1200, 5);
-    let report = Driver::new(
-        TraceWorkload::new(cello, 4.0),
-        Algorithm::Sptf.build(),
-        mems,
-    )
-    .run();
+    let report = Driver::new(Replay::new(cello, 4.0), Algorithm::Sptf.build(), mems).run();
     assert_eq!(report.completed, 1200);
 
     let disk = DiskDevice::new(DiskParams::quantum_atlas_10k());
-    let tpcc = generate_tpcc(
+    let tpcc = TpccTrace::new(
         &TpccParams {
             capacity: disk.capacity_lbns(),
             database_sectors: 2_000_000,
@@ -105,12 +100,7 @@ fn trace_generators_drive_both_devices() {
         },
         5,
     );
-    let report = Driver::new(
-        TraceWorkload::new(tpcc, 0.25),
-        Algorithm::Clook.build(),
-        disk,
-    )
-    .run();
+    let report = Driver::new(Replay::new(tpcc, 0.25), Algorithm::Clook.build(), disk).run();
     assert_eq!(report.completed, 600);
 }
 
@@ -142,11 +132,8 @@ fn workload_arrival_monotonicity_holds_for_all_generators() {
     let capacity = 6_750_000;
     let mut sources: Vec<Box<dyn Workload>> = vec![
         Box::new(RandomWorkload::paper(capacity, 1000.0, 500, 1)),
-        Box::new(TraceWorkload::new(
-            cello_for_capacity(capacity, 500, 1),
-            2.0,
-        )),
-        Box::new(TraceWorkload::new(
+        Box::new(Replay::new(cello_for_capacity(capacity, 500, 1), 2.0)),
+        Box::new(Replay::new(
             storage_trace::tpcc_for_capacity(capacity, 500, 1),
             2.0,
         )),

@@ -8,7 +8,7 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::{BipartiteWorkload, SimpleLayout};
 use mems_os::sched::Algorithm;
 use storage_sim::{Driver, FifoScheduler};
-use storage_trace::{generate_cello, generate_tpcc, CelloParams, RandomWorkload, TpccParams};
+use storage_trace::{CelloParams, CelloTrace, RandomWorkload, TpccParams, TpccTrace};
 
 #[test]
 fn sched_sweep_points_are_reproducible() {
@@ -61,18 +61,11 @@ fn disk_simulations_are_reproducible() {
 
 #[test]
 fn trace_generators_are_pure_functions_of_seed() {
-    assert_eq!(
-        generate_cello(&CelloParams::default(), 42),
-        generate_cello(&CelloParams::default(), 42)
-    );
-    assert_eq!(
-        generate_tpcc(&TpccParams::default(), 42),
-        generate_tpcc(&TpccParams::default(), 42)
-    );
-    assert_ne!(
-        generate_cello(&CelloParams::default(), 1),
-        generate_cello(&CelloParams::default(), 2)
-    );
+    let cello = |seed| CelloTrace::new(&CelloParams::default(), seed);
+    let tpcc = |seed| TpccTrace::new(&TpccParams::default(), seed);
+    assert!(cello(42).eq(cello(42)));
+    assert!(tpcc(42).eq(tpcc(42)));
+    assert!(cello(1).ne(cello(2)));
 }
 
 #[test]

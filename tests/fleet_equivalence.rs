@@ -9,7 +9,7 @@ use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::array::Vdev;
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Driver, Request, SimReport, StorageDevice, VecWorkload, Workload};
+use storage_sim::{Driver, SimReport, StorageDevice};
 use storage_trace::RandomWorkload;
 
 use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
@@ -17,33 +17,21 @@ use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 const STRIPE_UNIT: u32 = 64;
 const REQUESTS: u64 = 600;
 
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
+/// Serve `workload` through the single-loop driver.
+fn solo_run<D: StorageDevice>(device: D, workload: RandomWorkload) -> SimReport {
+    Driver::new(workload, SptfScheduler::new(), device)
+        .record_completions(true)
+        .run()
 }
 
-/// Serve `requests` through the single-loop driver.
-fn solo_run<D: StorageDevice>(device: D, requests: &[Request]) -> SimReport {
-    Driver::new(
-        VecWorkload::new(requests.to_vec()),
-        SptfScheduler::new(),
-        device,
-    )
-    .record_completions(true)
-    .run()
-}
-
-/// Serve `requests` through a one-station fleet whose station device is
+/// Serve `workload` through a one-station fleet whose station device is
 /// the vdev tree, returning that station's report.
-fn fleet_run<D: StorageDevice + Send>(device: Vdev<D>, requests: &[Request]) -> SimReport {
-    let mut fleet = FleetEngine::new(
+fn fleet_run<D: StorageDevice + Send>(device: Vdev<D>, workload: RandomWorkload) -> SimReport {
+    let mut fleet = FleetEngine::streaming(
         vec![device],
         |_| SptfScheduler::new(),
-        &VolumeSpec::leaf(0),
-        requests,
+        VolumeSpec::leaf(0),
+        workload,
         FleetConfig::default(),
     )
     .run();
@@ -76,14 +64,9 @@ fn check<D>(build: impl Fn() -> Vdev<D>, rate: f64, recorded: u64)
 where
     D: StorageDevice + Send,
 {
-    let requests = collect(RandomWorkload::paper(
-        build().capacity_lbns(),
-        rate,
-        REQUESTS,
-        0xF1EE7,
-    ));
-    let solo = report_digest(&solo_run(build(), &requests));
-    assert_eq!(solo, report_digest(&fleet_run(build(), &requests)));
+    let workload = || RandomWorkload::paper(build().capacity_lbns(), rate, REQUESTS, 0xF1EE7);
+    let solo = report_digest(&solo_run(build(), workload()));
+    assert_eq!(solo, report_digest(&fleet_run(build(), workload())));
     assert_eq!(solo, recorded);
 }
 

@@ -7,7 +7,7 @@
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Profiler, Request, SimTime, StorageDevice, Telemetry, TracerPair, Workload};
+use storage_sim::{NoopTracer, Profiler, SimTime, StorageDevice, Telemetry, TracerPair};
 use storage_trace::RandomWorkload;
 
 use mems_fleet::{FleetConfig, FleetEngine, FleetTimeline, VolumeSpec};
@@ -20,33 +20,20 @@ const SEED: u64 = 42;
 /// multiple windows.
 const WINDOW_S: f64 = 0.01;
 
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
-
 fn engine<D: StorageDevice>(
     mut make_device: impl FnMut() -> D,
     capacity: u64,
     rate: f64,
     shards: usize,
     threads: usize,
-) -> FleetEngine<SptfScheduler, D> {
+) -> FleetEngine<SptfScheduler, D, NoopTracer, RandomWorkload> {
     let volume = VolumeSpec::flat(STATIONS, STRIPE_UNIT);
-    let requests = collect(RandomWorkload::paper(
-        volume.capacity(capacity),
-        rate,
-        REQUESTS,
-        SEED,
-    ));
-    FleetEngine::new(
+    let workload = RandomWorkload::paper(volume.capacity(capacity), rate, REQUESTS, SEED);
+    FleetEngine::streaming(
         (0..STATIONS).map(|_| make_device()).collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume,
+        workload,
         FleetConfig {
             shards,
             threads,

@@ -15,7 +15,7 @@ use mems_os::layout::{
 };
 use mems_os::sched::Algorithm;
 use storage_sim::{Driver, FifoScheduler};
-use storage_trace::{tpcc_for_capacity, RandomWorkload, TraceWorkload};
+use storage_trace::{tpcc_for_capacity, RandomWorkload, Replay};
 
 const MEMS_CAPACITY: u64 = 2500 * 5 * 540;
 
@@ -134,7 +134,7 @@ fn sptf_wins_big_on_tpcc() {
     let scale = 8.0;
     let run = |alg: Algorithm| {
         run_one(
-            TraceWorkload::new(trace.clone(), scale),
+            Replay::new(trace.clone(), scale),
             alg,
             MemsDevice::new(MemsParams::default()),
             200,

@@ -14,12 +14,12 @@ use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 use mems_os::sched::SptfScheduler;
 use proptest::prelude::*;
 use storage_sim::{
-    Driver, FifoScheduler, IoKind, OverloadPolicy, Request, Scheduler, SimReport, SimTime,
-    StorageDevice, Tracer, VecWorkload, Workload,
+    Driver, FifoScheduler, IoKind, OverloadPolicy, Scheduler, SimReport, SimTime, StorageDevice,
+    Tracer, VecWorkload, Workload,
 };
 use storage_trace::{
-    CelloParams, CelloWorkload, RampWorkload, RandomWorkload, ShiftingHotspotWorkload,
-    StreamingParams, StreamingWorkload, TpccParams, TpccWorkload, ZipfWorkload,
+    CelloParams, CelloTrace, RampWorkload, RandomWorkload, Replay, ShiftingHotspotWorkload,
+    StreamingParams, StreamingTrace, TpccParams, TpccTrace, ZipfWorkload,
 };
 
 const MEMS_CAPACITY: u64 = 6_750_000;
@@ -27,14 +27,6 @@ const MEMS_CAPACITY: u64 = 6_750_000;
 const CAPACITY: u64 = 4_000_000;
 const N: u64 = 3_000;
 const SEED: u64 = 0x5EED_0011;
-
-fn collect(mut w: impl Workload) -> Vec<Request> {
-    let mut out = Vec::new();
-    while let Some(r) = w.next_request() {
-        out.push(r);
-    }
-    out
-}
 
 /// Bit-exact digest of a driver run: counts, billing, and every
 /// Welford-derived aggregate as raw f64 bits.
@@ -67,7 +59,9 @@ fn assert_streamed_identical<W, D, S>(
     D: StorageDevice,
     S: Scheduler,
 {
-    let materialized = Driver::new(VecWorkload::new(collect(make())), scheduler(), device())
+    let mut source = make();
+    let requests = std::iter::from_fn(|| source.next_request()).collect();
+    let materialized = Driver::new(VecWorkload::new(requests), scheduler(), device())
         .warmup_requests(100)
         .run();
     assert_eq!(
@@ -126,43 +120,37 @@ fn hotspot_streamed_identical() {
 #[test]
 fn streaming_media_streamed_identical() {
     per_generator("streaming", || {
-        StreamingWorkload::new(
-            &StreamingParams {
-                capacity: CAPACITY,
-                requests: N,
-                ..StreamingParams::default()
-            },
-            SEED,
-        )
+        let params = StreamingParams {
+            capacity: CAPACITY,
+            requests: N,
+            ..StreamingParams::default()
+        };
+        Replay::new(StreamingTrace::new(&params, SEED), 1.0)
     });
 }
 
 #[test]
 fn cello_streamed_identical() {
     per_generator("cello", || {
-        CelloWorkload::new(
-            &CelloParams {
-                capacity: CAPACITY,
-                requests: N,
-                ..CelloParams::default()
-            },
-            SEED,
-        )
+        let params = CelloParams {
+            capacity: CAPACITY,
+            requests: N,
+            ..CelloParams::default()
+        };
+        Replay::new(CelloTrace::new(&params, SEED), 1.0)
     });
 }
 
 #[test]
 fn tpcc_streamed_identical() {
     per_generator("tpcc", || {
-        TpccWorkload::new(
-            &TpccParams {
-                capacity: CAPACITY,
-                requests: N,
-                database_sectors: CAPACITY * 3 / 10,
-                ..TpccParams::default()
-            },
-            SEED,
-        )
+        let params = TpccParams {
+            capacity: CAPACITY,
+            requests: N,
+            database_sectors: CAPACITY * 3 / 10,
+            ..TpccParams::default()
+        };
+        Replay::new(TpccTrace::new(&params, SEED), 1.0)
     });
 }
 
@@ -174,7 +162,7 @@ fn ramp_streamed_identical() {
 }
 
 /// A fleet pulling from the generator must reproduce one over the collected
-/// request slice bit for bit at every shard/thread split, with background
+/// request list bit for bit at every shard/thread split, with background
 /// traffic in flight and the per-station event queues never restructuring.
 #[test]
 fn fleet_streamed_identical_across_splits() {
@@ -183,7 +171,8 @@ fn fleet_streamed_identical_across_splits() {
     let rate = 400.0 * stations as f64;
     let n = 12_000u64;
     let fleet_workload = || RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), rate, n, SEED);
-    let requests = collect(fleet_workload());
+    let mut source = fleet_workload();
+    let requests = std::iter::from_fn(|| source.next_request()).collect();
 
     fn add_bg<S, D, T, W>(engine: &mut FleetEngine<S, D, T, W>, stations: usize)
     where
@@ -211,13 +200,13 @@ fn fleet_streamed_identical_across_splits() {
         ..FleetConfig::default()
     };
 
-    let mut baseline_engine = FleetEngine::new(
+    let mut baseline_engine = FleetEngine::streaming(
         (0..stations)
             .map(|_| MemsDevice::new(MemsParams::default()))
             .collect(),
         |_| SptfScheduler::new(),
-        &volume,
-        &requests,
+        volume.clone(),
+        VecWorkload::new(requests),
         config(1, 1),
     );
     add_bg(&mut baseline_engine, stations);
@@ -298,8 +287,10 @@ proptest! {
         let rate = 400.0 * f64::from(rate_step);
         let n = 400;
         let make = || RandomWorkload::paper(CAPACITY, rate, n, seed);
+        let mut source = make();
+        let requests = std::iter::from_fn(|| source.next_request()).collect();
         let materialized = Driver::new(
-            VecWorkload::new(collect(make())),
+            VecWorkload::new(requests),
             SptfScheduler::new(),
             MemsDevice::new(MemsParams::default()),
         )
