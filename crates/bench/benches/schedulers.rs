@@ -76,7 +76,7 @@ fn bench_pick(c: &mut Criterion) {
 
     // The devirtualization ladder: one SPTF drain, three dispatch tiers.
     // "naive" re-scans the whole queue per pick, "pruned" is the
-    // incremental flat-index scan with the per-bucket winner cache (the
+    // incremental pruned walk with the per-bucket winner cache (the
     // drain never services the device, so the rest state is fixed and the
     // cache fires — the scenario the incremental maintenance targets), and
     // "dyn" is the same incremental scan behind the type-erased

@@ -93,15 +93,15 @@ fn parse_args() -> Args {
             "--device" => args.device = value("--device"),
             "--scheduler" => args.scheduler = value("--scheduler"),
             "--workload" => args.workload = value("--workload"),
-            "--rate" => args.rate = positive("--rate", &value("--rate")),
-            "--scale" => args.scale = positive("--scale", &value("--scale")),
+            "--rate" => args.rate = number("--rate", &value("--rate"), POSITIVE),
+            "--scale" => args.scale = number("--scale", &value("--scale"), POSITIVE),
             "--requests" => args.requests = value("--requests").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--warmup" => args.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
             "--cache" => args.cache = true,
             "--idle-timeout" => {
-                args.idle_timeout =
-                    Some(value("--idle-timeout").parse().unwrap_or_else(|_| usage()))
+                let text = value("--idle-timeout");
+                args.idle_timeout = Some(number("--idle-timeout", &text, NON_NEGATIVE));
             }
             "--help" | "-h" => usage(),
             other => {
@@ -113,13 +113,22 @@ fn parse_args() -> Args {
     args
 }
 
-/// Parses the value of `flag` as a finite, positive number. Anything else
+/// What a numeric flag must be, and the test for it.
+type Domain = (&'static str, fn(f64) -> bool);
+
+/// Rates and scale factors.
+const POSITIVE: Domain = ("a finite positive number", |v| v.is_finite() && v > 0.0);
+/// Idle timeouts: anything `PowerManagedDevice::new` accepts, including
+/// `inf` (never sleep).
+const NON_NEGATIVE: Domain = ("a non-negative number", |v| v >= 0.0);
+
+/// Parses the value of `flag` as a number in `domain`. Anything else
 /// prints the flag's name and the usage text and exits with status 2.
-fn positive(flag: &str, text: &str) -> f64 {
+fn number(flag: &str, text: &str, (what, ok): Domain) -> f64 {
     match text.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => v,
+        Ok(v) if ok(v) => v,
         _ => {
-            eprintln!("{flag} must be a finite positive number, got {text}");
+            eprintln!("{flag} must be {what}, got {text}");
             usage()
         }
     }

@@ -15,18 +15,41 @@ fn storagesim_rejects_rates_and_scales_that_are_not_finite_and_positive() {
         &["--workload", "cello", "--scale", "inf"],
     ];
     for args in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_storagesim"))
-            .args(["--requests", "10"])
-            .args(*args)
-            .output()
-            .expect("storagesim runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        let flag = args[args.len() - 2];
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
-        assert!(stderr.contains("usage: storagesim"), "{args:?}: {stderr}");
+        assert_usage_error(args);
     }
+}
+
+#[test]
+fn storagesim_rejects_negative_and_nan_idle_timeouts() {
+    assert_usage_error(&["--idle-timeout", "-1"]);
+    assert_usage_error(&["--idle-timeout", "nan"]);
+    // Zero (sleep at once) and infinity (never sleep) stay valid.
+    for timeout in ["0", "inf"] {
+        let out = storagesim(&["--idle-timeout", timeout]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--idle-timeout {timeout}: {stderr}");
+    }
+}
+
+/// Runs a short `storagesim` with `args` appended.
+fn storagesim(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_storagesim"))
+        .args(["--requests", "10"])
+        .args(args)
+        .output()
+        .expect("storagesim runs")
+}
+
+/// `args` must end in a flag and its bad value: the run must exit 2
+/// without panicking, naming the flag above the usage text.
+fn assert_usage_error(args: &[&str]) {
+    let out = storagesim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let flag = args[args.len() - 2];
+    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    assert!(stderr.contains("usage: storagesim"), "{args:?}: {stderr}");
 }
 
 #[test]

@@ -35,184 +35,141 @@
 //!
 //! # Incremental candidate maintenance
 //!
-//! [`SptfScheduler`] goes one step further than pruning: it keeps the
-//! bucket index in a *flat* dense array with an occupancy bitmap (the ring
-//! walk becomes bit scans) and caches each
-//! bucket's best candidate under the device's [`PositionOracle::rest_key`]
-//! — the collision-free fingerprint of everything positioning depends on
-//! besides the request. A cached bucket answers a visit without rescoring
-//! any candidate; the cache slot is invalidated only when the bucket is
-//! touched by an arrival or removal, and the whole cache turns over when
-//! the rest key changes. Debug builds cross-check every cache hit against
-//! a fresh rescan of that bucket.
+//! Both pruned schedulers keep their pending requests in one compact
+//! index whose memory follows the queue, never the cylinder count: a
+//! `Vec` of `(bucket, entry)` keys sorted by bucket, over a slab of entries
+//! with a free list. A bucket's requests form one *run* of adjacent keys
+//! in enqueue order. The walk splits the keys at the device's current
+//! bucket and steps over whole runs outward, nearer side first.
+//!
+//! [`SptfScheduler`] also caches each run's winner in the run's first
+//! entry, under the device's [`PositionOracle::rest_key`] — the
+//! collision-free fingerprint of everything positioning depends on
+//! besides the request. A cached run answers a visit without rescoring
+//! any candidate. An arrival into the run or a removal from it invalidates
+//! the cache, a reused entry starts invalid, and the whole cache turns
+//! over when the rest key changes. Debug builds cross-check every cache
+//! hit against a fresh rescan of that run.
 //!
 //! [`AgedSptfScheduler`] is the classic aged variant \[WGP94]: each
 //! request's positioning estimate is discounted by how long it has waited,
 //! bounding starvation at a small average-case cost. The same pruned scan
 //! applies with the maximum outstanding age credit
 //! (`weight × oldest wait`) folded into the bounds. Aged scores depend on
-//! `now`, so the aged pick uses the flat index without the per-bucket
+//! `now`, so the aged pick walks the same index without reading the
 //! cache. [`NaiveAgedSptfScheduler`] is its full-scan reference.
 
 use std::collections::BTreeSet;
 
 use storage_sim::{PositionOracle, Request, SchedCounters, Scheduler, SimTime};
 
-/// Flat dense bucket index: bucket `b` lives at `buckets[b]`, occupancy is
-/// a bitmap, and the outward ring walk of the pruned scan becomes
-/// next/previous-set-bit scans.
-///
-/// Positioning buckets are small dense cylinder indices on every device in
-/// the workspace (MEMS: 2500, disks: a few thousand), so the dense array
-/// stays tiny; emptied buckets keep their `Vec` allocation in place.
-#[derive(Debug, Default)]
-struct FlatIndex {
-    buckets: Vec<Vec<(u64, Request)>>,
-    /// Occupancy bitmap: bit `b` of `words[b / 64]` ⇔ `buckets[b]` nonempty.
-    words: Vec<u64>,
-}
-
-impl FlatIndex {
-    /// Grows the dense array to cover `bucket`.
-    fn ensure(&mut self, bucket: usize) {
-        if bucket >= self.buckets.len() {
-            self.buckets.resize_with(bucket + 1, Vec::new);
-            self.words.resize(self.buckets.len().div_ceil(64), 0);
-        }
-    }
-
-    /// Appends an entry (sequence numbers grow monotonically, so appending
-    /// keeps the bucket in enqueue order).
-    fn push(&mut self, bucket: usize, seq: u64, req: Request) {
-        self.ensure(bucket);
-        self.buckets[bucket].push((seq, req));
-        self.words[bucket / 64] |= 1u64 << (bucket % 64);
-    }
-
-    /// Removes and returns entry `idx` of `bucket`, preserving the order
-    /// of the remaining entries and keeping the emptied `Vec` in place.
-    fn remove(&mut self, bucket: usize, idx: usize) -> (u64, Request) {
-        let entry = self.buckets[bucket].remove(idx);
-        if self.buckets[bucket].is_empty() {
-            self.words[bucket / 64] &= !(1u64 << (bucket % 64));
-        }
-        entry
-    }
-
-    /// Highest occupied bucket ≤ `from`, if any.
-    fn prev_occupied(&self, from: u64) -> Option<usize> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let from = (from as usize).min(self.buckets.len() - 1);
-        let (mut w, off) = (from / 64, from % 64);
-        let mut m = self.words[w] & (!0u64 >> (63 - off));
-        loop {
-            if m != 0 {
-                return Some(w * 64 + 63 - m.leading_zeros() as usize);
-            }
-            if w == 0 {
-                return None;
-            }
-            w -= 1;
-            m = self.words[w];
-        }
-    }
-
-    /// Lowest occupied bucket ≥ `from`, if any.
-    fn next_occupied(&self, from: u64) -> Option<usize> {
-        let from = from as usize;
-        if from >= self.buckets.len() {
-            return None;
-        }
-        let (mut w, off) = (from / 64, from % 64);
-        let mut m = self.words[w] & (!0u64 << off);
-        loop {
-            if m != 0 {
-                return Some(w * 64 + m.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
-            m = self.words[w];
-        }
-    }
-}
-
-/// One cached per-bucket winner. Valid iff `gen` equals the cache's
-/// current generation; a freshly grown or invalidated slot has `gen` 0,
-/// which never matches (generations start at 1).
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
+/// A run's winner `(score, seq, idx)` as scored under cache generation
+/// `gen`, with `idx` the winner's offset in the run. Generations start at
+/// 1, so `gen` 0 (the default) marks a winner that is not cached.
+#[derive(Debug, Clone, Copy, Default)]
+struct Winner {
     gen: u64,
     score: f64,
     seq: u64,
     idx: usize,
 }
 
-const INVALID_SLOT: CacheSlot = CacheSlot {
-    gen: 0,
-    score: f64::INFINITY,
-    seq: u64::MAX,
-    idx: 0,
-};
-
-/// Per-bucket best-candidate cache keyed on the device rest state.
-///
-/// A slot holds the winning `(score, seq, idx)` of its bucket as computed
-/// under `key` (the device's [`PositionOracle::rest_key`]). The slot
-/// answers later visits from the same rest state without rescoring, as
-/// long as the bucket itself was not touched by an arrival or removal.
-/// Correct only for rest-state-pure scores (plain SPTF's positioning
-/// time); aged scores depend on `now` and must not use the cache.
-#[derive(Debug, Default)]
-struct PickCache {
-    slots: Vec<CacheSlot>,
-    /// Current generation; bumping it invalidates every slot at once.
-    gen: u64,
-    key: Option<[u64; 3]>,
+/// One pending request in the slab, with its enqueue sequence number. Only
+/// the `winner` of a run's first entry is ever read.
+#[derive(Debug)]
+struct Entry {
+    seq: u64,
+    req: Request,
+    winner: Winner,
 }
 
-impl PickCache {
-    /// Grows the slot array to match the index (new slots start invalid).
-    fn ensure(&mut self, buckets: usize) {
-        if buckets > self.slots.len() {
-            self.slots.resize(buckets, INVALID_SLOT);
-        }
+/// The pending requests of a pruned scheduler, sized by the queue.
+#[derive(Debug, Default)]
+struct PendingIndex {
+    /// Arrivals not yet bucketed (bucketing needs the device, which
+    /// `enqueue` does not see), with their sequence numbers.
+    inbox: Vec<(u64, Request)>,
+    /// `(bucket, entry)` of every bucketed request, sorted by bucket; each
+    /// bucket's run is in enqueue order.
+    keys: Vec<(u32, u32)>,
+    entries: Vec<Entry>,
+    /// Entries that hold no pending request.
+    free: Vec<u32>,
+    next_seq: u64,
+}
+
+impl PendingIndex {
+    fn len(&self) -> usize {
+        self.inbox.len() + self.keys.len()
     }
 
-    /// Invalidates one bucket's slot (the bucket's entries changed).
-    fn invalidate_bucket(&mut self, bucket: usize) {
-        if let Some(slot) = self.slots.get_mut(bucket) {
-            slot.gen = 0;
-        }
+    /// Queues an arrival and returns its sequence number.
+    fn enqueue(&mut self, req: Request) -> u64 {
+        let seq = self.next_seq;
+        self.inbox.push((seq, req));
+        self.next_seq += 1;
+        seq
     }
 
-    /// Retunes the cache to the device's rest state at this pick: a key
-    /// match keeps every valid slot, anything else (including devices
-    /// without a rest key) turns the whole cache over.
-    fn sync_key(&mut self, key: Option<[u64; 3]>) {
-        match key {
-            Some(k) if self.key == Some(k) => {}
-            _ => {
-                self.gen += 1;
-                self.key = key;
+    /// Moves every queued arrival to the end of its bucket's run.
+    fn absorb<O: PositionOracle + ?Sized>(&mut self, device: &O) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for (seq, req) in inbox.drain(..) {
+            let bucket = u32::try_from(device.position_bucket(&req)).expect("bucket fits u32");
+            self.insert(bucket, seq, req);
+        }
+        self.inbox = inbox;
+    }
+
+    /// Appends a request to its bucket's run, uncaching the run's winner.
+    fn insert(&mut self, bucket: u32, seq: u64, req: Request) {
+        let winner = Winner::default();
+        let entry = Entry { seq, req, winner };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("pending count fits u32")
+            }
+        };
+        let start = self.keys.partition_point(|k| k.0 < bucket);
+        let end = self.keys.partition_point(|k| k.0 <= bucket);
+        if start < end {
+            self.entries[self.keys[start].1 as usize].winner.gen = 0;
+        }
+        self.keys.insert(end, (bucket, slot));
+    }
+
+    /// Removes entry `idx` of the run that starts at key `start`, uncaching
+    /// the run's winner, and returns its sequence number and request.
+    fn remove(&mut self, start: usize, idx: usize) -> (u64, Request) {
+        let (bucket, slot) = self.keys.remove(start + idx);
+        if let Some(&(b, first)) = self.keys.get(start) {
+            if b == bucket {
+                self.entries[first as usize].winner.gen = 0;
             }
         }
+        self.free.push(slot);
+        let entry = &self.entries[slot as usize];
+        (entry.seq, entry.req)
     }
 }
 
-/// Scores every entry of one bucket, returning the `(score, seq, idx)`
-/// winner under the lexicographic `(score, seq)` order.
-fn bucket_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
-    entries: &[(u64, Request)],
+/// Scores every entry of one run, returning the `(score, seq, idx)` winner
+/// under the lexicographic `(score, seq)` order.
+fn run_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
+    run: &[(u32, u32)],
+    entries: &[Entry],
     device: &O,
     now: SimTime,
     score: &F,
 ) -> (f64, u64, usize) {
     let mut best = (f64::INFINITY, u64::MAX, 0usize);
-    for (idx, (seq, req)) in entries.iter().enumerate() {
+    for (idx, &(_, slot)) in run.iter().enumerate() {
+        let Entry { seq, req, .. } = &entries[slot as usize];
         let s = score(req, device.position_time(req, now));
         if s < best.0 || (s == best.0 && *seq < best.1) {
             best = (s, *seq, idx);
@@ -221,34 +178,36 @@ fn bucket_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     best
 }
 
-/// Expands the bucket index outward from the device's current bucket and
-/// returns the `(bucket, index-within-bucket)` of the request minimizing
-/// `score(req, position_time)`, ties broken by enqueue sequence. When
-/// `cache` is given, per-bucket winners are answered from the incremental
-/// cache.
+/// Walks the index outward from the device's current bucket and returns
+/// the `(run start, index within run)` of the request minimizing
+/// `score(req, position_time)`, ties broken by enqueue sequence.
 ///
 /// `credit_bound` is the largest amount by which any pending request's
 /// score may undercut its positioning-time floor (0 for plain SPTF,
 /// `weight × oldest wait` for the aged variant).
 ///
-/// `cache` must be `None` unless `score` depends only on the request and
-/// the device rest state (plain SPTF); the caller is responsible for
-/// keying and invalidating it. Debug builds cross-check every cache hit
-/// against a fresh rescan of the hit bucket.
+/// With `gen` given, run winners cached under that generation answer
+/// their runs, and every scored run caches its winner under it. `gen` must
+/// be `None` unless `score` depends only on the request and the device
+/// rest state (plain SPTF). Debug builds cross-check every cache hit
+/// against a fresh rescan of the hit run.
 fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
-    index: &FlatIndex,
-    mut cache: Option<&mut PickCache>,
+    index: &mut PendingIndex,
+    gen: Option<u64>,
     device: &O,
     now: SimTime,
     score: F,
     credit_bound: f64,
     counters: &mut SchedCounters,
-) -> Option<(u64, usize)> {
+) -> Option<(usize, usize)> {
+    let (keys, entries) = (&index.keys, &mut index.entries);
     let cur = device.current_bucket();
-    let mut down = index.prev_occupied(cur);
-    let mut up = index.next_occupied(cur + 1);
-    // (score, seq, bucket, index) of the incumbent.
-    let mut best: Option<(f64, u64, u64, usize)> = None;
+    // Unvisited runs: `keys[..down]` at or below the current bucket,
+    // `keys[up..]` above it.
+    let mut down = keys.partition_point(|k| u64::from(k.0) <= cur);
+    let mut up = down;
+    // (score, seq, run start, index) of the incumbent.
+    let mut best: Option<(f64, u64, usize, usize)> = None;
     // The distance floor is deterministic in `dist` for the duration of a
     // pick, and the walk checks it with nondecreasing `dist` — often the
     // same value twice in a row (a down visit then an up visit at equal
@@ -256,21 +215,16 @@ fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     let mut floor_dist = u64::MAX;
     let mut floor_val = 0.0f64;
     loop {
-        let d_down = down.map(|b| cur - b as u64);
-        let d_up = up.map(|b| b as u64 - cur);
+        let d_down = down.checked_sub(1).map(|i| cur - u64::from(keys[i].0));
+        let d_up = keys.get(up).map(|k| u64::from(k.0) - cur);
         // Visit the nearer side first (lower bucket on equal distance —
         // the choice cannot affect the result: every unpruned candidate
         // is scored exactly and ties break on enqueue order).
-        let take_down = match (d_down, d_up) {
+        let (take_down, dist) = match (d_down, d_up) {
             (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(a), Some(b)) => a <= b,
-        };
-        let dist = if take_down {
-            d_down.unwrap()
-        } else {
-            d_up.unwrap()
+            (Some(a), Some(b)) if a <= b => (true, a),
+            (Some(a), None) => (true, a),
+            (_, Some(b)) => (false, b),
         };
         if let Some((best_score, ..)) = best {
             if dist != floor_dist {
@@ -281,59 +235,62 @@ fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
                 break;
             }
         }
-        let bucket = if take_down {
-            let b = down.unwrap();
-            down = if b == 0 {
-                None
-            } else {
-                index.prev_occupied(b as u64 - 1)
-            };
-            b
+        let (start, end) = if take_down {
+            let (end, bucket) = (down, keys[down - 1].0);
+            while down > 0 && keys[down - 1].0 == bucket {
+                down -= 1;
+            }
+            (down, end)
         } else {
-            let b = up.unwrap();
-            up = index.next_occupied(b as u64 + 1);
-            b
+            let (start, bucket) = (up, keys[up].0);
+            while up < keys.len() && keys[up].0 == bucket {
+                up += 1;
+            }
+            (start, up)
         };
+        let run = &keys[start..end];
         if let Some((best_score, ..)) = best {
-            if device.bucket_position_time_floor(bucket as u64) - credit_bound > best_score {
+            if device.bucket_position_time_floor(u64::from(run[0].0)) - credit_bound > best_score {
                 counters.buckets_pruned += 1;
                 continue;
             }
         }
-        let entries = &index.buckets[bucket];
-        let (bs, bseq, bidx) = match cache.as_deref_mut() {
-            Some(c) if c.slots[bucket].gen == c.gen => {
+        let first = run[0].1 as usize;
+        let (bs, bseq, bidx) = match gen {
+            Some(gen) if entries[first].winner.gen == gen => {
                 counters.cached_best_hits += 1;
-                let slot = c.slots[bucket];
+                let w = entries[first].winner;
                 #[cfg(debug_assertions)]
                 {
                     // Cross-check the hit against a fresh rescan of this
-                    // one bucket (a full per-pick rescan would defeat the
+                    // one run (a full per-pick rescan would defeat the
                     // point of the cache even in debug builds).
-                    let fresh = bucket_best(entries, device, now, &score);
+                    let fresh = run_best(run, entries, device, now, &score);
                     debug_assert_eq!(
                         (fresh.0.to_bits(), fresh.1, fresh.2),
-                        (slot.score.to_bits(), slot.seq, slot.idx),
-                        "stale SPTF cache slot for bucket {bucket}"
+                        (w.score.to_bits(), w.seq, w.idx),
+                        "stale SPTF cached winner for bucket {}",
+                        run[0].0
                     );
                 }
-                (slot.score, slot.seq, slot.idx)
+                (w.score, w.seq, w.idx)
             }
-            c => {
-                counters.candidates_examined += entries.len() as u64;
-                let fresh = bucket_best(entries, device, now, &score);
-                if let Some(c) = c {
-                    c.slots[bucket] = CacheSlot {
-                        gen: c.gen,
-                        score: fresh.0,
-                        seq: fresh.1,
-                        idx: fresh.2,
+            _ => {
+                counters.candidates_examined += run.len() as u64;
+                let fresh = run_best(run, entries, device, now, &score);
+                if let Some(gen) = gen {
+                    let (score, seq, idx) = fresh;
+                    entries[first].winner = Winner {
+                        gen,
+                        score,
+                        seq,
+                        idx,
                     };
                 }
                 fresh
             }
         };
-        // Bucket-winner-then-compare equals the entrywise comparison: the
+        // Run-winner-then-compare equals the entrywise comparison: the
         // lexicographic (score, seq) minimum is associative.
         let better = match best {
             None => true,
@@ -342,52 +299,23 @@ fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
             }
         };
         if better {
-            best = Some((bs, bseq, bucket as u64, bidx));
+            best = Some((bs, bseq, start, bidx));
         }
     }
-    best.map(|(_, _, bucket, idx)| (bucket, idx))
+    best.map(|(_, _, start, idx)| (start, idx))
 }
 
-/// Moves the arrivals of `inbox` into the flat index, invalidating the
-/// cache slot of every touched bucket.
-fn index_arrivals<O: PositionOracle + ?Sized>(
-    inbox: &mut Vec<(u64, Request)>,
-    index: &mut FlatIndex,
-    mut cache: Option<&mut PickCache>,
-    device: &O,
-) {
-    for (seq, req) in inbox.drain(..) {
-        let bucket = usize::try_from(device.position_bucket(&req)).expect("bucket fits usize");
-        index.push(bucket, seq, req);
-        if let Some(c) = cache.as_deref_mut() {
-            c.invalidate_bucket(bucket);
-        }
-    }
-    if let Some(c) = cache {
-        c.ensure(index.buckets.len());
-    }
-}
-
-/// The shallow-queue pick of the flat-index schedulers: `None` with no
-/// request pending, the lone request (unbucketed or indexed) with one —
-/// counted as one pick over one candidate, nothing scored. Returns `None`
-/// when two or more are pending and the scan must run.
-fn pick_shallow(
-    len: &mut usize,
-    counters: &mut SchedCounters,
-    inbox: &mut Vec<(u64, Request)>,
-    index: &mut FlatIndex,
-) -> Option<Option<Request>> {
-    match *len {
+/// The shallow-queue pick of the pruned schedulers: `None` with no request
+/// pending, the lone request (bucketed or not) with one — counted as one
+/// pick over one candidate, nothing scored. Returns `None` when two or more
+/// are pending and the walk must run.
+fn pick_shallow(index: &mut PendingIndex, counters: &mut SchedCounters) -> Option<Option<Request>> {
+    match index.len() {
         0 => Some(None),
         1 => {
-            *len = 0;
             counters.picks += 1;
             counters.candidates_examined += 1;
-            let (_, req) = inbox.pop().unwrap_or_else(|| {
-                let bucket = index.next_occupied(0).expect("one request is indexed");
-                index.remove(bucket, 0)
-            });
+            let (_, req) = index.inbox.pop().unwrap_or_else(|| index.remove(0, 0));
             Some(Some(req))
         }
         _ => None,
@@ -420,13 +348,11 @@ fn pick_shallow(
 /// ```
 #[derive(Debug, Default)]
 pub struct SptfScheduler {
-    /// Arrivals not yet bucketed (bucketing needs the device, which
-    /// `enqueue` does not see).
-    inbox: Vec<(u64, Request)>,
-    index: FlatIndex,
-    cache: PickCache,
-    len: usize,
-    next_seq: u64,
+    index: PendingIndex,
+    /// Generation of the cached run winners; bumping it uncaches them all.
+    gen: u64,
+    /// Device rest state the current generation was scored under.
+    rest_key: Option<[u64; 3]>,
     counters: SchedCounters,
 }
 
@@ -443,31 +369,25 @@ impl Scheduler for SptfScheduler {
     }
 
     fn enqueue(&mut self, req: Request) {
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
+        self.index.enqueue(req);
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        // Shallow queues skip the index, the oracle, and the cache. The
-        // lone request leaves its bucket's cache slot stale, which is
-        // sound: the index is then empty, so every bucket occupied at a
-        // later pick received an arrival in between, and each arrival
-        // invalidates its bucket's slot before the walk can read it.
-        let (inbox, index) = (&mut self.inbox, &mut self.index);
-        if let Some(shallow) = pick_shallow(&mut self.len, &mut self.counters, inbox, index) {
+        // Shallow queues skip the walk, the oracle, and the cache.
+        if let Some(shallow) = pick_shallow(&mut self.index, &mut self.counters) {
             return shallow;
         }
-        index_arrivals(
-            &mut self.inbox,
+        self.index.absorb(device);
+        // A rest key match keeps every cached winner; anything else
+        // (including a device without a rest key) turns the cache over.
+        let key = device.rest_key(now);
+        if key.is_none() || key != self.rest_key {
+            self.gen += 1;
+            self.rest_key = key;
+        }
+        let (start, idx) = pruned_best(
             &mut self.index,
-            Some(&mut self.cache),
-            device,
-        );
-        self.cache.sync_key(device.rest_key(now));
-        let (bucket, idx) = pruned_best(
-            &self.index,
-            Some(&mut self.cache),
+            Some(self.gen),
             device,
             now,
             |_, t| t,
@@ -475,14 +395,11 @@ impl Scheduler for SptfScheduler {
             &mut self.counters,
         )?;
         self.counters.picks += 1;
-        self.len -= 1;
-        let bucket = bucket as usize;
-        self.cache.invalidate_bucket(bucket);
-        Some(self.index.remove(bucket, idx).1)
+        Some(self.index.remove(start, idx).1)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     fn counters(&self) -> SchedCounters {
@@ -546,7 +463,7 @@ impl Scheduler for NaiveSptfScheduler {
 }
 
 /// Aged SPTF: positioning time minus `weight × wait time` \[WGP94],
-/// served by the same flat-index pruned scan as [`SptfScheduler`].
+/// served by the same pruned walk over the same index as [`SptfScheduler`].
 ///
 /// With `weight = 0` this is plain SPTF; larger weights approach FCFS.
 /// A weight in the low single digits (seconds of positioning credit per
@@ -554,16 +471,13 @@ impl Scheduler for NaiveSptfScheduler {
 /// The prune stays sound under aging: the bounds are discounted by the
 /// *maximum* credit any pending request has earned (`weight × oldest
 /// wait`), tracked via the arrival set. Aged scores depend on `now`, so
-/// the per-bucket winner cache does not apply.
+/// the cached run winners do not apply.
 #[derive(Debug)]
 pub struct AgedSptfScheduler {
-    inbox: Vec<(u64, Request)>,
-    index: FlatIndex,
+    index: PendingIndex,
     /// `(arrival, seq)` of every pending request; the first entry gives
     /// the oldest wait, hence the largest possible age credit.
     arrivals: BTreeSet<(SimTime, u64)>,
-    len: usize,
-    next_seq: u64,
     weight: f64,
     name: String,
     counters: SchedCounters,
@@ -578,11 +492,8 @@ impl AgedSptfScheduler {
     pub fn new(weight: f64) -> Self {
         assert!(weight.is_finite() && weight >= 0.0, "weight must be >= 0");
         AgedSptfScheduler {
-            inbox: Vec::new(),
-            index: FlatIndex::default(),
+            index: PendingIndex::default(),
             arrivals: BTreeSet::new(),
-            len: 0,
-            next_seq: 0,
             weight,
             name: format!("SPTF-aged({weight})"),
             counters: SchedCounters::default(),
@@ -596,20 +507,17 @@ impl Scheduler for AgedSptfScheduler {
     }
 
     fn enqueue(&mut self, req: Request) {
-        self.arrivals.insert((req.arrival, self.next_seq));
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
+        let seq = self.index.enqueue(req);
+        self.arrivals.insert((req.arrival, seq));
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        // Shallow queues skip the index and the oracle, as in SPTF.
-        let (inbox, index) = (&mut self.inbox, &mut self.index);
-        if let Some(shallow) = pick_shallow(&mut self.len, &mut self.counters, inbox, index) {
+        // Shallow queues skip the walk and the oracle, as in SPTF.
+        if let Some(shallow) = pick_shallow(&mut self.index, &mut self.counters) {
             self.arrivals.clear();
             return shallow;
         }
-        index_arrivals(&mut self.inbox, &mut self.index, None, device);
+        self.index.absorb(device);
         let credit_bound = match self.arrivals.first() {
             Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
             None => return None,
@@ -619,8 +527,8 @@ impl Scheduler for AgedSptfScheduler {
             let wait = (now - req.arrival).as_secs().max(0.0);
             t - weight * wait
         };
-        let (bucket, idx) = pruned_best(
-            &self.index,
+        let (start, idx) = pruned_best(
+            &mut self.index,
             None,
             device,
             now,
@@ -629,14 +537,13 @@ impl Scheduler for AgedSptfScheduler {
             &mut self.counters,
         )?;
         self.counters.picks += 1;
-        let (seq, req) = self.index.remove(bucket as usize, idx);
+        let (seq, req) = self.index.remove(start, idx);
         self.arrivals.remove(&(req.arrival, seq));
-        self.len -= 1;
         Some(req)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     fn counters(&self) -> SchedCounters {
@@ -852,8 +759,9 @@ mod tests {
     /// through 0, 1, 2, 3, asserting identical picks (including `None` on
     /// the empty queue) and pick counts. A `moving` device is serviced
     /// after every pick; a parked one keeps one rest state throughout, so
-    /// cache slots left stale by single-entry picks would be read back if
-    /// the short-circuit were unsound (debug builds cross-check every hit).
+    /// a cached winner that outlived its run's last request would be read
+    /// back if entry reuse were unsound (debug builds cross-check every
+    /// hit).
     fn assert_shallow_equivalence<P: Scheduler, N: Scheduler>(
         mut fast: P,
         mut naive: N,
@@ -1025,6 +933,55 @@ mod tests {
             id += 1;
         }
         assert!(s.counters().cached_best_hits > 0);
+    }
+
+    /// Drives 12,500 requests over every cylinder of a moving device, five
+    /// visits per cylinder in a scattered order, at a queue depth cycling
+    /// through 1..=4. After every step the index may hold no more entries
+    /// than the deepest queue so far, and no buffer may have room for more
+    /// than twice the deepest queue: nothing is sized by the 2,500
+    /// cylinders.
+    fn assert_footprint_follows_queue<S: Scheduler>(mut s: S, index: fn(&S) -> &PendingIndex) {
+        const DEPTH: u64 = 4;
+        let mut dev = MemsDevice::new(MemsParams::default());
+        let cylinders = u64::from(dev.geometry().cylinders);
+        let per_cylinder = dev.capacity_lbns() / cylinders;
+        let mut touched = vec![false; cylinders as usize];
+        let (mut now, mut peak) = (SimTime::ZERO, 0);
+        for id in 0..5 * cylinders {
+            // 1,009 is coprime to 2,500: each block of 2,500 ids is a
+            // permutation of the cylinders.
+            let cylinder = id * 1_009 % cylinders;
+            let lbn = cylinder * per_cylinder + id % 300 * 8;
+            assert_eq!(u64::from(dev.cylinder_of_lbn(lbn)), cylinder);
+            touched[cylinder as usize] = true;
+            s.enqueue(Request::new(id, now, lbn, 8, IoKind::Read));
+            peak = peak.max(s.len());
+            while s.len() > (id % DEPTH) as usize {
+                let r = s.pick(&dev, now).expect("pending request");
+                now = now + dev.service(&r, now).total_time();
+            }
+            let ix = index(&s);
+            assert!(ix.entries.len() <= peak, "{} entries", ix.entries.len());
+            for cap in [
+                ix.inbox.capacity(),
+                ix.keys.capacity(),
+                ix.entries.capacity(),
+                ix.free.capacity(),
+            ] {
+                assert!(cap <= 2 * DEPTH as usize, "capacity {cap}");
+            }
+        }
+        while s.pick(&dev, now).is_some() {}
+        assert_eq!(peak, DEPTH as usize);
+        assert!(touched.iter().all(|&t| t));
+        assert_eq!(s.counters().picks, 5 * cylinders);
+    }
+
+    #[test]
+    fn index_footprint_follows_the_queue_not_the_cylinders() {
+        assert_footprint_follows_queue(SptfScheduler::new(), |s| &s.index);
+        assert_footprint_follows_queue(AgedSptfScheduler::new(1.5), |s| &s.index);
     }
 
     #[test]

@@ -11,15 +11,20 @@
 //! both sheds and times out — and checks each report digest against the
 //! value recorded from the calendar-queue and slab engine that the
 //! three-slot event loop replaced. Any drift here means the event loop
-//! changed *what* is simulated, not just how fast.
+//! changed *what* is simulated, not just how fast. Each cell also pins the
+//! scheduler's final work counters, recorded from the dense per-cylinder
+//! SPTF index that the queue-sized one replaced, so a change that keeps
+//! the picks but silently stops pruning or caching fails too.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::sched::{AgedSptfScheduler, NaiveSptfScheduler, SptfScheduler};
+use std::rc::Rc;
+
 use storage_sim::{
-    Driver, DynScheduler, FaultClock, FifoScheduler, OverloadPolicy, Scheduler, SimReport, SimTime,
-    StorageDevice,
+    Driver, DynScheduler, FaultClock, FifoScheduler, OverloadPolicy, PositionOracle, Request,
+    SchedCounters, Scheduler, SimReport, SimTime, StorageDevice,
 };
 use storage_trace::RandomWorkload;
 
@@ -90,9 +95,43 @@ enum Sched {
 }
 
 /// One engine-axis cell: the scheduler, whether the device is degraded
-/// under a fault storm, whether the overload policy is attached, and the
-/// report digest recorded for the cell.
-type Cell = (Sched, bool, bool, u64);
+/// under a fault storm, whether the overload policy is attached, the
+/// report digest recorded for the cell, and the scheduler's final
+/// `[picks, candidates_examined, buckets_pruned, cached_best_hits]`.
+type Cell = (Sched, bool, bool, u64, [u64; 4]);
+
+/// Forwards every call to the wrapped scheduler and publishes its counters
+/// after each pick, so a cell can read them after the driver, which owns
+/// the scheduler, has run. (Calls go through `Scheduler::` paths: the boxed
+/// scheduler also implements `DynScheduler`, which has the same methods.)
+struct Counted {
+    inner: Box<dyn DynScheduler>,
+    counters: Rc<std::cell::Cell<SchedCounters>>,
+}
+
+impl Scheduler for Counted {
+    fn name(&self) -> &str {
+        Scheduler::name(&self.inner)
+    }
+
+    fn enqueue(&mut self, req: Request) {
+        Scheduler::enqueue(&mut self.inner, req);
+    }
+
+    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
+        let picked = Scheduler::pick(&mut self.inner, device, now);
+        self.counters.set(Scheduler::counters(&self.inner));
+        picked
+    }
+
+    fn len(&self) -> usize {
+        Scheduler::len(&self.inner)
+    }
+
+    fn counters(&self) -> SchedCounters {
+        Scheduler::counters(&self.inner)
+    }
+}
 
 /// FNV-1a over the completion stream and every report field, floats by
 /// bit pattern.
@@ -143,8 +182,9 @@ fn report_digest(r: &SimReport) -> u64 {
 
 /// Runs `cell` on `device` at `rate` under `policy` (attached only when
 /// the cell asks for overload control) and `faults`, and checks the
-/// digest. Every cell must complete requests past warm-up, and an
-/// overload cell must both shed and time out.
+/// digest and the scheduler's work counters. Every cell must complete
+/// requests past warm-up, and an overload cell must both shed and time
+/// out.
 fn check_cell<D: StorageDevice>(
     cell: Cell,
     device: D,
@@ -152,12 +192,16 @@ fn check_cell<D: StorageDevice>(
     faults: FaultClock,
     policy: OverloadPolicy,
 ) {
-    let (sched, faulted, overload, digest) = cell;
+    let (sched, faulted, overload, digest, work) = cell;
     let workload = RandomWorkload::paper(device.capacity_lbns(), rate, CELL_REQUESTS, CELL_SEED);
-    let scheduler: Box<dyn DynScheduler> = match sched {
-        Sched::Fifo => Box::new(FifoScheduler::new()),
-        Sched::Sptf => Box::new(SptfScheduler::new()),
-        Sched::AgedSptf => Box::new(AgedSptfScheduler::new(2.0)),
+    let counters = Rc::new(std::cell::Cell::new(SchedCounters::default()));
+    let scheduler = Counted {
+        inner: match sched {
+            Sched::Fifo => Box::new(FifoScheduler::new()),
+            Sched::Sptf => Box::new(SptfScheduler::new()),
+            Sched::AgedSptf => Box::new(AgedSptfScheduler::new(2.0)),
+        },
+        counters: Rc::clone(&counters),
     };
     let mut driver = Driver::new(workload, scheduler, device)
         .with_faults(faults)
@@ -176,6 +220,17 @@ fn check_cell<D: StorageDevice>(
         );
     }
     assert_eq!(report_digest(&report), digest, "{cell:?}: digest");
+    let c = counters.get();
+    assert_eq!(
+        [
+            c.picks,
+            c.candidates_examined,
+            c.buckets_pruned,
+            c.cached_best_hits
+        ],
+        work,
+        "{cell:?}: scheduler work"
+    );
 }
 
 /// A Poisson storm over the cell's arrival window, scaled to the arrival
@@ -199,20 +254,22 @@ fn driver_matches_recorded_digests_on_mems() {
     const RATE: f64 = 3000.0;
     let policy = OverloadPolicy::watermarks(64, 16).with_queue_timeout(SimTime::from_ms(40.0));
     let tips = MemsParams::default().tips;
-    for cell @ (_, faulted, _, _) in [
-        (Sched::Fifo, false, false, 0x5219_66ce_b9fb_bb00),
-        (Sched::Fifo, false, true, 0x7216_1b46_e450_5607),
-        (Sched::Fifo, true, false, 0xf7d2_36df_ee83_7373),
-        (Sched::Fifo, true, true, 0x618c_3382_7d28_f291),
-        (Sched::Sptf, false, false, 0x1856_f1ce_eaef_4036),
-        (Sched::Sptf, false, true, 0x48a3_ba67_c032_3c33),
-        (Sched::Sptf, true, false, 0xf33c_d158_c1a4_ec39),
-        (Sched::Sptf, true, true, 0xad1d_9465_08a6_05f0),
-        (Sched::AgedSptf, false, false, 0xb37c_b96a_e1f1_92d5),
-        (Sched::AgedSptf, false, true, 0x6890_16da_a0b8_7939),
-        (Sched::AgedSptf, true, false, 0x9912_b4e5_6916_c338),
-        (Sched::AgedSptf, true, true, 0xf3cc_64e5_0c7d_82b0),
-    ] {
+    #[rustfmt::skip]
+    let cells: [Cell; 12] = [
+        (Sched::Fifo, false, false, 0x5219_66ce_b9fb_bb00, [800, 800, 0, 0]),
+        (Sched::Fifo, false, true, 0x7216_1b46_e450_5607, [417, 417, 0, 0]),
+        (Sched::Fifo, true, false, 0xf7d2_36df_ee83_7373, [800, 800, 0, 0]),
+        (Sched::Fifo, true, true, 0x618c_3382_7d28_f291, [394, 394, 0, 0]),
+        (Sched::Sptf, false, false, 0x1856_f1ce_eaef_4036, [800, 1761, 2301, 0]),
+        (Sched::Sptf, false, true, 0x48a3_ba67_c032_3c33, [592, 913, 1283, 61]),
+        (Sched::Sptf, true, false, 0xf33c_d158_c1a4_ec39, [800, 1897, 2472, 0]),
+        (Sched::Sptf, true, true, 0xad1d_9465_08a6_05f0, [472, 831, 1069, 0]),
+        (Sched::AgedSptf, false, false, 0xb37c_b96a_e1f1_92d5, [800, 85836, 28698, 0]),
+        (Sched::AgedSptf, false, true, 0x6890_16da_a0b8_7939, [415, 6906, 2295, 0]),
+        (Sched::AgedSptf, true, false, 0x9912_b4e5_6916_c338, [800, 102488, 33934, 0]),
+        (Sched::AgedSptf, true, true, 0xf3cc_64e5_0c7d_82b0, [392, 5957, 2021, 0]),
+    ];
+    for cell @ (_, faulted, ..) in cells {
         let mems = MemsDevice::new(MemsParams::default());
         if faulted {
             let device = DegradedDevice::mems(mems, FAULT_SEED).with_spare_tips(1);
@@ -227,20 +284,22 @@ fn driver_matches_recorded_digests_on_mems() {
 fn driver_matches_recorded_digests_on_disk() {
     const RATE: f64 = 300.0;
     let policy = OverloadPolicy::watermarks(16, 4).with_queue_timeout(SimTime::from_ms(80.0));
-    for cell @ (_, faulted, _, _) in [
-        (Sched::Fifo, false, false, 0x62b8_379c_7be7_c11e),
-        (Sched::Fifo, false, true, 0xdb32_4397_2d91_e571),
-        (Sched::Fifo, true, false, 0x2e69_ef49_70bd_6670),
-        (Sched::Fifo, true, true, 0x7d31_a7ab_935c_a677),
-        (Sched::Sptf, false, false, 0xa59e_3617_d424_86ea),
-        (Sched::Sptf, false, true, 0x51d6_cbcb_7ca9_4959),
-        (Sched::Sptf, true, false, 0xe0c2_1cd5_e7f2_a7b0),
-        (Sched::Sptf, true, true, 0x535a_d22e_42fe_7c36),
-        (Sched::AgedSptf, false, false, 0x6df5_c85f_2b65_16d9),
-        (Sched::AgedSptf, false, true, 0x29a4_a175_6b4a_2b38),
-        (Sched::AgedSptf, true, false, 0x2d34_1679_a2ec_0ad3),
-        (Sched::AgedSptf, true, true, 0x1bfe_91d4_b546_14a2),
-    ] {
+    #[rustfmt::skip]
+    let cells: [Cell; 12] = [
+        (Sched::Fifo, false, false, 0x62b8_379c_7be7_c11e, [800, 800, 0, 0]),
+        (Sched::Fifo, false, true, 0xdb32_4397_2d91_e571, [428, 428, 0, 0]),
+        (Sched::Fifo, true, false, 0x2e69_ef49_70bd_6670, [800, 800, 0, 0]),
+        (Sched::Fifo, true, true, 0x7d31_a7ab_935c_a677, [413, 413, 0, 0]),
+        (Sched::Sptf, false, false, 0xa59e_3617_d424_86ea, [800, 8382, 0, 0]),
+        (Sched::Sptf, false, true, 0x51d6_cbcb_7ca9_4959, [616, 2415, 0, 337]),
+        (Sched::Sptf, true, false, 0xe0c2_1cd5_e7f2_a7b0, [800, 10224, 0, 0]),
+        (Sched::Sptf, true, true, 0x535a_d22e_42fe_7c36, [521, 2368, 0, 0]),
+        (Sched::AgedSptf, false, false, 0x6df5_c85f_2b65_16d9, [800, 143757, 0, 0]),
+        (Sched::AgedSptf, false, true, 0x29a4_a175_6b4a_2b38, [432, 3239, 0, 0]),
+        (Sched::AgedSptf, true, false, 0x2d34_1679_a2ec_0ad3, [800, 167576, 0, 0]),
+        (Sched::AgedSptf, true, true, 0x1bfe_91d4_b546_14a2, [409, 3193, 0, 0]),
+    ];
+    for cell @ (_, faulted, ..) in cells {
         let disk = DiskDevice::new(DiskParams::quantum_atlas_10k());
         if faulted {
             let device = DegradedDevice::disk(disk, FAULT_SEED);
