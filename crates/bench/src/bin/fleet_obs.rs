@@ -33,8 +33,8 @@
 //! `fleet_obs_health.csv`, `fleet_obs_rebuild.csv`, and
 //! `fleet_obs_heatmap.csv` (all sim-time derived; CI diffs them), plus
 //! `target/fleet_obs_summary.json`, which also carries the wall-clock
-//! [`mems_fleet::FleetProfile`] (barrier wait, merge time, shard
-//! imbalance) from a profiled rerun and is therefore untracked. Pass
+//! [`mems_fleet::FleetProfile`] (batch wait, merge time, shard
+//! imbalance) of the `fleet16` run and is therefore untracked. Pass
 //! `--long` for the informational 10× horizon (CSVs under
 //! `target/long/`).
 //!
@@ -51,9 +51,7 @@ use mems_fleet::{
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{
-    FaultClock, IoKind, NoopTracer, Profiler, SimReport, SimTime, Telemetry, TracerPair,
-};
+use storage_sim::{FaultClock, IoKind, NoopTracer, SimReport, SimTime, Telemetry};
 use storage_trace::{RandomWorkload, ZipfWorkload};
 
 const MEMS_CAPACITY: u64 = 6_750_000;
@@ -220,6 +218,7 @@ struct StragglerSummary {
     enter_window: usize,
     utilization_skew: f64,
     tail_skew: f64,
+    engine_profile: String,
 }
 
 /// The `fleet16` cell: timeline + health + straggler gate + pooled heat.
@@ -302,11 +301,17 @@ fn straggler_cell(
         timeline.window_secs() * 1e3,
         report.fault_events,
     );
+    println!(
+        "profile:  {} barriers, shard imbalance {:.3} (wall-clock, informational)",
+        run.profile.barriers,
+        run.profile.imbalance(),
+    );
     StragglerSummary {
         window_secs: stragglers.window_secs,
         enter_window,
         utilization_skew: uskew,
         tail_skew: tskew,
+        engine_profile: run.profile.summary_json(),
     }
 }
 
@@ -467,24 +472,6 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
     pooled
 }
 
-/// Profiled rerun of `fleet16`: the report must stay bit-identical while
-/// the engine self-profiles (barrier wait, merge time, shard imbalance).
-fn profiled_rerun(reference_digest: &str) -> String {
-    let run = fleet16_engine(1, 4, 4)
-        .with_station_tracers(|_| TracerPair::new(telemetry(), Profiler::new()))
-        .run_instrumented();
-    if run.report.digest() != reference_digest {
-        eprintln!("FAIL: profiled fleet rerun diverged from the telemetry run");
-        std::process::exit(1);
-    }
-    println!(
-        "profile:  {} barriers, shard imbalance {:.3} (wall-clock, informational)",
-        run.profile.barriers,
-        run.profile.imbalance(),
-    );
-    run.profile.summary_json()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let long = args.iter().any(|a| a == "--long");
@@ -509,16 +496,6 @@ fn main() {
     emit_csv(long, "fleet_obs_rebuild.csv", &rebuild_csv);
     emit_csv(long, "fleet_obs_heatmap.csv", &heatmap_csv);
 
-    // The profiled rerun compares against the same-scale traced run; on
-    // the long horizon the gate already ran at scale 1 inside
-    // identity_gate, so profile the base cell either way.
-    let reference = fleet16_engine(1, 4, 4)
-        .with_station_tracers(|_| telemetry())
-        .run_instrumented()
-        .report
-        .digest();
-    let profile_json = profiled_rerun(&reference);
-
     let summary = format!(
         "{{\n  \"fleet16\": {{\n    \"straggler_station\": {STRAGGLER_STATION},\n    \
          \"straggler_window\": {},\n    \"detector_window_s\": {:.3},\n    \
@@ -529,7 +506,7 @@ fn main() {
         straggler.utilization_skew,
         straggler.tail_skew,
         migration.summary_json(),
-        profile_json,
+        straggler.engine_profile,
     );
     let _ = std::fs::create_dir_all("target");
     let path = std::path::Path::new("target").join("fleet_obs_summary.json");

@@ -12,7 +12,7 @@
 //!            [--workload random|cello|tpcc|streaming]
 //!            [--rate REQS_PER_SEC]        (random workload; default 1000)
 //!            [--scale FACTOR]             (trace workloads; default 1)
-//!            [--requests N]               (default 10000)
+//!            [--requests N]               (positive; default 10000)
 //!            [--seed SEED]                (default 42)
 //!            [--warmup N]                 (default 500)
 //!            [--cache]                    (add a 4 MB readahead buffer)
@@ -20,6 +20,7 @@
 //! ```
 
 use std::process::exit;
+use std::str::FromStr;
 
 use atlas_disk::{DiskDevice, DiskEnergyModel, DiskParams};
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
@@ -95,9 +96,9 @@ fn parse_args() -> Args {
             "--workload" => args.workload = value("--workload"),
             "--rate" => args.rate = number("--rate", &value("--rate"), POSITIVE),
             "--scale" => args.scale = number("--scale", &value("--scale"), POSITIVE),
-            "--requests" => args.requests = value("--requests").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--warmup" => args.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
+            "--requests" => args.requests = number("--requests", &value("--requests"), COUNT),
+            "--seed" => args.seed = number("--seed", &value("--seed"), INTEGER),
+            "--warmup" => args.warmup = number("--warmup", &value("--warmup"), INTEGER),
             "--cache" => args.cache = true,
             "--idle-timeout" => {
                 let text = value("--idle-timeout");
@@ -114,18 +115,22 @@ fn parse_args() -> Args {
 }
 
 /// What a numeric flag must be, and the test for it.
-type Domain = (&'static str, fn(f64) -> bool);
+type Domain<T> = (&'static str, fn(T) -> bool);
 
 /// Rates and scale factors.
-const POSITIVE: Domain = ("a finite positive number", |v| v.is_finite() && v > 0.0);
+const POSITIVE: Domain<f64> = ("a finite positive number", |v| v.is_finite() && v > 0.0);
 /// Idle timeouts: anything `PowerManagedDevice::new` accepts, including
 /// `inf` (never sleep).
-const NON_NEGATIVE: Domain = ("a non-negative number", |v| v >= 0.0);
+const NON_NEGATIVE: Domain<f64> = ("a non-negative number", |v| v >= 0.0);
+/// Request counts: every workload generator needs at least one request.
+const COUNT: Domain<u64> = ("a positive integer", |n| n > 0);
+/// Seeds and warm-up counts.
+const INTEGER: Domain<u64> = ("a non-negative integer", |_| true);
 
 /// Parses the value of `flag` as a number in `domain`. Anything else
 /// prints the flag's name and the usage text and exits with status 2.
-fn number(flag: &str, text: &str, (what, ok): Domain) -> f64 {
-    match text.parse::<f64>() {
+fn number<T: FromStr + Copy>(flag: &str, text: &str, (what, ok): Domain<T>) -> T {
+    match text.parse::<T>() {
         Ok(v) if ok(v) => v,
         _ => {
             eprintln!("{flag} must be {what}, got {text}");

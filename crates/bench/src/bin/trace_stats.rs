@@ -16,6 +16,10 @@
 //! ```text
 //! trace_stats [FILE] [--capacity SECTORS] [--requests N]
 //! ```
+//!
+//! Both flags take positive integers, and without a FILE the capacity
+//! must exceed [`MIN_GENERATOR_CAPACITY`]. A bad value prints the flag
+//! and the usage text and exits with status 2.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -60,21 +64,57 @@ fn summarize_file(path: &str, capacity: u64) -> Result<TraceSummary, String> {
     error.map_or(Ok(summary), |e| Err(bad(e)))
 }
 
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The built-in generators' smallest device: the Cello-like generator
+/// asserts a capacity above this many sectors.
+const MIN_GENERATOR_CAPACITY: u64 = 1024;
+
+fn usage() -> ! {
+    eprintln!("usage: trace_stats [FILE] [--capacity SECTORS] [--requests N]");
+    std::process::exit(2);
+}
+
+/// Parses the value of `flag` as an integer above `floor`. Anything else
+/// prints the flag's name and the usage text and exits with status 2.
+fn count_above(flag: &str, text: Option<String>, floor: u64) -> u64 {
+    let text = text.unwrap_or_default();
+    match text.parse::<u64>() {
+        Ok(n) if n > floor => n,
+        _ => {
+            eprintln!("{flag} must be an integer above {floor}, got {text:?}");
+            usage()
+        }
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let capacity = flag(&args, "--capacity")
-        .unwrap_or_else(|| MemsParams::default().geometry().total_sectors());
-    let n = flag(&args, "--requests").unwrap_or(10_000);
+    let mut path = None;
+    let mut capacity = None;
+    let mut n = 10_000;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--capacity" => capacity = Some(args.next()),
+            "--requests" => n = count_above("--requests", args.next(), 0),
+            _ if path.is_none() && !arg.starts_with('-') => path = Some(arg),
+            other => {
+                eprintln!("unexpected argument {other}");
+                usage()
+            }
+        }
+    }
 
-    if let Some(path) = args.first().filter(|a| !a.starts_with("--")) {
-        let summary = summarize_file(path, capacity).unwrap_or_else(|e| {
+    let floor = if path.is_some() {
+        0
+    } else {
+        MIN_GENERATOR_CAPACITY
+    };
+    let capacity = match capacity {
+        Some(text) => count_above("--capacity", text, floor),
+        None => MemsParams::default().geometry().total_sectors(),
+    };
+
+    if let Some(path) = path {
+        let summary = summarize_file(&path, capacity).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(1);
         });

@@ -1,7 +1,8 @@
 //! The command lines reject bad input with an error instead of panicking:
-//! `storagesim` on bad numeric flags, `trace_stats` on bad trace records.
+//! `storagesim` and `trace_stats` on bad numeric flags, `trace_stats` on
+//! bad trace records.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 #[test]
 fn storagesim_rejects_rates_and_scales_that_are_not_finite_and_positive() {
@@ -15,14 +16,27 @@ fn storagesim_rejects_rates_and_scales_that_are_not_finite_and_positive() {
         &["--workload", "cello", "--scale", "inf"],
     ];
     for args in cases {
-        assert_usage_error(args);
+        assert_usage_error(storagesim(args), "storagesim", args);
+    }
+}
+
+#[test]
+fn storagesim_rejects_request_counts_that_are_not_positive_integers() {
+    for workload in ["random", "cello", "tpcc", "streaming"] {
+        let args = ["--workload", workload, "--requests", "0"];
+        assert_usage_error(storagesim(&args), "storagesim", &args);
+    }
+    for bad in ["-1", "abc", "2.5"] {
+        let args = ["--requests", bad];
+        assert_usage_error(storagesim(&args), "storagesim", &args);
     }
 }
 
 #[test]
 fn storagesim_rejects_negative_and_nan_idle_timeouts() {
-    assert_usage_error(&["--idle-timeout", "-1"]);
-    assert_usage_error(&["--idle-timeout", "nan"]);
+    for args in [["--idle-timeout", "-1"], ["--idle-timeout", "nan"]] {
+        assert_usage_error(storagesim(&args), "storagesim", &args);
+    }
     // Zero (sleep at once) and infinity (never sleep) stay valid.
     for timeout in ["0", "inf"] {
         let out = storagesim(&["--idle-timeout", timeout]);
@@ -32,7 +46,7 @@ fn storagesim_rejects_negative_and_nan_idle_timeouts() {
 }
 
 /// Runs a short `storagesim` with `args` appended.
-fn storagesim(args: &[&str]) -> std::process::Output {
+fn storagesim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_storagesim"))
         .args(["--requests", "10"])
         .args(args)
@@ -40,16 +54,50 @@ fn storagesim(args: &[&str]) -> std::process::Output {
         .expect("storagesim runs")
 }
 
-/// `args` must end in a flag and its bad value: the run must exit 2
-/// without panicking, naming the flag above the usage text.
-fn assert_usage_error(args: &[&str]) {
-    let out = storagesim(args);
+/// Runs `trace_stats` with `args`.
+fn trace_stats(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_trace_stats"))
+        .args(args)
+        .output()
+        .expect("trace_stats runs")
+}
+
+/// `args` must end in a flag and its bad value: the run of `bin` must
+/// exit 2 without panicking, naming the flag above the usage text.
+fn assert_usage_error(out: Output, bin: &str, args: &[&str]) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     let flag = args[args.len() - 2];
     assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
-    assert!(stderr.contains("usage: storagesim"), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {bin}")),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn trace_stats_rejects_bad_request_counts_and_capacities() {
+    let cases: &[&[&str]] = &[
+        &["--requests", "0"],
+        &["--requests", "abc"],
+        &["--requests", "-3"],
+        &["--capacity", "0"],
+        &["--capacity", "abc"],
+        // The built-in generators need more than 1,024 sectors.
+        &["--capacity", "100"],
+        &["--capacity", "129"],
+        &["--capacity", "1024"],
+    ];
+    for args in cases {
+        assert_usage_error(trace_stats(args), "trace_stats", args);
+    }
+    let out = trace_stats(&["--capacity", "1025", "--requests", "50"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "smallest generator capacity: {stderr}"
+    );
 }
 
 #[test]
@@ -89,4 +137,11 @@ fn trace_stats_rejects_bad_records_with_their_line() {
         .expect("trace_stats runs");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("(2 records)"));
+    // A file bounds its own records: any positive capacity is accepted.
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_stats"))
+        .arg(&path)
+        .args(["--capacity", "216"])
+        .output()
+        .expect("trace_stats runs");
+    assert!(out.status.success());
 }

@@ -12,23 +12,10 @@ use mems_os::sched::{ClookScheduler, SptfScheduler};
 use storage_sim::{Driver, RingTracer, Scheduler, SimReport, StorageDevice, TraceEvent, Workload};
 use storage_trace::RandomWorkload;
 
-/// Field-by-field exact (`==`, not approximate) comparison of two reports.
+/// Whole-report exact (`==`, not approximate) comparison: `f64`'s `Debug`
+/// is round-trip exact.
 fn assert_reports_bit_identical(untraced: &SimReport, traced: &SimReport) {
-    assert_eq!(untraced.completed, traced.completed);
-    assert_eq!(untraced.makespan, traced.makespan);
-    assert_eq!(untraced.response.count(), traced.response.count());
-    assert_eq!(untraced.response.mean(), traced.response.mean());
-    assert_eq!(
-        untraced.response.sq_coeff_var(),
-        traced.response.sq_coeff_var()
-    );
-    assert_eq!(untraced.response.max(), traced.response.max());
-    assert_eq!(untraced.queue_time.mean(), traced.queue_time.mean());
-    assert_eq!(untraced.service_time.mean(), traced.service_time.mean());
-    assert_eq!(untraced.breakdown_sum, traced.breakdown_sum);
-    assert_eq!(untraced.busy_secs, traced.busy_secs);
-    assert_eq!(untraced.mean_queue_depth, traced.mean_queue_depth);
-    assert_eq!(untraced.max_queue_depth, traced.max_queue_depth);
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
 }
 
 /// Runs the same (workload, scheduler, device) cell untraced and traced

@@ -1,10 +1,10 @@
-//! Telemetry-layer integration tests: the windowed/heatmap/profiling
-//! observability added on top of the PR 2 tracer keeps the same core
+//! Telemetry-layer integration tests: the windowed and heatmap
+//! observability built on the request tracer keeps the same core
 //! contract — *free when off, honest when on*.
 //!
-//! - Attaching [`Telemetry`] (alone, paired with a [`RingTracer`], or a
-//!   wall-clock [`Profiler`]) must leave the simulated report bit-identical
-//!   to the untraced run, on both the MEMS device and the disk baseline.
+//! - Attaching [`Telemetry`] (alone or paired with a [`RingTracer`]) must
+//!   leave the simulated report bit-identical to the untraced run, on both
+//!   the MEMS device and the disk baseline.
 //! - The JSONL export must round-trip: parsing it back yields per-kind
 //!   event counts equal to the tracer's monotonic counters.
 //! - Heatmaps rebuilt from the trace must reconcile exactly with the
@@ -15,37 +15,15 @@ use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
 use mems_device::{Mapper, MediaHeatmap, MemsDevice, MemsParams, Segment};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
 use storage_sim::{
-    Driver, Profiler, RingTracer, Scheduler, SimReport, StorageDevice, Telemetry, TraceEvent,
-    Tracer, TracerPair, Workload,
+    Driver, RingTracer, Scheduler, SimReport, StorageDevice, Telemetry, TraceEvent, Tracer,
+    TracerPair, Workload,
 };
 use storage_trace::RandomWorkload;
 
+/// Whole-report identity: every field bit for bit (`f64`'s `Debug` is
+/// round-trip exact).
 fn assert_reports_bit_identical(untraced: &SimReport, traced: &SimReport, label: &str) {
-    assert_eq!(untraced.completed, traced.completed, "{label}: completed");
-    assert_eq!(untraced.makespan, traced.makespan, "{label}: makespan");
-    assert_eq!(
-        untraced.response.mean(),
-        traced.response.mean(),
-        "{label}: mean response"
-    );
-    assert_eq!(
-        untraced.response.sq_coeff_var(),
-        traced.response.sq_coeff_var(),
-        "{label}: cv2"
-    );
-    assert_eq!(
-        untraced.breakdown_sum, traced.breakdown_sum,
-        "{label}: breakdown"
-    );
-    assert_eq!(untraced.busy_secs, traced.busy_secs, "{label}: busy");
-    assert_eq!(
-        untraced.mean_queue_depth, traced.mean_queue_depth,
-        "{label}: mean depth"
-    );
-    assert_eq!(
-        untraced.max_queue_depth, traced.max_queue_depth,
-        "{label}: max depth"
-    );
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"), "{label}");
 }
 
 /// Runs one cell untraced, then once per supplied tracer, asserting every
@@ -91,14 +69,6 @@ fn telemetry_and_profiler_do_not_perturb_mems_runs() {
             TracerPair::new(RingTracer::new(4096), Telemetry::new(0.1, 64)),
             "mems pair",
         );
-        // Wall-clock probes read the host clock but must never feed back.
-        assert_tracer_free(
-            wl,
-            SptfScheduler::new,
-            dev,
-            Profiler::new(),
-            "mems profiler",
-        );
     }
 }
 
@@ -114,13 +84,6 @@ fn telemetry_and_profiler_do_not_perturb_disk_runs() {
             dev,
             Telemetry::new(0.1, 64),
             "disk telemetry",
-        );
-        assert_tracer_free(
-            wl,
-            ClookScheduler::new,
-            dev,
-            Profiler::new(),
-            "disk profiler",
         );
     }
 }

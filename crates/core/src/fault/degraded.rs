@@ -40,27 +40,27 @@ use super::seek_error::{
 };
 
 /// Cost and policy knobs for online failure handling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradedConfig {
+#[derive(Debug, Clone, Copy)]
+struct DegradedConfig {
     /// Retry policy for transient seek errors.
-    pub retry: RetryPolicy,
+    retry: RetryPolicy,
     /// Per-attempt recovery penalty for a transient seek error, seconds
     /// (typically the device's mean seek-error penalty, §6.1.3).
-    pub retry_penalty: f64,
+    retry_penalty: f64,
     /// Per-attempt probability that a retry recovers the request.
-    pub recover_prob: f64,
+    recover_prob: f64,
     /// One-time charge for installing a remap (spare-tip activation or
     /// far-spare table update), seconds.
-    pub remap_penalty: f64,
+    remap_penalty: f64,
     /// Extra positioning time to start a reconstruction read (the sled or
     /// arm revisits the stripe), seconds per affected request.
-    pub reconstruction_seek: f64,
+    reconstruction_seek: f64,
     /// Extra transfer time per damaged sector reconstructed (one more row
     /// pass over the surviving tips plus decode), seconds.
-    pub reconstruction_row: f64,
+    reconstruction_row: f64,
     /// Far-remap sectors whose stripes exceed the parity budget, so later
     /// accesses go to the spare region instead of re-failing.
-    pub remap_unrecoverable: bool,
+    remap_unrecoverable: bool,
 }
 
 /// Event and cost counters accumulated by a [`DegradedDevice`] run.
@@ -240,36 +240,6 @@ impl DegradedDevice<DiskDevice> {
 }
 
 impl<D: StorageDevice> DegradedDevice<D> {
-    /// Wraps an arbitrary device with explicit costs and remap table.
-    /// Geometry-dependent handling (spare tips, reconstruction) is off;
-    /// transients and remap charges still apply.
-    pub fn with_config(inner: D, config: DegradedConfig, remap: RemapTable, seed: u64) -> Self {
-        let name = format!("degraded({})", inner.name());
-        DegradedDevice {
-            inner,
-            name,
-            config,
-            remap,
-            mems: None,
-            armed_transients: 0,
-            pending_penalty: 0.0,
-            rng: rng::seeded(seed),
-            counters: DegradedCounters::default(),
-        }
-    }
-
-    /// Overrides the per-attempt recovery probability.
-    pub fn with_recover_prob(mut self, p: f64) -> Self {
-        self.config.recover_prob = p;
-        self
-    }
-
-    /// Overrides the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
     /// The accumulated event counters.
     pub fn counters(&self) -> DegradedCounters {
         self.counters

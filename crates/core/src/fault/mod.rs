@@ -38,7 +38,7 @@ mod stripe;
 mod vertical;
 
 pub use crash::{array_ready_time, sync_write_burst_mean};
-pub use degraded::{DegradedConfig, DegradedCounters, DegradedDevice};
+pub use degraded::{DegradedCounters, DegradedDevice};
 pub use gf256::Gf256;
 pub use inject::{FaultState, MediaDefect};
 pub use remap::{RemapPolicy, RemapTable, RemappedDevice, SpareTipPolicy};

@@ -59,13 +59,6 @@ impl DiskDevice {
         }
     }
 
-    /// Replaces the energy model used for per-phase energy attribution
-    /// (defaults to the Atlas 10K class matching the default parameters).
-    pub fn with_energy_model(mut self, model: DiskEnergyModel) -> Self {
-        self.energy_model = model;
-        self
-    }
-
     /// The energy model used for per-phase energy attribution.
     pub fn energy_model(&self) -> &DiskEnergyModel {
         &self.energy_model

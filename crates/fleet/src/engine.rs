@@ -48,12 +48,11 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, RecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use storage_sim::{
-    Completion, Driver, FaultClock, IoKind, LogHistogram, NoopTracer, ProfScope, Profiler, Request,
-    ResponseStats, RunState, Scheduler, ScopeStats, SimReport, SimTime, StorageDevice, Tracer,
-    VecWorkload, Welford, Workload,
+    Completion, Driver, FaultClock, IoKind, LogHistogram, NoopTracer, Request, ResponseStats,
+    RunState, Scheduler, SimReport, SimTime, StorageDevice, Tracer, VecWorkload, Welford, Workload,
 };
 
 use crate::volume::{SubIo, VolumeSpec};
@@ -465,7 +464,7 @@ struct Worker<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> {
     first: usize,
     cells: Vec<Cell<S, D, T, W>>,
     epoch_secs: f64,
-    /// Wall nanoseconds each station spent advancing (profiled runs only).
+    /// Wall nanoseconds each station spent advancing and draining.
     nanos: Vec<u64>,
 }
 
@@ -478,16 +477,18 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> Worker<S, D, T, W> 
         let grid = SimTime::from_secs((next.as_secs() / self.epoch_secs).ceil() * self.epoch_secs);
         let end = grid.max(next);
         let mut completions = Vec::new();
+        // One chained clock read per advanced station: each read closes
+        // that station's interval and opens the next one's.
+        let mut clock = Instant::now();
         for (i, cell) in self.cells.iter_mut().enumerate() {
             if cell.next.is_some_and(|t| t <= end) {
-                let t0 = T::PROFILE.then(Instant::now);
                 cell.driver.advance_until(&mut cell.state, end);
-                if let Some(t0) = t0 {
-                    self.nanos[i] += t0.elapsed().as_nanos() as u64;
-                }
                 cell.next = cell.state.next_event_time();
                 let station = self.first + i;
                 completions.extend(cell.state.drain_completions().map(|c| (c, station)));
+                let now = Instant::now();
+                self.nanos[i] += (now - clock).as_nanos() as u64;
+                clock = now;
             }
         }
         // Stations were drained in order, each in its own completion
@@ -517,6 +518,7 @@ struct Merge<W: Workload> {
     keep_station_completions: bool,
     warmup_requests: u64,
     emitted_fg: u64,
+    profile: FleetProfile,
 }
 
 impl<W: Workload> Merge<W> {
@@ -528,8 +530,6 @@ impl<W: Workload> Merge<W> {
         &mut self,
         lanes: usize,
         mut pull: impl FnMut(usize) -> Result<Option<Batch>, RecvError>,
-        profile: &mut FleetProfile,
-        profiled: bool,
     ) -> bool {
         let finished = Some(SimTime::from_secs(f64::INFINITY));
         let mut lanes: Vec<Lane> = (0..lanes).map(|_| Lane::default()).collect();
@@ -544,15 +544,13 @@ impl<W: Workload> Merge<W> {
             if lane.frontier == finished {
                 return true;
             }
-            let t0 = profiled.then(Instant::now);
+            let t0 = Instant::now();
             let pulled = pull(i);
-            if let Some(t0) = t0 {
-                let nanos = t0.elapsed().as_nanos() as u64;
-                profile.profiler.on_scope(ProfScope::BarrierWait, nanos);
-            }
+            let t1 = Instant::now();
+            self.profile.batch_wait.record(t1 - t0);
             match pulled {
                 Ok(Some(batch)) => {
-                    profile.barriers += 1;
+                    self.profile.barriers += 1;
                     lanes[i].frontier = Some(batch.end);
                     lanes[i].pending.extend(batch.completions);
                 }
@@ -562,7 +560,6 @@ impl<W: Workload> Merge<W> {
             let Some(bound) = lanes.iter().map(|l| l.frontier).min().flatten() else {
                 continue;
             };
-            let m0 = profiled.then(Instant::now);
             // Everything received was routed before it was sent, so its
             // metadata is in the splitter by now.
             for (expected, arrival) in lock(&self.splitter).meta.drain(..) {
@@ -584,10 +581,7 @@ impl<W: Workload> Merge<W> {
                 let (c, station) = lanes[k].pending.pop_front().expect("lane head");
                 self.absorb(c, station);
             }
-            if let Some(m0) = m0 {
-                let nanos = m0.elapsed().as_nanos() as u64;
-                profile.profiler.on_scope(ProfScope::FleetMerge, nanos);
-            }
+            self.profile.merge.record(t1.elapsed());
         }
     }
 
@@ -635,7 +629,6 @@ impl<W: Workload> Merge<W> {
 fn drive<S, D, T, W>(
     mut workers: Vec<Worker<S, D, T, W>>,
     merge: &mut Merge<W>,
-    profile: &mut FleetProfile,
 ) -> Vec<Worker<S, D, T, W>>
 where
     S: Scheduler + Send,
@@ -644,7 +637,7 @@ where
     W: Workload + Send,
 {
     if let [worker] = workers.as_mut_slice() {
-        merge.run(1, |_| Ok(worker.next_batch()), profile, T::PROFILE);
+        merge.run(1, |_| Ok(worker.next_batch()));
         return workers;
     }
     std::thread::scope(|scope| {
@@ -664,12 +657,7 @@ where
                 worker
             }));
         }
-        let finished = merge.run(
-            receivers.len(),
-            |i| receivers[i].recv(),
-            profile,
-            T::PROFILE,
-        );
+        let finished = merge.run(receivers.len(), |i| receivers[i].recv());
         // Closing the channels unblocks any worker still sending.
         drop(receivers);
         let workers = handles
@@ -727,20 +715,18 @@ pub struct FleetRun<D: StorageDevice, T: Tracer> {
     /// Per-station devices after the run — wrapper state such as the
     /// adaptive-placement migration ledger is read from here.
     pub devices: Vec<D>,
-    /// The engine's own profile: the merge-batch count always, wall-clock
-    /// timings when `T::PROFILE` is set. Informational, never part of a
-    /// byte-gated artifact.
+    /// The engine's own profile, recorded on every run. Informational,
+    /// never part of a byte-gated artifact.
     pub profile: FleetProfile,
 }
 
 /// Self-profile of the fleet engine itself: where does the *engine* (as
 /// opposed to the stations' event loops) spend host time?
 ///
-/// The batch count is always kept. The wall-clock fields are populated
-/// only when the station tracer's [`Tracer::PROFILE`] flag is on; a
-/// `NoopTracer`/`Telemetry` fleet compiles the `Instant` reads out
-/// entirely. Wall-clock data is nondeterministic: informational artifacts
-/// only, never part of a golden or digest.
+/// Recorded on every run, whatever the station tracer: a few clock reads
+/// per received batch and one per station advance. Wall-clock data is
+/// nondeterministic: informational artifacts only, never part of a golden
+/// or digest.
 #[derive(Debug, Clone, Default)]
 pub struct FleetProfile {
     /// Worker batches the merge received. A pure function of the run's
@@ -748,26 +734,41 @@ pub struct FleetProfile {
     /// repeats exactly from run to run, and it is positive whenever any
     /// station had an event.
     pub barriers: u64,
-    /// Total wall nanoseconds each shard's stations spent advancing,
-    /// indexed by shard. Spread here = shard imbalance.
+    /// Total wall nanoseconds each shard's stations spent advancing and
+    /// draining their completions, indexed by shard. Spread here = shard
+    /// imbalance.
     pub shard_nanos: Vec<u64>,
-    profiler: Profiler,
+    /// Wall time the main thread spent waiting for worker batches (with
+    /// one worker: advancing it inline).
+    pub batch_wait: ScopeStats,
+    /// Wall time spent merging and assembling completions.
+    pub merge: ScopeStats,
+}
+
+/// Accumulated wall-clock time of one engine scope.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScopeStats {
+    /// Times the scope was entered.
+    pub calls: u64,
+    /// Total wall-clock nanoseconds spent inside the scope.
+    pub nanos: u64,
+}
+
+impl ScopeStats {
+    fn record(&mut self, elapsed: Duration) {
+        self.calls += 1;
+        self.nanos += elapsed.as_nanos() as u64;
+    }
+
+    /// Total seconds spent inside the scope.
+    pub fn seconds(&self) -> f64 {
+        self.nanos as f64 * 1e-9
+    }
 }
 
 impl FleetProfile {
-    /// Wall time the main thread spent waiting for worker batches (with
-    /// one worker: advancing it inline), as a [`ScopeStats`].
-    pub fn barrier_wait(&self) -> ScopeStats {
-        self.profiler.scope(ProfScope::BarrierWait)
-    }
-
-    /// Wall time spent merging and assembling completions.
-    pub fn merge(&self) -> ScopeStats {
-        self.profiler.scope(ProfScope::FleetMerge)
-    }
-
     /// Shard imbalance: slowest shard's advance time over the mean
-    /// (1.0 = perfectly balanced; 0.0 before any profiled batch).
+    /// (1.0 = perfectly balanced; 0.0 before any batch).
     pub fn imbalance(&self) -> f64 {
         let max = self.shard_nanos.iter().copied().max().unwrap_or(0);
         if max == 0 {
@@ -777,24 +778,17 @@ impl FleetProfile {
         max as f64 / mean
     }
 
-    /// The underlying [`Profiler`] (batch-wait and fleet-merge scopes).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
     /// The profile as a compact JSON object (informational only).
     pub fn summary_json(&self) -> String {
         use std::fmt::Write as _;
-        let bw = self.barrier_wait();
-        let mg = self.merge();
         let mut s = String::with_capacity(256);
         let _ = write!(
             s,
-            "{{ \"barriers\": {}, \"barrier_wait_s\": {:.6}, \"merge_s\": {:.6}, \
+            "{{ \"barriers\": {}, \"batch_wait_s\": {:.6}, \"merge_s\": {:.6}, \
              \"shard_imbalance\": {:.4}, \"shard_nanos\": [",
             self.barriers,
-            bw.seconds(),
-            mg.seconds(),
+            self.batch_wait.seconds(),
+            self.merge.seconds(),
             self.imbalance(),
         );
         for (i, n) in self.shard_nanos.iter().enumerate() {
@@ -1030,16 +1024,14 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             keep_station_completions: config.keep_station_completions,
             warmup_requests: config.warmup_requests,
             emitted_fg: 0,
+            profile: FleetProfile::default(),
         };
-        let mut profile = FleetProfile {
-            shard_nanos: vec![0; shards],
-            ..FleetProfile::default()
-        };
-        let workers = drive(workers, &mut merge, &mut profile);
+        let workers = drive(workers, &mut merge);
 
         let Merge {
             mut report,
             station_completions,
+            mut profile,
             ..
         } = merge;
         let mut station_nanos = Vec::with_capacity(n);
@@ -1065,11 +1057,13 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             tracers.push(tracer);
             devices.push(device);
         }
-        for (s, slot) in profile.shard_nanos.iter_mut().enumerate() {
-            *slot = station_nanos[s * n / shards..(s + 1) * n / shards]
-                .iter()
-                .sum();
-        }
+        profile.shard_nanos = (0..shards)
+            .map(|s| {
+                station_nanos[s * n / shards..(s + 1) * n / shards]
+                    .iter()
+                    .sum()
+            })
+            .collect();
         FleetRun {
             report,
             tracers,

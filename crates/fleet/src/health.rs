@@ -5,7 +5,8 @@
 //! [`SimReport`]s, per-station [`Telemetry`] windows, and recorded
 //! completion streams — so every output is deterministic and can be
 //! byte-gated as a golden. The only wall-clock health signal (shard
-//! balance) lives in [`crate::FleetProfile`] and stays informational.
+//! balance) lives in [`crate::FleetProfile`], which every fleet run
+//! records, and stays informational.
 //!
 //! The straggler detector follows the classic windowed-comparison shape:
 //! a station is a straggler when its windowed p99 response time exceeds a

@@ -24,9 +24,12 @@
 //!   p99.9, queue-depth, utilization, and energy-rate time series that
 //!   reconcile *exactly* with the [`FleetReport`] counts;
 //! * [`health`] — fleet health analytics over those series: utilization
-//!   and tail skew across stations, a hysteresis straggler detector,
-//!   rebuild progress tracking, and shard-balance metrics from the
-//!   engine's [`FleetProfile`].
+//!   and tail skew across stations, a hysteresis straggler detector, and
+//!   rebuild progress tracking.
+//!
+//! Every run also records the engine's own wall-clock [`FleetProfile`]
+//! (batch wait, merge, per-shard advance time), whatever the station
+//! tracer; it never feeds back into the simulation.
 //!
 //! Results are bit-identical for any shard count, thread count, and
 //! batch width (see the [`engine`] module docs for the argument), so
@@ -41,7 +44,7 @@ pub mod rebuild;
 pub mod timeline;
 pub mod volume;
 
-pub use engine::{FleetConfig, FleetEngine, FleetProfile, FleetReport, FleetRun};
+pub use engine::{FleetConfig, FleetEngine, FleetProfile, FleetReport, FleetRun, ScopeStats};
 pub use health::{
     detect_stragglers, tail_skew, utilization_skew, ProgressSeries, StationHealth, StragglerEvent,
     StragglerPolicy, StragglerReport,

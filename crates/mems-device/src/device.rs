@@ -124,12 +124,6 @@ impl MemsDevice {
         self.rest_y = self.quantize_y(self.state.y, self.state.vy);
     }
 
-    /// Replaces the energy model used for per-phase energy attribution.
-    pub fn with_energy_model(mut self, model: MemsEnergyModel) -> Self {
-        self.energy_model = model;
-        self
-    }
-
     /// The energy model used for per-phase energy attribution.
     pub fn energy_model(&self) -> &MemsEnergyModel {
         &self.energy_model

@@ -15,12 +15,10 @@
 //! every stable event queue pops.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use crate::device::{ServiceBreakdown, StorageDevice};
 use crate::fault::{FaultClock, FaultKind};
 use crate::overload::OverloadPolicy;
-use crate::profile::ProfScope;
 use crate::request::{Completion, Request};
 use crate::sched::{SchedCounters, Scheduler};
 use crate::stats::{ResponseStats, Welford};
@@ -176,8 +174,6 @@ pub struct RunState {
     /// Whether the overload policy is currently shedding arrivals
     /// (hysteresis state between the high and low watermarks).
     shedding: bool,
-    run_start: Option<Instant>,
-    event_count: u64,
 }
 
 impl RunState {
@@ -416,19 +412,15 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
             self.lookahead,
             &mut last_arrival,
         );
-        let mut primed = false;
         if let Some(first) = lookahead_buf.pop_front() {
             events.push(first.arrival, Ev::Arrival(first));
-            primed = true;
-        }
-
-        // Faults are scheduled one at a time (the clock is already time-
-        // ordered); each delivery schedules its successor, exactly like the
-        // workload's arrival chain. An empty clock pushes nothing, so the
-        // fault-free event sequence is untouched. An empty *workload*
-        // schedules nothing at all — not even faults — matching the
-        // pre-session driver, which returned before touching the clock.
-        if primed {
+            // Faults are scheduled one at a time (the clock is already
+            // time-ordered); each delivery schedules its successor, exactly
+            // like the workload's arrival chain. An empty clock pushes
+            // nothing, so the fault-free event sequence is untouched. An
+            // empty *workload* schedules nothing at all — not even faults —
+            // matching the pre-session driver, which returned before
+            // touching the clock.
             if let Some(fault) = self.faults.pop() {
                 events.push(fault.at, Ev::Fault(fault.kind));
             }
@@ -444,15 +436,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
             last_arrival,
             lookahead_buf,
             shedding: false,
-            // Wall-clock self-profiling: reads the host clock but never
-            // feeds anything back into the simulation, so simulated
-            // results are identical with or without it.
-            run_start: if T::PROFILE && primed {
-                Some(Instant::now())
-            } else {
-                None
-            },
-            event_count: 0,
         }
     }
 
@@ -517,9 +500,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
             let Some((now, event)) = state.events.pop() else {
                 break;
             };
-            if T::PROFILE {
-                state.event_count += 1;
-            }
             state.depth_integral +=
                 self.scheduler.len() as f64 * (now - state.last_event_time).as_secs();
             state.last_event_time = now;
@@ -595,16 +575,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                 Ev::Fault(kind) => {
                     // Faults never preempt: the device absorbs the state
                     // change now and applies it from its next service call.
-                    let t0 = if T::PROFILE {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
                     self.device.on_fault(&kind, now);
-                    if let Some(t0) = t0 {
-                        self.tracer
-                            .on_scope(ProfScope::FaultDelivery, t0.elapsed().as_nanos() as u64);
-                    }
                     state.report.fault_events += 1;
                     if T::ENABLED {
                         self.tracer.on_fault(&kind, now);
@@ -622,10 +593,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
     /// [`Driver::advance_until`] reports no pending events; finishing a
     /// session with events still queued simply leaves them unprocessed.
     pub fn finish(&mut self, state: RunState) -> SimReport {
-        if let Some(run_start) = state.run_start {
-            self.tracer
-                .on_run_wall(state.event_count, run_start.elapsed().as_nanos() as u64);
-        }
         let mut report = state.report;
         let span = report.makespan.as_secs();
         report.mean_queue_depth = if span > 0.0 {
@@ -652,17 +619,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
         // the pre-overload pick path.
         let timeout = self.overload.and_then(|p| p.queue_timeout);
         let picked = loop {
-            let pick_t0 = if T::PROFILE {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            let picked = self.scheduler.pick(&self.device, now);
-            if let Some(t0) = pick_t0 {
-                self.tracer
-                    .on_scope(ProfScope::SchedPick, t0.elapsed().as_nanos() as u64);
-            }
-            match picked {
+            match self.scheduler.pick(&self.device, now) {
                 Some(req) => {
                     if let Some(deadline) = timeout {
                         if now - req.arrival > deadline {
@@ -688,16 +645,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                         .saturating_sub(counters_before.candidates_examined);
                     self.tracer.on_pick(&req, now, depth_before, examined);
                 }
-                let svc_t0 = if T::PROFILE {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
                 let breakdown = self.device.service(&req, now);
-                if let Some(t0) = svc_t0 {
-                    self.tracer
-                        .on_scope(ProfScope::DeviceService, t0.elapsed().as_nanos() as u64);
-                }
                 if T::ENABLED {
                     let energy = self.device.phase_energy(&breakdown);
                     self.tracer.on_service(&req, now, &breakdown, &energy);

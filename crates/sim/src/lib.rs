@@ -43,7 +43,6 @@ pub mod driver;
 mod event;
 pub mod fault;
 pub mod overload;
-pub mod profile;
 pub mod request;
 pub mod rng;
 pub mod sched;
@@ -60,7 +59,6 @@ pub use device::{
 pub use driver::{Driver, RunState, SimReport};
 pub use fault::{FaultClock, FaultEvent, FaultKind};
 pub use overload::OverloadPolicy;
-pub use profile::{ProfScope, Profiler, ScopeStats};
 pub use request::{Completion, IoKind, Request, RequestId};
 pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};

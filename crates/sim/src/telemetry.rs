@@ -11,8 +11,8 @@
 //! utilization, energy rate, and fault counts.
 //!
 //! Everything recorded here derives from *simulated* time, so telemetry
-//! output is deterministic and CSV exports can be byte-gated goldens —
-//! unlike the wall-clock numbers in [`crate::profile`].
+//! output is deterministic and CSV exports can be byte-gated goldens. No
+//! tracer reads the host clock.
 //!
 //! Memory is bounded: when a run outgrows the configured window budget the
 //! series **coarsens** — adjacent windows merge pairwise and the window
@@ -26,7 +26,6 @@
 
 use crate::device::{PhaseEnergy, ServiceBreakdown};
 use crate::fault::FaultKind;
-use crate::profile::ProfScope;
 use crate::request::{Completion, Request};
 use crate::stats::LogHistogram;
 use crate::time::SimTime;
@@ -361,7 +360,7 @@ impl Tracer for Telemetry {
 }
 
 /// Runs two tracers side by side; the driver instruments for the union of
-/// their needs (`ENABLED`/`PROFILE` are OR'd at compile time). Use this to
+/// their needs (`ENABLED` is OR'd at compile time). Use this to
 /// record an event ring *and* a telemetry timeline in one run.
 ///
 /// # Examples
@@ -399,7 +398,6 @@ impl<A: Tracer, B: Tracer> TracerPair<A, B> {
 
 impl<A: Tracer, B: Tracer> Tracer for TracerPair<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
-    const PROFILE: bool = A::PROFILE || B::PROFILE;
 
     fn on_arrival(&mut self, req: &Request, now: SimTime, queue_depth: usize) {
         self.first.on_arrival(req, now, queue_depth);
@@ -435,16 +433,6 @@ impl<A: Tracer, B: Tracer> Tracer for TracerPair<A, B> {
     fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
         self.first.on_fault(fault, now);
         self.second.on_fault(fault, now);
-    }
-
-    fn on_scope(&mut self, scope: ProfScope, wall_nanos: u64) {
-        self.first.on_scope(scope, wall_nanos);
-        self.second.on_scope(scope, wall_nanos);
-    }
-
-    fn on_run_wall(&mut self, events: u64, wall_nanos: u64) {
-        self.first.on_run_wall(events, wall_nanos);
-        self.second.on_run_wall(events, wall_nanos);
     }
 }
 
@@ -531,7 +519,6 @@ mod tests {
         const {
             assert!(TracerPair::<RingTracer, Telemetry>::ENABLED);
             assert!(!TracerPair::<NoopTracer, NoopTracer>::ENABLED);
-            assert!(!TracerPair::<RingTracer, Telemetry>::PROFILE);
         }
     }
 

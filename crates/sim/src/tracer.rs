@@ -21,7 +21,6 @@ use std::fmt::Write as _;
 
 use crate::device::{PhaseEnergy, ServiceBreakdown};
 use crate::fault::FaultKind;
-use crate::profile::ProfScope;
 use crate::request::{Completion, IoKind, Request};
 use crate::time::SimTime;
 
@@ -36,15 +35,6 @@ pub trait Tracer {
     /// candidate-count deltas, queue-depth samples) at all. `false`
     /// compiles the instrumented paths out entirely.
     const ENABLED: bool;
-
-    /// Whether the driver should wrap its hot components (scheduler picks,
-    /// device service, fault delivery, the event loop) in wall-clock scoped
-    /// timers and report them via [`Tracer::on_scope`] /
-    /// [`Tracer::on_run_wall`]. Defaults to `false`: only self-profiling
-    /// tracers (e.g. [`crate::Profiler`]) pay for `Instant::now()` calls.
-    /// The timers never feed back into the simulation, so simulated results
-    /// are identical either way.
-    const PROFILE: bool = false;
 
     /// A request entered the scheduler queue at `now`; `queue_depth` is
     /// the pending count including this request.
@@ -97,19 +87,6 @@ pub trait Tracer {
     /// abandoned by the pick loop at `now` instead of being dispatched.
     fn on_timeout(&mut self, req: &Request, now: SimTime) {
         let _ = (req, now);
-    }
-
-    /// One wall-clock scope completed in `wall_nanos` nanoseconds. Only
-    /// called when [`Tracer::PROFILE`] is `true`.
-    fn on_scope(&mut self, scope: ProfScope, wall_nanos: u64) {
-        let _ = (scope, wall_nanos);
-    }
-
-    /// The event loop finished after processing `events` simulation events
-    /// in `wall_nanos` wall-clock nanoseconds. Only called when
-    /// [`Tracer::PROFILE`] is `true`.
-    fn on_run_wall(&mut self, events: u64, wall_nanos: u64) {
-        let _ = (events, wall_nanos);
     }
 }
 

@@ -24,18 +24,10 @@ fn mems_workload(requests: u64, seed: u64) -> RandomWorkload {
     RandomWorkload::paper(MEMS_CAPACITY, 800.0, requests, seed)
 }
 
-/// Field-by-field bitwise comparison of two reports (no tolerances).
+/// Whole-report bitwise comparison (no tolerances: `f64`'s `Debug` is
+/// round-trip exact).
 fn assert_reports_identical(a: &SimReport, b: &SimReport) {
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.response.mean(), b.response.mean());
-    assert_eq!(a.response.sq_coeff_var(), b.response.sq_coeff_var());
-    assert_eq!(a.queue_time.mean(), b.queue_time.mean());
-    assert_eq!(a.service_time.mean(), b.service_time.mean());
-    assert_eq!(a.busy_secs, b.busy_secs);
-    assert_eq!(a.mean_queue_depth, b.mean_queue_depth);
-    assert_eq!(a.max_queue_depth, b.max_queue_depth);
-    assert_eq!(a.breakdown_sum, b.breakdown_sum);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]

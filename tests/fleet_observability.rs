@@ -1,13 +1,14 @@
-//! Observers never steer: a fleet run with per-station telemetry (and
-//! wall-clock profiling) attached produces a [`FleetReport`] digest
-//! bit-identical to the untraced run, for every shard/thread split, on
-//! MEMS and on the disk baseline — and the merged [`FleetTimeline`]
-//! reconciles integer-exactly with the report it shipped with.
+//! Observers never steer: a fleet run with per-station telemetry
+//! attached produces a [`FleetReport`] digest bit-identical to the
+//! untraced run, for every shard/thread split, on MEMS and on the disk
+//! baseline — and the merged [`FleetTimeline`] reconciles integer-exactly
+//! with the report it shipped with. The engine's own wall-clock profile
+//! is recorded on every run, traced or not.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{NoopTracer, Profiler, SimTime, StorageDevice, Telemetry, TracerPair};
+use storage_sim::{NoopTracer, SimTime, StorageDevice, Telemetry};
 use storage_trace::RandomWorkload;
 
 use mems_fleet::{FleetConfig, FleetEngine, FleetTimeline, VolumeSpec};
@@ -74,20 +75,38 @@ fn assert_observers_invisible<D: StorageDevice + Send>(
             timeline
                 .reconcile(&traced.report)
                 .expect("timeline reconciles with the report");
+            assert!(traced.profile.barriers > 0, "profile counted no barriers");
         }
     }
+}
 
-    // Wall-clock profiling (TracerPair telemetry + profiler) reads the
-    // host clock but must not perturb simulated results either.
-    let profiled = engine(&mut make_device, capacity, rate, 4, 4)
-        .with_station_tracers(|_| TracerPair::new(Telemetry::new(WINDOW_S, 4096), Profiler::new()))
+/// An untraced fleet still records the engine's wall-clock profile: every
+/// batch wait and merge, and each shard's advance time, at every
+/// shard/thread split (shards beyond the station count fold away).
+#[test]
+fn untraced_fleet_records_its_engine_profile() {
+    let params = MemsParams::default();
+    let capacity = params.geometry().total_sectors();
+    for (shards, threads) in [(1, 1), (3, 2), (4, 4), (32, 8)] {
+        let run = engine(
+            || MemsDevice::new(params.clone()),
+            capacity,
+            4000.0,
+            shards,
+            threads,
+        )
         .run_instrumented();
-    assert_eq!(
-        profiled.report.digest(),
-        baseline.digest(),
-        "profiled run diverged from the untraced baseline"
-    );
-    assert!(profiled.profile.barriers > 0, "profile counted no barriers");
+        let profile = &run.profile;
+        let at = format!("shards={shards} threads={threads}");
+        assert!(profile.barriers > 0, "{at}: no batches counted");
+        assert_eq!(profile.shard_nanos.len(), shards.min(STATIONS), "{at}");
+        assert!(
+            profile.shard_nanos.iter().sum::<u64>() > 0,
+            "{at}: no advance time"
+        );
+        assert!(profile.batch_wait.calls > 0, "{at}: no batch waits");
+        assert!(profile.merge.calls > 0, "{at}: no merges");
+    }
 }
 
 #[test]

@@ -26,26 +26,14 @@ fn run<W: Workload, S: Scheduler>(workload: W, scheduler: S, seek_table: bool) -
     .run()
 }
 
+/// Whole-report identity: every field bit for bit (`f64`'s `Debug` is
+/// round-trip exact), the recorded completion stream included.
 fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
-    assert_eq!(a.completed, b.completed, "{what}: completed");
-    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(a.response.mean_ms(), b.response.mean_ms(), "{what}: mean");
-    assert_eq!(
-        a.response.sq_coeff_var(),
-        b.response.sq_coeff_var(),
-        "{what}: cv2"
+    assert!(
+        a.completions.as_ref().is_some_and(|c| !c.is_empty()),
+        "{what}: run must record completions"
     );
-    assert_eq!(a.busy_secs, b.busy_secs, "{what}: busy");
-    assert_eq!(a.max_queue_depth, b.max_queue_depth, "{what}: max queue");
-    let (ca, cb) = (
-        a.completions.as_ref().expect("recorded"),
-        b.completions.as_ref().expect("recorded"),
-    );
-    assert_eq!(ca.len(), cb.len(), "{what}: completion count");
-    for (x, y) in ca.iter().zip(cb) {
-        assert_eq!(x.request.id, y.request.id, "{what}: service order");
-        assert_eq!(x.completion, y.completion, "{what}: completion time");
-    }
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
 /// Rates chosen around the Fig. 6 saturation knee where queues (and thus
@@ -86,7 +74,6 @@ fn shallow_queue_sptf_reports_match_rescan() {
         let rescan = run(wl(), NaiveSptfScheduler::new(), true);
         assert!(fast.mean_queue_depth < 1.0, "cell is not shallow");
         assert_reports_identical(&fast, &rescan, &format!("shallow SPTF seed {seed}"));
-        assert_eq!(fast.mean_queue_depth, rescan.mean_queue_depth);
         let fast = run(wl(), AgedSptfScheduler::new(2.0), true);
         let rescan = run(wl(), NaiveAgedSptfScheduler::new(2.0), true);
         assert_reports_identical(&fast, &rescan, &format!("shallow aged SPTF seed {seed}"));
