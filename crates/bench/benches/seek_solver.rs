@@ -2,10 +2,12 @@
 //! scheduling, which calls the bang-bang solver for every pending request
 //! on every dispatch decision.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mems_device::{MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
 use std::hint::black_box;
-use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
+use std::sync::Arc;
+use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice, Workload};
+use storage_trace::RandomWorkload;
 
 fn bench_kinematics(c: &mut Criterion) {
     let sled = SpringSled::from_spring_factor(803.6, 0.75, 50e-6);
@@ -81,6 +83,30 @@ fn bench_device_service(c: &mut Criterion) {
     });
 }
 
+/// `service` chained on one parked device, the path every simulated
+/// request takes: after the first request the sled rests on the grid, so
+/// each call reads the seek surface from the indices the previous one left.
+/// `service_4kb` and `service_256kb` above start every call off the grid,
+/// from the centered sled, and so time only the direct solver.
+fn bench_service_chain(c: &mut Criterion) {
+    let params = MemsParams::default();
+    let surface = Arc::new(SeekSurface::build(&params).expect("paper device fits the guard"));
+    let mut dev = MemsDevice::new(params).with_seek_surface(surface);
+    // `fifo_stream`'s request stream: the §3 random generator (uniform
+    // LBNs, exponential sizes with a 4 KB mean), pre-generated so the
+    // generator stays out of the timing.
+    let mut workload = RandomWorkload::paper(dev.capacity_lbns(), 500.0, 1 << 16, 1);
+    let stream: Vec<Request> = std::iter::from_fn(|| workload.next_request()).collect();
+    let _ = dev.service(&stream[0], SimTime::ZERO);
+    let mut group = c.benchmark_group("service_on_grid_chain");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("random_4kb_mean", |b| {
+        let mut reqs = stream.iter().cycle();
+        b.iter(|| black_box(dev.service(reqs.next().unwrap(), SimTime::ZERO)))
+    });
+    group.finish();
+}
+
 fn bench_seek_table(c: &mut Criterion) {
     // Park each device on-grid (sled exactly on a cylinder center / row
     // boundary, the post-service steady state) so the cached device reads
@@ -113,6 +139,7 @@ criterion_group!(
     benches,
     bench_kinematics,
     bench_device_service,
+    bench_service_chain,
     bench_seek_table
 );
 criterion_main!(benches);

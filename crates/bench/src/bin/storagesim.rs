@@ -14,7 +14,7 @@
 //!            [--scale FACTOR]             (trace workloads; default 1)
 //!            [--requests N]               (positive; default 10000)
 //!            [--seed SEED]                (default 42)
-//!            [--warmup N]                 (default 500)
+//!            [--warmup N]                 (below --requests; default 500)
 //!            [--cache]                    (add a 4 MB readahead buffer)
 //!            [--idle-timeout SECONDS]     (add power management)
 //! ```
@@ -110,6 +110,15 @@ fn parse_args() -> Args {
                 usage();
             }
         }
+    }
+    // The warm-up requests are left out of every statistic, so a run
+    // without more requests than that would report nothing.
+    if args.warmup >= args.requests {
+        eprintln!(
+            "--warmup ({}) must be below --requests ({})",
+            args.warmup, args.requests
+        );
+        usage();
     }
     args
 }

@@ -42,16 +42,43 @@ fn storagesim_rejects_negative_and_nan_idle_timeouts() {
         let out = storagesim(&["--idle-timeout", timeout]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "--idle-timeout {timeout}: {stderr}");
+        assert!(
+            completed(&out) > 0,
+            "--idle-timeout {timeout}: empty report"
+        );
     }
 }
 
-/// Runs a short `storagesim` with `args` appended.
+#[test]
+fn storagesim_rejects_a_warmup_that_leaves_no_requests() {
+    // Every request would be a warm-up one, leaving an empty report.
+    for warmup in ["500", "10"] {
+        let args = ["--requests", "10", "--warmup", warmup];
+        let out = storagesim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--requests"), "{args:?}: {stderr}");
+        assert_usage_error(out, "storagesim", &args);
+    }
+    let out = storagesim(&["--requests", "10", "--warmup", "9"]);
+    assert_eq!(completed(&out), 1, "one request past the warm-up");
+}
+
+/// Runs a short `storagesim` with `args` appended, counting every request
+/// in the report.
 fn storagesim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_storagesim"))
-        .args(["--requests", "10"])
+        .args(["--requests", "10", "--warmup", "0"])
         .args(args)
         .output()
         .expect("storagesim runs")
+}
+
+/// The `completed` count a successful `storagesim` run reports.
+fn completed(out: &Output) -> u64 {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("completed"));
+    let count = line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok());
+    count.unwrap_or_else(|| panic!("no completed count in: {stdout}"))
 }
 
 /// Runs `trace_stats` with `args`.

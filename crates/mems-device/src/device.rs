@@ -22,6 +22,18 @@ use crate::surface::{SeekSurface, YKey};
 /// discrete media grid (cylinder center / row boundary / ±access velocity).
 const GRID_EPS: f64 = 1e-12;
 
+/// A sled state and the media grid indices it sits on exactly: the
+/// cylinder whose center `x` is on, and the row boundary
+/// (`0..=rows_per_track`) and velocity direction (0 at rest, ±1 at ±the
+/// access velocity) of `(y, vy)`; `None` off the grid. On-grid seeks read
+/// the seek surface at these indices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pos {
+    state: SledState,
+    cyl: Option<u32>,
+    y: Option<(u16, i8)>,
+}
+
 /// Mechanical state of the media sled between requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SledState {
@@ -64,15 +76,16 @@ pub struct MemsDevice {
     mapper: Mapper,
     sled_x: SpringSled,
     sled_y: SpringSled,
-    state: SledState,
-    /// Quantization of `state.x` onto a cylinder center, recomputed when
-    /// the state changes. Every SPTF candidate (and bucket floor) queries
-    /// a seek from the same rest state; caching the quantization keeps
-    /// that per-query cost out of the pick loop.
-    rest_cyl: Option<u32>,
-    /// Quantization of `(state.y, state.vy)` onto a row boundary at a grid
-    /// velocity, cached for the same reason as `rest_cyl`.
-    rest_y: Option<(u16, i8)>,
+    /// Quantized when the state is set, then carried from each request's
+    /// segment plan, so the next seek's surface address waits on no float
+    /// arithmetic.
+    pos: Pos,
+    /// `params.settle_time()`, `params.row_time()`,
+    /// `params.access_velocity()` and the row-boundary pitch, computed once.
+    settle: f64,
+    row_time: f64,
+    v: f64,
+    y_pitch: f64,
     name: String,
     /// The surface answering on-grid seeks: unset until the first on-grid
     /// query resolves the process-wide one for `params`; `None` solves
@@ -101,27 +114,26 @@ impl MemsDevice {
             }
         );
         let mut dev = MemsDevice {
+            settle: params.settle_time(),
+            row_time: params.row_time(),
+            v: params.access_velocity(),
+            y_pitch: mapper.y_of_row_start(1) - mapper.y_of_row_start(0),
             params,
             geom,
             mapper,
             sled_x: sled,
             sled_y: sled,
-            state: SledState::CENTERED,
-            rest_cyl: None,
-            rest_y: None,
+            pos: Pos {
+                state: SledState::CENTERED,
+                cyl: None,
+                y: None,
+            },
             name,
             surface: OnceCell::new(),
             energy_model: MemsEnergyModel::default(),
         };
-        dev.requantize_rest();
+        dev.set_state(SledState::CENTERED);
         dev
-    }
-
-    /// Recomputes the cached rest-state quantizations; must follow every
-    /// assignment to `state`.
-    fn requantize_rest(&mut self) {
-        self.rest_cyl = self.quantize_cylinder(self.state.x);
-        self.rest_y = self.quantize_y(self.state.y, self.state.vy);
     }
 
     /// The energy model used for per-phase energy attribution.
@@ -196,78 +208,66 @@ impl MemsDevice {
 
     /// Current mechanical state.
     pub fn state(&self) -> SledState {
-        self.state
+        self.pos.state
     }
 
     /// Overrides the mechanical state (used by the physical-layout
     /// experiment harnesses, e.g. Fig. 9's subregion sweeps).
     pub fn set_state(&mut self, state: SledState) {
-        self.state = state;
-        self.requantize_rest();
+        self.pos = self.quantize(state);
     }
 
-    /// X rest-seek time from `from_x` to the center of `to_cyl`, served
-    /// from the seek surface when the start lies exactly on a cylinder
-    /// center (always true after the first completed request).
-    fn x_seek_time(&self, from_x: f64, to_cyl: u32, x_target: f64) -> f64 {
-        // Seeks from the rest state (every SPTF candidate) reuse the
-        // cached quantization; bit equality guarantees the cached answer
-        // is exactly what `quantize_cylinder` would return.
-        let from_cyl = if from_x.to_bits() == self.state.x.to_bits() {
-            self.rest_cyl
-        } else {
-            self.quantize_cylinder(from_x)
-        };
-        from_cyl
+    /// X rest-seek time from `from` to the center of `to_cyl`: read from
+    /// the seek surface when the start is on the grid (always true after
+    /// the first completed request).
+    fn x_seek_time(&self, from: &Pos, to_cyl: u32) -> f64 {
+        from.cyl
             .and_then(|from_cyl| Some(self.surface()?.x_at(from_cyl as usize, to_cyl as usize)))
-            .unwrap_or_else(|| self.sled_x.rest_seek_time(from_x, x_target))
+            .unwrap_or_else(|| {
+                let x_target = self.mapper.x_of_cylinder(to_cyl);
+                self.sled_x.rest_seek_time(from.state.x, x_target)
+            })
     }
 
-    /// Y seek time from `from` to the boundary `to_boundary` (whose
-    /// coordinate is `y_target`) at velocity `v_target`, served from the
-    /// seek surface when the start is exactly on a row boundary at a grid
-    /// velocity.
-    fn y_seek_time(&self, from: SledState, to_boundary: u32, y_target: f64, v_target: f64) -> f64 {
-        let quantized = if from.y.to_bits() == self.state.y.to_bits()
-            && from.vy.to_bits() == self.state.vy.to_bits()
-        {
-            self.rest_y
-        } else {
-            self.quantize_y(from.y, from.vy)
-        };
-        let key = quantized.map(|(from_boundary, from_dir)| YKey {
+    /// Y seek time from `from` to the row boundary `to` at direction
+    /// `to_dir`: read from the seek surface when the start is on the grid.
+    fn y_seek_time(&self, from: &Pos, to: u32, to_dir: i8) -> f64 {
+        let key = from.y.map(|(from_boundary, from_dir)| YKey {
             from_boundary,
             from_dir,
-            to_boundary: to_boundary as u16,
-            to_dir: if v_target >= 0.0 { 1 } else { -1 },
+            to_boundary: to as u16,
+            to_dir,
         });
         key.and_then(|key| Some(self.surface()?.y_at(key)))
-            .unwrap_or_else(|| self.sled_y.seek_time(from.y, from.vy, y_target, v_target))
+            .unwrap_or_else(|| {
+                let (y, v) = (self.mapper.y_of_row_start(to), f64::from(to_dir) * self.v);
+                self.sled_y.seek_time(from.state.y, from.state.vy, y, v)
+            })
     }
 
-    /// The cylinder whose center `x` sits on exactly, if any.
-    fn quantize_cylinder(&self, x: f64) -> Option<u32> {
-        let c = self.mapper.cylinder_of_x(x);
-        ((self.mapper.x_of_cylinder(c) - x).abs() <= GRID_EPS).then_some(c)
+    /// `s` with the grid indices it sits on.
+    fn quantize(&self, s: SledState) -> Pos {
+        let c = self.mapper.cylinder_of_x(s.x);
+        Pos {
+            state: s,
+            cyl: ((self.mapper.x_of_cylinder(c) - s.x).abs() <= GRID_EPS).then_some(c),
+            y: self.quantize_y(s.y, s.vy),
+        }
     }
 
     /// The row-boundary index and velocity direction `(y, vy)` sits on
-    /// exactly, if any. Boundaries run `0..=rows_per_track`; direction is
-    /// 0 at rest, ±1 at ±the access velocity.
+    /// exactly, if any.
     fn quantize_y(&self, y: f64, vy: f64) -> Option<(u16, i8)> {
-        let v = self.params.access_velocity();
         let dir = if vy == 0.0 {
             0
-        } else if (vy - v).abs() <= GRID_EPS {
+        } else if (vy - self.v).abs() <= GRID_EPS {
             1
-        } else if (vy + v).abs() <= GRID_EPS {
+        } else if (vy + self.v).abs() <= GRID_EPS {
             -1
         } else {
             return None;
         };
-        let y0 = self.mapper.y_of_row_start(0);
-        let pitch = self.mapper.y_of_row_start(1) - y0;
-        let b = ((y - y0) / pitch).round();
+        let b = ((y - self.mapper.y_of_row_start(0)) / self.y_pitch).round();
         if !(0.0..=f64::from(self.geom.rows_per_track)).contains(&b) {
             return None;
         }
@@ -287,7 +287,8 @@ impl MemsDevice {
 
     /// Cylinder nearest the tips in the current mechanical state.
     pub fn current_cylinder(&self) -> u32 {
-        self.mapper.cylinder_of_x(self.state.x)
+        let Pos { state, cyl, .. } = self.pos;
+        cyl.unwrap_or_else(|| self.mapper.cylinder_of_x(state.x))
     }
 
     /// Lower bound on the positioning time of **any** request whose first
@@ -302,7 +303,7 @@ impl MemsDevice {
             return 0.0;
         }
         let meters = (distance as f64 - 0.5) * self.params.bit_width;
-        self.sled_x.min_rest_seek_time(meters) + self.params.settle_time()
+        self.sled_x.min_rest_seek_time(meters) + self.settle
     }
 
     /// Lower bound on the positioning time of any request whose first
@@ -317,54 +318,50 @@ impl MemsDevice {
             cyl < self.geom.cylinders,
             "cylinder {cyl} is off the device"
         );
-        let x_target = self.mapper.x_of_cylinder(cyl);
-        if (x_target - self.state.x).abs() <= GRID_EPS {
+        // Within `GRID_EPS` of a cylinder center is on it (`quantize`).
+        if self.pos.cyl == Some(cyl) {
             return 0.0;
         }
-        self.x_seek_time(self.state.x, cyl, x_target) + self.params.settle_time()
+        self.x_seek_time(&self.pos, cyl) + self.settle
     }
 
-    /// Positioning plan for one segment from a given state: X seek time,
-    /// settle, Y seek time, and the post-transfer state.
-    fn plan_segment(&self, from: SledState, seg: &Segment) -> SegmentPlan {
-        let x_target = self.mapper.x_of_cylinder(seg.cylinder);
-        let moved_x = (x_target - from.x).abs() > GRID_EPS;
-        let seek_x = if moved_x {
-            self.x_seek_time(from.x, seg.cylinder, x_target)
+    /// Positioning plan for one segment from `from`: X seek time, settle,
+    /// Y seek time, and where the transfer leaves the sled.
+    #[inline]
+    fn plan_segment(&self, from: &Pos, seg: &Segment) -> SegmentPlan {
+        // `from.cyl` is the segment's cylinder exactly when `from.state.x`
+        // is within `GRID_EPS` of its center.
+        let (seek_x, settle) = if from.cyl == Some(seg.cylinder) {
+            (0.0, 0.0)
         } else {
-            0.0
-        };
-        let settle = if moved_x {
-            self.params.settle_time()
-        } else {
-            0.0
+            (self.x_seek_time(from, seg.cylinder), self.settle)
         };
 
-        let v = self.params.access_velocity();
-        let y_top = self.mapper.y_of_row_start(seg.row_start);
-        let y_bot = self.mapper.y_of_row_end(seg.row_end);
         // The media can be accessed in either Y direction (§2.2); choose
         // the cheaper approach: read rows forward (enter at the top moving
-        // +v) or backward (enter at the bottom moving −v).
-        let t_fwd = self.y_seek_time(from, seg.row_start, y_top, v);
-        let t_bwd = self.y_seek_time(from, seg.row_end + 1, y_bot, -v);
-        let (seek_y, end_y, end_vy) = if t_fwd <= t_bwd {
-            (t_fwd, y_bot, v)
+        // +v, leave past the last row) or backward (enter past the last row
+        // moving −v, leave at the top).
+        let t_fwd = self.y_seek_time(from, seg.row_start, 1);
+        let t_bwd = self.y_seek_time(from, seg.row_end + 1, -1);
+        let (seek_y, end_b, end_dir) = if t_fwd <= t_bwd {
+            (t_fwd, seg.row_end + 1, 1)
         } else {
-            (t_bwd, y_top, -v)
+            (t_bwd, seg.row_start, -1)
         };
 
-        let transfer = f64::from(seg.rows()) * self.params.row_time();
         SegmentPlan {
             seek_x,
             settle,
             seek_y,
             positioning: (seek_x + settle).max(seek_y),
-            transfer,
-            end_state: SledState {
-                x: x_target,
-                y: end_y,
-                vy: end_vy,
+            end: Pos {
+                state: SledState {
+                    x: self.mapper.x_of_cylinder(seg.cylinder),
+                    y: self.mapper.y_of_row_start(end_b),
+                    vy: f64::from(end_dir) * self.v,
+                },
+                cyl: Some(seg.cylinder),
+                y: Some((end_b as u16, end_dir)),
             },
         }
     }
@@ -372,13 +369,19 @@ impl MemsDevice {
     /// Computes the full service breakdown for a request starting from
     /// `from`, returning the breakdown and the final sled state.
     pub fn service_from(&self, from: SledState, req: &Request) -> (ServiceBreakdown, SledState) {
+        let (b, end) = self.service_at(self.quantize(from), req);
+        (b, end.state)
+    }
+
+    /// [`MemsDevice::service_from`] from a quantized state.
+    fn service_at(&self, from: Pos, req: &Request) -> (ServiceBreakdown, Pos) {
         let mut b = ServiceBreakdown {
             overhead: self.params.overhead,
             ..ServiceBreakdown::default()
         };
-        let mut state = from;
+        let mut pos = from;
         for (i, seg) in self.mapper.segment_iter(req.lbn, req.sectors).enumerate() {
-            let plan = self.plan_segment(state, &seg);
+            let plan = self.plan_segment(&pos, &seg);
             if i == 0 {
                 b.seek_x = plan.seek_x;
                 b.settle = plan.settle;
@@ -391,15 +394,20 @@ impl MemsDevice {
                 b.turnaround += plan.positioning;
                 b.turnaround_count += 1;
             }
-            b.transfer += plan.transfer;
-            state = plan.end_state;
+            b.transfer += f64::from(seg.rows()) * self.row_time;
+            pos = plan.end;
         }
-        (b, state)
+        (b, pos)
     }
 
     /// Positioning time (max of X-seek+settle and Y-seek) to the first
     /// segment of a request, without transferring — SPTF's metric.
     pub fn positioning_only(&self, from: SledState, req: &Request) -> f64 {
+        self.positioning_at(&self.quantize(from), req)
+    }
+
+    /// [`MemsDevice::positioning_only`] from a quantized state.
+    fn positioning_at(&self, from: &Pos, req: &Request) -> f64 {
         // Only the first segment positions; later segments are turnarounds
         // accounted to the transfer stream. `first_segment` avoids
         // materializing the rest (one heap allocation per SPTF candidate).
@@ -408,20 +416,19 @@ impl MemsDevice {
     }
 }
 
-/// One segment's timing plan.
+/// One segment's positioning plan.
 #[derive(Debug, Clone, Copy)]
 struct SegmentPlan {
     seek_x: f64,
     settle: f64,
     seek_y: f64,
     positioning: f64,
-    transfer: f64,
-    end_state: SledState,
+    end: Pos,
 }
 
 impl PositionOracle for MemsDevice {
     fn position_time(&self, req: &Request, _now: SimTime) -> f64 {
-        self.positioning_only(self.state, req)
+        self.positioning_at(&self.pos, req)
     }
 
     fn position_bucket(&self, req: &Request) -> u64 {
@@ -444,11 +451,8 @@ impl PositionOracle for MemsDevice {
         // Positioning depends only on the sled rest state (and the request);
         // `now` is ignored. Exact float bit patterns — never a hash — so
         // equal keys guarantee bit-identical positioning times.
-        Some([
-            self.state.x.to_bits(),
-            self.state.y.to_bits(),
-            self.state.vy.to_bits(),
-        ])
+        let s = self.pos.state;
+        Some([s.x.to_bits(), s.y.to_bits(), s.vy.to_bits()])
     }
 }
 
@@ -462,15 +466,14 @@ impl StorageDevice for MemsDevice {
     }
 
     fn service(&mut self, req: &Request, _now: SimTime) -> ServiceBreakdown {
-        let (b, state) = self.service_from(self.state, req);
-        self.state = state;
-        self.requantize_rest();
+        let (b, pos) = self.service_at(self.pos, req);
+        debug_assert_eq!(pos, self.quantize(pos.state), "stale grid indices");
+        self.pos = pos;
         b
     }
 
     fn reset(&mut self) {
-        self.state = SledState::CENTERED;
-        self.requantize_rest();
+        self.set_state(SledState::CENTERED);
     }
 
     /// Splits [`MemsEnergyModel::request_energy`] across the request's
@@ -700,6 +703,66 @@ mod tests {
             assert_eq!(a.state(), b.state(), "mechanical state diverged");
         }
         (a, b)
+    }
+
+    /// Every parameter set a binary, example or test builds a device
+    /// from: the paper's, the settle and spring-factor variants, the
+    /// active-tip variants, half the tips, and the 500 nm test device.
+    fn every_parameter_set() -> Vec<MemsParams> {
+        let paper = MemsParams::default();
+        let mut sets = Vec::new();
+        for n in [0.0, 1.0, 2.0] {
+            sets.push(paper.clone().with_settle_constants(n));
+        }
+        for sf in [0.05, 0.25, 0.5, 0.75, 0.9] {
+            sets.push(paper.clone().with_spring_factor(sf));
+        }
+        for active_tips in [320, 640, 1280, 3200, 6400] {
+            sets.push(MemsParams {
+                active_tips,
+                ..paper.clone()
+            });
+        }
+        sets.push(MemsParams {
+            tips: 3200,
+            active_tips: 640,
+            ..paper.clone()
+        });
+        sets.push(MemsParams {
+            bit_width: 500e-9,
+            per_tip_rate: 56e3,
+            ..paper
+        });
+        sets
+    }
+
+    #[test]
+    fn quantizing_every_grid_point_returns_its_indices() {
+        // What lets `service` carry a segment plan's indices instead of
+        // quantizing the state it ends in: every cylinder center, and
+        // every row boundary at rest or at ±the access velocity,
+        // quantizes back to its own indices.
+        for params in every_parameter_set() {
+            let d = MemsDevice::new(params.clone());
+            let m = d.mapper();
+            for cyl in 0..d.geometry().cylinders {
+                let s = SledState {
+                    x: m.x_of_cylinder(cyl),
+                    ..SledState::CENTERED
+                };
+                assert_eq!(d.quantize(s).cyl, Some(cyl), "cylinder {cyl} of {params:?}");
+            }
+            for b in 0..=d.geometry().rows_per_track {
+                for dir in [-1, 0, 1] {
+                    let (y, vy) = (m.y_of_row_start(b), f64::from(dir) * d.v);
+                    assert_eq!(
+                        d.quantize_y(y, vy),
+                        Some((b as u16, dir)),
+                        "boundary {b} direction {dir} of {params:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

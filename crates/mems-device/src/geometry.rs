@@ -45,16 +45,25 @@ pub struct Mapper {
     bit_width: f64,
     half_mobility: f64,
     sector_bits: u32,
+    /// `sectors_per_row`, `rows_per_track` and `tracks_per_cylinder` as
+    /// multiply-shift divisors.
+    spr: Divisor,
+    rpt: Divisor,
+    tpc: Divisor,
 }
 
 impl Mapper {
     /// Builds a mapper for the given parameters.
     pub fn new(params: &MemsParams) -> Self {
+        let geom = params.geometry();
         Mapper {
-            geom: params.geometry(),
+            geom,
             bit_width: params.bit_width,
             half_mobility: params.half_mobility(),
             sector_bits: params.tip_sector_bits(),
+            spr: Divisor::new(geom.sectors_per_row),
+            rpt: Divisor::new(geom.rows_per_track),
+            tpc: Divisor::new(geom.tracks_per_cylinder),
         }
     }
 
@@ -68,21 +77,16 @@ impl Mapper {
     /// # Panics
     ///
     /// Panics if `lbn` is beyond the device capacity.
+    #[inline]
     pub fn decompose(&self, lbn: u64) -> PhysAddr {
         assert!(lbn < self.geom.total_sectors(), "LBN {lbn} out of range");
-        // 32-bit divides are markedly cheaper than 64-bit ones and every
-        // shipping geometry's capacity fits u32; keep a u64 fallback for
-        // synthetic geometries that don't.
+        // Every shipping geometry's capacity fits u32, where the divisions
+        // are multiply-shifts; keep a u64 fallback for synthetic geometries
+        // that don't.
         if let Ok(lbn) = u32::try_from(lbn) {
-            let spr = self.geom.sectors_per_row;
-            let rpt = self.geom.rows_per_track;
-            let tpc = self.geom.tracks_per_cylinder;
-            let slot = lbn % spr;
-            let global_row = lbn / spr;
-            let row = global_row % rpt;
-            let global_track = global_row / rpt;
-            let track = global_track % tpc;
-            let cylinder = global_track / tpc;
+            let (global_row, slot) = self.spr.div_rem(lbn);
+            let (global_track, row) = self.rpt.div_rem(global_row);
+            let (cylinder, track) = self.tpc.div_rem(global_track);
             return PhysAddr {
                 cylinder,
                 track,
@@ -127,6 +131,7 @@ impl Mapper {
 
     /// Sled X offset (meters from center) at which the tips sit over
     /// cylinder `cyl`.
+    #[inline]
     pub fn x_of_cylinder(&self, cyl: u32) -> f64 {
         (f64::from(cyl) + 0.5) * self.bit_width - self.half_mobility
     }
@@ -139,6 +144,7 @@ impl Mapper {
     }
 
     /// Sled Y offset at the leading (servo) edge of tip-sector row `row`.
+    #[inline]
     pub fn y_of_row_start(&self, row: u32) -> f64 {
         f64::from(row) * f64::from(self.sector_bits) * self.bit_width - self.half_mobility
     }
@@ -168,15 +174,21 @@ impl Mapper {
     /// # Panics
     ///
     /// Panics if the range exceeds the device capacity or is empty.
+    #[inline]
     pub fn segment_iter(&self, lbn: u64, sectors: u32) -> SegmentIter<'_> {
         assert!(sectors > 0, "empty request");
         let end = lbn + u64::from(sectors);
         assert!(end <= self.geom.total_sectors(), "request beyond capacity");
+        // u32 fast path and u64 fallback, as in `decompose`.
         let spr = u64::from(self.geom.sectors_per_row);
+        let (row, last_row) = match u32::try_from(end - 1) {
+            Ok(last) => (self.spr.div(lbn as u32).into(), self.spr.div(last).into()),
+            Err(_) => (lbn / spr, (end - 1) / spr),
+        };
         SegmentIter {
             mapper: self,
-            row: lbn / spr,
-            last_row: (end - 1) / spr,
+            row,
+            last_row,
         }
     }
 
@@ -186,6 +198,7 @@ impl Mapper {
     /// # Panics
     ///
     /// Panics if the range exceeds the device capacity or is empty.
+    #[inline]
     pub fn first_segment(&self, lbn: u64, sectors: u32) -> Segment {
         self.segment_iter(lbn, sectors)
             .next()
@@ -196,23 +209,22 @@ impl Mapper {
     /// clipped to `last_row`; returns the segment and the first row after
     /// it.
     fn segment_from_row(&self, row: u64, last_row: u64) -> (Segment, u64) {
-        // u32 fast path: same 32-bit-divide rationale as `decompose`. The
-        // guard leaves `rows_per_track` of headroom so the rounded-up track
-        // end below cannot overflow u32.
+        // u32 fast path, as in `decompose`. The guard leaves
+        // `rows_per_track` of headroom so the track end below cannot
+        // overflow u32.
         let rpt = self.geom.rows_per_track;
         if last_row.saturating_add(u64::from(rpt)) <= u64::from(u32::MAX) {
-            let row = row as u32;
-            let last_row = last_row as u32;
-            let track_index = row / rpt; // global track number
-            let track_last_row = (track_index + 1) * rpt - 1;
-            let seg_last = track_last_row.min(last_row);
-            let tpc = self.geom.tracks_per_cylinder;
+            let (row, last_row) = (row as u32, last_row as u32);
+            let (track_index, row_start) = self.rpt.div_rem(row); // global track number
+            let track_first_row = row - row_start;
+            let seg_last = (track_first_row + rpt - 1).min(last_row);
+            let (cylinder, track) = self.tpc.div_rem(track_index);
             return (
                 Segment {
-                    cylinder: track_index / tpc,
-                    track: track_index % tpc,
-                    row_start: row % rpt,
-                    row_end: seg_last % rpt,
+                    cylinder,
+                    track,
+                    row_start,
+                    row_end: seg_last - track_first_row,
                 },
                 u64::from(seg_last) + 1,
             );
@@ -234,6 +246,43 @@ impl Mapper {
     }
 }
 
+/// Exact division of any `u32` by a divisor `d` fixed when the mapper is
+/// built, as a multiply and a shift: with `m = ⌊(2⁶⁴ − 1)/d⌋ + 1`,
+/// `⌊m·n / 2⁶⁴⌋ = ⌊n/d⌋`, since `m·n/2⁶⁴` exceeds `n/d` by less than
+/// `n/2⁶⁴ < 1/d`. `d = 1` would need `m = 2⁶⁴`; it stores `m = 0` and
+/// divides as the identity.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u32,
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Self {
+        Divisor {
+            d,
+            m: (u64::MAX / u64::from(d)).wrapping_add(1),
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    fn div(self, n: u32) -> u32 {
+        if self.m == 0 {
+            n
+        } else {
+            ((u128::from(self.m) * u128::from(n)) >> 64) as u32
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = self.div(n);
+        (q, n - q * self.d)
+    }
+}
+
 /// Allocation-free iterator over the track-contiguous row segments of an
 /// LBN range (see [`Mapper::segment_iter`]).
 #[derive(Debug, Clone)]
@@ -246,6 +295,7 @@ pub struct SegmentIter<'a> {
 impl Iterator for SegmentIter<'_> {
     type Item = Segment;
 
+    #[inline]
     fn next(&mut self) -> Option<Segment> {
         if self.row > self.last_row {
             return None;
@@ -280,6 +330,7 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mapper() -> Mapper {
         Mapper::new(&MemsParams::default())
@@ -458,6 +509,98 @@ mod tests {
                 assert_eq!(s_global, p_global + 1, "segments must be contiguous");
             }
             prev = Some(*s);
+        }
+    }
+
+    /// [`Mapper::decompose`] by u64 `/` and `%`.
+    fn decompose_by_division(g: &MemsGeometry, lbn: u64) -> PhysAddr {
+        let (spr, rpt, tpc) = (
+            u64::from(g.sectors_per_row),
+            u64::from(g.rows_per_track),
+            u64::from(g.tracks_per_cylinder),
+        );
+        let global_track = lbn / spr / rpt;
+        PhysAddr {
+            cylinder: (global_track / tpc) as u32,
+            track: (global_track % tpc) as u32,
+            row: (lbn / spr % rpt) as u32,
+            slot: (lbn % spr) as u32,
+        }
+    }
+
+    /// [`Mapper::segment_iter`] by u64 `/` and `%`: one segment per global
+    /// track the range's rows touch.
+    fn segments_by_division(g: &MemsGeometry, lbn: u64, sectors: u32) -> Vec<Segment> {
+        let (spr, rpt, tpc) = (
+            u64::from(g.sectors_per_row),
+            u64::from(g.rows_per_track),
+            u64::from(g.tracks_per_cylinder),
+        );
+        let last_row = (lbn + u64::from(sectors) - 1) / spr;
+        let mut segments = Vec::new();
+        let mut row = lbn / spr;
+        while row <= last_row {
+            let global_track = row / rpt;
+            let seg_last = ((global_track + 1) * rpt - 1).min(last_row);
+            segments.push(Segment {
+                cylinder: (global_track / tpc) as u32,
+                track: (global_track % tpc) as u32,
+                row_start: (row % rpt) as u32,
+                row_end: (seg_last % rpt) as u32,
+            });
+            row = seg_last + 1;
+        }
+        segments
+    }
+
+    #[test]
+    fn multiply_shift_mapping_matches_division_on_every_lbn() {
+        // Every LBN of the paper device, and every 7th of the
+        // one-track-per-cylinder device, whose `tracks_per_cylinder`
+        // divisor is 1.
+        let all_active = MemsParams {
+            active_tips: 6400,
+            ..MemsParams::default()
+        };
+        for (m, stride) in [(mapper(), 1), (Mapper::new(&all_active), 7)] {
+            let g = *m.geometry();
+            let total = g.total_sectors();
+            for lbn in (0..total).step_by(stride) {
+                assert_eq!(
+                    m.decompose(lbn),
+                    decompose_by_division(&g, lbn),
+                    "LBN {lbn}"
+                );
+                // Up to 1,200 sectors: ranges that cross track and
+                // cylinder boundaries.
+                let sectors = (lbn % 1200 + 1).min(total - lbn) as u32;
+                assert_eq!(
+                    m.segments(lbn, sectors),
+                    segments_by_division(&g, lbn, sectors),
+                    "LBN {lbn} + {sectors}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn divisor_is_exact_at_the_edges() {
+        for d in [1, 2, 3, 5, 20, 27, 1 << 31, u32::MAX - 1, u32::MAX] {
+            let div = Divisor::new(d);
+            for n in [0, 1, d - 1, d, d.saturating_add(1), u32::MAX - 1, u32::MAX] {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+                assert_eq!(div.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Divisors spread over every magnitude: a random u32 shifted
+        /// right by a random amount.
+        #[test]
+        fn divisor_matches_division(n in any::<u32>(), raw in any::<u32>(), shift in 0u32..32) {
+            let d = (raw >> shift).max(1);
+            prop_assert_eq!(Divisor::new(d).div_rem(n), (n / d, n % d));
         }
     }
 }

@@ -5,6 +5,7 @@ use std::sync::{Arc, OnceLock};
 use mems_device::surface::YKey;
 use mems_device::{Mapper, MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
 
 fn paper_sled() -> SpringSled {
@@ -210,41 +211,77 @@ proptest! {
 
     /// Devices on an attached eager surface, on the lazily filled shared
     /// one, and on the direct solver track each other bit for bit over
-    /// arbitrary request streams: positioning estimates, full service
+    /// arbitrary request streams of 1 to 600 sectors (spanning tracks and
+    /// cylinders), on the 200-cylinder device and on the paper's: the
+    /// SPTF hooks before each request, positioning estimates, full service
     /// breakdowns, and the mechanical state all stay identical, including
-    /// the off-grid centered state all start from, which must bypass both
-    /// surfaces.
+    /// from the off-grid centered state all start from, which must bypass
+    /// both surfaces.
     #[test]
     fn surfaced_device_tracks_direct_solver_device(
-        raws in prop::collection::vec(any::<u64>(), 1..40),
+        raws in prop::collection::vec((any::<u64>(), 1u32..601), 1..40),
     ) {
-        let params = small_params();
-        let mut devices = [
-            MemsDevice::new(params.clone()).with_seek_table(false),
-            MemsDevice::new(params.clone()).with_seek_surface(small_surface()),
-            MemsDevice::new(params.clone()),
-        ];
-        let capacity = devices[0].capacity_lbns();
-        for (i, raw) in raws.iter().enumerate() {
-            let req = Request::new(
-                i as u64,
-                SimTime::ZERO,
-                raw % (capacity - 8),
-                8,
-                IoKind::Read,
-            );
-            let est: Vec<u64> = devices
-                .iter()
-                .map(|d| d.position_time(&req, SimTime::ZERO).to_bits())
-                .collect();
-            prop_assert!(est.iter().all(|&e| e == est[0]), "estimates {:?} for {:?}", est, req);
-            let b: Vec<String> = devices
-                .iter_mut()
-                .map(|d| format!("{:?}", d.service(&req, SimTime::ZERO)))
-                .collect();
-            prop_assert!(b.iter().all(|x| *x == b[0]), "breakdowns {:?}", b);
-            let states: Vec<String> = devices.iter().map(|d| format!("{:?}", d.state())).collect();
-            prop_assert!(states.iter().all(|x| *x == states[0]), "states {:?}", states);
-        }
+        track_direct_solver(&small_params(), small_surface(), &raws)?;
+        track_direct_solver(&MemsParams::default(), paper_surface(), &raws)?;
     }
+}
+
+/// The paper-device surface, built once per process.
+fn paper_surface() -> Arc<SeekSurface> {
+    static SURFACE: OnceLock<Arc<SeekSurface>> = OnceLock::new();
+    Arc::clone(SURFACE.get_or_init(|| {
+        Arc::new(SeekSurface::build(&MemsParams::default()).expect("paper device fits the guard"))
+    }))
+}
+
+/// Replays `raws` (LBN seed, sectors) on a direct-solver device, one on
+/// the attached `eager` surface and one on the process-wide surface,
+/// comparing them before and after every request.
+fn track_direct_solver(
+    params: &MemsParams,
+    eager: Arc<SeekSurface>,
+    raws: &[(u64, u32)],
+) -> Result<(), TestCaseError> {
+    let mut devices = [
+        MemsDevice::new(params.clone()).with_seek_table(false),
+        MemsDevice::new(params.clone()).with_seek_surface(eager),
+        MemsDevice::new(params.clone()),
+    ];
+    let capacity = devices[0].capacity_lbns();
+    for (i, &(raw, sectors)) in raws.iter().enumerate() {
+        let lbn = raw % (capacity - u64::from(sectors));
+        let req = Request::new(i as u64, SimTime::ZERO, lbn, sectors, IoKind::Read);
+        let hooks: Vec<[u64; 5]> = devices
+            .iter()
+            .map(|d| {
+                let (bucket, current) = (d.position_bucket(&req), d.current_bucket());
+                [
+                    bucket,
+                    current,
+                    d.bucket_position_time_floor(bucket).to_bits(),
+                    d.min_position_time_at_bucket_distance(current.abs_diff(bucket))
+                        .to_bits(),
+                    d.position_time(&req, SimTime::ZERO).to_bits(),
+                ]
+            })
+            .collect();
+        prop_assert!(
+            hooks.iter().all(|h| *h == hooks[0]),
+            "bucket, current bucket, bucket floor, distance floor and estimate {:?} for {:?}",
+            hooks,
+            req
+        );
+        let b: Vec<String> = devices
+            .iter_mut()
+            .map(|d| format!("{:?}", d.service(&req, SimTime::ZERO)))
+            .collect();
+        prop_assert!(b.iter().all(|x| *x == b[0]), "breakdowns {:?}", b);
+        let states: Vec<String> = devices.iter().map(|d| format!("{:?}", d.state())).collect();
+        prop_assert!(
+            states.iter().all(|x| *x == states[0]),
+            "states {:?}",
+            states
+        );
+    }
+    Ok(())
 }
