@@ -42,6 +42,14 @@
 //! perf_smoke` (pass a request count to override the default 4000; pass
 //! `--streaming-requests N` to resize the streaming cells — the weekly
 //! long-horizon job passes 100000000).
+//!
+//! ```text
+//! perf_smoke [REQUESTS] [--streaming-requests N]
+//! ```
+//!
+//! Both counts are positive integers. A bad count, a flag without its
+//! value or any other argument prints the usage text and exits with
+//! status 2 before any work, so `BENCH_sched.json` is left untouched.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -295,19 +303,46 @@ fn streaming_identity_gate() -> bool {
     driver_ok && fleet_ok
 }
 
+fn usage() -> ! {
+    eprintln!("usage: perf_smoke [REQUESTS] [--streaming-requests N]");
+    std::process::exit(2);
+}
+
+/// Parses `text`, the value of `what`, as a positive integer. Anything
+/// else, a missing value included, prints `what` and the usage text and
+/// exits with status 2.
+fn count(what: &str, text: Option<String>) -> u64 {
+    let text = text.unwrap_or_default();
+    match text.parse::<u64>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("{what} must be a positive integer, got {text:?}");
+            usage()
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let requests: u64 = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let stream_requests: u64 = args
-        .iter()
-        .position(|a| a == "--streaming-requests")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000_000);
+    // The whole command line is checked before any work, so a bad one
+    // never starts a run or overwrites `BENCH_sched.json`.
+    let mut requests = None;
+    let mut stream_requests = 10_000_000;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--streaming-requests" => {
+                stream_requests = count("--streaming-requests", args.next());
+            }
+            _ if requests.is_none() && !arg.starts_with("--") => {
+                requests = Some(count("REQUESTS", Some(arg)));
+            }
+            other => {
+                eprintln!("unexpected argument {other}");
+                usage()
+            }
+        }
+    }
+    let requests = requests.unwrap_or(4000);
     // Keep some measured requests even for tiny runs, or the reported
     // means are silently computed over zero completions.
     let warmup = WARMUP.min(requests / 2);

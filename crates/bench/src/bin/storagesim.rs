@@ -18,6 +18,10 @@
 //!            [--cache]                    (add a 4 MB readahead buffer)
 //!            [--idle-timeout SECONDS]     (add power management)
 //! ```
+//!
+//! `completed`, the response-time statistics and the histogram leave out
+//! the first `--warmup` completions; throughput, utilization and the mean
+//! service decomposition cover every request serviced.
 
 use std::process::exit;
 use std::str::FromStr;
@@ -31,7 +35,9 @@ use mems_os::sched::{
     AgedSptfScheduler, ClookScheduler, FscanScheduler, LookScheduler, SptfScheduler, SstfScheduler,
     VrScheduler,
 };
-use storage_sim::{Driver, DynScheduler, FifoScheduler, SimReport, StorageDevice, Workload};
+use storage_sim::{
+    Driver, DynScheduler, FifoScheduler, SimReport, StorageDevice, Welford, Workload,
+};
 use storage_trace::{
     cello_for_capacity, tpcc_for_capacity, RandomWorkload, Replay, StreamingParams, StreamingTrace,
 };
@@ -257,6 +263,13 @@ fn dispatch(args: &Args) -> (SimReport, String) {
 fn main() {
     let args = parse_args();
     let (report, device_name) = dispatch(&args);
+    // The makespan, the busy time and `breakdown_sum` cover every request
+    // serviced, so the figures drawn from them divide by that count.
+    // `completions` holds every request in completion order, the order in
+    // which the driver counts off the warm-up.
+    let completions = report.completions.as_deref().unwrap_or_default();
+    let serviced = completions.len();
+    let measured = &completions[serviced.min(args.warmup as usize)..];
 
     println!("device        {device_name}");
     println!("scheduler     {}", args.scheduler);
@@ -269,7 +282,7 @@ fn main() {
     println!("makespan      {:.3} s", report.makespan.as_secs());
     println!(
         "throughput    {:.1} req/s",
-        report.completed as f64 / report.makespan.as_secs().max(1e-12)
+        serviced as f64 / report.makespan.as_secs().max(1e-12)
     );
     println!("utilization   {:.1}%", report.utilization() * 100.0);
     println!();
@@ -290,35 +303,37 @@ fn main() {
     );
     println!("response time max     {:.3} ms", resp.max() * 1e3);
     println!();
-    // ASCII response-time histogram over [0, p99].
-    let mut resp = report.response.clone();
+    // ASCII response-time histogram of the measured requests over [0, p99].
     let p99 = resp.percentile(0.99).max(1e-6);
-    if let Some(completions) = report.completions.as_ref() {
-        let mut h = storage_sim::Histogram::new(0.0, p99, 12);
-        for c in completions {
-            h.push(c.response_time().as_secs());
-        }
-        println!("response-time histogram (to p99):");
-        let peak = (0..h.num_bins())
-            .map(|i| h.bin_count(i))
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        for i in 0..h.num_bins() {
-            let (lo, hi) = h.bin_bounds(i);
-            let bar = "#".repeat((h.bin_count(i) * 48 / peak) as usize);
-            println!("  {:>8.3}-{:<8.3} ms |{bar}", lo * 1e3, hi * 1e3);
-        }
-        println!("  (+{} above p99)", h.overflow());
-        println!();
+    let mut h = storage_sim::Histogram::new(0.0, p99, 12);
+    for c in measured {
+        h.push(c.response_time().as_secs());
     }
-    let n = report.completed.max(1) as f64;
+    println!("response-time histogram (to p99):");
+    let peak = (0..h.num_bins())
+        .map(|i| h.bin_count(i))
+        .max()
+        .unwrap_or(1)
+        .max(1);
+    for i in 0..h.num_bins() {
+        let (lo, hi) = h.bin_bounds(i);
+        let count = h.bin_count(i);
+        let bar = "#".repeat((count * 48 / peak) as usize);
+        println!("  {:>8.3}-{:<8.3} ms {count:>7} |{bar}", lo * 1e3, hi * 1e3);
+    }
+    println!("  (+{} above p99)", h.overflow());
+    println!();
+    let n = serviced.max(1) as f64;
     let b = &report.breakdown_sum;
-    println!("mean service decomposition:");
+    let mut queue = Welford::new();
+    for c in completions {
+        queue.push(c.queue_time().as_secs());
+    }
+    println!("mean service decomposition, all {serviced} requests serviced:");
     println!("  positioning {:.3} ms", b.positioning / n * 1e3);
     println!("  transfer    {:.3} ms", b.transfer / n * 1e3);
     println!("  overhead    {:.3} ms", b.overhead / n * 1e3);
-    println!("  queue       {:.3} ms", report.queue_time.mean() * 1e3);
+    println!("  queue       {:.3} ms", queue.mean() * 1e3);
     println!();
     println!(
         "mean queue depth {:.1}, max {}",

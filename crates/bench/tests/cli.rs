@@ -1,6 +1,7 @@
 //! The command lines reject bad input with an error instead of panicking:
-//! `storagesim` and `trace_stats` on bad numeric flags, `trace_stats` on
-//! bad trace records.
+//! `storagesim`, `trace_stats` and `perf_smoke` on bad numeric flags,
+//! `trace_stats` on bad trace records. `storagesim`'s figures divide by
+//! the requests they cover.
 
 use std::process::{Command, Output};
 
@@ -61,6 +62,72 @@ fn storagesim_rejects_a_warmup_that_leaves_no_requests() {
     }
     let out = storagesim(&["--requests", "10", "--warmup", "9"]);
     assert_eq!(completed(&out), 1, "one request past the warm-up");
+}
+
+#[test]
+fn storagesim_warmup_leaves_whole_run_figures_unchanged() {
+    // Both runs service the same 2,000 requests; the warm-up only drops
+    // the first 1,500 completions from the response statistics.
+    let args = ["--requests", "2000", "--rate", "1000", "--warmup"];
+    let warm = storagesim(&[&args[..], &["1500"]].concat());
+    let cold = storagesim(&[&args[..], &["0"]].concat());
+    let (warm_out, cold_out) = (stdout(&warm), stdout(&cold));
+    assert_eq!((completed(&warm), completed(&cold)), (500, 2000));
+    // Throughput, utilization and the service decomposition cover the
+    // whole run whatever the warm-up.
+    for prefix in [
+        "makespan",
+        "throughput",
+        "utilization",
+        "mean service decomposition",
+        "  positioning",
+        "  transfer",
+        "  overhead",
+        "  queue",
+    ] {
+        assert_eq!(
+            line(&warm_out, prefix),
+            line(&cold_out, prefix),
+            "{prefix} differs with a warm-up"
+        );
+    }
+    // The histogram bins the measured requests only, like the p99 that
+    // bounds it.
+    for (out, text) in [(&warm, &warm_out), (&cold, &cold_out)] {
+        // Only the histogram's bin lines hold a `|`.
+        let binned: u64 = text
+            .lines()
+            .filter(|l| l.contains('|'))
+            .map(|l| number_before(l, '|'))
+            .sum();
+        let overflow = line(text, "  (+")
+            .trim_start_matches("  (+")
+            .split_whitespace()
+            .next()
+            .and_then(|n| n.parse::<u64>().ok())
+            .expect("overflow count");
+        assert_eq!(binned + overflow, completed(out), "{text}");
+    }
+}
+
+/// The line of `text` that starts with `prefix`.
+fn line<'a>(text: &'a str, prefix: &str) -> &'a str {
+    text.lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in: {text}"))
+}
+
+/// The integer just before the first `delim` of `line`.
+fn number_before(line: &str, delim: char) -> u64 {
+    let head = line.split(delim).next().unwrap_or_default();
+    let count = head.split_whitespace().last().and_then(|n| n.parse().ok());
+    count.unwrap_or_else(|| panic!("no count before {delim:?} in: {line}"))
+}
+
+fn stdout(out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// Runs a short `storagesim` with `args` appended, counting every request
@@ -171,4 +238,39 @@ fn trace_stats_rejects_bad_records_with_their_line() {
         .output()
         .expect("trace_stats runs");
     assert!(out.status.success());
+}
+
+#[test]
+fn perf_smoke_rejects_bad_arguments_before_any_work() {
+    // Run from a scratch directory: a run that starts writes
+    // `BENCH_sched.json` into its working directory.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf_smoke_args");
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    let output = dir.join("BENCH_sched.json");
+    let cases: &[&[&str]] = &[
+        &["abc"],
+        &["abc", "--streaming-requests", "xyz"],
+        &["0"],
+        &["-3"],
+        &["2.5"],
+        &["1500", "--streaming-requests"],
+        &["1500", "--streaming-requests", "0"],
+        &["1500", "--streaming-requests", "abc"],
+        &["1500", "2000"],
+        &["--requests", "1500"],
+    ];
+    for args in cases {
+        let _ = std::fs::remove_file(&output);
+        let out = Command::new(env!("CARGO_BIN_EXE_perf_smoke"))
+            .args(*args)
+            .current_dir(&dir)
+            .output()
+            .expect("perf_smoke runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: perf_smoke"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started a run");
+        assert!(!output.exists(), "{args:?} wrote {}", output.display());
+    }
 }

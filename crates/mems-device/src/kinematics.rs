@@ -36,11 +36,12 @@
 //! Those terms depend on one endpoint only. [`SpringSled::seek_time`]
 //! computes them for its two states; the seek surface computes them once
 //! per cylinder (and per Y boundary and direction) and reuses them across
-//! a whole matrix row or column. A two-phase candidate then costs its
-//! switch point and two `atan2`s, the switch point's angle on each circle.
-//! Each arc's swept angle serves both its time and its over-travel check,
-//! and that check runs only for a candidate whose time could lower the
-//! best so far.
+//! a whole matrix row or column. A control ordering whose circles
+//! intersect then costs its switch point and two `atan2`s, the switch
+//! point's angle on each circle for the branch `wx = h`; the branch
+//! `wx = −h` reuses their negations. Each arc's swept angle serves both
+//! its time and its over-travel check, and that check runs only for a
+//! candidate whose time could lower the best so far.
 //!
 //! The core is bit-identical to the earlier solver that evaluated every
 //! candidate from scratch; that solver is kept verbatim under `cfg(test)`
@@ -48,9 +49,28 @@
 //! Hoisting moves only pure subexpressions: each endpoint term is the same
 //! floating-point expression on the same operands wherever it is used, and
 //! every candidate keeps its expression tree — operand order, `powi(2)`,
-//! `rem_euclid`, the `ANGLE_EPS` clamp, `min`. A candidate whose time is
-//! above the running best leaves `best.min(t)` unchanged, so skipping its
-//! over-travel check is exact too.
+//! the reduction into `[0, 2π)`, the `ANGLE_EPS` clamp, `min`. A candidate
+//! whose time is above the running best leaves `best.min(t)` unchanged, so
+//! skipping its over-travel check is exact too. Two more shortcuts are
+//! exact by properties of the floating-point operations themselves, each
+//! guarded by a test:
+//!
+//! * **Negated switch angles.** `atan2` is odd in `y`: glibc's computes on
+//!   `|y|` and copies `y`'s sign to the result, and any correctly rounded
+//!   `atan2` is odd too, since rounding to nearest commutes with negation.
+//!   So `atan2(h, x)` has the bits of `−atan2(−h, x)`, and at `h = 0` the
+//!   negation yields the ±0 or ±π a second call would return. The tests
+//!   `atan2_is_odd_in_y` and `atan2_is_odd_in_y_at_the_edges` fail in
+//!   milliseconds, naming the assumption, on a platform whose libm breaks
+//!   it.
+//! * **Angle reduction without `fmod`.** `x.rem_euclid(2π)` is
+//!   `fmod(x, 2π)`, plus 2π when that is negative, and `fmod` returns `x`
+//!   itself when |x| < 2π. Every angle the solver reduces lies within
+//!   [−2π, 2π], so `wrap_angle` returns `x`, or `x + 2π` when `x < 0`, by
+//!   a branch, and leaves only |x| ≥ 2π, infinities and NaN to
+//!   `rem_euclid`. The tests `wrap_angle_matches_rem_euclid` (arbitrary bit
+//!   patterns) and `wrap_angle_matches_rem_euclid_at_the_edges` check it
+//!   bit for bit.
 
 /// Tolerance for treating two phase-plane states as identical, in meters.
 const POS_EPS: f64 = 1e-12;
@@ -81,13 +101,29 @@ pub(crate) struct Endpoint {
     theta: [f64; 2],
 }
 
+/// `x.rem_euclid(TWO_PI)`, bit for bit. For |x| < 2π, `fmod(x, 2π)` is
+/// `x` itself, so the branch returns what `rem_euclid` would without
+/// calling `fmod`; only |x| ≥ 2π, infinities and NaN take `rem_euclid`.
+#[inline]
+fn wrap_angle(x: f64) -> f64 {
+    if x.abs() < TWO_PI {
+        if x < 0.0 {
+            x + TWO_PI
+        } else {
+            x
+        }
+    } else {
+        x.rem_euclid(TWO_PI)
+    }
+}
+
 /// Clockwise sweep from phase angle `th0` to `th1`, normalized into
 /// `[0, 2π)`; a sweep within `ANGLE_EPS` of a full revolution is empty.
 fn sweep(th0: f64, th1: f64) -> f64 {
     // Clockwise in (p-c, w) space is increasing θ under this sign
     // convention.
     let mut dth = th1 - th0;
-    dth = dth.rem_euclid(TWO_PI);
+    dth = wrap_angle(dth);
     if dth > TWO_PI - ANGLE_EPS {
         dth = 0.0;
     }
@@ -100,12 +136,12 @@ fn sweep(th0: f64, th1: f64) -> f64 {
 /// device.
 fn arc_reach(c: f64, r_sq: f64, th0: f64, dth: f64, p0: f64, p1: f64) -> f64 {
     let r = r_sq.sqrt();
-    let th0 = th0.rem_euclid(TWO_PI);
+    let th0 = wrap_angle(th0);
     let mut max_abs = p0.abs().max(p1.abs());
     // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
     // (p = c − r); check whether the swept arc crosses them.
     for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
-        let offset = (theta_ext - th0).rem_euclid(TWO_PI);
+        let offset = wrap_angle(theta_ext - th0);
         if offset <= dth {
             max_abs = max_abs.max(p_ext.abs());
         }
@@ -260,10 +296,14 @@ impl SpringSled {
                 continue; // circles do not intersect under this ordering
             }
             let h = h_sq.max(0.0).sqrt();
-            for wx in [h, -h] {
-                // The switch point's angle on each circle.
-                let sw1 = f64::atan2(-wx, px - c1);
-                let sw2 = f64::atan2(-wx, px - c2);
+            // The switch point's angle on each circle, `atan2(−wx, px − c)`,
+            // for the branch `wx = h`. The branch `wx = −h` has the negated
+            // angles: `atan2` is odd in `y` (see the module docs), so the
+            // negation holds the bits a second call would return, ±0 and
+            // ±π at `h = 0` included.
+            let a1 = f64::atan2(-h, px - c1);
+            let a2 = f64::atan2(-h, px - c2);
+            for (wx, sw1, sw2) in [(h, a1, a2), (-h, -a1, -a2)] {
                 let dth1 = sweep(th0, sw1);
                 let dth2 = sweep(sw2, to.theta[i2]);
                 let t = dth1 / self.omega + dth2 / self.omega;
@@ -769,6 +809,136 @@ mod tests {
                             assert_matches_reference(sled, p0, v0, p1, v1);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Signed zeros, subnormals, the multiples of π the solver's angles
+    /// reach and their neighbours, the extremes, both infinities and NaN.
+    fn edge_values() -> Vec<f64> {
+        let pi = std::f64::consts::PI;
+        let mut values = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            ANGLE_EPS,
+            1.0,
+            pi.next_down(),
+            pi,
+            pi.next_up(),
+            TWO_PI - ANGLE_EPS,
+            TWO_PI.next_down(),
+            TWO_PI,
+            TWO_PI.next_up(),
+            3.0 * pi,
+            2.0 * TWO_PI,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        values.extend(values.clone().into_iter().map(|x| -x));
+        values.push(f64::NAN);
+        values
+    }
+
+    /// Asserts that `wrap_angle(x)` has the bits of `x.rem_euclid(TWO_PI)`.
+    fn assert_wraps_like_rem_euclid(x: f64) {
+        assert_eq!(
+            wrap_angle(x).to_bits(),
+            x.rem_euclid(TWO_PI).to_bits(),
+            "wrap_angle({x:e}) = {:e}, rem_euclid gives {:e}",
+            wrap_angle(x),
+            x.rem_euclid(TWO_PI)
+        );
+    }
+
+    /// Asserts `atan2(−y, x) == −atan2(y, x)` bit for bit: the property
+    /// `transfer_time` relies on when it negates one branch's switch-point
+    /// angles instead of calling `atan2` again.
+    fn assert_atan2_odd(y: f64, x: f64) {
+        let (of_neg, of_pos) = (f64::atan2(-y, x), f64::atan2(y, x));
+        assert_eq!(
+            of_neg.to_bits(),
+            (-of_pos).to_bits(),
+            "libm assumption broken: atan2 must be odd in y (compute on |y|, copy \
+             y's sign), or the seek solver's negated switch-point angles differ \
+             from direct calls; atan2({:e}, {x:e}) = {of_neg:e} but \
+             -atan2({y:e}, {x:e}) = {:e}",
+            -y,
+            -of_pos
+        );
+    }
+
+    /// The subnormal (or signed zero) with the sign and mantissa of `bits`.
+    fn subnormal(bits: u64) -> f64 {
+        const SIGN: u64 = 1 << 63;
+        const MANTISSA: u64 = (1 << 52) - 1;
+        f64::from_bits(bits & (SIGN | MANTISSA))
+    }
+
+    #[test]
+    fn wrap_angle_matches_rem_euclid_at_the_edges() {
+        for x in edge_values() {
+            assert_wraps_like_rem_euclid(x);
+        }
+    }
+
+    #[test]
+    fn atan2_is_odd_in_y_at_the_edges() {
+        let finite: Vec<f64> = edge_values()
+            .into_iter()
+            .filter(|v| v.is_finite())
+            .collect();
+        for &y in &finite {
+            for &x in &finite {
+                assert_atan2_odd(y, x);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The branch reduction equals `rem_euclid` on arbitrary bit
+        /// patterns (mostly far outside ±2π, with infinities and NaNs),
+        /// on angles across the solver's range ±2π and past it, and on
+        /// subnormals of either sign.
+        #[test]
+        fn wrap_angle_matches_rem_euclid(
+            bits in any::<u64>(),
+            angle in -4.0 * TWO_PI..4.0 * TWO_PI,
+            sub in any::<u64>(),
+        ) {
+            for x in [f64::from_bits(bits), angle, angle / 4.0, subnormal(sub)] {
+                assert_wraps_like_rem_euclid(x);
+            }
+        }
+
+        /// `atan2` is odd in `y` over random finite pairs: arbitrary bit
+        /// patterns, values of wide dynamic range like the solver's
+        /// `(−h, px − c)`, and subnormals and signed zeros of either sign.
+        #[test]
+        fn atan2_is_odd_in_y(
+            (y_bits, x_bits) in (any::<u64>(), any::<u64>()),
+            (y, x) in (any::<f64>(), any::<f64>()),
+            (y_sub, x_sub) in (any::<u64>(), any::<u64>()),
+        ) {
+            let zero = |b: u64| if b & 1 == 0 { 0.0 } else { -0.0 };
+            for (y, x) in [
+                (f64::from_bits(y_bits), f64::from_bits(x_bits)),
+                (y, x),
+                (subnormal(y_sub), subnormal(x_sub)),
+                (subnormal(y_sub), x),
+                (y, subnormal(x_sub)),
+                (zero(y_sub), x),
+                (zero(y_sub), zero(x_sub)),
+                (y, zero(x_sub)),
+            ] {
+                if y.is_finite() && x.is_finite() {
+                    assert_atan2_odd(y, x);
                 }
             }
         }

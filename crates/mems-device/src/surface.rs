@@ -407,7 +407,9 @@ pub(crate) mod tests {
                             assert_eq!(
                                 s.x_seek(from, to).to_bits(),
                                 want.to_bits(),
-                                "x_seek({from}, {to}) differs from the solver"
+                                "x_seek({from}, {to}) differs from the solver \
+                                 (spring factor {})",
+                                s.params().spring_factor
                             );
                         }
                     }
@@ -451,7 +453,8 @@ pub(crate) mod tests {
             assert_eq!(
                 s.y_seek(key).to_bits(),
                 want.to_bits(),
-                "y_seek({key:?}) differs from the solver"
+                "y_seek({key:?}) differs from the solver (spring factor {})",
+                s.params().spring_factor
             );
         }
     }
@@ -558,7 +561,12 @@ pub(crate) mod tests {
     }
 
     /// Every one of the paper surface's 6.25 M X cells, on the eager
-    /// surface and on one the check itself fills lazily; seconds in
+    /// surface and on one the check itself fills lazily, and then every
+    /// cell of the paper geometry at each other spring factor the spring
+    /// ablation builds devices with (`ablation_spring`: 0.05, 0.25, 0.5,
+    /// 0.9), eagerly built. Among the parameter sets the repository builds,
+    /// only the spring factor and the geometry change the X matrix, and the
+    /// small geometry is checked everywhere in the tier-1 suite. Seconds in
     /// release, far longer in debug, so it runs only when asked for
     /// (`-- --ignored`).
     #[test]
@@ -567,6 +575,11 @@ pub(crate) mod tests {
         let rows: Vec<u32> = (0..paper_surface().cylinders()).collect();
         assert_matches_reference(&paper_surface(), &rows);
         assert_matches_reference(&SeekSurface::empty(&MemsParams::default()), &rows);
+        for spring_factor in [0.05, 0.25, 0.5, 0.9] {
+            let params = MemsParams::default().with_spring_factor(spring_factor);
+            let s = SeekSurface::build(&params).expect("paper device fits");
+            assert_matches_reference(&s, &rows);
+        }
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub struct SimReport {
     pub queue_time: Welford,
     /// Service-time statistics, in seconds.
     pub service_time: Welford,
-    /// Sum of per-request service components (divide by `completed` for means).
+    /// Sum of the service components of every request serviced, warm-up
+    /// requests included: for means, divide by the number serviced, which
+    /// exceeds `completed` whenever there is a warm-up.
     pub breakdown_sum: ServiceBreakdown,
     /// Total time the device spent servicing requests, in seconds.
     pub busy_secs: f64,
