@@ -46,7 +46,7 @@ use mems_bench::write_csv;
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_fleet::{
     detect_stragglers, tail_skew, utilization_skew, FleetConfig, FleetEngine, FleetTimeline,
-    ProgressSeries, RebuildPlan, StationHealth, StragglerPolicy, VolumeSpec,
+    ProgressSeries, RebuildPlan, StationHealth, VolumeSpec,
 };
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
@@ -144,7 +144,6 @@ fn fleet16_engine(
         FleetConfig {
             shards,
             threads,
-            epoch: SimTime::from_ms(10.0),
             warmup_requests: 0,
             ..FleetConfig::default()
         },
@@ -249,7 +248,7 @@ fn straggler_cell(
 
     // Gate 2: exactly station 5 is a straggler, and it stays flagged —
     // zero spares means the slowdown never heals.
-    let stragglers = detect_stragglers(&run.tracers, &StragglerPolicy::default());
+    let stragglers = detect_stragglers(&run.tracers);
     if stragglers.stragglers() != vec![STRAGGLER_STATION] {
         eprintln!(
             "FAIL: straggler detector flagged {:?}, expected [{STRAGGLER_STATION}]",
@@ -350,7 +349,6 @@ fn rebuild_cell(
         FleetConfig {
             shards: 4,
             threads: 4,
-            epoch: SimTime::from_ms(10.0),
             warmup_requests: 0,
             ..FleetConfig::default()
         },
@@ -442,7 +440,6 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
         FleetConfig {
             shards: ADAPTIVE_DEVICES,
             threads: ADAPTIVE_DEVICES,
-            epoch: SimTime::from_ms(10.0),
             warmup_requests: 0,
             ..FleetConfig::default()
         },

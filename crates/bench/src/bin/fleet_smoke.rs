@@ -80,7 +80,6 @@ fn scale_cell(devices: usize, shards: usize, threads: usize, scale: u64) -> Flee
         FleetConfig {
             shards,
             threads,
-            epoch: SimTime::from_ms(10.0),
             warmup_requests: reqs / 20,
             ..FleetConfig::default()
         },
@@ -88,7 +87,7 @@ fn scale_cell(devices: usize, shards: usize, threads: usize, scale: u64) -> Flee
     .run()
 }
 
-/// The determinism gate: shard/thread/epoch invariance plus single-loop
+/// The determinism gate: shard/thread invariance plus single-loop
 /// equivalence. Exits the process non-zero on any divergence.
 fn determinism_gate() {
     // One cell, five shard/thread splits: identical digests required.
@@ -255,7 +254,6 @@ fn tail_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
             FleetConfig {
                 shards: 16,
                 threads: 8,
-                epoch: SimTime::from_ms(10.0),
                 warmup_requests: reqs / 20,
                 ..FleetConfig::default()
             },
@@ -316,7 +314,6 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
             FleetConfig {
                 shards: 4,
                 threads: 4,
-                epoch: SimTime::from_ms(10.0),
                 warmup_requests: reqs / 20,
                 ..FleetConfig::default()
             },

@@ -6,9 +6,8 @@
 //! Three invariants are verified and the binary exits non-zero if any
 //! fails, so CI can run it as a regression gate:
 //!
-//! 1. **Phase sums**: for every request, `positioning + transfer +
-//!    overhead` equals the reported service time and `queue + service`
-//!    equals the reported response time, to ≤ 1e-9 s.
+//! 1. **Phase sums**: for every request, its queue time plus its
+//!    breakdown's `total()` equals its response time, to ≤ 1e-9 s.
 //! 2. **Parallel seeks**: `positioning == max(seek_x + settle, seek_y)` —
 //!    the X and Y actuators move concurrently (§2.4.1).
 //! 3. **Closed-form replay**: replaying the serviced request sequence on a
@@ -16,16 +15,16 @@
 //!    closed-form solve) reproduces each per-phase breakdown to ≤ 1e-9 s —
 //!    the traced numbers are the kinematics, not cache artifacts.
 //!
-//! Outputs: an aligned phase table on stdout, `results/obs_phase_breakdown.csv`
-//! (committed; CI diffs it against the golden), and the raw event stream as
-//! `target/obs_trace.jsonl` plus `target/obs_summary.json` (untracked).
+//! Outputs: an aligned phase table on stdout (from the report's
+//! `breakdown_sum`), `results/obs_phase_breakdown.csv` (committed; CI
+//! diffs it against the golden), and the raw event stream as
+//! `target/obs_trace.jsonl` (untracked).
 //!
-//! The summary also carries a `migration` section from a companion cell:
-//! the same device behind the adaptive-placement wrapper on a skewed
-//! bursty stream, so migration-side costs (swaps, chunk tails, foreground
-//! wait) are visible next to the foreground phase breakdown. The companion
-//! runs separately because the main cell must stay a bare [`MemsDevice`] —
-//! the closed-form replay gate depends on it.
+//! A companion cell runs the same device behind the adaptive-placement
+//! wrapper on a skewed bursty stream; its migration ledger (swaps, chunk
+//! tails, foreground wait) goes to `target/obs_summary.json` (untracked).
+//! The companion runs separately because the main cell must stay a bare
+//! [`MemsDevice`] — the closed-form replay gate depends on it.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -35,7 +34,7 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
-    Driver, IoKind, Request, RingTracer, ServiceBreakdown, SimTime, StorageDevice, TraceEvent,
+    Driver, PhaseEnergy, Request, RingTracer, ServiceBreakdown, SimTime, StorageDevice, TraceEvent,
 };
 use storage_trace::{RandomWorkload, ZipfWorkload};
 
@@ -89,79 +88,55 @@ fn main() -> ExitCode {
     let report = driver.run();
 
     let trace = driver.tracer();
-    let counters = trace.counters();
     let mut failures = 0u64;
-    if counters.dropped_events != 0 {
-        eprintln!("FAIL: ring dropped {} events", counters.dropped_events);
+    if trace.dropped_events() != 0 {
+        eprintln!("FAIL: ring dropped {} events", trace.dropped_events());
         failures += 1;
     }
 
-    // Index the event stream by request id.
-    let mut kinds: HashMap<u64, IoKind> = HashMap::new();
-    let mut services: HashMap<u64, (f64, u64, u32, ServiceBreakdown)> = HashMap::new();
+    // Index the service events by request id; total the picks and energy.
+    let mut services: HashMap<u64, (Request, SimTime, ServiceBreakdown)> = HashMap::new();
     let mut service_order: Vec<u64> = Vec::new();
+    let (mut picks, mut candidates, mut pick_depth) = (0u64, 0u64, 0usize);
+    let mut energy = PhaseEnergy::default();
     let mut completes = 0u64;
     for ev in trace.events() {
-        match *ev {
-            TraceEvent::Arrival { id, read, .. } => {
-                kinds.insert(id, if read { IoKind::Read } else { IoKind::Write });
+        match ev {
+            TraceEvent::Pick {
+                queue_depth,
+                candidates: examined,
+                ..
+            } => {
+                picks += 1;
+                candidates += examined;
+                pick_depth += queue_depth;
             }
             TraceEvent::Service {
-                id,
-                t,
-                lbn,
-                sectors,
-                positioning,
-                seek_x,
-                settle,
-                seek_y,
-                rotation,
-                transfer,
-                turnaround,
-                turnaround_count,
-                overhead,
-                fault_recovery,
-                ..
+                req,
+                start,
+                breakdown,
+                energy: e,
             } => {
-                let b = ServiceBreakdown {
-                    positioning,
-                    seek_x,
-                    settle,
-                    seek_y,
-                    rotation,
-                    transfer,
-                    turnaround,
-                    turnaround_count,
-                    overhead,
-                    fault_recovery,
-                    background_wait: 0.0,
-                };
-                services.insert(id, (t, lbn, sectors, b));
-                service_order.push(id);
+                energy.accumulate(e);
+                services.insert(req.id, (*req, *start, *breakdown));
+                service_order.push(req.id);
             }
-            TraceEvent::Complete {
-                id,
-                queue,
-                service,
-                response,
-                ..
-            } => {
+            TraceEvent::Complete(c) => {
                 completes += 1;
-                let Some((_, _, _, b)) = services.get(&id) else {
+                let id = c.request.id;
+                let Some((_, _, b)) = services.get(&id) else {
                     eprintln!("FAIL: completion for request {id} with no service event");
                     failures += 1;
                     continue;
                 };
-                // (1) Per-request phase sums reproduce the reported times.
-                if (b.total() - service).abs() > TOL {
+                // (1) Queue time plus the traced phases reproduce the
+                // reported response time.
+                let (queue, response) = (c.queue_time().as_secs(), c.response_time().as_secs());
+                if (queue + b.total() - response).abs() > TOL {
                     eprintln!(
-                        "FAIL: req {id}: phase sum {} != service {service}",
+                        "FAIL: req {id}: queue {queue} + phases {} != response {response}",
                         b.total()
                     );
-                    failures += 1;
-                }
-                if (queue + service - response).abs() > TOL {
-                    eprintln!("FAIL: req {id}: queue+service != response {response}");
                     failures += 1;
                 }
                 // (2) X and Y seeks proceed in parallel.
@@ -174,7 +149,7 @@ fn main() -> ExitCode {
                     failures += 1;
                 }
             }
-            TraceEvent::Pick { .. } | TraceEvent::Fault { .. } => {}
+            TraceEvent::Arrival { .. } | TraceEvent::Fault { .. } => {}
         }
     }
     if completes != report.completed {
@@ -190,12 +165,9 @@ fn main() -> ExitCode {
     // closed-form spring-mass solver.
     let mut oracle = MemsDevice::new(params).with_seek_table(false);
     let mut replay_worst = 0.0f64;
-    for &id in &service_order {
-        let (t, lbn, sectors, recorded) = services[&id];
-        let kind = kinds.get(&id).copied().unwrap_or(IoKind::Read);
-        let start = SimTime::from_secs(t);
-        let req = Request::new(id, start, lbn, sectors, kind);
-        let b = oracle.service(&req, start);
+    for id in &service_order {
+        let (req, start, recorded) = &services[id];
+        let b = oracle.service(req, *start);
         for (phase, traced, direct) in [
             ("positioning", recorded.positioning, b.positioning),
             ("seek_x", recorded.seek_x, b.seek_x),
@@ -216,7 +188,7 @@ fn main() -> ExitCode {
 
     // Phase table: where the mean request's time goes.
     let n = report.completed as f64;
-    let p = trace.phase_sum();
+    let p = &report.breakdown_sum;
     let service_total = p.positioning + p.transfer + p.overhead;
     let mut table = Table::new(vec![
         "phase".to_string(),
@@ -242,7 +214,6 @@ fn main() -> ExitCode {
     println!("{}", table.render());
     write_csv("obs_phase_breakdown.csv", &table.to_csv());
 
-    let e = trace.energy_sum();
     println!("mean response      {:8.3} ms", report.response.mean_ms());
     println!("mean service       {:8.3} ms", report.mean_service_ms());
     println!(
@@ -255,16 +226,15 @@ fn main() -> ExitCode {
     );
     println!(
         "energy             {:8.3} mJ/req  (positioning {:.3}, transfer {:.3}, overhead {:.3})",
-        1e3 * e.total() / n,
-        1e3 * e.positioning_j / n,
-        1e3 * e.transfer_j / n,
-        1e3 * e.overhead_j / n
+        1e3 * energy.total() / n,
+        1e3 * energy.positioning_j / n,
+        1e3 * energy.transfer_j / n,
+        1e3 * energy.overhead_j / n
     );
     println!(
-        "sched picks        {:8} ({:.1} candidates examined per pick, {:.1} mean depth)",
-        counters.picks,
-        trace.mean_candidates_per_pick(),
-        trace.mean_depth_at_pick()
+        "sched picks        {picks:8} ({:.1} candidates examined per pick, {:.1} mean depth)",
+        candidates as f64 / picks.max(1) as f64,
+        pick_depth as f64 / picks.max(1) as f64
     );
     println!("replay worst err   {replay_worst:8.2e} s vs closed-form kinematics");
 
@@ -302,23 +272,16 @@ fn main() -> ExitCode {
         adaptive_report.completed,
     );
 
-    // Raw exports (untracked; for ad-hoc analysis). The summary carries
-    // the companion cell's migration ledger.
+    // Raw exports (untracked; for ad-hoc analysis). The summary is the
+    // companion cell's migration ledger.
     let _ = std::fs::create_dir_all("target");
     let jsonl = std::path::Path::new("target").join("obs_trace.jsonl");
     let summary = std::path::Path::new("target").join("obs_summary.json");
     if std::fs::write(&jsonl, trace.to_jsonl()).is_ok() {
         println!("wrote {}", jsonl.display());
     }
-    let base = trace.summary_json();
-    let base = base
-        .strip_suffix("\n}\n")
-        .expect("ring summary closes with a bare brace");
-    let spliced = format!(
-        "{base},\n  \"migration\": {}\n}}\n",
-        migration.summary_json()
-    );
-    if std::fs::write(&summary, spliced).is_ok() {
+    let ledger = format!("{{\n  \"migration\": {}\n}}\n", migration.summary_json());
+    if std::fs::write(&summary, ledger).is_ok() {
         println!("wrote {}", summary.display());
     }
 

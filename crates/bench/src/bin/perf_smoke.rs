@@ -8,7 +8,7 @@
 //!
 //! Six sections:
 //!
-//! 1. **seek_surface** — the surface's solve time and footprint, and the
+//! 1. **seek_surface** — the surface's footprint, and the
 //!    `position_time` cost from an on-grid sled state (the SPTF oracle's
 //!    unit of work), direct solve vs surface;
 //! 2. **sptf_pick** — draining a deep queue, naive full scan vs pruned
@@ -355,9 +355,8 @@ fn main() {
     // 1. Seek-surface micro. The surface stays alive until the end of
     // `main`, so no timed section below pays for lazy fills, whatever
     // else the registry hands out meanwhile.
-    let (surface, build_secs) = timed(|| {
-        shared_seek_surface(&MemsParams::default()).expect("paper surface within size guard")
-    });
+    let surface =
+        shared_seek_surface(&MemsParams::default()).expect("paper surface within size guard");
     let surface_bytes = surface.bytes();
     let direct_dev = parked(false);
     let surface_dev = parked(true);
@@ -365,7 +364,7 @@ fn main() {
     let direct_ns = time_queries(&direct_dev, n_queries);
     let surface_ns = time_queries(&surface_dev, n_queries);
     println!(
-        "seek_surface: built in {build_secs:.2} s ({:.1} MB)   direct {direct_ns:8.1} ns/query   surface {surface_ns:6.1} ns/query  ({:.1}x)",
+        "seek_surface: {:.1} MB   direct {direct_ns:8.1} ns/query   surface {surface_ns:6.1} ns/query  ({:.1}x)",
         surface_bytes as f64 / (1 << 20) as f64,
         direct_ns / surface_ns,
     );
@@ -550,7 +549,6 @@ fn main() {
             "{{\n",
             "  \"host_threads\": {},\n",
             "  \"seek_surface\": {{\n",
-            "    \"build_secs\": {:.3},\n",
             "    \"bytes\": {},\n",
             "    \"queries\": {},\n",
             "    \"direct_ns_per_query\": {:.2},\n",
@@ -631,7 +629,6 @@ fn main() {
             "}}\n"
         ),
         threads,
-        build_secs,
         surface_bytes,
         n_queries,
         direct_ns,

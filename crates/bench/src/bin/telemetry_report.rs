@@ -97,19 +97,8 @@ fn mems_heatmap(ring: &RingTracer) -> MediaHeatmap {
         &MemsParams::default(),
         GRID_X,
         GRID_Y,
-        ring.events().filter_map(|ev| match *ev {
-            TraceEvent::Service {
-                lbn,
-                sectors,
-                energy_positioning_j,
-                energy_transfer_j,
-                energy_overhead_j,
-                ..
-            } => Some((
-                lbn,
-                sectors,
-                energy_positioning_j + energy_transfer_j + energy_overhead_j,
-            )),
+        ring.events().filter_map(|ev| match ev {
+            TraceEvent::Service { req, energy, .. } => Some((req.lbn, req.sectors, energy.total())),
             _ => None,
         }),
     )
@@ -266,8 +255,8 @@ fn main() -> ExitCode {
 
     let mut zones = ZoneHeatmap::new(&params);
     for ev in pair.first.events() {
-        if let TraceEvent::Service { lbn, sectors, .. } = *ev {
-            zones.record(lbn, sectors);
+        if let TraceEvent::Service { req, .. } = ev {
+            zones.record(req.lbn, req.sectors);
         }
     }
     check(

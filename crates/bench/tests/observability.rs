@@ -4,13 +4,20 @@
 //! and honest when on*: attaching a [`RingTracer`] must not perturb the
 //! simulation in any way (bit-identical [`SimReport`]s), and the per-phase
 //! numbers it records must account exactly for the response times the
-//! report aggregates.
+//! report aggregates, whatever wrapper stack bills them.
+
+use std::collections::HashMap;
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
+use mems_os::fault::DegradedDevice;
+use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
-use storage_sim::{Driver, RingTracer, Scheduler, SimReport, StorageDevice, TraceEvent, Workload};
-use storage_trace::RandomWorkload;
+use storage_sim::{
+    Driver, FaultClock, PhaseEnergy, RingTracer, Scheduler, SimReport, SimTime, StorageDevice,
+    TraceEvent, Workload,
+};
+use storage_trace::{RandomWorkload, ZipfWorkload};
 
 /// Whole-report exact (`==`, not approximate) comparison: `f64`'s `Debug`
 /// is round-trip exact.
@@ -19,8 +26,8 @@ fn assert_reports_bit_identical(untraced: &SimReport, traced: &SimReport) {
 }
 
 /// Runs the same (workload, scheduler, device) cell untraced and traced
-/// and asserts the reports agree exactly; returns the traced driver's
-/// tracer counters for further checks.
+/// and asserts the reports agree exactly; returns the traced report and
+/// the tracer for further checks.
 fn run_both<W, S, D>(
     make_workload: impl Fn() -> W,
     make_scheduler: impl Fn() -> S,
@@ -56,15 +63,19 @@ fn mems_traced_runs_are_bit_identical_across_seeds() {
             requests,
         );
         // The tracer saw every request, warm-up included.
-        let c = trace.counters();
-        assert_eq!(c.arrivals, requests);
-        assert_eq!(c.picks, requests);
-        assert_eq!(c.completions, requests);
-        assert_eq!(c.dropped_events, 0);
-        assert!(
-            c.candidates_examined >= c.picks,
-            "SPTF scores >= 1 per pick"
-        );
+        let [arrivals, picks, completions] = lifecycle_counts(&trace);
+        assert_eq!(arrivals, requests);
+        assert_eq!(picks, requests);
+        assert_eq!(completions, requests);
+        assert_eq!(trace.dropped_events(), 0);
+        let candidates: u64 = trace
+            .events()
+            .map(|e| match e {
+                TraceEvent::Pick { candidates, .. } => *candidates,
+                _ => 0,
+            })
+            .sum();
+        assert!(candidates >= picks, "SPTF scores >= 1 per pick");
         assert!(report.completed > 0);
     }
 }
@@ -80,59 +91,67 @@ fn disk_traced_runs_are_bit_identical_across_seeds() {
             || DiskDevice::new(DiskParams::quantum_atlas_10k()),
             requests,
         );
-        let c = trace.counters();
-        assert_eq!(c.arrivals, requests);
-        assert_eq!(c.completions, requests);
-        assert_eq!(c.dropped_events, 0);
+        let [arrivals, _, completions] = lifecycle_counts(&trace);
+        assert_eq!(arrivals, requests);
+        assert_eq!(completions, requests);
+        assert_eq!(trace.dropped_events(), 0);
     }
 }
 
+/// The ring's arrival, pick and completion events, counted.
+fn lifecycle_counts(trace: &RingTracer) -> [u64; 3] {
+    let mut counts = [0u64; 3];
+    for ev in trace.events() {
+        match ev {
+            TraceEvent::Arrival { .. } => counts[0] += 1,
+            TraceEvent::Pick { .. } => counts[1] += 1,
+            TraceEvent::Complete(_) => counts[2] += 1,
+            TraceEvent::Service { .. } | TraceEvent::Fault { .. } => {}
+        }
+    }
+    counts
+}
+
+/// The per-phase energy of every traced service event, summed.
+fn traced_energy(trace: &RingTracer) -> PhaseEnergy {
+    let mut sum = PhaseEnergy::default();
+    for ev in trace.events() {
+        if let TraceEvent::Service { energy, .. } = ev {
+            sum.accumulate(energy);
+        }
+    }
+    sum
+}
+
 /// For every completed request the traced phases must account for the
-/// reported times: positioning + transfer + overhead == service and
-/// queue + service == response, to <= 1e-9 s.
+/// reported times: queue + breakdown.total() == response, to <= 1e-9 s.
+/// With `parallel_seeks`, positioning must also be the overlap of the X
+/// and Y seeks.
 fn assert_phases_account_for_responses(trace: &RingTracer, parallel_seeks: bool) {
-    let mut services = std::collections::HashMap::new();
+    assert_eq!(trace.dropped_events(), 0, "ring must hold the full run");
+    let mut services = HashMap::new();
     let mut checked = 0u64;
     for ev in trace.events() {
-        match *ev {
-            TraceEvent::Service {
-                id,
-                positioning,
-                seek_x,
-                settle,
-                seek_y,
-                transfer,
-                overhead,
-                ..
-            } => {
-                services.insert(
-                    id,
-                    (positioning, seek_x, settle, seek_y, transfer, overhead),
-                );
+        match ev {
+            TraceEvent::Service { req, breakdown, .. } => {
+                services.insert(req.id, *breakdown);
             }
-            TraceEvent::Complete {
-                id,
-                queue,
-                service,
-                response,
-                ..
-            } => {
-                let (positioning, seek_x, settle, seek_y, transfer, overhead) = services[&id];
+            TraceEvent::Complete(c) => {
+                let id = c.request.id;
+                let b = &services[&id];
+                let (queue, response) = (c.queue_time().as_secs(), c.response_time().as_secs());
                 assert!(
-                    (positioning + transfer + overhead - service).abs() <= 1e-9,
-                    "req {id}: phases sum to {} but service is {service}",
-                    positioning + transfer + overhead
-                );
-                assert!(
-                    (queue + service - response).abs() <= 1e-9,
-                    "req {id}: queue {queue} + service {service} != response {response}"
+                    (queue + b.total() - response).abs() <= 1e-9,
+                    "req {id}: queue {queue} + phases {} != response {response}",
+                    b.total()
                 );
                 if parallel_seeks {
                     // MEMS X and Y seeks overlap (§2.4.1).
-                    let resolved = (seek_x + settle).max(seek_y);
+                    let resolved = (b.seek_x + b.settle).max(b.seek_y);
                     assert!(
-                        (positioning - resolved).abs() <= 1e-12,
-                        "req {id}: positioning {positioning} vs resolved {resolved}"
+                        (b.positioning - resolved).abs() <= 1e-12,
+                        "req {id}: positioning {} vs resolved {resolved}",
+                        b.positioning
                     );
                 }
                 checked += 1;
@@ -157,7 +176,7 @@ fn mems_phase_times_sum_to_response_times() {
     assert_phases_account_for_responses(driver.tracer(), true);
     // The device attributes energy to every phase; the sums must be
     // positive and dominated by positioning + transfer.
-    let e = driver.tracer().energy_sum();
+    let e = traced_energy(driver.tracer());
     assert!(e.positioning_j > 0.0);
     assert!(e.transfer_j > 0.0);
     assert!(e.total() > e.overhead_j);
@@ -175,9 +194,69 @@ fn disk_phase_times_sum_to_response_times() {
     .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
     driver.run();
     assert_phases_account_for_responses(driver.tracer(), false);
-    let e = driver.tracer().energy_sum();
+    let e = traced_energy(driver.tracer());
     assert!(
         e.positioning_j > 0.0,
         "disk energy model attributes seek+rotation energy"
     );
+}
+
+/// Wrappers bill time the mechanics do not: fault recovery behind a
+/// `DegradedDevice` under a Poisson fault storm, and the wait behind an
+/// in-flight migration chunk in a migrating `AdaptiveDevice`. The traced
+/// breakdowns must carry both, so queue + phases still equals every
+/// traced response.
+#[test]
+fn wrapped_phases_sum_to_response_times() {
+    let params = MemsParams::default();
+    let capacity = params.geometry().total_sectors();
+
+    let requests = 1_500;
+    let storm = FaultClock::poisson(
+        0x5EED_0063,
+        SimTime::from_secs(1.5),
+        40.0,
+        200.0,
+        40.0,
+        params.tips,
+        27,
+    );
+    let mut driver = Driver::new(
+        RandomWorkload::paper(capacity, 1000.0, requests, 17),
+        SptfScheduler::new(),
+        DegradedDevice::mems(MemsDevice::new(params.clone()), 3).with_spare_tips(4),
+    )
+    .with_faults(storm)
+    .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 5 + 64));
+    let report = driver.run();
+    assert!(report.fault_events > 100, "{} faults", report.fault_events);
+    assert!(report.breakdown_sum.fault_recovery > 0.0);
+    assert_phases_account_for_responses(driver.tracer(), false);
+
+    let requests = 4_000;
+    let mut driver = Driver::new(
+        ZipfWorkload::new(capacity, 1024, 0.99, 500.0, requests, 42).bursty(50, 0.060),
+        SptfScheduler::new(),
+        AdaptiveDevice::new(
+            MemsDevice::new(params),
+            PlacementConfig {
+                block_sectors: 1024,
+                half_life: 1.0,
+                idle_window: 4e-3,
+                max_swaps_per_window: 4,
+                hysteresis: 1.5,
+                min_rank_gain: 64,
+                min_heat: 4.0,
+                migrate: true,
+            },
+        ),
+    )
+    .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
+    let report = driver.run();
+    assert!(driver.device().migration_stats().swaps > 0);
+    assert!(
+        report.breakdown_sum.background_wait > 0.0,
+        "some request must wait behind a migration chunk"
+    );
+    assert_phases_account_for_responses(driver.tracer(), false);
 }

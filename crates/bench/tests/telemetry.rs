@@ -5,8 +5,9 @@
 //! - Attaching [`Telemetry`] (alone or paired with a [`RingTracer`]) must
 //!   leave the simulated report bit-identical to the untraced run, on both
 //!   the MEMS device and the disk baseline.
-//! - The JSONL export must round-trip: parsing it back yields per-kind
-//!   event counts equal to the tracer's monotonic counters.
+//! - The JSONL export must round-trip: parsing it back yields one
+//!   arrival, pick, service and completion per request, and the report's
+//!   completion and fault counts.
 //! - Heatmaps rebuilt from the trace must reconcile exactly with the
 //!   request stream: Σ region accesses == Σ stripes touched and
 //!   Σ tip-group sectors == Σ request sectors.
@@ -149,10 +150,9 @@ fn jsonl_round_trips_to_the_monotonic_counters() {
         MemsDevice::new(MemsParams::default()),
     )
     .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
-    driver.run();
+    let report = driver.run();
     let trace = driver.tracer();
-    let c = trace.counters();
-    assert_eq!(c.dropped_events, 0, "ring must hold the full run");
+    assert_eq!(trace.dropped_events(), 0, "ring must hold the full run");
 
     let jsonl = trace.to_jsonl();
     let (mut arrivals, mut picks, mut services, mut completes, mut faults) = (0u64, 0, 0, 0, 0);
@@ -178,11 +178,11 @@ fn jsonl_round_trips_to_the_monotonic_counters() {
             other => panic!("unknown event kind {other:?}"),
         }
     }
-    assert_eq!(arrivals, c.arrivals, "arrival lines vs counter");
-    assert_eq!(picks, c.picks, "pick lines vs counter");
-    assert_eq!(services, c.picks, "one service event per pick");
-    assert_eq!(completes, c.completions, "complete lines vs counter");
-    assert_eq!(faults, c.faults, "fault lines vs counter");
+    assert_eq!(arrivals, requests, "arrival lines vs requests");
+    assert_eq!(picks, requests, "pick lines vs requests");
+    assert_eq!(services, picks, "one service event per pick");
+    assert_eq!(completes, report.completed, "complete lines vs report");
+    assert_eq!(faults, report.fault_events, "fault lines vs report");
     assert!(sectors_by_service > 0);
 }
 
@@ -204,7 +204,7 @@ fn mems_heatmap_reconciles_with_the_request_stream() {
         .tracer()
         .events()
         .filter_map(|ev| match *ev {
-            TraceEvent::Service { lbn, sectors, .. } => Some((lbn, sectors, 0.0)),
+            TraceEvent::Service { req, .. } => Some((req.lbn, req.sectors, 0.0)),
             _ => None,
         })
         .collect();
@@ -257,9 +257,9 @@ fn disk_zone_heatmap_reconciles_with_the_request_stream() {
     let mut zones = ZoneHeatmap::new(&params);
     let mut request_sectors = 0u64;
     for ev in driver.tracer().events() {
-        if let TraceEvent::Service { lbn, sectors, .. } = *ev {
-            zones.record(lbn, sectors);
-            request_sectors += u64::from(sectors);
+        if let TraceEvent::Service { req, .. } = ev {
+            zones.record(req.lbn, req.sectors);
+            request_sectors += u64::from(req.sectors);
         }
     }
     assert_eq!(zones.requests(), report.completed);

@@ -8,7 +8,10 @@
 //! The layering follows the bfffs vdev/cluster design named in the
 //! ROADMAP.
 
-use storage_sim::{IoKind, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, IoKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime,
+    StorageDevice,
+};
 
 use super::{coalesce, raidz_locate, Layout};
 
@@ -321,6 +324,21 @@ impl<D: StorageDevice> StorageDevice for Vdev<D> {
         match self {
             Vdev::Leaf(d) => d.reset(),
             Vdev::Node { children, .. } => children.iter_mut().for_each(StorageDevice::reset),
+        }
+    }
+
+    // A leaf forwards both hooks. An interior node keeps the defaults: an
+    // array-level fault names no member to deliver it to, and a combined
+    // breakdown mixes members' phases, so it is no one member's to price.
+
+    fn phase_energy(&self, breakdown: &ServiceBreakdown) -> PhaseEnergy {
+        self.as_leaf()
+            .map_or_else(PhaseEnergy::default, |d| d.phase_energy(breakdown))
+    }
+
+    fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
+        if let Vdev::Leaf(d) = self {
+            d.on_fault(fault, now);
         }
     }
 }

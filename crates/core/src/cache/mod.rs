@@ -19,7 +19,10 @@ mod prefetch;
 pub use lru::LruCache;
 pub use prefetch::SequentialDetector;
 
-use storage_sim::{IoKind, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, IoKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime,
+    StorageDevice,
+};
 
 /// Statistics accumulated by a [`CachedDevice`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -184,6 +187,14 @@ impl<D: StorageDevice> StorageDevice for CachedDevice<D> {
         self.cache.clear();
         self.detector = SequentialDetector::new();
         self.stats = CacheStats::default();
+    }
+
+    fn phase_energy(&self, breakdown: &ServiceBreakdown) -> PhaseEnergy {
+        self.inner.phase_energy(breakdown)
+    }
+
+    fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
+        self.inner.on_fault(fault, now);
     }
 }
 

@@ -11,7 +11,9 @@
 
 use std::collections::HashMap;
 
-use storage_sim::{PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice,
+};
 
 /// How defective logical sectors are redirected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +183,14 @@ impl<D: StorageDevice> StorageDevice for RemappedDevice<D> {
 
     fn reset(&mut self) {
         self.inner.reset();
+    }
+
+    fn phase_energy(&self, breakdown: &ServiceBreakdown) -> PhaseEnergy {
+        self.inner.phase_energy(breakdown)
+    }
+
+    fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
+        self.inner.on_fault(fault, now);
     }
 }
 

@@ -1,7 +1,9 @@
 //! A power-managed device wrapper: timeout-to-sleep with energy and
 //! latency accounting.
 
-use storage_sim::{PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice,
+};
 
 use super::PowerProfile;
 
@@ -185,6 +187,14 @@ impl<D: StorageDevice> StorageDevice for PowerManagedDevice<D> {
         self.inner.reset();
         self.last_busy_end = 0.0;
         self.stats = PowerStats::default();
+    }
+
+    fn phase_energy(&self, breakdown: &ServiceBreakdown) -> PhaseEnergy {
+        self.inner.phase_energy(breakdown)
+    }
+
+    fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
+        self.inner.on_fault(fault, now);
     }
 }
 

@@ -10,7 +10,9 @@
 //! break-even); on a disk it earns its keep by skipping short gaps —
 //! demonstrating exactly why the MEMS policy needs no prediction at all.
 
-use storage_sim::{PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimTime, StorageDevice,
+};
 
 use super::managed::PowerStats;
 use super::PowerProfile;
@@ -158,6 +160,14 @@ impl<D: StorageDevice> StorageDevice for PredictiveDevice<D> {
         self.predicted_gap = 0.0;
         self.last_busy_end = 0.0;
         self.stats = PowerStats::default();
+    }
+
+    fn phase_energy(&self, breakdown: &ServiceBreakdown) -> PhaseEnergy {
+        self.inner.phase_energy(breakdown)
+    }
+
+    fn on_fault(&mut self, fault: &FaultKind, now: SimTime) {
+        self.inner.on_fault(fault, now);
     }
 }
 

@@ -1,14 +1,16 @@
 //! Wrappers that position exactly as their inner device must not cost
 //! SPTF its pruning: draining a deep queue through each one picks the
 //! same requests in the same order, with the same scheduler counters, as
-//! the bare device.
+//! the bare device. Every wrapper also hands scheduled faults and the
+//! energy of a breakdown to the device it wraps.
 
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::array::Vdev;
-use mems_os::fault::{RemapPolicy, RemappedDevice};
+use mems_os::cache::CachedDevice;
+use mems_os::fault::{DegradedDevice, RemapPolicy, RemappedDevice};
 use mems_os::power::{PowerManagedDevice, PowerProfile, PredictiveDevice};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{IoKind, Request, SchedCounters, Scheduler, SimTime, StorageDevice};
+use storage_sim::{FaultKind, IoKind, Request, SchedCounters, Scheduler, SimTime, StorageDevice};
 
 const DEPTH: u64 = 256;
 
@@ -97,4 +99,39 @@ fn remapped_device_prunes_like_the_bare_device() {
             "the wrapper prunes: {c:?}"
         );
     }
+}
+
+/// A tip failure sent to the wrapper must reach the `DegradedDevice`
+/// inside it, which bills its spare-remap charge to the next request,
+/// and the wrapper must price a breakdown as the MEMS device does.
+#[test]
+fn wrappers_forward_faults_and_phase_energy() {
+    fn check<D: StorageDevice>(name: &str, mut device: D) {
+        device.on_fault(&FaultKind::TipFailure { tip: 7 }, SimTime::ZERO);
+        let req = Request::new(0, SimTime::ZERO, 0, 8, IoKind::Read);
+        let b = device.service(&req, SimTime::ZERO);
+        assert!(
+            b.fault_recovery > 0.0,
+            "{name}: the fault was not delivered"
+        );
+        let energy = mems().phase_energy(&b);
+        assert!(energy.total() > 0.0);
+        assert_eq!(device.phase_energy(&b), energy, "{name}: phase energy");
+    }
+    let degraded = || DegradedDevice::mems(mems(), 42).with_spare_tips(2);
+    let spare_base = mems().capacity_lbns() - 2700;
+    check(
+        "power-managed",
+        PowerManagedDevice::new(degraded(), profile(), 0.01),
+    );
+    check(
+        "predictive",
+        PredictiveDevice::new(degraded(), profile(), 0.5),
+    );
+    check(
+        "remapped",
+        RemappedDevice::new(degraded(), RemapPolicy::FarSpare, spare_base),
+    );
+    check("cached", CachedDevice::new(degraded(), 8192, 512, 20e-6));
+    check("vdev leaf", Vdev::leaf(degraded()));
 }

@@ -107,6 +107,9 @@ impl Default for FleetConfig {
 pub struct FleetReport {
     /// Foreground fleet requests completed (after warm-up exclusion).
     pub completed: u64,
+    /// Foreground fleet requests completed, warm-up included: the ones
+    /// the makespan covers.
+    foreground_served: u64,
     /// Background (e.g. rebuild) requests completed.
     pub background_completed: u64,
     /// Per-station sub-I/Os completed, foreground and background.
@@ -137,11 +140,12 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Fleet throughput in foreground requests per simulated second.
+    /// Fleet throughput in foreground requests per simulated second. The
+    /// makespan spans every request, so the warm-up ones count too.
     pub fn throughput(&self) -> f64 {
         let span = self.makespan.as_secs();
         if span > 0.0 {
-            self.completed as f64 / span
+            self.foreground_served as f64 / span
         } else {
             0.0
         }
@@ -517,7 +521,6 @@ struct Merge<W: Workload> {
     station_completions: Vec<Vec<Completion>>,
     keep_station_completions: bool,
     warmup_requests: u64,
-    emitted_fg: u64,
     profile: FleetProfile,
 }
 
@@ -598,8 +601,8 @@ impl<W: Workload> Merge<W> {
         report.makespan = report.makespan.max(fc.end);
         let response = (fc.end - fc.arrival).as_secs();
         if fc.id < self.assembler.foreground {
-            self.emitted_fg += 1;
-            if self.emitted_fg > self.warmup_requests {
+            report.foreground_served += 1;
+            if report.foreground_served > self.warmup_requests {
                 report.completed += 1;
                 report.response.push(response);
                 report
@@ -1002,6 +1005,7 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             assembler: Assembler::new(self.foreground, self.bg_arrivals),
             report: FleetReport {
                 completed: 0,
+                foreground_served: 0,
                 background_completed: 0,
                 subs_completed: 0,
                 makespan: SimTime::ZERO,
@@ -1023,7 +1027,6 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             station_completions: vec![Vec::new(); n],
             keep_station_completions: config.keep_station_completions,
             warmup_requests: config.warmup_requests,
-            emitted_fg: 0,
             profile: FleetProfile::default(),
         };
         let workers = drive(workers, &mut merge);
@@ -1070,5 +1073,32 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             devices,
             profile,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use storage_sim::{ConstantDevice, FifoScheduler};
+
+    #[test]
+    fn throughput_counts_the_warm_up_the_makespan_covers() {
+        // Ten 1 ms requests 10 ms apart; the first four are warm-up.
+        let reqs = (0..10)
+            .map(|i| Request::new(i, SimTime::from_ms(10.0 * i as f64), 8 * i, 8, IoKind::Read))
+            .collect();
+        let report = FleetEngine::streaming(
+            vec![ConstantDevice::new(1_000, 1e-3)],
+            |_| FifoScheduler::new(),
+            VolumeSpec::leaf(0),
+            VecWorkload::new(reqs),
+            FleetConfig {
+                warmup_requests: 4,
+                ..FleetConfig::default()
+            },
+        )
+        .run();
+        assert_eq!(report.completed, 6);
+        assert_eq!(report.throughput(), 10.0 / report.makespan.as_secs());
     }
 }

@@ -9,11 +9,12 @@
 //! records, and stays informational.
 //!
 //! The straggler detector follows the classic windowed-comparison shape:
-//! a station is a straggler when its windowed p99 response time exceeds a
-//! multiple of the fleet's *median* station p99 (the median is robust to
-//! the straggler itself dragging the baseline). Hysteresis — separate
-//! enter/exit ratios plus a consecutive-window streak — keeps a station
-//! from flapping in and out of the flagged set on single noisy windows.
+//! a station is a straggler when its windowed p99 response time reaches
+//! 2× the fleet's *median* station p99 (the median is robust to the
+//! straggler itself dragging the baseline). Hysteresis keeps a station
+//! from flapping in and out of the flagged set on single noisy windows:
+//! it recovers only at 1.25× the median or below, and either change
+//! takes two consecutive qualifying windows.
 //!
 //! [`SimReport`]: storage_sim::SimReport
 //! [`Telemetry`]: storage_sim::Telemetry
@@ -134,34 +135,21 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Straggler-detector thresholds. All comparisons are against the fleet
-/// *median* station p99 within the same telemetry window.
-#[derive(Debug, Clone, Copy)]
-pub struct StragglerPolicy {
-    /// A station's windowed p99 must reach `enter_ratio` x the fleet
-    /// median p99 to count toward flagging.
-    pub enter_ratio: f64,
-    /// A flagged station must fall to `exit_ratio` x the median (or
-    /// below) to count toward unflagging; `exit_ratio < enter_ratio`
-    /// is the hysteresis band.
-    pub exit_ratio: f64,
-    /// Consecutive qualifying windows required to change state.
-    pub streak: u32,
-    /// Windows where a station completed fewer sub-I/Os than this are
-    /// *neutral*: no evidence either way, streaks hold but don't grow.
-    pub min_completions: u64,
-}
+// Straggler-detector thresholds, each against the fleet *median* station
+// p99 within the same telemetry window. Twice the median is a station
+// clearly out of line with its peers; recovering only at 1.25× leaves a
+// hysteresis band between the two, and a streak of two windows outlasts
+// one noisy window. A window where a station completed nothing is
+// neutral: no evidence either way, so streaks hold but don't grow.
 
-impl Default for StragglerPolicy {
-    fn default() -> Self {
-        StragglerPolicy {
-            enter_ratio: 2.0,
-            exit_ratio: 1.25,
-            streak: 2,
-            min_completions: 1,
-        }
-    }
-}
+/// A station's windowed p99 must reach this multiple of the median to
+/// count toward flagging.
+const ENTER_RATIO: f64 = 2.0;
+/// A flagged station's windowed p99 must fall to this multiple of the
+/// median, or below, to count toward unflagging.
+const EXIT_RATIO: f64 = 1.25;
+/// Consecutive qualifying windows required to change state.
+const STREAK: u32 = 2;
 
 /// A straggler state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,13 +196,9 @@ impl StragglerReport {
 ///
 /// Deterministic: inputs are sim-time derived, stations align to a
 /// common window width by exact coarsening, and ties break by station
-/// index. See [`StragglerPolicy`] for the hysteresis semantics.
-pub fn detect_stragglers(stations: &[Telemetry], policy: &StragglerPolicy) -> StragglerReport {
+/// index. See the module docs for the thresholds and their hysteresis.
+pub fn detect_stragglers(stations: &[Telemetry]) -> StragglerReport {
     assert!(!stations.is_empty(), "straggler detection needs stations");
-    assert!(
-        policy.exit_ratio <= policy.enter_ratio,
-        "exit ratio above enter ratio would invert the hysteresis band"
-    );
     let common = stations
         .iter()
         .map(Telemetry::window_secs)
@@ -242,7 +226,7 @@ pub fn detect_stragglers(stations: &[Telemetry], policy: &StragglerPolicy) -> St
         let mut active = Vec::with_capacity(nsta);
         for (s, t) in aligned.iter().enumerate() {
             if let Some(win) = t.windows().get(w) {
-                if win.completions >= policy.min_completions.max(1) {
+                if win.completions > 0 {
                     let p99 = win.responses.quantile(0.99) * 1e3;
                     station_p99_ms[s][w] = p99;
                     active.push(p99);
@@ -261,9 +245,9 @@ pub fn detect_stragglers(stations: &[Telemetry], policy: &StragglerPolicy) -> St
             }
             let ratio = p99 / med;
             if !state[s] {
-                if ratio >= policy.enter_ratio {
+                if ratio >= ENTER_RATIO {
                     up_streak[s] += 1;
-                    if up_streak[s] >= policy.streak {
+                    if up_streak[s] >= STREAK {
                         state[s] = true;
                         up_streak[s] = 0;
                         events.push(StragglerEvent {
@@ -275,9 +259,9 @@ pub fn detect_stragglers(stations: &[Telemetry], policy: &StragglerPolicy) -> St
                 } else {
                     up_streak[s] = 0;
                 }
-            } else if ratio <= policy.exit_ratio {
+            } else if ratio <= EXIT_RATIO {
                 down_streak[s] += 1;
-                if down_streak[s] >= policy.streak {
+                if down_streak[s] >= STREAK {
                     state[s] = false;
                     down_streak[s] = 0;
                     events.push(StragglerEvent {
@@ -419,7 +403,7 @@ mod tests {
             (52.0, 1.0),
         ]);
         let stations = [fast(0.0), fast(0.1), slow];
-        let report = detect_stragglers(&stations, &StragglerPolicy::default());
+        let report = detect_stragglers(&stations);
         // Streak of 2: flagged from window 1.
         assert!(!report.flagged[2][0]);
         assert!(report.flagged[2][1]);

@@ -47,7 +47,7 @@ pub mod volume;
 pub use engine::{FleetConfig, FleetEngine, FleetProfile, FleetReport, FleetRun, ScopeStats};
 pub use health::{
     detect_stragglers, tail_skew, utilization_skew, ProgressSeries, StationHealth, StragglerEvent,
-    StragglerPolicy, StragglerReport,
+    StragglerReport,
 };
 pub use rebuild::RebuildPlan;
 pub use timeline::FleetTimeline;

@@ -749,7 +749,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_run_exactly() {
-        use crate::tracer::RingTracer;
+        use crate::tracer::{RingTracer, TraceEvent};
         let reqs = vec![req(0, 0.0, 0), req(1, 0.5, 8), req(2, 0.6, 16)];
         let plain = Driver::new(
             VecWorkload::new(reqs.clone()),
@@ -768,10 +768,14 @@ mod tests {
         assert_eq!(plain.makespan, traced.makespan);
         assert_eq!(plain.response.mean(), traced.response.mean());
         assert_eq!(plain.busy_secs, traced.busy_secs);
+        // Four events per request: arrival, pick, service, complete.
         let t = traced_driver.tracer();
-        assert_eq!(t.counters().arrivals, 3);
-        assert_eq!(t.counters().picks, 3);
-        assert_eq!(t.counters().completions, 3);
+        assert_eq!(t.events().count(), 12);
+        let completes = t
+            .events()
+            .filter(|e| matches!(e, TraceEvent::Complete(_)))
+            .count();
+        assert_eq!(completes, 3);
     }
 
     /// Identifies a test event by its chain and the id it carries.

@@ -64,5 +64,5 @@ pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;
-pub use tracer::{NoopTracer, RingTracer, TraceCounters, TraceEvent, Tracer};
+pub use tracer::{NoopTracer, RingTracer, TraceEvent, Tracer};
 pub use workload::{VecWorkload, Workload};

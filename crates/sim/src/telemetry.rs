@@ -378,7 +378,7 @@ impl Tracer for Telemetry {
 /// .with_tracer(TracerPair::new(RingTracer::new(64), Telemetry::new(0.01, 16)));
 /// driver.run();
 /// let pair = driver.tracer();
-/// assert_eq!(pair.first.counters().completions, 1);
+/// assert_eq!(pair.first.events().count(), 4);
 /// assert_eq!(pair.second.windows().iter().map(|w| w.completions).sum::<u64>(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -514,7 +514,7 @@ mod tests {
         use crate::tracer::{NoopTracer, RingTracer};
         let mut pair = TracerPair::new(RingTracer::new(8), Telemetry::new(0.01, 8));
         pair.on_complete(&complete_at(0, 5.0, 1.0));
-        assert_eq!(pair.first.counters().completions, 1);
+        assert_eq!(pair.first.events().count(), 1);
         assert_eq!(pair.second.windows()[0].completions, 1);
         const {
             assert!(TracerPair::<RingTracer, Telemetry>::ENABLED);
