@@ -6,10 +6,14 @@
 //! requests that start and end inside each subregion — once with the X
 //! settle time and once without.
 //!
-//! Paper shape to check: the centermost subregion is fastest and the
-//! corners slowest (spring forces grow with displacement), with a 10–20%
-//! spread; removing settle shrinks every number by roughly the settling
-//! constant.
+//! Paper shape: the centermost subregion is fastest and the corners
+//! slowest (spring forces grow with displacement), with a 10–20% spread;
+//! removing settle shrinks every number by roughly the settling constant.
+//! The model reproduces the shape along X: in every row the time grows
+//! with the distance from the center column, and the slowest subregion is
+//! a corner, with and without settle (`tests/paper_claims.rs` asserts
+//! both on the golden). Along Y it does not: at cx = 0 the subregions at
+//! cy = ±400 are slightly faster than the center one.
 
 use mems_bench::{write_csv, Table};
 use mems_device::{MemsDevice, MemsParams, SledState};

@@ -6,28 +6,21 @@
 //! parallel, and held for the whole run, so every device below reads a
 //! fully solved surface and no timed section includes lazy fills.
 //!
-//! Six sections:
+//! Three sections:
 //!
-//! 1. **seek_surface** — the surface's footprint, and the
-//!    `position_time` cost from an on-grid sled state (the SPTF oracle's
-//!    unit of work), direct solve vs surface;
-//! 2. **sptf_pick** — draining a deep queue, naive full scan vs pruned
-//!    bucket scan (same picks, different work);
-//! 3. **devirt_pick** — the same pruned drain through the type-erased
-//!    `DynScheduler` box vs the monomorphized static path;
-//! 4. **fig6_sptf** — the acceptance measurement: the Fig. 6 SPTF cell at
+//! 1. **fig6_sptf** — the acceptance measurement: the Fig. 6 SPTF cell at
 //!    the highest arrival rate over several seeds, naive scan + direct
 //!    solves + serial seed loop vs pruned pick + shared surface +
 //!    parallel sweep. Both configurations must report identical mean
 //!    response times (the fast path is pick-equivalent); only the wall
 //!    clock moves.
-//! 5. **events_per_sec** — the engine-throughput headline: two whole
+//! 2. **events_per_sec** — the engine-throughput headline: two whole
 //!    cells measured serially on one thread so the number is per-core by
 //!    construction — the Fig. 6 SPTF cell on the shared surface, and a
 //!    high-rate FCFS cell that stresses the raw event loop. Both report
 //!    `simulated requests per core second` (the gated CI metric) and
 //!    confirm the event store never restructured mid-run.
-//! 6. **streaming_scale** — the constant-memory headline: a 10⁷-request
+//! 3. **streaming_scale** — the constant-memory headline: a 10⁷-request
 //!    open-loop FIFO cell pulled incrementally from the generator
 //!    (arrival look-ahead + log-histogram stats, nothing materialized)
 //!    and a 10⁶-request 64-station streaming fleet cell, both reporting
@@ -58,10 +51,7 @@ use mems_bench::{replicated_point, shared_seek_surface};
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
-use storage_sim::{
-    Driver, DynScheduler, FifoScheduler, IoKind, PositionOracle, Request, Scheduler, SimReport,
-    SimTime, StorageDevice, VecWorkload, Workload,
-};
+use storage_sim::{Driver, FifoScheduler, Scheduler, SimReport, VecWorkload, Workload};
 use storage_trace::RandomWorkload;
 
 const CAPACITY: u64 = 6_750_000;
@@ -90,61 +80,6 @@ fn timed_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
         }
     }
     (best_r, best_secs)
-}
-
-/// Parks a device on-grid (one request serviced), as in steady state.
-fn park(mut d: MemsDevice) -> MemsDevice {
-    let r = Request::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Read);
-    let _ = d.service(&r, SimTime::ZERO);
-    d
-}
-
-/// A parked device with or without the seek cache.
-fn parked(table: bool) -> MemsDevice {
-    park(MemsDevice::new(MemsParams::default()).with_seek_table(table))
-}
-
-fn lcg(x: &mut u64) -> u64 {
-    *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-    *x
-}
-
-/// ns per `position_time` query over a deterministic LBN stream.
-fn time_queries(dev: &MemsDevice, n: u64) -> f64 {
-    let mut x = 7u64;
-    let mut sink = 0.0;
-    let (_, secs) = timed(|| {
-        for _ in 0..n {
-            let lbn = lcg(&mut x) % (CAPACITY - 8);
-            let req = Request::new(0, SimTime::ZERO, lbn, 8, IoKind::Read);
-            sink += dev.position_time(&req, SimTime::ZERO);
-        }
-    });
-    assert!(sink > 0.0);
-    secs * 1e9 / n as f64
-}
-
-/// µs per pick draining a `depth`-deep queue with scheduler `make()`.
-fn time_drain<S: Scheduler>(make: impl Fn() -> S, dev: &MemsDevice, depth: usize) -> f64 {
-    let reqs: Vec<Request> = (0..depth as u64)
-        .map(|i| {
-            let lbn = (i * 2_654_435_761) % CAPACITY;
-            Request::new(i, SimTime::ZERO, lbn, 8, IoKind::Read)
-        })
-        .collect();
-    let rounds = 5;
-    let (_, secs) = timed(|| {
-        for _ in 0..rounds {
-            let mut s = make();
-            for r in &reqs {
-                s.enqueue(*r);
-            }
-            while let Some(r) = s.pick(dev, SimTime::ZERO) {
-                std::hint::black_box(r);
-            }
-        }
-    });
-    secs * 1e6 / (rounds * depth) as f64
 }
 
 /// One serially-measured whole-cell throughput sample.
@@ -352,47 +287,13 @@ fn main() {
 
     println!("perf_smoke: positioning fast path, before/after\n");
 
-    // 1. Seek-surface micro. The surface stays alive until the end of
-    // `main`, so no timed section below pays for lazy fills, whatever
-    // else the registry hands out meanwhile.
-    let surface =
+    // The surface stays alive until the end of `main`, so no timed
+    // section below pays for lazy fills, whatever else the registry hands
+    // out meanwhile.
+    let _surface =
         shared_seek_surface(&MemsParams::default()).expect("paper surface within size guard");
-    let surface_bytes = surface.bytes();
-    let direct_dev = parked(false);
-    let surface_dev = parked(true);
-    let n_queries = 200_000u64;
-    let direct_ns = time_queries(&direct_dev, n_queries);
-    let surface_ns = time_queries(&surface_dev, n_queries);
-    println!(
-        "seek_surface: {:.1} MB   direct {direct_ns:8.1} ns/query   surface {surface_ns:6.1} ns/query  ({:.1}x)",
-        surface_bytes as f64 / (1 << 20) as f64,
-        direct_ns / surface_ns,
-    );
 
-    // 2. Pick micro.
-    let depth = 1024;
-    let naive_us = time_drain(NaiveSptfScheduler::new, &direct_dev, depth);
-    let pruned_us = time_drain(SptfScheduler::new, &surface_dev, depth);
-    println!(
-        "sptf_pick:   naive {naive_us:9.2} us/pick    pruned {pruned_us:7.2} us/pick    ({:.1}x at depth {depth})",
-        naive_us / pruned_us
-    );
-
-    // 3. Devirtualization micro: the identical pruned drain, dispatched
-    // through the type-erased box (one virtual pick_dyn hop plus a dyn
-    // positioning oracle) vs the fully monomorphized path.
-    let dyn_us = time_drain(
-        || -> Box<dyn DynScheduler> { Box::new(SptfScheduler::new()) },
-        &surface_dev,
-        depth,
-    );
-    let static_us = time_drain(SptfScheduler::new, &surface_dev, depth);
-    println!(
-        "devirt_pick: dyn {dyn_us:11.2} us/pick    static {static_us:7.2} us/pick    ({:.2}x at depth {depth})",
-        dyn_us / static_us
-    );
-
-    // 4. Fig. 6 SPTF cell at the highest rate: serial+naive+direct vs
+    // 1. Fig. 6 SPTF cell at the highest rate: serial+naive+direct vs
     // parallel+pruned+shared-surface.
     let (baseline_means, baseline_secs) = timed(|| {
         SEEDS
@@ -436,7 +337,7 @@ fn main() {
         eprintln!("warning: fast path changed the simulation result — pick equivalence broken");
     }
 
-    // 5. events/sec: whole cells measured serially on this thread so the
+    // 2. events/sec: whole cells measured serially on this thread so the
     // requests/sec figure is per-core. The gated headline is the Fig. 6
     // SPTF cell on the shared surface.
     let fig6_cell = time_cell(&SEEDS, RATE, requests, warmup, SptfScheduler::new);
@@ -467,7 +368,7 @@ fn main() {
         );
     }
 
-    // 6. streaming_scale: the constant-memory headline. Identity gate
+    // 3. streaming_scale: the constant-memory headline. Identity gate
     // first, then the two big cells, measuring wall clock and the
     // peak-RSS growth over the post-surface baseline.
     let streamed_identical = streaming_identity_gate();
@@ -548,25 +449,6 @@ fn main() {
         concat!(
             "{{\n",
             "  \"host_threads\": {},\n",
-            "  \"seek_surface\": {{\n",
-            "    \"bytes\": {},\n",
-            "    \"queries\": {},\n",
-            "    \"direct_ns_per_query\": {:.2},\n",
-            "    \"surface_ns_per_query\": {:.2},\n",
-            "    \"speedup_vs_direct\": {:.2}\n",
-            "  }},\n",
-            "  \"sptf_pick\": {{\n",
-            "    \"queue_depth\": {},\n",
-            "    \"naive_us_per_pick\": {:.3},\n",
-            "    \"pruned_us_per_pick\": {:.3},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
-            "  \"devirt_pick\": {{\n",
-            "    \"queue_depth\": {},\n",
-            "    \"dyn_us_per_pick\": {:.3},\n",
-            "    \"static_us_per_pick\": {:.3},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
             "  \"fig6_sptf\": {{\n",
             "    \"rate_req_per_s\": {},\n",
             "    \"requests_per_seed\": {},\n",
@@ -629,19 +511,6 @@ fn main() {
             "}}\n"
         ),
         threads,
-        surface_bytes,
-        n_queries,
-        direct_ns,
-        surface_ns,
-        direct_ns / surface_ns,
-        depth,
-        naive_us,
-        pruned_us,
-        naive_us / pruned_us,
-        depth,
-        dyn_us,
-        static_us,
-        dyn_us / static_us,
         RATE,
         requests,
         warmup,

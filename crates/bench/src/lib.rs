@@ -4,6 +4,7 @@
 //! paper; this library holds what they share: the scheduling-sweep runner,
 //! aligned-table printing, and CSV emission into `results/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

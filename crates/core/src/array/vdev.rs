@@ -220,8 +220,9 @@ impl<D: StorageDevice> PositionOracle for Vdev<D> {
         }
     }
 
-    // A leaf positions exactly as its device, so it forwards the pruning
-    // and caching hooks too; an interior node keeps the safe defaults.
+    // A leaf positions exactly as its device, so it forwards the pruning,
+    // caching and prefetch hooks too; an interior node keeps the safe
+    // defaults.
 
     fn position_bucket(&self, req: &Request) -> u64 {
         self.as_leaf().map_or(0, |d| d.position_bucket(req))
@@ -243,6 +244,12 @@ impl<D: StorageDevice> PositionOracle for Vdev<D> {
 
     fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
         self.as_leaf().and_then(|d| d.rest_key(now))
+    }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        if let Some(d) = self.as_leaf() {
+            d.prefetch_seek(from_bucket, to_bucket);
+        }
     }
 }
 

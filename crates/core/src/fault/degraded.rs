@@ -344,6 +344,10 @@ impl<D: StorageDevice> PositionOracle for DegradedDevice<D> {
     fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
         self.inner.bucket_position_time_floor(bucket)
     }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        self.inner.prefetch_seek(from_bucket, to_bucket);
+    }
 }
 
 impl<D: StorageDevice> StorageDevice for DegradedDevice<D> {
@@ -422,7 +426,7 @@ impl<D: StorageDevice> StorageDevice for DegradedDevice<D> {
 mod tests {
     use super::*;
     use mems_device::MemsParams;
-    use storage_sim::IoKind;
+    use storage_sim::{ConstantDevice, IoKind};
 
     fn mems() -> MemsDevice {
         MemsDevice::new(MemsParams::default())
@@ -514,5 +518,57 @@ mod tests {
         assert_eq!(d.counters().media_defects, 1);
         let f = d.fault_state().unwrap();
         assert!(!f.is_clean());
+    }
+
+    /// A constant device that records the seek hints it is given.
+    struct Hinted(ConstantDevice, std::cell::RefCell<Vec<(u64, u64)>>);
+
+    impl PositionOracle for Hinted {
+        fn position_time(&self, req: &Request, now: SimTime) -> f64 {
+            self.0.position_time(req, now)
+        }
+
+        fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+            self.1.borrow_mut().push((from_bucket, to_bucket));
+        }
+    }
+
+    impl StorageDevice for Hinted {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn capacity_lbns(&self) -> u64 {
+            self.0.capacity_lbns()
+        }
+
+        fn service(&mut self, req: &Request, now: SimTime) -> ServiceBreakdown {
+            self.0.service(req, now)
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn seek_hints_reach_the_wrapped_device_unchanged() {
+        // The public constructors wrap only MEMS devices and disks, so
+        // borrow a healthy MEMS wrapper's state around a recorder.
+        let DegradedDevice {
+            config, remap, rng, ..
+        } = DegradedDevice::mems(mems(), 1);
+        let d = DegradedDevice {
+            inner: Hinted(ConstantDevice::new(1 << 20, 1e-3), Default::default()),
+            name: "degraded(recorder)".into(),
+            config,
+            remap,
+            mems: None,
+            armed_transients: 0,
+            pending_penalty: 0.0,
+            rng,
+            counters: DegradedCounters::default(),
+        };
+        d.prefetch_seek(3, 2499);
+        d.prefetch_seek(u64::MAX, 0);
+        assert_eq!(*d.inner().1.borrow(), [(3, 2499), (u64::MAX, 0)]);
     }
 }

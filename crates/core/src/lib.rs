@@ -54,6 +54,7 @@
 //! println!("mean response: {:.2} ms", report.response.mean_ms());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Layouts represent LBN *regions* as collections of `Range<u64>`; a
 // one-element collection is meaningful (one region), not a typo for a

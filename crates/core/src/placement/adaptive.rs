@@ -623,6 +623,10 @@ impl<D: StorageDevice> PositionOracle for AdaptiveDevice<D> {
             self.inner.rest_key(now)
         }
     }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        self.inner.prefetch_seek(from_bucket, to_bucket);
+    }
 }
 
 impl<D: StorageDevice> StorageDevice for AdaptiveDevice<D> {

@@ -151,6 +151,10 @@ impl<D: StorageDevice> PositionOracle for PowerManagedDevice<D> {
     fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
         self.inner.rest_key(now)
     }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        self.inner.prefetch_seek(from_bucket, to_bucket);
+    }
 }
 
 impl<D: StorageDevice> StorageDevice for PowerManagedDevice<D> {

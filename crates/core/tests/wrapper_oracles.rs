@@ -2,15 +2,23 @@
 //! SPTF its pruning: draining a deep queue through each one picks the
 //! same requests in the same order, with the same scheduler counters, as
 //! the bare device. Every wrapper also hands scheduled faults and the
-//! energy of a breakdown to the device it wraps.
+//! energy of a breakdown to the device it wraps, and each one that
+//! forwards the pruning hooks forwards seek hints too.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::fault::{DegradedDevice, RemapPolicy, RemappedDevice};
+use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::power::{PowerManagedDevice, PowerProfile, PredictiveDevice};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{FaultKind, IoKind, Request, SchedCounters, Scheduler, SimTime, StorageDevice};
+use storage_sim::{
+    FaultKind, IoKind, PositionOracle, Request, SchedCounters, Scheduler, ServiceBreakdown,
+    SimTime, StorageDevice,
+};
 
 const DEPTH: u64 = 256;
 
@@ -134,4 +142,113 @@ fn wrappers_forward_faults_and_phase_energy() {
     );
     check("cached", CachedDevice::new(degraded(), 8192, 512, 20e-6));
     check("vdev leaf", Vdev::leaf(degraded()));
+}
+
+/// Seek hints a [`Recorder`] was given, as `(from_bucket, to_bucket)`.
+type Hints = Rc<RefCell<Vec<(u64, u64)>>>;
+
+/// A MEMS device that records every seek hint it is given.
+struct Recorder {
+    inner: MemsDevice,
+    hints: Hints,
+}
+
+fn recorder() -> (Recorder, Hints) {
+    let hints = Hints::default();
+    let recorder = Recorder {
+        inner: mems(),
+        hints: Rc::clone(&hints),
+    };
+    (recorder, hints)
+}
+
+impl PositionOracle for Recorder {
+    fn position_time(&self, req: &Request, now: SimTime) -> f64 {
+        self.inner.position_time(req, now)
+    }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        self.hints.borrow_mut().push((from_bucket, to_bucket));
+    }
+}
+
+impl StorageDevice for Recorder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn capacity_lbns(&self) -> u64 {
+        self.inner.capacity_lbns()
+    }
+
+    fn service(&mut self, req: &Request, now: SimTime) -> ServiceBreakdown {
+        self.inner.service(req, now)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+}
+
+/// Every wrapper that forwards `bucket_position_time_floor` hands seek
+/// hints to the device it wraps with the buckets unchanged, off-device
+/// ones included; the cache and an interior `Vdev` node drop them.
+/// `DegradedDevice` wraps only MEMS devices and disks, so its module
+/// checks its own forward.
+#[test]
+fn pruning_wrappers_forward_seek_hints_unchanged() {
+    fn check(name: &str, oracle: &impl PositionOracle, hints: &Hints, forwards: bool) {
+        let sent = [(3, 2499), (2499, 0), (u64::MAX, 7)];
+        for (from, to) in sent {
+            oracle.prefetch_seek(from, to);
+        }
+        let want = if forwards { sent.to_vec() } else { Vec::new() };
+        assert_eq!(*hints.borrow(), want, "{name}");
+    }
+    let spare_base = mems().capacity_lbns() - 2700;
+
+    let (bare, hints) = recorder();
+    check("&T", &&bare, &hints, true);
+    let (r, hints) = recorder();
+    check(
+        "power-managed",
+        &PowerManagedDevice::new(r, profile(), 0.01),
+        &hints,
+        true,
+    );
+    let (r, hints) = recorder();
+    check(
+        "predictive",
+        &PredictiveDevice::new(r, profile(), 0.5),
+        &hints,
+        true,
+    );
+    let (r, hints) = recorder();
+    check(
+        "adaptive",
+        &AdaptiveDevice::new(r, PlacementConfig::default()),
+        &hints,
+        true,
+    );
+    let (r, hints) = recorder();
+    check(
+        "remapped",
+        &RemappedDevice::new(r, RemapPolicy::FarSpare, spare_base),
+        &hints,
+        true,
+    );
+    let (r, hints) = recorder();
+    check("vdev leaf", &Vdev::leaf(r), &hints, true);
+
+    let (r, hints) = recorder();
+    check(
+        "cached",
+        &CachedDevice::new(r, 8192, 512, 20e-6),
+        &hints,
+        false,
+    );
+    let ((a, hints_a), (b, hints_b)) = (recorder(), recorder());
+    let mirror = Vdev::mirror(vec![Vdev::leaf(a), Vdev::leaf(b)]);
+    check("vdev mirror", &mirror, &hints_a, false);
+    assert!(hints_b.borrow().is_empty(), "vdev mirror");
 }

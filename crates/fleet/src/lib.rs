@@ -36,6 +36,7 @@
 //! every fleet experiment stays replayable byte for byte — the same
 //! contract the single-device figures honor.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -113,11 +113,6 @@ impl FleetTimeline {
         self.windows.iter().map(|w| w.faults).sum()
     }
 
-    /// Total per-phase device time across all windows, seconds.
-    pub fn total_phase_secs(&self) -> f64 {
-        self.windows.iter().map(|w| w.phase.total()).sum()
-    }
-
     /// Checks the exact-count invariants against a fleet report:
     /// merged completions, merged arrivals, and merged response samples
     /// must each equal [`FleetReport::subs_completed`], and merged faults

@@ -454,6 +454,15 @@ impl PositionOracle for MemsDevice {
         let s = self.pos.state;
         Some([s.x.to_bits(), s.y.to_bits(), s.vy.to_bits()])
     }
+
+    /// Prefetches the X cell of the seek between the two cylinders. It
+    /// reads the surface through [`MemsDevice::seek_surface`], so a hint
+    /// resolves no surface, and the prefetch fills no cell.
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        if let Some(surface) = self.seek_surface() {
+            surface.prefetch_x(from_bucket, to_bucket);
+        }
+    }
 }
 
 impl StorageDevice for MemsDevice {

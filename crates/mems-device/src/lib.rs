@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod device;
 pub mod geometry;

@@ -289,6 +289,18 @@ impl SeekSurface {
         })
     }
 
+    /// Starts bringing X cell `(from, to)` into the cache without reading,
+    /// solving or storing it; a cell off the grid is ignored. A prefetch
+    /// lets the miss overlap the work before the cell's read, where a
+    /// load would stall on it at once.
+    #[inline]
+    pub(crate) fn prefetch_x(&self, from: u64, to: u64) {
+        let n = self.x_ends.len() as u64;
+        if from < n && to < n {
+            prefetch(&self.x[(from * n + to) as usize]);
+        }
+    }
+
     /// Y seek time for the quantized endpoints `key`.
     ///
     /// # Panics
@@ -336,6 +348,22 @@ fn unsolved_cells(n: usize) -> Box<[AtomicU64]> {
     // so all-zero bytes are a valid `AtomicU64` holding `UNSOLVED`.
     unsafe { Box::new_zeroed_slice(n).assume_init() }
 }
+
+/// Asks the CPU to bring `cell`'s cache line into every cache level.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch(cell: &AtomicU64) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: `_mm_prefetch` only hints the cache: it never faults, not even
+    // on an unmapped page, and changes no memory the program can observe.
+    // The SSE it needs is part of the x86_64 baseline.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(cell).cast()) }
+}
+
+/// Nothing to prefetch with off x86_64.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn prefetch(_cell: &AtomicU64) {}
 
 /// The time in `cell`, solving and storing it on first use. Racing
 /// solvers store the same bits.
@@ -684,6 +712,27 @@ pub(crate) mod tests {
             UNSOLVED,
             "a fresh surface is unfilled"
         );
+    }
+
+    #[test]
+    fn seek_hints_resolve_fill_and_range_check_nothing() {
+        use crate::device::MemsDevice;
+        use storage_sim::PositionOracle;
+        // A hint resolves no registry surface...
+        let fresh = MemsDevice::new(small_params());
+        fresh.prefetch_seek(3, 4);
+        assert!(fresh.seek_surface().is_none(), "a hint resolved a surface");
+        // ...fills no cell of a lazy one...
+        let lazy = Arc::new(SeekSurface::empty(&small_params()));
+        let dev = MemsDevice::new(small_params()).with_seek_surface(Arc::clone(&lazy));
+        dev.prefetch_seek(3, 4);
+        let n = lazy.x_ends.len();
+        assert_eq!(lazy.x[3 * n + 4].load(Relaxed), UNSOLVED);
+        // ...and ignores cells off the grid instead of panicking.
+        for (from, to) in [(200, 0), (0, 200), (199, u64::MAX), (u64::MAX, u64::MAX)] {
+            dev.prefetch_seek(from, to);
+        }
+        assert!(lazy.x.iter().all(|cell| cell.load(Relaxed) == UNSOLVED));
     }
 
     #[test]

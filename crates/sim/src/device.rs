@@ -182,6 +182,16 @@ pub trait PositionOracle {
         let _ = now;
         None
     }
+
+    /// Hint that a request in `to_bucket` may soon be positioned from rest
+    /// in `from_bucket`, so a device may start fetching what that answer
+    /// reads (the MEMS device prefetches the seek-surface cell). A hint
+    /// changes no state and no later answer: it fills nothing, resolves
+    /// nothing and may point anywhere, even off the device. The default
+    /// does nothing, and any wrapper may drop it.
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        let _ = (from_bucket, to_bucket);
+    }
 }
 
 /// References are oracles too: this lets `&dyn PositionOracle` (and `&D`)
@@ -211,6 +221,10 @@ impl<T: PositionOracle + ?Sized> PositionOracle for &T {
 
     fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
         (**self).rest_key(now)
+    }
+
+    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+        (**self).prefetch_seek(from_bucket, to_bucket);
     }
 }
 

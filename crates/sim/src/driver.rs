@@ -136,6 +136,14 @@ impl Pending {
         self.slots[chain].take().map(|(at, _, ev)| (at, ev))
     }
 
+    /// The pending arrival, if any.
+    fn arrival(&self) -> Option<&Request> {
+        match &self.slots[0] {
+            Some((_, _, Ev::Arrival(req))) => Some(req),
+            _ => None,
+        }
+    }
+
     /// Firing time of the earliest event, if any.
     fn peek_time(&self) -> Option<SimTime> {
         self.slots.iter().flatten().map(|&(at, _, _)| at).min()
@@ -179,12 +187,6 @@ pub struct RunState {
 }
 
 impl RunState {
-    /// Number of events still pending. Zero means the run is over:
-    /// nothing is in flight and the workload chain has ended.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Sim-time of the earliest pending event, if any. A fleet worker
     /// ends its next batch on the epoch grid point covering the minimum
     /// across its stations.
@@ -648,6 +650,16 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                     self.tracer.on_pick(&req, now, depth_before, examined);
                 }
                 let breakdown = self.device.service(&req, now);
+                // A work-conserving scheduler serves the pending arrival
+                // next, from where this service left the device, unless
+                // another arrival overtakes it: let the device start
+                // fetching that seek while the loop runs on.
+                if self.scheduler.is_empty() {
+                    if let Some(next) = events.arrival() {
+                        let to = self.device.position_bucket(next);
+                        self.device.prefetch_seek(self.device.current_bucket(), to);
+                    }
+                }
                 if T::ENABLED {
                     let energy = self.device.phase_energy(&breakdown);
                     self.tracer.on_service(&req, now, &breakdown, &energy);
@@ -1042,6 +1054,89 @@ mod tests {
             r.response.max() <= 11.1e-3,
             "serviced work stayed in deadline"
         );
+    }
+
+    /// A 1 ms constant device whose buckets are LBNs, which rests one
+    /// bucket past the last LBN it served, and which records every seek
+    /// hint.
+    #[derive(Default)]
+    struct HintProbe {
+        at: u64,
+        hints: std::cell::RefCell<Vec<(u64, u64)>>,
+    }
+
+    impl crate::device::PositionOracle for HintProbe {
+        fn position_time(&self, _req: &Request, _now: SimTime) -> f64 {
+            0.0
+        }
+
+        fn position_bucket(&self, req: &Request) -> u64 {
+            req.lbn
+        }
+
+        fn current_bucket(&self) -> u64 {
+            self.at
+        }
+
+        fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
+            self.hints.borrow_mut().push((from_bucket, to_bucket));
+        }
+    }
+
+    impl StorageDevice for HintProbe {
+        fn name(&self) -> &str {
+            "hint probe"
+        }
+
+        fn capacity_lbns(&self) -> u64 {
+            u64::MAX
+        }
+
+        fn service(&mut self, req: &Request, _now: SimTime) -> ServiceBreakdown {
+            self.at = req.lbn + 1;
+            ServiceBreakdown {
+                transfer: 1e-3,
+                ..ServiceBreakdown::default()
+            }
+        }
+
+        fn reset(&mut self) {
+            self.at = 0;
+        }
+    }
+
+    /// The hints a FIFO run of `reqs` on a [`HintProbe`] gives.
+    fn hints(reqs: Vec<Request>) -> Vec<(u64, u64)> {
+        let mut d = Driver::new(
+            VecWorkload::new(reqs),
+            FifoScheduler::new(),
+            HintProbe::default(),
+        );
+        d.run();
+        d.into_observables().1.hints.into_inner()
+    }
+
+    #[test]
+    fn a_service_that_drains_the_queue_hints_the_pending_arrival() {
+        // Arrivals 10 ms apart against a 1 ms device: every service but
+        // the last hints the next request's seek from where it left the
+        // device.
+        let spaced: Vec<_> = (0..5)
+            .map(|i| req(i, i as f64 * 10.0, 100 * i + 7))
+            .collect();
+        let want: Vec<_> = spaced
+            .windows(2)
+            .map(|w| (w[0].lbn + 1, w[1].lbn))
+            .collect();
+        assert_eq!(hints(spaced), want);
+
+        // Request 0 drains the queue; 1–4 arrive during its service, and
+        // no hint follows until the last of them drains the backlog with
+        // request 5 pending.
+        let mut burst = vec![req(0, 0.0, 7)];
+        burst.extend((1..5).map(|i| req(i, 0.5, 100 * i + 7)));
+        burst.push(req(5, 20.0, 999));
+        assert_eq!(hints(burst), [(8, 107), (408, 999)]);
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl FaultClock {
         FaultClock::from_events(events)
     }
 
-    /// The firing time of the next scheduled fault, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.events.get(self.next).map(|e| e.at)
-    }
-
     /// Removes and returns the next fault event, if any.
     pub fn pop(&mut self) -> Option<FaultEvent> {
         let ev = self.events.get(self.next).copied();
@@ -218,7 +213,6 @@ mod tests {
     fn empty_clock_yields_nothing() {
         let mut c = FaultClock::empty();
         assert!(c.is_empty());
-        assert_eq!(c.next_time(), None);
         assert_eq!(c.pop(), None);
     }
 

@@ -35,6 +35,7 @@
 //! assert!(report.response.mean() >= 0.001);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod closed;

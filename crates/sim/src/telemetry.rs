@@ -233,32 +233,6 @@ impl Telemetry {
         );
     }
 
-    /// Merges another series into this one, window-by-window. Both series
-    /// must share the same window width (align with
-    /// [`Telemetry::coarsen_to`] first); window `i` of `other` folds into
-    /// window `i` of `self` via the exact [`Window::merge`]. The window
-    /// budget grows if `other` is longer, so merging never triggers a
-    /// coarsening of its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window widths differ.
-    pub fn merge_from(&mut self, other: &Telemetry) {
-        assert!(
-            self.window_secs == other.window_secs,
-            "merge requires equal window widths ({} vs {})",
-            self.window_secs,
-            other.window_secs
-        );
-        if other.windows.len() > self.windows.len() {
-            self.windows.resize_with(other.windows.len(), Window::empty);
-            self.max_windows = self.max_windows.max(self.windows.len());
-        }
-        for (mine, theirs) in self.windows.iter_mut().zip(&other.windows) {
-            mine.merge(theirs);
-        }
-    }
-
     fn coarsen(&mut self) {
         let mut merged = Vec::with_capacity(self.windows.len().div_ceil(2));
         for pair in self.windows.chunks(2) {
@@ -546,29 +520,5 @@ mod tests {
     fn coarsen_to_rejects_unreachable_width() {
         let mut t = Telemetry::new(0.001, 16);
         t.coarsen_to(0.003);
-    }
-
-    #[test]
-    fn merge_from_is_window_wise_and_exact() {
-        let mut a = Telemetry::new(0.010, 16);
-        let mut b = Telemetry::new(0.010, 16);
-        a.on_complete(&complete_at(0, 5.0, 1.0));
-        b.on_complete(&complete_at(1, 5.0, 3.0));
-        b.on_complete(&complete_at(2, 25.0, 2.0));
-        b.on_fault(&FaultKind::TransientSeekError, SimTime::from_ms(25.0));
-        a.merge_from(&b);
-        assert_eq!(a.windows().len(), 3);
-        assert_eq!(a.windows()[0].completions, 2);
-        assert_eq!(a.windows()[2].completions, 1);
-        assert_eq!(a.windows()[2].faults, 1);
-        assert!((a.windows()[0].responses.mean() - 2e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal window widths")]
-    fn merge_from_rejects_width_mismatch() {
-        let mut a = Telemetry::new(0.010, 16);
-        let b = Telemetry::new(0.020, 16);
-        a.merge_from(&b);
     }
 }

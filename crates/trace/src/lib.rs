@@ -25,6 +25,7 @@
 //! any record stream without materializing it. [`RampWorkload`] adds the
 //! open-loop arrival-rate ramp used by the overload experiments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cello;

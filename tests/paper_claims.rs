@@ -226,6 +226,54 @@ fn rmw_ratio_matches_table_2() {
     );
 }
 
+/// §5.1 / Fig. 9: in every row of the 5×5 subregion grid, service time
+/// grows with the distance from the center column, and the slowest
+/// subregion is a corner, with and without settle. Along Y the center
+/// column is not monotone (cy = ±400 beat the center), so nothing is
+/// claimed there. Reads the golden, which CI regenerates byte for byte
+/// from `fig09_subregions`.
+#[test]
+fn subregion_times_grow_along_x_and_peak_in_a_corner() {
+    let csv = include_str!("../results/fig09_subregions.csv");
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some("cy,cx,with_settle_ms,no_settle_ms"));
+    let cells: Vec<(i64, i64, [f64; 2])> = lines
+        .map(|line| {
+            let f: Vec<&str> = line.split(',').collect();
+            let num = |i: usize| f[i].parse::<f64>().expect("numeric cell");
+            (num(0) as i64, num(1) as i64, [num(2), num(3)])
+        })
+        .collect();
+    assert_eq!(cells.len(), 25);
+    for (col, name) in ["with settle", "no settle"].into_iter().enumerate() {
+        let t = |cy: i64, cx: i64| {
+            cells
+                .iter()
+                .find(|c| (c.0, c.1) == (cy, cx))
+                .expect("grid cell")
+                .2[col]
+        };
+        for cy in [-800, -400, 0, 400, 800] {
+            for (near, far) in [(0, 400), (400, 800), (0, -400), (-400, -800)] {
+                assert!(
+                    t(cy, near) < t(cy, far),
+                    "{name}: row cy = {cy} is faster at cx = {far} than at {near}"
+                );
+            }
+        }
+        let slowest = cells
+            .iter()
+            .max_by(|a, b| a.2[col].total_cmp(&b.2[col]))
+            .expect("cells");
+        assert!(
+            slowest.0.abs() == 800 && slowest.1.abs() == 800,
+            "{name}: the slowest subregion ({}, {}) is not a corner",
+            slowest.0,
+            slowest.1
+        );
+    }
+}
+
 /// §2.1: the average random 4 KB access is sub-millisecond, far below
 /// any disk.
 #[test]
