@@ -7,16 +7,13 @@
 //! device's lead as the pending set deepens.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{count_arg, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
 use storage_sim::{closed_loop, rng, IoKind};
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 4000);
     println!("Ablation: throughput vs multiprogramming level (closed loop)");
     println!("({requests} random 4 KB reads per point, zero think time)\n");
 

@@ -6,15 +6,12 @@
 //! rotational latency); C-LOOK has the best starvation resistance.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{sched_sweep, write_csv, Table};
+use mems_bench::{count_arg, sched_sweep, write_csv, Table};
 use mems_os::sched::Algorithm;
 use storage_trace::RandomWorkload;
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let rates: Vec<f64> = vec![
         20.0, 40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0, 220.0,
     ];

@@ -11,16 +11,13 @@
 //! smaller (both drive X seeks down to where Y seeks matter, which
 //! neither can see).
 
-use mems_bench::{sched_sweep, write_csv, Table};
+use mems_bench::{count_arg, sched_sweep, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
 use storage_trace::RandomWorkload;
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let rates: Vec<f64> = vec![
         100.0, 250.0, 500.0, 750.0, 1000.0, 1250.0, 1500.0, 1750.0, 2000.0, 2250.0, 2500.0,
     ];

@@ -10,7 +10,7 @@
 //! small inter-LBN distances, which LBN-based schedulers cannot tell
 //! apart.
 
-use mems_bench::{run_one, write_csv, Table};
+use mems_bench::{count_arg, run_one, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
 use storage_trace::{cello_for_capacity, tpcc_for_capacity, Replay, TraceRecord};
@@ -38,10 +38,7 @@ where
 }
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let capacity = MemsParams::default().geometry().total_sectors();
 
     // The base (scale-1) arrival rates are modest, so the sweep scales

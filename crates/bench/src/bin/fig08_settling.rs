@@ -7,16 +7,13 @@
 //! and SSTF_LBN closely approximates SPTF; with zero settling constants Y
 //! seeks matter and SPTF pulls far ahead of all LBN-based algorithms.
 
-use mems_bench::{sched_sweep, write_csv, Table};
+use mems_bench::{count_arg, sched_sweep, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::Algorithm;
 use storage_trace::RandomWorkload;
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let capacity = MemsParams::default().geometry().total_sectors();
 
     for (panel, constants) in [

@@ -15,7 +15,7 @@
 //! both on the golden). Along Y it does not: at cx = 0 the subregions at
 //! cy = ±400 are slightly faster than the center one.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{count_arg, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams, SledState};
 use storage_sim::rng;
 use storage_sim::{IoKind, Request, SimTime};
@@ -64,10 +64,7 @@ fn subregion_mean(device: &MemsDevice, cx: i64, cy: i64, n: u64, seed: u64) -> f
 }
 
 fn main() {
-    let n: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let n = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let offsets: [i64; 5] = [-800, -400, 0, 400, 800];
 
     println!("Figure 9: average 4 KB service time (ms) per 400x400-bit subregion");

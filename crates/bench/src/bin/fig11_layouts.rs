@@ -12,7 +12,7 @@
 //! margin; on the disk, organ pipe gains ~13% over simple.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{count_arg, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::{
     BipartiteWorkload, ColumnarLayout, Layout, OrganPipeLayout, SimpleLayout, SubregionedLayout,
@@ -30,10 +30,7 @@ fn measure<D: StorageDevice>(layout: &dyn Layout, device: D, requests: u64) -> f
 }
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
 
     let geom = MemsParams::default().geometry();
     let mems_capacity = geom.total_sectors();

@@ -42,7 +42,7 @@
 //! carry no energy numbers — its `energy_j` column is structurally zero
 //! (per-station energy lives in the timeline's `energy_w` series).
 
-use mems_bench::write_csv;
+use mems_bench::{long_flag, write_csv};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_fleet::{
     detect_stragglers, tail_skew, utilization_skew, FleetConfig, FleetEngine, FleetTimeline,
@@ -470,8 +470,7 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let long = args.iter().any(|a| a == "--long");
+    let long = long_flag(env!("CARGO_BIN_NAME"));
 
     identity_gate();
     let scale = if long { 10 } else { 1 };

@@ -20,7 +20,7 @@
 //! 10× horizon: CSVs land under `target/long/` and the byte-gated
 //! goldens in `results/` are never touched.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{long_flag, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, FleetReport, RebuildPlan, VolumeSpec};
 use mems_os::fault::DegradedDevice;
@@ -392,8 +392,7 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let long = args.iter().any(|a| a == "--long");
+    let long = long_flag(env!("CARGO_BIN_NAME"));
     determinism_gate();
     let scale = if long { 10 } else { 1 };
     let mut written = Vec::new();

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{count_arg, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::SptfScheduler;
@@ -67,10 +67,7 @@ fn migration_placement() -> PlacementConfig {
 }
 
 fn main() -> ExitCode {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
+    let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 2_000);
     let params = MemsParams::default();
     let capacity = params.geometry().total_sectors();
 

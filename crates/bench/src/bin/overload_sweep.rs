@@ -27,7 +27,7 @@
 //! in CI. Pass a request-budget scale factor to experiment; goldens are
 //! only valid at the default.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{count_arg, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use storage_sim::{Driver, FifoScheduler, OverloadPolicy, SimReport, SimTime};
 use storage_trace::RampWorkload;
@@ -91,10 +91,7 @@ fn digest(r: &SimReport) -> String {
 }
 
 fn main() {
-    let scale: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let scale = count_arg(env!("CARGO_BIN_NAME"), "SCALE", 1);
 
     // Gate: admission control that never triggers must be invisible.
     let plain = run_cell(2_000.0, scale, None);

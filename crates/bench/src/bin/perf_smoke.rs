@@ -31,6 +31,12 @@
 //!    `"streamed_identical": true` and holds the RSS delta under a fixed
 //!    ceiling.
 //!
+//! Two informational keys record how the seek surface is paged, which no
+//! CI step gates because runners differ in their THP mode: `thp_enabled`,
+//! the host's transparent-huge-page mode, and `surface_anon_huge_kb`, this
+//! process's `AnonHugePages` read with the baseline RSS, after the surface
+//! fill.
+//!
 //! Run from the workspace root: `cargo run --release -p mems-bench --bin
 //! perf_smoke` (pass a request count to override the default 4000; pass
 //! `--streaming-requests N` to resize the streaming cells — the weekly
@@ -135,9 +141,29 @@ fn time_cell<S: Scheduler>(
 /// `/proc/self/status`. `None` off Linux — the streaming section then
 /// reports throughput only.
 fn peak_rss_kb() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
+    proc_kb("/proc/self/status", "VmHWM:")
+}
+
+/// Anonymous memory of this process on transparent huge pages in kB
+/// (`AnonHugePages` of `/proc/self/smaps_rollup`); `None` off Linux.
+fn anon_huge_pages_kb() -> Option<u64> {
+    proc_kb("/proc/self/smaps_rollup", "AnonHugePages:")
+}
+
+/// The kB count on the line of `/proc` file `path` that starts with `key`.
+fn proc_kb(path: &str, key: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let line = text.lines().find(|l| l.starts_with(key))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// This host's transparent-huge-page mode: the bracketed word of
+/// `/sys/kernel/mm/transparent_hugepage/enabled`, or `unavailable`.
+fn thp_mode() -> String {
+    std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+        .ok()
+        .and_then(|text| Some(text.split_once('[')?.1.split_once(']')?.0.to_owned()))
+        .unwrap_or_else(|| "unavailable".into())
 }
 
 /// Bit-exact digest of a driver run: every Welford-derived aggregate as
@@ -373,6 +399,7 @@ fn main() {
     // peak-RSS growth over the post-surface baseline.
     let streamed_identical = streaming_identity_gate();
     let baseline_rss_kb = peak_rss_kb();
+    let surface_huge_kb = anon_huge_pages_kb();
     let rss_supported = baseline_rss_kb.is_some();
     let baseline_kb = baseline_rss_kb.unwrap_or(0);
 
@@ -449,6 +476,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"host_threads\": {},\n",
+            "  \"thp_enabled\": \"{}\",\n",
             "  \"fig6_sptf\": {{\n",
             "    \"rate_req_per_s\": {},\n",
             "    \"requests_per_seed\": {},\n",
@@ -487,6 +515,7 @@ fn main() {
             "    \"streamed_identical\": {},\n",
             "    \"rss_supported\": {},\n",
             "    \"baseline_rss_kb\": {},\n",
+            "    \"surface_anon_huge_kb\": {},\n",
             "    \"open_loop_fifo\": {{\n",
             "      \"requests\": {},\n",
             "      \"rate_req_per_s\": {},\n",
@@ -511,6 +540,7 @@ fn main() {
             "}}\n"
         ),
         threads,
+        thp_mode(),
         RATE,
         requests,
         warmup,
@@ -540,6 +570,7 @@ fn main() {
         streamed_identical,
         rss_supported,
         baseline_kb,
+        surface_huge_kb.map_or("null".into(), |kb| kb.to_string()),
         stream_requests,
         STREAM_RATE,
         STREAM_LOOKAHEAD,

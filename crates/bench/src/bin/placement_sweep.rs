@@ -33,7 +33,7 @@
 //! and the census takes one more pass, so no request list is ever held.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{long_flag, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::OrganPipeMap;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
@@ -236,8 +236,7 @@ fn run_workload<W: Workload>(workload: &'static str, make: impl Fn() -> W, cells
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let long = args.iter().any(|a| a == "--long");
+    let long = long_flag(env!("CARGO_BIN_NAME"));
 
     identity_gate();
 

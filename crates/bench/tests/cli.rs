@@ -1,7 +1,8 @@
 //! The command lines reject bad input with an error instead of panicking:
 //! `storagesim`, `trace_stats` and `perf_smoke` on bad numeric flags,
-//! `trace_stats` on bad trace records. `storagesim`'s figures divide by
-//! the requests they cover.
+//! `trace_stats` on bad trace records, and the figure binaries on any
+//! argument but their one count or `--long`, before writing a CSV.
+//! `storagesim`'s figures divide by the requests they cover.
 
 use std::process::{Command, Output};
 
@@ -272,5 +273,113 @@ fn perf_smoke_rejects_bad_arguments_before_any_work() {
         assert!(stderr.contains("usage: perf_smoke"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} started a run");
         assert!(!output.exists(), "{args:?} wrote {}", output.display());
+    }
+}
+
+/// Runs each of `cases` through `bin` from a scratch directory under
+/// `CARGO_TARGET_TMPDIR`, asserting exit 2 with `usage` on stderr and no
+/// `results/` directory created there or in its parent, where a figure
+/// binary run outside the workspace writes its CSVs.
+fn assert_rejected_before_any_write(bin: &str, exe: &str, usage: &str, cases: &[&[&str]]) {
+    let parent = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figure_args");
+    let dir = parent.join(bin);
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    for args in cases {
+        for results in [dir.join("results"), parent.join("results")] {
+            let _ = std::fs::remove_dir_all(&results);
+        }
+        let out = Command::new(exe)
+            .args(*args)
+            .current_dir(&dir)
+            .output()
+            .expect("figure binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(usage), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} started a run");
+        for results in [dir.join("results"), parent.join("results")] {
+            assert!(
+                !results.exists(),
+                "{bin} {args:?} created {}",
+                results.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn figure_binaries_reject_anything_but_one_positive_count() {
+    let cases: &[&[&str]] = &[
+        &["0"],
+        &["-3"],
+        &["abc"],
+        &["2.5"],
+        &["100", "200"],
+        &["--long"],
+    ];
+    for (bin, exe, what) in [
+        (
+            "ablation_mpl",
+            env!("CARGO_BIN_EXE_ablation_mpl"),
+            "REQUESTS",
+        ),
+        (
+            "fig05_disk_sched",
+            env!("CARGO_BIN_EXE_fig05_disk_sched"),
+            "REQUESTS",
+        ),
+        (
+            "fig06_mems_sched",
+            env!("CARGO_BIN_EXE_fig06_mems_sched"),
+            "REQUESTS",
+        ),
+        (
+            "fig07_traces",
+            env!("CARGO_BIN_EXE_fig07_traces"),
+            "REQUESTS",
+        ),
+        (
+            "fig08_settling",
+            env!("CARGO_BIN_EXE_fig08_settling"),
+            "REQUESTS",
+        ),
+        (
+            "fig09_subregions",
+            env!("CARGO_BIN_EXE_fig09_subregions"),
+            "REQUESTS",
+        ),
+        (
+            "fig11_layouts",
+            env!("CARGO_BIN_EXE_fig11_layouts"),
+            "REQUESTS",
+        ),
+        ("obs_report", env!("CARGO_BIN_EXE_obs_report"), "REQUESTS"),
+        (
+            "overload_sweep",
+            env!("CARGO_BIN_EXE_overload_sweep"),
+            "SCALE",
+        ),
+    ] {
+        let usage = format!("usage: {bin} [{what}]");
+        assert_rejected_before_any_write(bin, exe, &usage, cases);
+    }
+}
+
+#[test]
+fn fleet_binaries_reject_anything_but_long() {
+    let cases: &[&[&str]] = &[
+        &["--short"],
+        &["10"],
+        &["--long", "extra"],
+        &["--long", "--long"],
+    ];
+    for (bin, exe) in [
+        ("fleet_smoke", env!("CARGO_BIN_EXE_fleet_smoke")),
+        ("fleet_obs", env!("CARGO_BIN_EXE_fleet_obs")),
+        ("placement_sweep", env!("CARGO_BIN_EXE_placement_sweep")),
+    ] {
+        let usage = format!("usage: {bin} [--long]");
+        assert_rejected_before_any_write(bin, exe, &usage, cases);
     }
 }

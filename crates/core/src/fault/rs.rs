@@ -83,11 +83,6 @@ impl ReedSolomon {
         ReedSolomon { gf, k, m, gen: mat }
     }
 
-    /// Data shards per codeword.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
     /// Parity shards per codeword.
     pub fn parity_shards(&self) -> usize {
         self.m

@@ -67,11 +67,6 @@ impl ReliableStore {
         self.faults = faults;
     }
 
-    /// A mutable handle to the current fault state.
-    pub fn faults_mut(&mut self) -> &mut FaultState {
-        &mut self.faults
-    }
-
     /// First tip of the stripe serving a physical address: track `t`
     /// owns tips `t·active .. (t+1)·active`, and slot `s` the 64-tip
     /// group at `s·64` within them. Parity tips follow conceptually as

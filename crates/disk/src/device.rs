@@ -69,20 +69,9 @@ impl DiskDevice {
         self.mapper.params()
     }
 
-    /// The seek curve.
-    pub fn seek_curve(&self) -> &SeekCurve {
-        &self.curve
-    }
-
     /// Current arm cylinder.
     pub fn arm_cylinder(&self) -> u32 {
         self.cylinder
-    }
-
-    /// Rotational position (fraction of a revolution) at absolute time `t`.
-    pub fn rotation_at(&self, t: SimTime) -> f64 {
-        let rev = self.params().revolution_time();
-        (t.as_secs() / rev).rem_euclid(1.0)
     }
 
     /// Computes the positioning components for a request issued at `now`

@@ -36,11 +36,6 @@ impl RebuildPlan {
         self.span_lbns.div_ceil(u64::from(self.chunk_sectors))
     }
 
-    /// Sim-time the last chunk is issued.
-    pub fn last_issue(&self) -> SimTime {
-        self.start + SimTime::from_secs(self.pace.as_secs() * (self.chunks() - 1) as f64)
-    }
-
     /// Queues the plan's background sub-I/Os on the engine: chunk `i`
     /// issues a peer read and a target write at `start + i * pace`.
     /// Returns the number of background requests queued.

@@ -16,7 +16,7 @@ use crate::geometry::{Mapper, Segment};
 use crate::kinematics::SpringSled;
 use crate::params::{MemsGeometry, MemsParams};
 use crate::power::MemsEnergyModel;
-use crate::surface::{SeekSurface, YKey};
+use crate::surface::{same_seeks, SeekSurface, YKey};
 
 /// Tolerance for deciding a continuous coordinate sits exactly on the
 /// discrete media grid (cylinder center / row boundary / ±access velocity).
@@ -161,12 +161,15 @@ impl MemsDevice {
     ///
     /// # Panics
     ///
-    /// Panics if the surface was built for different parameters.
+    /// Panics if the surface was built for parameters that differ in more
+    /// than the settle and overhead terms (`resonant_freq`,
+    /// `settle_constants`, `overhead`), which no seek solve reads.
     pub fn with_seek_surface(mut self, surface: Arc<SeekSurface>) -> Self {
-        assert_eq!(
+        assert!(
+            same_seeks(surface.params(), &self.params),
+            "seek surface was solved for different device parameters: {:?} vs {:?}",
             surface.params(),
-            &self.params,
-            "seek surface was solved for different device parameters"
+            self.params
         );
         self.surface = OnceCell::from(Some(surface));
         self
@@ -797,6 +800,29 @@ mod tests {
             assert_devices_track(device().with_seek_surface(Arc::clone(&eager)), device());
         assert!(Arc::ptr_eq(attached.seek_surface().unwrap(), &eager));
         assert!(!Arc::ptr_eq(resolved.seek_surface().unwrap(), &eager));
+    }
+
+    #[test]
+    fn settle_variant_on_a_shared_surface_matches_direct_solves() {
+        // The surface was built for one settling time constant; the device
+        // charges its own two, and its own overhead, on top of its seeks.
+        let eager = crate::surface::tests::paper_surface();
+        let params = MemsParams {
+            overhead: 50e-6,
+            ..MemsParams::default().with_settle_constants(2.0)
+        };
+        let (attached, _) = assert_devices_track(
+            MemsDevice::new(params.clone()).with_seek_surface(Arc::clone(&eager)),
+            MemsDevice::new(params).with_seek_table(false),
+        );
+        assert!(Arc::ptr_eq(attached.seek_surface().unwrap(), &eager));
+    }
+
+    #[test]
+    #[should_panic(expected = "solved for different device parameters")]
+    fn attaching_a_surface_for_another_spring_factor_panics() {
+        let _ = MemsDevice::new(MemsParams::default().with_spring_factor(0.5))
+            .with_seek_surface(crate::surface::tests::paper_surface());
     }
 
     #[test]

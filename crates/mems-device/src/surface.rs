@@ -18,18 +18,28 @@
 //! Filling is lazy: a cell is solved on first use. The tables are one
 //! zeroed allocation each, and zero marks a cell unsolved, so the OS
 //! commits a page of the X matrix only when a query first touches it, and
-//! returns the whole matrix when the surface is freed. Cells are atomics,
-//! and two threads racing to fill one cell both store the same bits, so
-//! every fill order, serial or concurrent, yields the same surface. A cell
-//! publishes no data but its own value, so relaxed ordering suffices.
+//! returns the whole matrix when the surface is freed. Every whole 2 MiB
+//! extent of a table is advised for transparent huge pages before any
+//! cell is touched, so inside that range the commit unit is 2 MiB, not
+//! 4 KB, and a random cell read walks one page-table level less; the
+//! paper matrix holds 22 or 23 such extents, by where it lands. Where THP
+//! is off, or off Linux x86_64/aarch64, the advice does nothing.
+//!
+//! Cells are atomics, and two threads racing to fill one cell both store
+//! the same bits, so every fill order, serial or concurrent, yields the
+//! same surface. A cell publishes no data but its own value, so relaxed
+//! ordering suffices.
 //! [`SeekSurface::build`] and [`SeekSurface::fill`] solve every cell up
 //! front, rows in parallel, into the same storage.
 //!
 //! [`SeekSurface::shared`] is the process-wide registry: one surface per
-//! parameter set. It holds surfaces weakly, except that it keeps the one
-//! it handed out last alive. A sweep whose cells each build and drop a
-//! device therefore fills one surface instead of one per cell, and a
-//! sweep over many parameter sets keeps one surface resident at a time.
+//! set of the parameters a seek solve reads, which are all but the settle
+//! and overhead terms (`resonant_freq`, `settle_constants`, `overhead`)
+//! only the device charges. It holds surfaces weakly, except that it keeps
+//! the one it handed out last alive. A sweep whose cells each build and
+//! drop a device therefore fills one surface instead of one per cell, a
+//! sweep over settle times shares one surface, and a sweep over many seek
+//! parameter sets keeps one surface resident at a time.
 //!
 //! Every cell is solved: the physics is symmetric under swapping or
 //! mirroring the endpoints, but the floating-point solves are not. On the
@@ -44,6 +54,7 @@
 //! solve every seek directly.
 
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread;
@@ -63,9 +74,11 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     latest: None,
 });
 
-/// Live surfaces by parameter set, held weakly, and the surface handed out
-/// last, held strongly. `MemsParams` holds floats and is not hashable, so
-/// lookup is a linear scan over a handful of entries.
+/// Live surfaces by the parameter set each was first built for, held
+/// weakly, and the surface handed out last, held strongly. A lookup matches
+/// any set with the same seek solves ([`same_seeks`]); `MemsParams` holds
+/// floats and is not hashable, so it is a linear scan over a handful of
+/// entries.
 struct Registry {
     live: Vec<(MemsParams, Weak<SeekSurface>)>,
     latest: Option<Arc<SeekSurface>>,
@@ -182,9 +195,10 @@ impl SeekSurface {
         Some(surface)
     }
 
-    /// The process-wide surface for `params`: the live one when any holder
-    /// keeps it, else a new, unfilled one. Returns `None` when the X
-    /// matrix would exceed [`SeekSurface::MAX_X_MATRIX_BYTES`].
+    /// The process-wide surface for `params`: the live one for any set with
+    /// the same seek solves when a holder keeps it, else a new, unfilled
+    /// one. Returns `None` when the X matrix would exceed
+    /// [`SeekSurface::MAX_X_MATRIX_BYTES`].
     ///
     /// The registry holds surfaces weakly, except the one this call
     /// returns, which it keeps alive until a call returns another. A
@@ -201,7 +215,7 @@ impl SeekSurface {
         live.retain(|(_, surface)| surface.strong_count() > 0);
         let surface = live
             .iter()
-            .find_map(|(p, surface)| (p == params).then(|| surface.upgrade()).flatten())
+            .find_map(|(p, surface)| same_seeks(p, params).then(|| surface.upgrade()).flatten())
             .unwrap_or_else(|| {
                 let surface = Arc::new(Self::empty(params));
                 live.push((params.clone(), Arc::downgrade(&surface)));
@@ -244,7 +258,11 @@ impl SeekSurface {
         self.filled.store(true, Relaxed);
     }
 
-    /// The parameter set this surface solves.
+    /// The parameter set this surface was first built for. It serves every
+    /// set that differs from it only in the settle and overhead terms
+    /// (`resonant_freq`, `settle_constants`, `overhead`), which no seek
+    /// solve reads, so those three fields may not be the ones a device on
+    /// it charges.
     pub fn params(&self) -> &MemsParams {
         &self.params
     }
@@ -255,7 +273,9 @@ impl SeekSurface {
     }
 
     /// Size of both tables in bytes; a lazily filled surface keeps the
-    /// pages no query has touched out of the resident set.
+    /// pages no query has touched out of the resident set. Inside the
+    /// huge-page-advised range of a table a page is 2 MiB where THP is on,
+    /// so one touched cell commits its whole 2 MiB extent.
     pub fn bytes(&self) -> u64 {
         ((self.x.len() + self.y.len()) * std::mem::size_of::<f64>()) as u64
     }
@@ -341,13 +361,72 @@ impl SeekSurface {
     }
 }
 
+/// Whether `a` and `b` pose the same seek solves: they may differ only in
+/// the settle and overhead terms (`resonant_freq`, `settle_constants`,
+/// `overhead`), which only the device reads.
+pub(crate) fn same_seeks(a: &MemsParams, b: &MemsParams) -> bool {
+    let seek_terms = |p: &MemsParams| MemsParams {
+        resonant_freq: 0.0,
+        settle_constants: 0.0,
+        overhead: 0.0,
+        ..p.clone()
+    };
+    seek_terms(a) == seek_terms(b)
+}
+
 /// `n` unsolved cells. The allocation is zeroed rather than written, so a
 /// large one stays out of the resident set until its pages are touched.
+/// Its whole 2 MiB extents are advised for huge pages before any cell is
+/// touched, so there a first touch commits 2 MiB; where THP is off the
+/// advice does nothing and a touch commits 4 KB.
 fn unsolved_cells(n: usize) -> Box<[AtomicU64]> {
+    let mut cells = Box::new_zeroed_slice(n);
+    advise_huge_pages(&mut cells);
     // SAFETY: `AtomicU64` has the same in-memory representation as `u64`,
     // so all-zero bytes are a valid `AtomicU64` holding `UNSOLVED`.
-    unsafe { Box::new_zeroed_slice(n).assume_init() }
+    unsafe { cells.assume_init() }
 }
+
+/// Asks the kernel to back every whole 2 MiB extent of `cells` with
+/// transparent huge pages. A zeroed slice this large is a fresh mapping
+/// the allocator never wrote, so no page of it is committed yet and each
+/// advised extent faults in as one huge page. The result is ignored: the
+/// call is only advice.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages(cells: &mut [MaybeUninit<AtomicU64>]) {
+    use std::ffi::{c_int, c_void};
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    const MADV_HUGEPAGE: c_int = 14;
+    const EXTENT: usize = 2 << 20;
+    let start = cells.as_ptr().addr();
+    let first = start.next_multiple_of(EXTENT);
+    let end = (start + size_of_val(cells)) / EXTENT * EXTENT;
+    if first < end {
+        // SAFETY: `[first, end)` lies inside `cells`, which this function
+        // borrows exclusively. `MADV_HUGEPAGE` changes only how the kernel
+        // backs those pages: it neither reads, writes nor unmaps them, and a
+        // huge page faults in zeroed, so every cell still reads zero.
+        unsafe {
+            madvise(
+                cells.as_mut_ptr().byte_add(first - start).cast(),
+                end - first,
+                MADV_HUGEPAGE,
+            );
+        }
+    }
+}
+
+/// No huge-page advice off Linux x86_64 and aarch64.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages(_cells: &mut [MaybeUninit<AtomicU64>]) {}
 
 /// Asks the CPU to bring `cell`'s cache line into every cache level.
 #[cfg(target_arch = "x86_64")]
@@ -715,6 +794,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn registry_shares_surfaces_across_settle_and_overhead_terms() {
+        // A parameter set no other test uses, so its surface is this test's.
+        let params = MemsParams {
+            spring_factor: 0.4,
+            ..small_params()
+        };
+        let surface = SeekSurface::shared(&params).expect("small device fits");
+        for variant in [
+            params.clone().with_settle_constants(2.0),
+            MemsParams {
+                resonant_freq: 500.0,
+                ..params.clone()
+            },
+            MemsParams {
+                overhead: 1e-4,
+                ..params.clone()
+            },
+        ] {
+            let shared = SeekSurface::shared(&variant).expect("small device fits");
+            assert!(
+                Arc::ptr_eq(&shared, &surface),
+                "{variant:?} solves the same seeks"
+            );
+            assert_eq!(shared.params(), &params, "the set it was first built for");
+        }
+        let stiffer = SeekSurface::shared(&params.clone().with_spring_factor(0.45))
+            .expect("small device fits");
+        assert!(
+            !Arc::ptr_eq(&stiffer, &surface),
+            "the spring factor moves the seeks"
+        );
+    }
+
+    #[test]
     fn seek_hints_resolve_fill_and_range_check_nothing() {
         use crate::device::MemsDevice;
         use storage_sim::PositionOracle;
@@ -757,5 +870,60 @@ pub(crate) mod tests {
         let dbg = format!("{s:?}");
         assert!(dbg.contains("cylinders: 200"), "{dbg}");
         assert_eq!(SeekSurface::empty(&small_params()).bytes(), s.bytes());
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn x_matrix_extents_are_advised_for_huge_pages() {
+        // The kernel flags an advised mapping `hg` in every THP mode; only a
+        // kernel built without THP has neither the flag nor this directory.
+        if !std::path::Path::new("/sys/kernel/mm/transparent_hugepage").exists() {
+            eprintln!("skipped: this kernel has no transparent huge pages");
+            return;
+        }
+        const EXTENT: usize = 2 << 20;
+        let s = SeekSurface::empty(&MemsParams::default());
+        let start = s.x.as_ptr().addr();
+        let end = start + size_of_val(&*s.x);
+        // The address ranges of the mappings flagged `hg`.
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps is readable");
+        let mut advised = Vec::new();
+        let mut range = None;
+        for line in smaps.lines() {
+            if let Some(flags) = line.strip_prefix("VmFlags:") {
+                if flags.split_whitespace().any(|flag| flag == "hg") {
+                    advised.extend(range);
+                }
+            } else if let Some((lo, hi)) = line
+                .split_whitespace()
+                .next()
+                .and_then(|span| span.split_once('-'))
+            {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    range = Some((lo, hi));
+                }
+            }
+        }
+        let extents: Vec<usize> = (start.next_multiple_of(EXTENT)..)
+            .step_by(EXTENT)
+            .take_while(|extent| extent + EXTENT <= end)
+            .collect();
+        assert!(
+            extents.len() >= 22,
+            "a 50 MB matrix holds 22 or 23 whole extents"
+        );
+        for extent in extents {
+            assert!(
+                advised
+                    .iter()
+                    .any(|&(lo, hi)| lo <= extent && extent + EXTENT <= hi),
+                "extent at {extent:#x} of the X matrix is not advised for huge pages"
+            );
+        }
     }
 }

@@ -70,15 +70,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divides by n−1); zero for fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
