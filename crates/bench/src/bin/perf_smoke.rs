@@ -1,26 +1,20 @@
-//! Performance smoke test: before/after numbers for the positioning fast
-//! path, written to `BENCH_sched.json` so the perf trajectory is tracked
-//! in-repo from PR to PR.
+//! Performance smoke test: engine throughput and constant-memory numbers,
+//! written to `BENCH_sched.json` so the perf trajectory is tracked in-repo
+//! from change to change.
 //!
 //! The shared seek surface for the paper device is solved first, in
 //! parallel, and held for the whole run, so every device below reads a
 //! fully solved surface and no timed section includes lazy fills.
 //!
-//! Three sections:
+//! Two sections:
 //!
-//! 1. **fig6_sptf** — the acceptance measurement: the Fig. 6 SPTF cell at
-//!    the highest arrival rate over several seeds, naive scan + direct
-//!    solves + serial seed loop vs pruned pick + shared surface +
-//!    parallel sweep. Both configurations must report identical mean
-//!    response times (the fast path is pick-equivalent); only the wall
-//!    clock moves.
-//! 2. **events_per_sec** — the engine-throughput headline: two whole
+//! 1. **events_per_sec** — the engine-throughput headline: two whole
 //!    cells measured serially on one thread so the number is per-core by
 //!    construction — the Fig. 6 SPTF cell on the shared surface, and a
 //!    high-rate FCFS cell that stresses the raw event loop. Both report
 //!    `simulated requests per core second` (the gated CI metric) and
 //!    confirm the event store never restructured mid-run.
-//! 3. **streaming_scale** — the constant-memory headline: a 10⁷-request
+//! 2. **streaming_scale** — the constant-memory headline: a 10⁷-request
 //!    open-loop FIFO cell pulled incrementally from the generator
 //!    (arrival look-ahead + log-histogram stats, nothing materialized)
 //!    and a 10⁶-request 64-station streaming fleet cell, both reporting
@@ -53,10 +47,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mems_bench::{replicated_point, shared_seek_surface};
+use mems_bench::shared_seek_surface;
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
-use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
+use mems_os::sched::SptfScheduler;
 use storage_sim::{Driver, FifoScheduler, Scheduler, SimReport, VecWorkload, Workload};
 use storage_trace::RandomWorkload;
 
@@ -311,7 +305,7 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    println!("perf_smoke: positioning fast path, before/after\n");
+    println!("perf_smoke: engine throughput and streaming memory\n");
 
     // The surface stays alive until the end of `main`, so no timed
     // section below pays for lazy fills, whatever else the registry hands
@@ -319,51 +313,7 @@ fn main() {
     let _surface =
         shared_seek_surface(&MemsParams::default()).expect("paper surface within size guard");
 
-    // 1. Fig. 6 SPTF cell at the highest rate: serial+naive+direct vs
-    // parallel+pruned+shared-surface.
-    let (baseline_means, baseline_secs) = timed(|| {
-        SEEDS
-            .iter()
-            .map(|&seed| {
-                Driver::new(
-                    RandomWorkload::paper(CAPACITY, RATE, requests, seed),
-                    NaiveSptfScheduler::new(),
-                    MemsDevice::new(MemsParams::default()).with_seek_table(false),
-                )
-                .warmup_requests(warmup)
-                .run()
-                .response
-                .mean_ms()
-            })
-            .collect::<Vec<f64>>()
-    });
-    let baseline_mean = baseline_means.iter().sum::<f64>() / SEEDS.len() as f64;
-
-    let (surface_point, surface_secs) = timed_best(3, || {
-        replicated_point(
-            RATE,
-            Algorithm::Sptf,
-            &SEEDS,
-            |rate, seed| RandomWorkload::paper(CAPACITY, rate, requests, seed),
-            || MemsDevice::new(MemsParams::default()),
-            warmup,
-        )
-    });
-    let surface_speedup = baseline_secs / surface_secs;
-    let means_match = baseline_mean == surface_point.mean_ms;
-    println!(
-        "fig6_sptf:   baseline {baseline_secs:6.2} s      surface {surface_secs:6.2} s  ({surface_speedup:.1}x, {} seeds x {requests} reqs @ {RATE} req/s, {threads} threads)",
-        SEEDS.len()
-    );
-    println!(
-        "             mean response {baseline_mean:.4} ms vs {:.4} ms  (identical: {means_match})",
-        surface_point.mean_ms
-    );
-    if !means_match {
-        eprintln!("warning: fast path changed the simulation result — pick equivalence broken");
-    }
-
-    // 2. events/sec: whole cells measured serially on this thread so the
+    // 1. events/sec: whole cells measured serially on this thread so the
     // requests/sec figure is per-core. The gated headline is the Fig. 6
     // SPTF cell on the shared surface.
     let fig6_cell = time_cell(&SEEDS, RATE, requests, warmup, SptfScheduler::new);
@@ -394,7 +344,7 @@ fn main() {
         );
     }
 
-    // 3. streaming_scale: the constant-memory headline. Identity gate
+    // 2. streaming_scale: the constant-memory headline. Identity gate
     // first, then the two big cells, measuring wall clock and the
     // peak-RSS growth over the post-surface baseline.
     let streamed_identical = streaming_identity_gate();
@@ -477,18 +427,6 @@ fn main() {
             "{{\n",
             "  \"host_threads\": {},\n",
             "  \"thp_enabled\": \"{}\",\n",
-            "  \"fig6_sptf\": {{\n",
-            "    \"rate_req_per_s\": {},\n",
-            "    \"requests_per_seed\": {},\n",
-            "    \"warmup\": {},\n",
-            "    \"seeds\": {},\n",
-            "    \"baseline_naive_serial_secs\": {:.3},\n",
-            "    \"surface_shared_secs\": {:.3},\n",
-            "    \"surface_speedup\": {:.2},\n",
-            "    \"baseline_mean_response_ms\": {:.6},\n",
-            "    \"surface_mean_response_ms\": {:.6},\n",
-            "    \"means_identical\": {}\n",
-            "  }},\n",
             "  \"events_per_sec\": {{\n",
             "    \"realloc_free\": {},\n",
             "    \"fig6_cell\": {{\n",
@@ -541,16 +479,6 @@ fn main() {
         ),
         threads,
         thp_mode(),
-        RATE,
-        requests,
-        warmup,
-        SEEDS.len(),
-        baseline_secs,
-        surface_secs,
-        surface_speedup,
-        baseline_mean,
-        surface_point.mean_ms,
-        means_match,
         realloc_free,
         SEEDS.len(),
         fig6_cell.requests,

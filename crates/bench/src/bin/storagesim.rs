@@ -8,7 +8,7 @@
 //! storagesim [--device mems|mems-nosettle|atlas|travelstar|raid0|raid5]
 //!                                     (raid0: stripe of 4 MEMS devices;
 //!                                      raid5: RAID-Z over 5; 64-sector strips)
-//!            [--scheduler fcfs|sstf|clook|sptf|look|fscan|aged-sptf|vr]
+//!            [--scheduler fcfs|sstf|clook|sptf]
 //!            [--workload random|cello|tpcc|streaming]
 //!            [--rate REQS_PER_SEC]        (random workload; default 1000)
 //!            [--scale FACTOR]             (trace workloads; default 1)
@@ -18,6 +18,10 @@
 //!            [--cache]                    (add a 4 MB readahead buffer)
 //!            [--idle-timeout SECONDS]     (add power management)
 //! ```
+//!
+//! The schedulers are the four the paper's §4 compares. An unknown
+//! device, scheduler or workload name, like a bad numeric flag, prints the
+//! flag and the usage text and exits with status 2.
 //!
 //! `completed`, the response-time statistics and the histogram leave out
 //! the first `--warmup` completions; throughput, utilization and the mean
@@ -31,10 +35,7 @@ use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::power::{PowerManagedDevice, PowerProfile};
-use mems_os::sched::{
-    AgedSptfScheduler, ClookScheduler, FscanScheduler, LookScheduler, SptfScheduler, SstfScheduler,
-    VrScheduler,
-};
+use mems_os::sched::{ClookScheduler, SptfScheduler, SstfScheduler};
 use storage_sim::{
     Driver, DynScheduler, FifoScheduler, SimReport, StorageDevice, Welford, Workload,
 };
@@ -78,7 +79,7 @@ fn usage() -> ! {
         "usage: storagesim [--device mems|mems-nosettle|atlas|travelstar|raid0|raid5]\n\
          \x20                 (raid0: stripe of 4 MEMS devices; raid5: RAID-Z over 5;\n\
          \x20                  64-sector strips)\n\
-         \x20                 [--scheduler fcfs|sstf|clook|sptf|look|fscan|aged-sptf|vr]\n\
+         \x20                 [--scheduler fcfs|sstf|clook|sptf]\n\
          \x20                 [--workload random|cello|tpcc|streaming] [--rate R] [--scale S]\n\
          \x20                 [--requests N] [--seed S] [--warmup N]\n\
          \x20                 [--cache] [--idle-timeout SECS]"
@@ -160,12 +161,8 @@ fn build_scheduler(name: &str) -> Box<dyn DynScheduler> {
         "sstf" => Box::new(SstfScheduler::new()),
         "clook" => Box::new(ClookScheduler::new()),
         "sptf" => Box::new(SptfScheduler::new()),
-        "look" => Box::new(LookScheduler::new()),
-        "fscan" => Box::new(FscanScheduler::new()),
-        "aged-sptf" => Box::new(AgedSptfScheduler::new(2.0)),
-        "vr" => Box::new(VrScheduler::new(0.2, 16_000_000)),
         other => {
-            eprintln!("unknown scheduler {other}");
+            eprintln!("unknown --scheduler {other}");
             usage();
         }
     }
@@ -201,7 +198,7 @@ fn run<D: StorageDevice>(device: D, args: &Args) -> (SimReport, String) {
             args.scale,
         )),
         other => {
-            eprintln!("unknown workload {other}");
+            eprintln!("unknown --workload {other}");
             usage();
         }
     };
@@ -254,7 +251,7 @@ fn dispatch(args: &Args) -> (SimReport, String) {
         "raid0" => finish!(Vdev::stripe(mems_leaves(4), 64), mems_profile),
         "raid5" => finish!(Vdev::raidz(mems_leaves(5), 64), mems_profile),
         other => {
-            eprintln!("unknown device {other}");
+            eprintln!("unknown --device {other}");
             usage();
         }
     }

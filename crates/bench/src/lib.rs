@@ -14,6 +14,4 @@ pub mod sweep;
 
 pub use cli::{count_arg, long_flag};
 pub use report::{write_csv, Table};
-pub use sweep::{
-    replicated_point, run_one, sched_sweep, shared_seek_surface, ReplicatedPoint, SweepPoint,
-};
+pub use sweep::{run_one, sched_sweep, shared_seek_surface, SweepPoint};

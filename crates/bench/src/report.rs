@@ -84,17 +84,14 @@ impl Table {
     }
 }
 
-/// Writes `contents` to `results/<name>` (relative to the workspace root
-/// or the current directory), creating the directory if needed. Prints
-/// where the file landed. Errors are reported, not fatal — the console
-/// table is the primary output.
+/// Writes `contents` to `results/<name>` under the workspace root, from
+/// whatever directory the binary runs in (the path is fixed when the crate
+/// is compiled), creating the directory if needed. Prints where the file
+/// landed. Errors are reported, not fatal — the console table is the
+/// primary output.
 pub fn write_csv(name: &str, contents: &str) {
-    let dir = if Path::new("results").exists() || Path::new("Cargo.toml").exists() {
-        Path::new("results").to_path_buf()
-    } else {
-        Path::new("../results").to_path_buf()
-    };
-    if let Err(e) = fs::create_dir_all(&dir) {
+    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
+    if let Err(e) = fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }

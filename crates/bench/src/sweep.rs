@@ -1,13 +1,13 @@
 //! The scheduling-sweep runner behind Figs. 5–8.
 //!
-//! Every sweep cell (one algorithm at one arrival rate, or one seed of a
-//! replicated point) owns a fresh workload, scheduler, and device, so the
-//! cells are embarrassingly parallel: they run on `std::thread::scope`
-//! workers pulling from a shared atomic work index. Each worker collects
-//! its `(cell, result)` pairs privately — no lock is taken per cell — and
-//! the pairs are merged back into job order afterwards, so the output
-//! (and hence every downstream table, CSV, and statistic) is identical to
-//! the serial runner's.
+//! Every sweep cell (one algorithm at one arrival rate) owns a fresh
+//! workload, scheduler, and device, so the cells are embarrassingly
+//! parallel: they run on `std::thread::scope` workers pulling from a
+//! shared atomic work index. Each worker collects its `(cell, result)`
+//! pairs privately — no lock is taken per cell — and the pairs are merged
+//! back into job order afterwards, so the output (and hence every
+//! downstream table, CSV, and statistic) is identical to the serial
+//! runner's.
 //!
 //! Cells that share MEMS parameters share one [`SeekSurface`]: every
 //! `MemsDevice` resolves the process-wide surface for its parameters and
@@ -170,113 +170,11 @@ where
     })
 }
 
-/// A measurement replicated over several workload seeds.
-#[derive(Debug, Clone)]
-pub struct ReplicatedPoint {
-    /// Algorithm label.
-    pub algorithm: &'static str,
-    /// Arrival rate (requests/second).
-    pub rate: f64,
-    /// Mean of the per-seed mean response times, milliseconds.
-    pub mean_ms: f64,
-    /// Standard error of that mean, milliseconds.
-    pub stderr_ms: f64,
-    /// Number of replicas.
-    pub replicas: usize,
-}
-
-impl ReplicatedPoint {
-    /// Half-width of the ~95% confidence interval (1.96 standard errors).
-    pub fn ci95_ms(&self) -> f64 {
-        1.96 * self.stderr_ms
-    }
-}
-
-/// Runs one (algorithm, rate) cell over several seeds — in parallel, one
-/// replica per worker — and reports the mean response time with its
-/// standard error, for checking that a figure's conclusions aren't
-/// artifacts of a single workload draw. Per-seed means are reduced in
-/// seed order, so the result is bitwise identical to the serial runner's.
-pub fn replicated_point<W, D>(
-    rate: f64,
-    algorithm: Algorithm,
-    seeds: &[u64],
-    make_workload: impl Fn(f64, u64) -> W + Sync,
-    make_device: impl Fn() -> D + Sync,
-    warmup: u64,
-) -> ReplicatedPoint
-where
-    W: Workload,
-    D: StorageDevice,
-{
-    assert!(!seeds.is_empty(), "need at least one replica");
-    let means: Vec<f64> = run_cells(seeds.len(), |i| {
-        run_one(
-            make_workload(rate, seeds[i]),
-            algorithm,
-            make_device(),
-            warmup,
-        )
-        .response
-        .mean_ms()
-    });
-    let n = means.len() as f64;
-    let mean = means.iter().sum::<f64>() / n;
-    let stderr = if means.len() > 1 {
-        let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        (var / n).sqrt()
-    } else {
-        0.0
-    };
-    ReplicatedPoint {
-        algorithm: algorithm.label(),
-        rate,
-        mean_ms: mean,
-        stderr_ms: stderr,
-        replicas: seeds.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mems_device::{MemsDevice, MemsParams};
     use storage_trace::RandomWorkload;
-
-    #[test]
-    fn replication_reports_tight_intervals_at_low_load() {
-        let point = replicated_point(
-            300.0,
-            Algorithm::Clook,
-            &[1, 2, 3, 4, 5],
-            |rate, seed| RandomWorkload::paper(6_750_000, rate, 1500, seed),
-            || MemsDevice::new(MemsParams::default()),
-            100,
-        );
-        assert_eq!(point.replicas, 5);
-        assert!(point.mean_ms > 0.5);
-        // At 300 req/s the system is far from saturation: seeds agree to
-        // within a few percent.
-        assert!(
-            point.ci95_ms() < 0.1 * point.mean_ms,
-            "ci {} vs mean {}",
-            point.ci95_ms(),
-            point.mean_ms
-        );
-    }
-
-    #[test]
-    fn single_replica_has_zero_stderr() {
-        let point = replicated_point(
-            200.0,
-            Algorithm::Fcfs,
-            &[7],
-            |rate, seed| RandomWorkload::paper(6_750_000, rate, 300, seed),
-            || MemsDevice::new(MemsParams::default()),
-            0,
-        );
-        assert_eq!(point.stderr_ms, 0.0);
-    }
 
     #[test]
     fn sweep_produces_a_point_per_cell() {

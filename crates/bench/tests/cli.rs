@@ -1,9 +1,13 @@
 //! The command lines reject bad input with an error instead of panicking:
 //! `storagesim`, `trace_stats` and `perf_smoke` on bad numeric flags,
+//! `storagesim` on unknown device, scheduler and workload names,
 //! `trace_stats` on bad trace records, and the figure binaries on any
 //! argument but their one count or `--long`, before writing a CSV.
-//! `storagesim`'s figures divide by the requests they cover.
+//! `storagesim`'s figures divide by the requests they cover. A figure
+//! binary writes its CSV into the workspace's `results/` from any
+//! directory.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 #[test]
@@ -48,6 +52,21 @@ fn storagesim_rejects_negative_and_nan_idle_timeouts() {
             completed(&out) > 0,
             "--idle-timeout {timeout}: empty report"
         );
+    }
+}
+
+#[test]
+fn storagesim_runs_the_four_paper_schedulers_and_rejects_other_names() {
+    for name in ["fcfs", "sstf", "clook", "sptf"] {
+        let out = storagesim(&["--scheduler", name]);
+        assert_eq!(completed(&out), 10, "--scheduler {name}");
+    }
+    for name in ["look", "fscan", "aged-sptf", "vr", "bogus"] {
+        let args = ["--scheduler", name];
+        assert_usage_error(storagesim(&args), "storagesim", &args);
+    }
+    for args in [["--device", "bogus"], ["--workload", "bogus"]] {
+        assert_usage_error(storagesim(&args), "storagesim", &args);
     }
 }
 
@@ -197,7 +216,7 @@ fn trace_stats_rejects_bad_request_counts_and_capacities() {
 
 #[test]
 fn trace_stats_rejects_bad_records_with_their_line() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let cases = [
         (
             "decreasing.trace",
@@ -245,7 +264,7 @@ fn trace_stats_rejects_bad_records_with_their_line() {
 fn perf_smoke_rejects_bad_arguments_before_any_work() {
     // Run from a scratch directory: a run that starts writes
     // `BENCH_sched.json` into its working directory.
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf_smoke_args");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf_smoke_args");
     std::fs::create_dir_all(&dir).expect("create scratch directory");
     let output = dir.join("BENCH_sched.json");
     let cases: &[&[&str]] = &[
@@ -277,11 +296,10 @@ fn perf_smoke_rejects_bad_arguments_before_any_work() {
 }
 
 /// Runs each of `cases` through `bin` from a scratch directory under
-/// `CARGO_TARGET_TMPDIR`, asserting exit 2 with `usage` on stderr and no
-/// `results/` directory created there or in its parent, where a figure
-/// binary run outside the workspace writes its CSVs.
+/// `CARGO_TARGET_TMPDIR`, asserting exit 2 with `usage` on stderr, nothing
+/// on stdout, and no `results/` directory created there or in its parent.
 fn assert_rejected_before_any_write(bin: &str, exe: &str, usage: &str, cases: &[&[&str]]) {
-    let parent = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figure_args");
+    let parent = Path::new(env!("CARGO_TARGET_TMPDIR")).join("figure_args");
     let dir = parent.join(bin);
     std::fs::create_dir_all(&dir).expect("create scratch directory");
     for args in cases {
@@ -382,4 +400,34 @@ fn fleet_binaries_reject_anything_but_long() {
         let usage = format!("usage: {bin} [--long]");
         assert_rejected_before_any_write(bin, exe, &usage, cases);
     }
+}
+
+#[test]
+fn figure_csvs_land_in_the_workspace_results_from_any_directory() {
+    let parent = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_cwd");
+    let dir = parent.join("sub");
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    for results in [dir.join("results"), parent.join("results")] {
+        let _ = std::fs::remove_dir_all(&results);
+    }
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results/table1_params.csv")
+        .canonicalize()
+        .expect("committed table1_params.csv");
+    let committed = std::fs::read(&golden).expect("read the committed CSV");
+    let out = Command::new(env!("CARGO_BIN_EXE_table1_params"))
+        .current_dir(&dir)
+        .output()
+        .expect("table1_params runs");
+    let stdout = stdout(&out);
+    let wrote = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("[wrote ")?.strip_suffix(']'))
+        .unwrap_or_else(|| panic!("no [wrote …] line in: {stdout}"));
+    assert_eq!(Path::new(wrote).canonicalize().ok(), Some(golden.clone()));
+    for results in [dir.join("results"), parent.join("results")] {
+        assert!(!results.exists(), "created {}", results.display());
+    }
+    let rewritten = std::fs::read(&golden).expect("read the rewritten CSV");
+    assert!(rewritten == committed, "table1_params.csv changed");
 }

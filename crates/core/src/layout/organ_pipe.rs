@@ -110,18 +110,6 @@ impl OrganPipeMap {
     pub fn logical_of(&self, slot: u64) -> u64 {
         self.logical[usize::try_from(slot).expect("slot fits usize")]
     }
-
-    /// Number of blocks that must move to transform this arrangement into
-    /// `next` — the periodic reshuffling cost the paper charges against
-    /// organ pipe (§5.3).
-    pub fn reshuffle_moves(&self, next: &OrganPipeMap) -> u64 {
-        assert_eq!(self.len(), next.len(), "maps must cover the same blocks");
-        self.phys
-            .iter()
-            .zip(&next.phys)
-            .filter(|(a, b)| a != b)
-            .count() as u64
-    }
 }
 
 /// Fig. 11's organ-pipe layout: *all* blocks — small 4 KB blocks and
@@ -320,14 +308,6 @@ mod tests {
                 assert!(da <= db, "block {a} (hotter) farther than {b}");
             }
         }
-    }
-
-    #[test]
-    fn reshuffle_counts_moved_blocks() {
-        let a = OrganPipeMap::build(&[1.0, 2.0, 3.0]);
-        let b = OrganPipeMap::build(&[3.0, 2.0, 1.0]);
-        assert_eq!(a.reshuffle_moves(&a), 0);
-        assert!(a.reshuffle_moves(&b) > 0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! is a MEMS media sled rather than a rotating disk.
 //!
 //! * [`sched`] — request scheduling (§4): FCFS, SSTF_LBN, C-LOOK, and
-//!   SPTF, plus an aged-SPTF extension. The headline result: the
-//!   algorithms keep their disk ranking, but the *gaps* change — LBN
-//!   schedulers only minimize X sled movement, so SPTF's advantage is
-//!   governed by how much settle time lets X seeks dominate Y seeks.
+//!   SPTF. The headline result: the algorithms keep their disk ranking,
+//!   but the *gaps* change — LBN schedulers only minimize X sled
+//!   movement, so SPTF's advantage is governed by how much settle time
+//!   lets X seeks dominate Y seeks.
 //! * [`layout`] — data placement (§5): the spring-aware bipartite layouts
 //!   (subregioned 5×5 grid and columnar) that beat the disk-optimal organ
 //!   pipe arrangement on MEMS devices.

@@ -10,25 +10,14 @@
 //!   choice [`ClookScheduler`];
 //! * **SPTF** — shortest positioning time first, which consults the
 //!   device's actual mechanical state [`SptfScheduler`].
-//!
-//! Three documented extensions round out the algorithm family from the
-//! disk-scheduling literature the paper builds on: an age-weighted SPTF
-//! ([`AgedSptfScheduler`], the classic starvation remedy of \[WGP94]), the
-//! bidirectional elevator ([`LookScheduler`]), the frozen-queue batch
-//! elevator ([`FscanScheduler`]), and the V(R) SSTF↔SCAN continuum
-//! ([`VrScheduler`]).
 
 mod clook;
-mod scan;
 mod sptf;
 mod sstf;
-mod vscan;
 
 pub use clook::ClookScheduler;
-pub use scan::{FscanScheduler, LookScheduler};
-pub use sptf::{AgedSptfScheduler, NaiveAgedSptfScheduler, NaiveSptfScheduler, SptfScheduler};
+pub use sptf::{NaiveSptfScheduler, SptfScheduler};
 pub use sstf::SstfScheduler;
-pub use vscan::VrScheduler;
 
 pub use storage_sim::FifoScheduler;
 

@@ -35,37 +35,27 @@
 //!
 //! # Incremental candidate maintenance
 //!
-//! Both pruned schedulers keep their pending requests in one compact
-//! index whose memory follows the queue, never the cylinder count: a
-//! `Vec` of `(bucket, entry)` keys sorted by bucket, over a slab of entries
-//! with a free list. A bucket's requests form one *run* of adjacent keys
-//! in enqueue order. The walk splits the keys at the device's current
-//! bucket and steps over whole runs outward, nearer side first.
+//! The pruned scheduler keeps its pending requests in one compact index
+//! whose memory follows the queue, never the cylinder count: a `Vec` of
+//! `(bucket, entry)` keys sorted by bucket, over a slab of entries with a
+//! free list. A bucket's requests form one *run* of adjacent keys in
+//! enqueue order. The walk splits the keys at the device's current bucket
+//! and steps over whole runs outward, nearer side first.
 //!
-//! [`SptfScheduler`] also caches each run's winner in the run's first
-//! entry, under the device's [`PositionOracle::rest_key`] — the
-//! collision-free fingerprint of everything positioning depends on
-//! besides the request. A cached run answers a visit without rescoring
-//! any candidate. An arrival into the run or a removal from it invalidates
-//! the cache, a reused entry starts invalid, and the whole cache turns
-//! over when the rest key changes. Debug builds cross-check every cache
-//! hit against a fresh rescan of that run.
+//! [`SptfScheduler`] caches each run's winner in the run's first entry,
+//! under the device's [`PositionOracle::rest_key`] — the collision-free
+//! fingerprint of everything positioning depends on besides the request.
+//! A cached run answers a visit without rescoring any candidate. An
+//! arrival into the run or a removal from it invalidates the cache, a
+//! reused entry starts invalid, and the whole cache turns over when the
+//! rest key changes. Debug builds cross-check every cache hit against a
+//! fresh rescan of that run.
 //!
 //! Before it removes a pick, [`SptfScheduler`] passes the device
 //! [`PositionOracle::prefetch_seek`] hints for the seeks from the pick's
 //! bucket to the nearest keys on either side: the next walk starts where
 //! the pick leaves the device and scores those runs first. The hints
 //! change no pick and no counter.
-//!
-//! [`AgedSptfScheduler`] is the classic aged variant \[WGP94]: each
-//! request's positioning estimate is discounted by how long it has waited,
-//! bounding starvation at a small average-case cost. The same pruned scan
-//! applies with the maximum outstanding age credit
-//! (`weight × oldest wait`) folded into the bounds. Aged scores depend on
-//! `now`, so the aged pick walks the same index without reading the
-//! cache. [`NaiveAgedSptfScheduler`] is its full-scan reference.
-
-use std::collections::BTreeSet;
 
 use storage_sim::{PositionOracle, Request, SchedCounters, Scheduler, SimTime};
 
@@ -89,7 +79,7 @@ struct Entry {
     winner: Winner,
 }
 
-/// The pending requests of a pruned scheduler, sized by the queue.
+/// The pending requests of the pruned scheduler, sized by the queue.
 #[derive(Debug, Default)]
 struct PendingIndex {
     /// Arrivals not yet bucketed (bucketing needs the device, which
@@ -109,12 +99,10 @@ impl PendingIndex {
         self.inbox.len() + self.keys.len()
     }
 
-    /// Queues an arrival and returns its sequence number.
-    fn enqueue(&mut self, req: Request) -> u64 {
-        let seq = self.next_seq;
-        self.inbox.push((seq, req));
+    /// Queues an arrival under the next sequence number.
+    fn enqueue(&mut self, req: Request) {
+        self.inbox.push((self.next_seq, req));
         self.next_seq += 1;
-        seq
     }
 
     /// Moves every queued arrival to the end of its bucket's run.
@@ -150,8 +138,8 @@ impl PendingIndex {
     }
 
     /// Removes entry `idx` of the run that starts at key `start`, uncaching
-    /// the run's winner, and returns its sequence number and request.
-    fn remove(&mut self, start: usize, idx: usize) -> (u64, Request) {
+    /// the run's winner, and returns its request.
+    fn remove(&mut self, start: usize, idx: usize) -> Request {
         let (bucket, slot) = self.keys.remove(start + idx);
         if let Some(&(b, first)) = self.keys.get(start) {
             if b == bucket {
@@ -159,24 +147,22 @@ impl PendingIndex {
             }
         }
         self.free.push(slot);
-        let entry = &self.entries[slot as usize];
-        (entry.seq, entry.req)
+        self.entries[slot as usize].req
     }
 }
 
 /// Scores every entry of one run, returning the `(score, seq, idx)` winner
 /// under the lexicographic `(score, seq)` order.
-fn run_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
+fn run_best<O: PositionOracle + ?Sized>(
     run: &[(u32, u32)],
     entries: &[Entry],
     device: &O,
     now: SimTime,
-    score: &F,
 ) -> (f64, u64, usize) {
     let mut best = (f64::INFINITY, u64::MAX, 0usize);
     for (idx, &(_, slot)) in run.iter().enumerate() {
         let Entry { seq, req, .. } = &entries[slot as usize];
-        let s = score(req, device.position_time(req, now));
+        let s = device.position_time(req, now);
         if s < best.0 || (s == best.0 && *seq < best.1) {
             best = (s, *seq, idx);
         }
@@ -185,25 +171,17 @@ fn run_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
 }
 
 /// Walks the index outward from the device's current bucket and returns
-/// the `(run start, index within run)` of the request minimizing
-/// `score(req, position_time)`, ties broken by enqueue sequence.
+/// the `(run start, index within run)` of the request with the least
+/// positioning time, ties broken by enqueue sequence.
 ///
-/// `credit_bound` is the largest amount by which any pending request's
-/// score may undercut its positioning-time floor (0 for plain SPTF,
-/// `weight × oldest wait` for the aged variant).
-///
-/// With `gen` given, run winners cached under that generation answer
-/// their runs, and every scored run caches its winner under it. `gen` must
-/// be `None` unless `score` depends only on the request and the device
-/// rest state (plain SPTF). Debug builds cross-check every cache hit
-/// against a fresh rescan of the hit run.
-fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
+/// Run winners cached under generation `gen` answer their runs, and every
+/// scored run caches its winner under it. Debug builds cross-check every
+/// cache hit against a fresh rescan of the hit run.
+fn pruned_best<O: PositionOracle + ?Sized>(
     index: &mut PendingIndex,
-    gen: Option<u64>,
+    gen: u64,
     device: &O,
     now: SimTime,
-    score: F,
-    credit_bound: f64,
     counters: &mut SchedCounters,
 ) -> Option<(usize, usize)> {
     let (keys, entries) = (&index.keys, &mut index.entries);
@@ -237,7 +215,7 @@ fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
                 floor_val = device.min_position_time_at_bucket_distance(dist);
                 floor_dist = dist;
             }
-            if floor_val - credit_bound > best_score {
+            if floor_val > best_score {
                 break;
             }
         }
@@ -256,45 +234,39 @@ fn pruned_best<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
         };
         let run = &keys[start..end];
         if let Some((best_score, ..)) = best {
-            if device.bucket_position_time_floor(u64::from(run[0].0)) - credit_bound > best_score {
+            if device.bucket_position_time_floor(u64::from(run[0].0)) > best_score {
                 counters.buckets_pruned += 1;
                 continue;
             }
         }
         let first = run[0].1 as usize;
-        let (bs, bseq, bidx) = match gen {
-            Some(gen) if entries[first].winner.gen == gen => {
-                counters.cached_best_hits += 1;
-                let w = entries[first].winner;
-                #[cfg(debug_assertions)]
-                {
-                    // Cross-check the hit against a fresh rescan of this
-                    // one run (a full per-pick rescan would defeat the
-                    // point of the cache even in debug builds).
-                    let fresh = run_best(run, entries, device, now, &score);
-                    debug_assert_eq!(
-                        (fresh.0.to_bits(), fresh.1, fresh.2),
-                        (w.score.to_bits(), w.seq, w.idx),
-                        "stale SPTF cached winner for bucket {}",
-                        run[0].0
-                    );
-                }
-                (w.score, w.seq, w.idx)
+        let (bs, bseq, bidx) = if entries[first].winner.gen == gen {
+            counters.cached_best_hits += 1;
+            let w = entries[first].winner;
+            #[cfg(debug_assertions)]
+            {
+                // Cross-check the hit against a fresh rescan of this one
+                // run (a full per-pick rescan would defeat the point of the
+                // cache even in debug builds).
+                let fresh = run_best(run, entries, device, now);
+                debug_assert_eq!(
+                    (fresh.0.to_bits(), fresh.1, fresh.2),
+                    (w.score.to_bits(), w.seq, w.idx),
+                    "stale SPTF cached winner for bucket {}",
+                    run[0].0
+                );
             }
-            _ => {
-                counters.candidates_examined += run.len() as u64;
-                let fresh = run_best(run, entries, device, now, &score);
-                if let Some(gen) = gen {
-                    let (score, seq, idx) = fresh;
-                    entries[first].winner = Winner {
-                        gen,
-                        score,
-                        seq,
-                        idx,
-                    };
-                }
-                fresh
-            }
+            (w.score, w.seq, w.idx)
+        } else {
+            counters.candidates_examined += run.len() as u64;
+            let (score, seq, idx) = run_best(run, entries, device, now);
+            entries[first].winner = Winner {
+                gen,
+                score,
+                seq,
+                idx,
+            };
+            (score, seq, idx)
         };
         // Run-winner-then-compare equals the entrywise comparison: the
         // lexicographic (score, seq) minimum is associative.
@@ -325,23 +297,6 @@ fn prefetch_next_walk<O: PositionOracle + ?Sized>(keys: &[(u32, u32)], at: usize
     let below = keys[..at].iter().rev().take(PREFETCH_KEYS);
     for &(to, _) in below.chain(keys[at + 1..].iter().take(PREFETCH_KEYS)) {
         device.prefetch_seek(from, u64::from(to));
-    }
-}
-
-/// The shallow-queue pick of the pruned schedulers: `None` with no request
-/// pending, the lone request (bucketed or not) with one — counted as one
-/// pick over one candidate, nothing scored. Returns `None` when two or more
-/// are pending and the walk must run.
-fn pick_shallow(index: &mut PendingIndex, counters: &mut SchedCounters) -> Option<Option<Request>> {
-    match index.len() {
-        0 => Some(None),
-        1 => {
-            counters.picks += 1;
-            counters.candidates_examined += 1;
-            let (_, req) = index.inbox.pop().unwrap_or_else(|| index.remove(0, 0));
-            Some(Some(req))
-        }
-        _ => None,
     }
 }
 
@@ -396,9 +351,19 @@ impl Scheduler for SptfScheduler {
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        // Shallow queues skip the walk, the oracle, and the cache.
-        if let Some(shallow) = pick_shallow(&mut self.index, &mut self.counters) {
-            return shallow;
+        // Shallow queues skip the walk, the oracle, and the cache: the lone
+        // request (bucketed or not) counts as one pick over one candidate.
+        match self.index.len() {
+            0 => return None,
+            1 => {
+                self.counters.picks += 1;
+                self.counters.candidates_examined += 1;
+                return match self.index.inbox.pop() {
+                    Some((_, req)) => Some(req),
+                    None => Some(self.index.remove(0, 0)),
+                };
+            }
+            _ => {}
         }
         self.index.absorb(device);
         // A rest key match keeps every cached winner; anything else
@@ -408,18 +373,10 @@ impl Scheduler for SptfScheduler {
             self.gen += 1;
             self.rest_key = key;
         }
-        let (start, idx) = pruned_best(
-            &mut self.index,
-            Some(self.gen),
-            device,
-            now,
-            |_, t| t,
-            0.0,
-            &mut self.counters,
-        )?;
+        let (start, idx) = pruned_best(&mut self.index, self.gen, device, now, &mut self.counters)?;
         self.counters.picks += 1;
         prefetch_next_walk(&self.index.keys, start + idx, device);
-        Some(self.index.remove(start, idx).1)
+        Some(self.index.remove(start, idx))
     }
 
     fn len(&self) -> usize {
@@ -431,10 +388,10 @@ impl Scheduler for SptfScheduler {
     }
 }
 
-/// The exact O(n)-scan SPTF the pruned implementations must match pick for
+/// The exact O(n)-scan SPTF the pruned implementation must match pick for
 /// pick: scan every pending request in enqueue order, keep the strict
 /// minimum. Retained as the equivalence-test reference and the
-/// `perf_smoke` baseline.
+/// scheduler micro-benchmark's baseline.
 #[derive(Debug, Default)]
 pub struct NaiveSptfScheduler {
     pending: Vec<Request>,
@@ -474,159 +431,6 @@ impl Scheduler for NaiveSptfScheduler {
         }
         // Order-preserving removal keeps the scan's tie-break (earliest
         // enqueue wins) stable across picks.
-        Some(self.pending.remove(best))
-    }
-
-    fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-}
-
-/// Aged SPTF: positioning time minus `weight × wait time` \[WGP94],
-/// served by the same pruned walk over the same index as [`SptfScheduler`].
-///
-/// With `weight = 0` this is plain SPTF; larger weights approach FCFS.
-/// A weight in the low single digits (seconds of positioning credit per
-/// second of waiting, i.e. dimensionless) bounds starvation effectively.
-/// The prune stays sound under aging: the bounds are discounted by the
-/// *maximum* credit any pending request has earned (`weight × oldest
-/// wait`), tracked via the arrival set. Aged scores depend on `now`, so
-/// the cached run winners do not apply.
-#[derive(Debug)]
-pub struct AgedSptfScheduler {
-    index: PendingIndex,
-    /// `(arrival, seq)` of every pending request; the first entry gives
-    /// the oldest wait, hence the largest possible age credit.
-    arrivals: BTreeSet<(SimTime, u64)>,
-    weight: f64,
-    name: String,
-    counters: SchedCounters,
-}
-
-impl AgedSptfScheduler {
-    /// Creates an aged SPTF scheduler with the given aging weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or not finite.
-    pub fn new(weight: f64) -> Self {
-        assert!(weight.is_finite() && weight >= 0.0, "weight must be >= 0");
-        AgedSptfScheduler {
-            index: PendingIndex::default(),
-            arrivals: BTreeSet::new(),
-            weight,
-            name: format!("SPTF-aged({weight})"),
-            counters: SchedCounters::default(),
-        }
-    }
-}
-
-impl Scheduler for AgedSptfScheduler {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        let seq = self.index.enqueue(req);
-        self.arrivals.insert((req.arrival, seq));
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        // Shallow queues skip the walk and the oracle, as in SPTF.
-        if let Some(shallow) = pick_shallow(&mut self.index, &mut self.counters) {
-            self.arrivals.clear();
-            return shallow;
-        }
-        self.index.absorb(device);
-        let credit_bound = match self.arrivals.first() {
-            Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
-            None => return None,
-        };
-        let weight = self.weight;
-        let score = |req: &Request, t: f64| {
-            let wait = (now - req.arrival).as_secs().max(0.0);
-            t - weight * wait
-        };
-        let (start, idx) = pruned_best(
-            &mut self.index,
-            None,
-            device,
-            now,
-            score,
-            credit_bound,
-            &mut self.counters,
-        )?;
-        self.counters.picks += 1;
-        let (seq, req) = self.index.remove(start, idx);
-        self.arrivals.remove(&(req.arrival, seq));
-        Some(req)
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-}
-
-/// The exact O(n)-scan aged SPTF, the reference for
-/// [`AgedSptfScheduler`]'s pruned pick.
-#[derive(Debug)]
-pub struct NaiveAgedSptfScheduler {
-    pending: Vec<Request>,
-    weight: f64,
-    name: String,
-    counters: SchedCounters,
-}
-
-impl NaiveAgedSptfScheduler {
-    /// Creates a naive aged SPTF scheduler with the given aging weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or not finite.
-    pub fn new(weight: f64) -> Self {
-        assert!(weight.is_finite() && weight >= 0.0, "weight must be >= 0");
-        NaiveAgedSptfScheduler {
-            pending: Vec::new(),
-            weight,
-            name: format!("SPTF-aged({weight})"),
-            counters: SchedCounters::default(),
-        }
-    }
-}
-
-impl Scheduler for NaiveAgedSptfScheduler {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        self.pending.push(req);
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.counters.picks += 1;
-        self.counters.candidates_examined += self.pending.len() as u64;
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, req) in self.pending.iter().enumerate() {
-            let wait = (now - req.arrival).as_secs().max(0.0);
-            let score = device.position_time(req, now) - self.weight * wait;
-            if score < best_score {
-                best_score = score;
-                best = i;
-            }
-        }
         Some(self.pending.remove(best))
     }
 
@@ -679,45 +483,6 @@ mod tests {
                 "picked request is not minimal"
             );
         }
-    }
-
-    #[test]
-    fn aged_sptf_with_zero_weight_matches_sptf() {
-        let dev = MemsDevice::new(MemsParams::default());
-        let mut plain = SptfScheduler::new();
-        let mut aged = AgedSptfScheduler::new(0.0);
-        for i in 0..20 {
-            let r = req(i, (i * 997_001) % 6_000_000);
-            plain.enqueue(r);
-            aged.enqueue(r);
-        }
-        while let (Some(a), Some(b)) = (
-            plain.pick(&dev, SimTime::ZERO),
-            aged.pick(&dev, SimTime::ZERO),
-        ) {
-            assert_eq!(a.id, b.id);
-        }
-        assert!(plain.is_empty() && aged.is_empty());
-    }
-
-    #[test]
-    fn aging_promotes_old_requests() {
-        let dev = MemsDevice::new(MemsParams::default());
-        let mut aged = AgedSptfScheduler::new(1.0);
-        // An old, mechanically distant request vs a fresh nearby one.
-        let old = Request::new(0, SimTime::ZERO, 2499 * 2700, 8, IoKind::Read);
-        let fresh = Request::new(1, SimTime::from_secs(10.0), 1250 * 2700, 8, IoKind::Read);
-        aged.enqueue(old);
-        aged.enqueue(fresh);
-        // At t = 10 s the old request has earned 10 s of credit — far more
-        // than any positioning difference.
-        assert_eq!(aged.pick(&dev, SimTime::from_secs(10.0)).unwrap().id, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight")]
-    fn negative_weight_rejected() {
-        let _ = AgedSptfScheduler::new(-1.0);
     }
 
     #[test]
@@ -843,12 +608,6 @@ mod tests {
                     seed,
                     moving,
                 );
-                assert_shallow_equivalence(
-                    AgedSptfScheduler::new(1.5),
-                    NaiveAgedSptfScheduler::new(1.5),
-                    seed,
-                    moving,
-                );
             }
         }
         // Every single-entry pick counts one candidate and never scores.
@@ -869,20 +628,6 @@ mod tests {
         for seed in [1u64, 0xDEAD_BEEF, 0x5EED_0006] {
             assert_pick_equivalence(SptfScheduler::new(), NaiveSptfScheduler::new(), seed, true);
             assert_pick_equivalence(SptfScheduler::new(), NaiveSptfScheduler::new(), seed, false);
-        }
-    }
-
-    #[test]
-    fn aged_sptf_matches_naive_scan_across_seeds() {
-        for seed in [2u64, 42, 0x5EED_0006] {
-            for weight in [0.5, 3.0] {
-                assert_pick_equivalence(
-                    AgedSptfScheduler::new(weight),
-                    NaiveAgedSptfScheduler::new(weight),
-                    seed,
-                    true,
-                );
-            }
         }
     }
 
@@ -966,8 +711,10 @@ mod tests {
     /// than the deepest queue so far, and no buffer may have room for more
     /// than twice the deepest queue: nothing is sized by the 2,500
     /// cylinders.
-    fn assert_footprint_follows_queue<S: Scheduler>(mut s: S, index: fn(&S) -> &PendingIndex) {
+    #[test]
+    fn index_footprint_follows_the_queue_not_the_cylinders() {
         const DEPTH: u64 = 4;
+        let mut s = SptfScheduler::new();
         let mut dev = MemsDevice::new(MemsParams::default());
         let cylinders = u64::from(dev.geometry().cylinders);
         let per_cylinder = dev.capacity_lbns() / cylinders;
@@ -986,7 +733,7 @@ mod tests {
                 let r = s.pick(&dev, now).expect("pending request");
                 now = now + dev.service(&r, now).total_time();
             }
-            let ix = index(&s);
+            let ix = &s.index;
             assert!(ix.entries.len() <= peak, "{} entries", ix.entries.len());
             for cap in [
                 ix.inbox.capacity(),
@@ -1001,12 +748,6 @@ mod tests {
         assert_eq!(peak, DEPTH as usize);
         assert!(touched.iter().all(|&t| t));
         assert_eq!(s.counters().picks, 5 * cylinders);
-    }
-
-    #[test]
-    fn index_footprint_follows_the_queue_not_the_cylinders() {
-        assert_footprint_follows_queue(SptfScheduler::new(), |s| &s.index);
-        assert_footprint_follows_queue(AgedSptfScheduler::new(1.5), |s| &s.index);
     }
 
     /// A MEMS device's oracle that records the seek hints it is given and

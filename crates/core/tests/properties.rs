@@ -8,7 +8,7 @@ use mems_os::layout::{
     Allocator, ColumnarLayout, DataClass, Layout, OrganPipeMap, SimpleLayout, SubregionedLayout,
 };
 use mems_os::placement::{DoublePriorityQueue, FrequencyTracker};
-use mems_os::sched::{Algorithm, ClookScheduler, LookScheduler, SstfScheduler};
+use mems_os::sched::Algorithm;
 use proptest::prelude::*;
 use storage_sim::{IoKind, Request, Scheduler, SimTime};
 
@@ -144,34 +144,6 @@ proptest! {
             picked.sort_unstable();
             let expected: Vec<u64> = (0..lbns.len() as u64).collect();
             prop_assert_eq!(&picked, &expected, "{} lost/duplicated requests", alg.label());
-        }
-    }
-
-    /// LOOK and SSTF also conserve requests.
-    #[test]
-    fn extension_schedulers_lose_nothing(
-        lbns in prop::collection::vec(0u64..6_000_000, 1..50),
-    ) {
-        let dev = MemsDevice::new(MemsParams::default());
-        let mut look = LookScheduler::new();
-        let mut sstf = SstfScheduler::new();
-        let mut clook = ClookScheduler::new();
-        for (i, &lbn) in lbns.iter().enumerate() {
-            let r = Request::new(i as u64, SimTime::ZERO, lbn, 8, IoKind::Read);
-            look.enqueue(r);
-            sstf.enqueue(r);
-            clook.enqueue(r);
-        }
-        for s in [
-            &mut look as &mut dyn storage_sim::DynScheduler,
-            &mut sstf,
-            &mut clook,
-        ] {
-            let mut count = 0;
-            while s.pick_dyn(&dev, SimTime::ZERO).is_some() {
-                count += 1;
-            }
-            prop_assert_eq!(count, lbns.len());
         }
     }
 

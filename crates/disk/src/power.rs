@@ -55,21 +55,6 @@ impl DiskEnergyModel {
         }
     }
 
-    /// Energy of servicing for `secs` of device busy time, J.
-    pub fn active_energy(&self, secs: f64) -> f64 {
-        self.active_power * secs
-    }
-
-    /// Energy idling (spinning, ready) for `secs`, J.
-    pub fn idle_energy(&self, secs: f64) -> f64 {
-        self.idle_power * secs
-    }
-
-    /// Energy in standby for `secs`, J.
-    pub fn standby_energy(&self, secs: f64) -> f64 {
-        self.standby_power * secs
-    }
-
     /// Energy of one spin-up, J.
     pub fn spinup_energy(&self) -> f64 {
         self.spinup_power * self.spinup_time
@@ -116,13 +101,5 @@ mod tests {
             assert!(m.idle_power > m.standby_power);
             assert!(m.spinup_power > m.active_power);
         }
-    }
-
-    #[test]
-    fn energy_accumulates_linearly() {
-        let m = DiskEnergyModel::atlas_10k();
-        assert_eq!(m.active_energy(2.0), 2.0 * m.active_energy(1.0));
-        assert_eq!(m.idle_energy(2.0), 2.0 * m.idle_energy(1.0));
-        assert_eq!(m.standby_energy(2.0), 2.0 * m.standby_energy(1.0));
     }
 }

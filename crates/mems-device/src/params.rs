@@ -130,13 +130,6 @@ impl MemsParams {
         f64::from(self.tip_sector_bits()) / self.per_tip_rate
     }
 
-    /// Spring angular frequency ω used in the sled equation of motion
-    /// `p̈ = u − ω²·p`, chosen so the restoring force reaches
-    /// `spring_factor × actuator force` at full displacement.
-    pub fn spring_omega(&self) -> f64 {
-        (self.spring_factor * self.accel / self.half_mobility()).sqrt()
-    }
-
     /// One settling time constant τ = 1/(2π·resonant frequency), seconds
     /// (≈0.215 ms for 739 Hz, matching the paper's "0.2 ms" settle).
     pub fn settle_time_constant(&self) -> f64 {
@@ -245,21 +238,12 @@ impl MemsGeometry {
     pub fn capacity_bytes(&self) -> u64 {
         self.total_sectors() * u64::from(self.logical_sector_bytes)
     }
-
-    /// Global row index containing `lbn` (rows transfer atomically).
-    pub fn row_of_lbn(&self, lbn: u64) -> u64 {
-        lbn / u64::from(self.sectors_per_row)
-    }
-
-    /// Rows per cylinder across all its tracks.
-    pub fn rows_per_cylinder(&self) -> u64 {
-        u64::from(self.tracks_per_cylinder) * u64::from(self.rows_per_track)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinematics::SpringSled;
 
     #[test]
     fn default_geometry_matches_paper() {
@@ -312,21 +296,14 @@ mod tests {
 
     #[test]
     fn spring_omega_matches_formula() {
+        // The sled every `MemsDevice` builds from its parameters.
         let p = MemsParams::default();
-        let omega = p.spring_omega();
+        let sled = SpringSled::from_spring_factor(p.accel, p.spring_factor, p.half_mobility());
+        let omega = sled.omega();
         assert!((omega - (0.75f64 * 803.6 / 50e-6).sqrt()).abs() < 1e-9);
         // At full displacement the spring decelerates at 75% of actuator force.
         let spring_accel = omega * omega * p.half_mobility();
         assert!((spring_accel - 0.75 * p.accel).abs() < 1e-9);
-    }
-
-    #[test]
-    fn row_of_lbn_groups_by_twenty() {
-        let g = MemsParams::default().geometry();
-        assert_eq!(g.row_of_lbn(0), 0);
-        assert_eq!(g.row_of_lbn(19), 0);
-        assert_eq!(g.row_of_lbn(20), 1);
-        assert_eq!(g.rows_per_cylinder(), 135);
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl RampWorkload {
         }
         self.rate_low
     }
-
-    /// Sim-time at which the rate has returned to `rate_low` (end of the
-    /// down-ramp) — the point after which a stable queue should drain.
-    pub fn ramp_end_secs(&self) -> f64 {
-        2.0 * (self.hold_secs + self.ramp_secs)
-    }
 }
 
 impl Workload for RampWorkload {
@@ -152,7 +146,6 @@ mod tests {
         assert_eq!(w.rate_at(35.0), 1_100.0); // high hold
         assert_eq!(w.rate_at(55.0), 600.0); // halfway down
         assert_eq!(w.rate_at(70.0), 100.0); // back at low
-        assert_eq!(w.ramp_end_secs(), 60.0);
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! for field — same completions in the same order at the same times, same
 //! accumulated statistics.
 //!
-//! The engine axis replays a matrix of driver cells — MEMS and the Atlas
-//! 10K disk; FIFO, SPTF and aged SPTF; with and without a degraded device
-//! under a Poisson fault storm; with and without an overload policy that
-//! both sheds and times out — and checks each report digest against the
-//! value recorded from the calendar-queue and slab engine that the
-//! three-slot event loop replaced. Any drift here means the event loop
-//! changed *what* is simulated, not just how fast. Each cell also pins the
-//! scheduler's final work counters, recorded from the dense per-cylinder
-//! SPTF index that the queue-sized one replaced, so a change that keeps
-//! the picks but silently stops pruning or caching fails too.
+//! The engine axis replays 16 driver cells — MEMS and the Atlas 10K disk;
+//! FIFO and SPTF; with and without a degraded device under a Poisson fault
+//! storm; with and without an overload policy that both sheds and times
+//! out — and checks each report digest against the value recorded from
+//! the calendar-queue and slab engine that the three-slot event loop
+//! replaced. Any drift here means the event loop changed *what* is
+//! simulated, not just how fast. Each cell also pins the scheduler's final
+//! work counters, recorded from the dense per-cylinder SPTF index that the
+//! queue-sized one replaced, so a change that keeps the picks but silently
+//! stops pruning or caching fails too.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::sched::{AgedSptfScheduler, NaiveSptfScheduler, SptfScheduler};
+use mems_os::sched::{NaiveSptfScheduler, SptfScheduler};
 use std::rc::Rc;
 
 use storage_sim::{
@@ -78,7 +78,6 @@ const FAULT_SEED: u64 = 0x00FA_0175;
 enum Sched {
     Fifo,
     Sptf,
-    AgedSptf,
 }
 
 /// One engine-axis cell: the scheduler, whether the device is degraded
@@ -186,7 +185,6 @@ fn check_cell<D: StorageDevice>(
         inner: match sched {
             Sched::Fifo => Box::new(FifoScheduler::new()),
             Sched::Sptf => Box::new(SptfScheduler::new()),
-            Sched::AgedSptf => Box::new(AgedSptfScheduler::new(2.0)),
         },
         counters: Rc::clone(&counters),
     };
@@ -242,7 +240,7 @@ fn driver_matches_recorded_digests_on_mems() {
     let policy = OverloadPolicy::watermarks(64, 16).with_queue_timeout(SimTime::from_ms(40.0));
     let tips = MemsParams::default().tips;
     #[rustfmt::skip]
-    let cells: [Cell; 12] = [
+    let cells: [Cell; 8] = [
         (Sched::Fifo, false, false, 0x5219_66ce_b9fb_bb00, [800, 800, 0, 0]),
         (Sched::Fifo, false, true, 0x7216_1b46_e450_5607, [417, 417, 0, 0]),
         (Sched::Fifo, true, false, 0xf7d2_36df_ee83_7373, [800, 800, 0, 0]),
@@ -251,10 +249,6 @@ fn driver_matches_recorded_digests_on_mems() {
         (Sched::Sptf, false, true, 0x48a3_ba67_c032_3c33, [592, 913, 1283, 61]),
         (Sched::Sptf, true, false, 0xf33c_d158_c1a4_ec39, [800, 1897, 2472, 0]),
         (Sched::Sptf, true, true, 0xad1d_9465_08a6_05f0, [472, 831, 1069, 0]),
-        (Sched::AgedSptf, false, false, 0xb37c_b96a_e1f1_92d5, [800, 85836, 28698, 0]),
-        (Sched::AgedSptf, false, true, 0x6890_16da_a0b8_7939, [415, 6906, 2295, 0]),
-        (Sched::AgedSptf, true, false, 0x9912_b4e5_6916_c338, [800, 102488, 33934, 0]),
-        (Sched::AgedSptf, true, true, 0xf3cc_64e5_0c7d_82b0, [392, 5957, 2021, 0]),
     ];
     for cell @ (_, faulted, ..) in cells {
         let mems = MemsDevice::new(MemsParams::default());
@@ -272,7 +266,7 @@ fn driver_matches_recorded_digests_on_disk() {
     const RATE: f64 = 300.0;
     let policy = OverloadPolicy::watermarks(16, 4).with_queue_timeout(SimTime::from_ms(80.0));
     #[rustfmt::skip]
-    let cells: [Cell; 12] = [
+    let cells: [Cell; 8] = [
         (Sched::Fifo, false, false, 0x62b8_379c_7be7_c11e, [800, 800, 0, 0]),
         (Sched::Fifo, false, true, 0xdb32_4397_2d91_e571, [428, 428, 0, 0]),
         (Sched::Fifo, true, false, 0x2e69_ef49_70bd_6670, [800, 800, 0, 0]),
@@ -281,10 +275,6 @@ fn driver_matches_recorded_digests_on_disk() {
         (Sched::Sptf, false, true, 0x51d6_cbcb_7ca9_4959, [616, 2415, 0, 337]),
         (Sched::Sptf, true, false, 0xe0c2_1cd5_e7f2_a7b0, [800, 10224, 0, 0]),
         (Sched::Sptf, true, true, 0x535a_d22e_42fe_7c36, [521, 2368, 0, 0]),
-        (Sched::AgedSptf, false, false, 0x6df5_c85f_2b65_16d9, [800, 143757, 0, 0]),
-        (Sched::AgedSptf, false, true, 0x29a4_a175_6b4a_2b38, [432, 3239, 0, 0]),
-        (Sched::AgedSptf, true, false, 0x2d34_1679_a2ec_0ad3, [800, 167576, 0, 0]),
-        (Sched::AgedSptf, true, true, 0x1bfe_91d4_b546_14a2, [409, 3193, 0, 0]),
     ];
     for cell @ (_, faulted, ..) in cells {
         let disk = DiskDevice::new(DiskParams::quantum_atlas_10k());

@@ -7,9 +7,7 @@
 
 use mems_bench::run_one;
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::sched::{
-    AgedSptfScheduler, Algorithm, NaiveAgedSptfScheduler, NaiveSptfScheduler, SptfScheduler,
-};
+use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
 use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
 
@@ -53,13 +51,18 @@ fn pruned_sptf_reports_match_naive_scan() {
     }
 }
 
+/// Fig. 6's top rate, 2500 req/s, at 1,500 requests for seeds 1–6, where
+/// queues run 129–166 deep on average. Pruned SPTF on the shared seek
+/// surface must report exactly what the naive scan over direct solves
+/// does. The recorded completions cover every request, warm-up included,
+/// so the statistics under any warm-up agree too.
 #[test]
-fn pruned_aged_sptf_reports_match_naive_scan() {
-    for seed in SEEDS {
-        let wl = || RandomWorkload::paper(CAPACITY, 1800.0, 1200, seed);
-        let pruned = run(wl(), AgedSptfScheduler::new(2.0), true);
-        let naive = run(wl(), NaiveAgedSptfScheduler::new(2.0), false);
-        assert_reports_identical(&pruned, &naive, &format!("aged SPTF seed {seed}"));
+fn fig6_top_rate_sptf_reports_match_naive_direct_solves() {
+    for seed in 1..=6 {
+        let wl = || RandomWorkload::paper(CAPACITY, 2500.0, 1500, seed);
+        let pruned = run(wl(), SptfScheduler::new(), true);
+        let naive = run(wl(), NaiveSptfScheduler::new(), false);
+        assert_reports_identical(&pruned, &naive, &format!("Fig. 6 top rate seed {seed}"));
     }
 }
 
@@ -74,9 +77,6 @@ fn shallow_queue_sptf_reports_match_rescan() {
         let rescan = run(wl(), NaiveSptfScheduler::new(), true);
         assert!(fast.mean_queue_depth < 1.0, "cell is not shallow");
         assert_reports_identical(&fast, &rescan, &format!("shallow SPTF seed {seed}"));
-        let fast = run(wl(), AgedSptfScheduler::new(2.0), true);
-        let rescan = run(wl(), NaiveAgedSptfScheduler::new(2.0), true);
-        assert_reports_identical(&fast, &rescan, &format!("shallow aged SPTF seed {seed}"));
     }
 }
 
