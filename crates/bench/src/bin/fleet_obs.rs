@@ -20,14 +20,11 @@
 //!   skewed bursty stream: per-station migration ledgers pool by exact
 //!   accumulation into one fleet migration summary.
 //!
-//! Two in-process gates run first and exit non-zero on failure:
-//!
-//! 1. **Observer identity**: a telemetry-attached fleet run must produce
-//!    a [`mems_fleet::FleetReport`] digest bit-identical to the untraced
-//!    run, at shards/threads = (1,1), (4,4), and (16,8) — tracers
-//!    observe, they never steer, under every engine configuration.
-//! 2. **Straggler detection**: the detector must flag station 5 and only
-//!    station 5 in `fleet16`.
+//! Each check above, and the straggler detector flagging station 5 and
+//! only station 5, exits non-zero on failure before any CSV is written.
+//! That observers never steer (a telemetry-attached run is
+//! digest-identical to the untraced one at every shard/thread split,
+//! faulted stations included) is held by `tests/fleet_observability.rs`.
 //!
 //! Outputs: byte-stable goldens `results/fleet_obs_timeline.csv`,
 //! `fleet_obs_health.csv`, `fleet_obs_rebuild.csv`, and
@@ -42,7 +39,7 @@
 //! carry no energy numbers — its `energy_j` column is structurally zero
 //! (per-station energy lives in the timeline's `energy_w` series).
 
-use mems_bench::{long_flag, write_csv};
+use mems_bench::{emit_csv, long_flag};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_fleet::{
     detect_stragglers, tail_skew, utilization_skew, FleetConfig, FleetEngine, FleetTimeline,
@@ -91,25 +88,6 @@ const ADAPTIVE_BLOCK_SECTORS: u32 = 1024;
 const ADAPTIVE_BURST_LEN: u64 = 50 * ADAPTIVE_DEVICES as u64;
 const ADAPTIVE_BURST_IDLE: f64 = 0.060;
 
-/// Writes a CSV to the byte-gated goldens (`results/`) or, on the
-/// informational `--long` horizon, to `target/long/`.
-fn emit_csv(long: bool, name: &str, contents: &str) {
-    if !long {
-        write_csv(name, contents);
-        return;
-    }
-    let dir = std::path::Path::new("target/long");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
 fn telemetry() -> Telemetry {
     Telemetry::new(WINDOW_S, MAX_WINDOWS)
 }
@@ -118,8 +96,6 @@ fn telemetry() -> Telemetry {
 /// stations with tip failures (and no spares) on the straggler station.
 fn fleet16_engine(
     scale: u64,
-    shards: usize,
-    threads: usize,
 ) -> FleetEngine<SptfScheduler, DegradedDevice<MemsDevice>, NoopTracer, RandomWorkload> {
     let params = MemsParams::default();
     let volume = VolumeSpec::flat(FLEET16_DEVICES, STRIPE_UNIT);
@@ -142,8 +118,8 @@ fn fleet16_engine(
         volume,
         workload,
         FleetConfig {
-            shards,
-            threads,
+            shards: 4,
+            threads: 4,
             warmup_requests: 0,
             ..FleetConfig::default()
         },
@@ -158,35 +134,6 @@ fn fleet16_engine(
         ),
     );
     engine
-}
-
-/// Gate 1: an instrumented run's report digest must be bit-identical to
-/// the untraced run's, under every shard/thread split.
-fn identity_gate() {
-    let baseline = fleet16_engine(1, 1, 1).run().digest();
-    for (shards, threads) in [(1, 1), (4, 4), (16, 8)] {
-        let untraced = fleet16_engine(1, shards, threads).run();
-        let traced = fleet16_engine(1, shards, threads)
-            .with_station_tracers(|_| telemetry())
-            .run_instrumented();
-        if untraced.digest() != baseline {
-            eprintln!("FAIL: untraced fleet digest diverged at shards={shards} threads={threads}");
-            std::process::exit(1);
-        }
-        if traced.report.digest() != baseline {
-            eprintln!(
-                "FAIL: telemetry-attached fleet digest diverged at shards={shards} \
-                 threads={threads}"
-            );
-            eprintln!("  untraced: {baseline}");
-            eprintln!("  traced:   {}", traced.report.digest());
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "identity gate: telemetry-attached runs bit-identical to untraced at \
-         shards/threads (1,1), (4,4), (16,8)\n"
-    );
 }
 
 /// Builds the pooled fleet heatmap: one per-station map from each
@@ -220,14 +167,14 @@ struct StragglerSummary {
     engine_profile: String,
 }
 
-/// The `fleet16` cell: timeline + health + straggler gate + pooled heat.
+/// The `fleet16` cell: timeline + health + straggler check + pooled heat.
 fn straggler_cell(
     scale: u64,
     timeline_csv: &mut String,
     health_csv: &mut String,
     heatmap_csv: &mut String,
 ) -> StragglerSummary {
-    let run = fleet16_engine(scale, 4, 4)
+    let run = fleet16_engine(scale)
         .with_station_tracers(|_| telemetry())
         .run_instrumented();
     let report = &run.report;
@@ -246,7 +193,7 @@ fn straggler_cell(
     let uskew = utilization_skew(&health);
     let tskew = tail_skew(&health);
 
-    // Gate 2: exactly station 5 is a straggler, and it stays flagged —
+    // Exactly station 5 is a straggler, and it stays flagged —
     // zero spares means the slowdown never heals.
     let stragglers = detect_stragglers(&run.tracers);
     if stragglers.stragglers() != vec![STRAGGLER_STATION] {
@@ -472,7 +419,6 @@ fn adaptive_cell(scale: u64) -> MigrationStats {
 fn main() {
     let long = long_flag(env!("CARGO_BIN_NAME"));
 
-    identity_gate();
     let scale = if long { 10 } else { 1 };
 
     let mut timeline_csv = String::from(FleetTimeline::csv_header());
@@ -509,5 +455,5 @@ fn main() {
     if std::fs::write(&path, &summary).is_ok() {
         println!("wrote {}", path.display());
     }
-    println!("\nall fleet observability gates passed");
+    println!("\nall fleet observability checks passed");
 }

@@ -12,20 +12,18 @@
 //!   failures, with and without a paced rebuild stream copying the
 //!   surviving mirror back.
 //!
-//! The bin opens with an in-process determinism gate: one fleet cell is
-//! rerun at shards=1/4/16 (and across thread counts) and must produce
-//! identical digests, and a one-station fleet must reproduce the
-//! single-loop [`Driver`] bit for bit — any divergence exits non-zero
-//! before a single CSV is written. Pass `--long` for the informational
-//! 10× horizon: CSVs land under `target/long/` and the byte-gated
-//! goldens in `results/` are never touched.
+//! The engine's determinism contract (identical digests at every
+//! shard/thread split, and a one-station fleet equal to the single-loop
+//! driver) is held by `crates/fleet/tests/determinism.rs`. Pass `--long`
+//! for the informational 10× horizon: CSVs land under `target/long/` and
+//! the byte-gated goldens in `results/` are never touched.
 
-use mems_bench::{long_flag, write_csv, Table};
+use mems_bench::{emit_csv, long_flag, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_fleet::{FleetConfig, FleetEngine, FleetReport, RebuildPlan, VolumeSpec};
 use mems_os::fault::DegradedDevice;
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Driver, FaultClock, SimTime};
+use storage_sim::{FaultClock, SimTime};
 use storage_trace::RandomWorkload;
 
 const MEMS_CAPACITY: u64 = 6_750_000;
@@ -37,26 +35,6 @@ const FAULT_SEED: u64 = 0x5EED_0077;
 /// under a single device's saturation point.
 const SCALE_RATE_PER_DEV: f64 = 500.0;
 const SCALE_REQS_PER_DEV: u64 = 100;
-
-/// Writes a CSV to the byte-gated goldens (`results/`) or, on the
-/// informational `--long` horizon, to `target/long/` so the goldens stay
-/// untouched.
-fn emit_csv(long: bool, name: &str, contents: &str) {
-    if !long {
-        write_csv(name, contents);
-        return;
-    }
-    let dir = std::path::Path::new("target/long");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
 
 /// Builds and runs a striped fleet of `devices` MEMS stations with
 /// `scale ×` the baseline request count.
@@ -85,90 +63,6 @@ fn scale_cell(devices: usize, shards: usize, threads: usize, scale: u64) -> Flee
         },
     )
     .run()
-}
-
-/// The determinism gate: shard/thread invariance plus single-loop
-/// equivalence. Exits the process non-zero on any divergence.
-fn determinism_gate() {
-    // One cell, five shard/thread splits: identical digests required.
-    let baseline = scale_cell(16, 1, 1, 1);
-    for (shards, threads) in [(4, 1), (4, 4), (16, 8)] {
-        let run = scale_cell(16, shards, threads, 1);
-        if run.digest() != baseline.digest() {
-            eprintln!("FAIL: fleet digest diverged at shards={shards} threads={threads}");
-            eprintln!("  baseline: {}", baseline.digest());
-            eprintln!("  run:      {}", run.digest());
-            std::process::exit(1);
-        }
-    }
-    if baseline.station_restructures != 0 {
-        eprintln!(
-            "FAIL: {} station event-store restructures; expected 0",
-            baseline.station_restructures
-        );
-        std::process::exit(1);
-    }
-
-    // A one-station fleet must reproduce the pre-existing single-loop
-    // driver bit for bit.
-    let params = MemsParams::default();
-    let workload = || {
-        RandomWorkload::paper(
-            MEMS_CAPACITY,
-            SCALE_RATE_PER_DEV,
-            SCALE_REQS_PER_DEV,
-            WORKLOAD_SEED,
-        )
-    };
-    let solo = Driver::new(
-        workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(params.clone()),
-    )
-    .record_completions(true)
-    .run();
-    let fleet = FleetEngine::streaming(
-        vec![MemsDevice::new(params.clone())],
-        |_| SptfScheduler::new(),
-        VolumeSpec::leaf(0),
-        workload(),
-        FleetConfig::default(),
-    )
-    .run();
-    let station = &fleet.stations[0];
-    let identical = station.completed == solo.completed
-        && station.makespan == solo.makespan
-        && station.response.mean().to_bits() == solo.response.mean().to_bits()
-        && station.busy_secs.to_bits() == solo.busy_secs.to_bits();
-    let completions_match = {
-        let (a, b) = (
-            station.completions.as_ref().unwrap(),
-            solo.completions.as_ref().unwrap(),
-        );
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.request.id == y.request.id
-                    && x.start_service == y.start_service
-                    && x.completion == y.completion
-            })
-    };
-    if !(identical && completions_match) {
-        eprintln!("FAIL: one-station fleet diverged from the single-loop driver");
-        eprintln!(
-            "  driver: completed {} makespan {:?} mean {}",
-            solo.completed,
-            solo.makespan,
-            solo.response.mean()
-        );
-        eprintln!(
-            "  fleet:  completed {} makespan {:?} mean {}",
-            station.completed,
-            station.makespan,
-            station.response.mean()
-        );
-        std::process::exit(1);
-    }
-    println!("determinism gate: shards 1/4/16, threads 1/4/8 identical; shards=1 == Driver::run\n");
 }
 
 fn scaling_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
@@ -393,7 +287,6 @@ fn rebuild_experiment(t: &mut Vec<String>, scale: u64, long: bool) {
 
 fn main() {
     let long = long_flag(env!("CARGO_BIN_NAME"));
-    determinism_gate();
     let scale = if long { 10 } else { 1 };
     let mut written = Vec::new();
     scaling_experiment(&mut written, scale, long);

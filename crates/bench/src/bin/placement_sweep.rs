@@ -21,25 +21,24 @@
 //! it imposed on foreground arrivals), so migration cost is visible,
 //! not amortized away. Output: byte-stable `results/placement_sweep.csv`.
 //!
-//! The bin opens with an in-process zero-migration identity gate: a
-//! migrations-off wrap at the identity placement must reproduce the
-//! bare device bit for bit on MEMS and disk, or the process exits
-//! non-zero before any CSV is written. It closes with the headline
-//! gate: adaptive must beat the static organ pipe's foreground mean on
-//! the shifting-hotspot workload. Pass `--long` for the informational
-//! 10× horizon (CSV under `target/long/`, goldens untouched).
+//! The bin closes with the headline gate: adaptive must beat the static
+//! organ pipe's foreground mean on the shifting-hotspot workload, or the
+//! process exits non-zero. That a migrations-off wrap at the identity
+//! placement reproduces the bare device bit for bit, on MEMS and disk, is
+//! held by `crates/bench/tests/placement.rs`. Pass `--long` for the
+//! informational 10× horizon (CSV under `target/long/`, goldens
+//! untouched).
 //!
 //! Each series replays a fresh copy of its workload's generator stream,
 //! and the census takes one more pass, so no request list is ever held.
 
-use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{long_flag, write_csv, Table};
+use mems_bench::{emit_csv, long_flag, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::OrganPipeMap;
 use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{Driver, SimReport, StorageDevice, Workload};
-use storage_trace::{RandomWorkload, ShiftingHotspotWorkload, ZipfWorkload};
+use storage_sim::{Driver, SimReport, Workload};
+use storage_trace::{ShiftingHotspotWorkload, ZipfWorkload};
 
 const MEMS_CAPACITY: u64 = 6_750_000;
 const WORKLOAD_SEED: u64 = 42;
@@ -151,71 +150,6 @@ fn run_series<W: Workload>(
     }
 }
 
-/// Field-by-field bit comparison of two reports (the zero-migration
-/// identity gate's notion of "identical").
-fn reports_identical(a: &SimReport, b: &SimReport) -> bool {
-    let completions_match = match (&a.completions, &b.completions) {
-        (Some(x), Some(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(p, q)| {
-                    p.request.id == q.request.id
-                        && p.start_service == q.start_service
-                        && p.completion == q.completion
-                })
-        }
-        _ => false,
-    };
-    a.completed == b.completed
-        && a.makespan == b.makespan
-        && a.response.mean().to_bits() == b.response.mean().to_bits()
-        && a.response.max().to_bits() == b.response.max().to_bits()
-        && a.busy_secs.to_bits() == b.busy_secs.to_bits()
-        && a.breakdown_sum.positioning.to_bits() == b.breakdown_sum.positioning.to_bits()
-        && a.breakdown_sum.transfer.to_bits() == b.breakdown_sum.transfer.to_bits()
-        && a.breakdown_sum.background_wait.to_bits() == b.breakdown_sum.background_wait.to_bits()
-        && completions_match
-}
-
-/// The zero-migration identity gate: a migrations-off wrap at the
-/// identity placement must be bit-identical to the bare device, on MEMS
-/// and on the disk baseline. Exits non-zero on divergence.
-fn identity_gate() {
-    fn gate<D: StorageDevice + Clone>(label: &str, device: D, capacity: u64) {
-        let workload = || RandomWorkload::paper(capacity, RATE, 4_000, WORKLOAD_SEED);
-        let bare = Driver::new(workload(), SptfScheduler::new(), device.clone())
-            .record_completions(true)
-            .run();
-        let wrapped = Driver::new(
-            workload(),
-            SptfScheduler::new(),
-            AdaptiveDevice::new(device, placement_config(false)),
-        )
-        .record_completions(true)
-        .run();
-        if !reports_identical(&bare, &wrapped) {
-            eprintln!("FAIL: migrations-off wrap diverged from the bare device on {label}");
-            eprintln!(
-                "  bare:    completed={} busy={:.9}",
-                bare.completed, bare.busy_secs
-            );
-            eprintln!(
-                "  wrapped: completed={} busy={:.9}",
-                wrapped.completed, wrapped.busy_secs
-            );
-            std::process::exit(1);
-        }
-        println!("identity gate ({label}): migrations-off wrap is bit-identical");
-    }
-    gate(
-        "MEMS",
-        MemsDevice::new(MemsParams::default()),
-        MEMS_CAPACITY,
-    );
-    let disk_params = DiskParams::quantum_atlas_10k();
-    let disk_capacity = disk_params.total_sectors();
-    gate("disk", DiskDevice::new(disk_params), disk_capacity);
-}
-
 struct Cell {
     workload: &'static str,
     series: &'static str,
@@ -237,9 +171,6 @@ fn run_workload<W: Workload>(workload: &'static str, make: impl Fn() -> W, cells
 
 fn main() {
     let long = long_flag(env!("CARGO_BIN_NAME"));
-
-    identity_gate();
-
     let scale = if long { 10 } else { 1 };
     println!(
         "\nplacement sweep: {} requests/cell at {RATE:.0} req/s, {BLOCK_SECTORS}-sector blocks\n",
@@ -323,21 +254,7 @@ fn main() {
     }
     println!("{}", table.render());
 
-    if long {
-        // Informational horizon: never touches the byte-gated goldens.
-        let dir = std::path::Path::new("target/long");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join("placement_sweep.csv");
-            match std::fs::write(&path, table.to_csv()) {
-                Ok(()) => println!("[wrote {}]", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
-        }
-    } else {
-        write_csv("placement_sweep.csv", &table.to_csv());
-    }
+    emit_csv(long, "placement_sweep.csv", &table.to_csv());
 
     // Headline gate: on the shifting hotspot, the online policy must
     // beat the offline-census organ pipe on foreground mean response.

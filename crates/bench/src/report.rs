@@ -84,14 +84,24 @@ impl Table {
     }
 }
 
+/// The workspace root, fixed when the crate is compiled.
+const WORKSPACE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
 /// Writes `contents` to `results/<name>` under the workspace root, from
 /// whatever directory the binary runs in (the path is fixed when the crate
 /// is compiled), creating the directory if needed. Prints where the file
 /// landed. Errors are reported, not fatal — the console table is the
 /// primary output.
 pub fn write_csv(name: &str, contents: &str) {
-    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
-    if let Err(e) = fs::create_dir_all(dir) {
+    emit_csv(false, name, contents);
+}
+
+/// Writes a CSV as [`write_csv`] does, except that a run on the `--long`
+/// horizon (`long == true`) writes `target/long/<name>` under the
+/// workspace root instead, where no golden lives.
+pub fn emit_csv(long: bool, name: &str, contents: &str) {
+    let dir = Path::new(WORKSPACE).join(if long { "target/long" } else { "results" });
+    if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }

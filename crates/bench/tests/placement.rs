@@ -10,8 +10,7 @@
 //! 2. **Zero-migration identity**: with migrations disabled at the
 //!    identity placement, the wrapper is a pure pass-through — full runs
 //!    must produce byte-identical reports to the bare device, on MEMS
-//!    and on the disk baseline (the same gate that opens every
-//!    `placement_sweep` run).
+//!    and on the disk baseline.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};

@@ -18,13 +18,11 @@
 //! organ-pipe block permutation ([`OrganPipeMap`]) with its bookkeeping
 //! cost, which the bipartite layouts avoid.
 
-mod alloc;
 mod columnar;
 pub(crate) mod organ_pipe;
 mod simple;
 mod subregion;
 
-pub use alloc::{Allocator, DataClass, Extent};
 pub use columnar::ColumnarLayout;
 pub use organ_pipe::{OrganPipeLayout, OrganPipeMap};
 pub use simple::SimpleLayout;

@@ -26,7 +26,8 @@
 //!
 //! With [`PlacementConfig::migrate`] off and the identity initial
 //! placement, the wrapper is proven bit-identical to the bare device
-//! (the zero-cost gate CI enforces, like the zero-fault gate on
+//! (`crates/bench/tests/placement.rs`, as
+//! `tests/degraded_equivalence.rs` proves a zero-fault
 //! `DegradedDevice`).
 
 use storage_sim::{

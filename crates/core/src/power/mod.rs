@@ -14,10 +14,8 @@
 //! compress-to-save-tips optimization the paper sketches.
 
 mod managed;
-mod predictive;
 
 pub use managed::{PowerManagedDevice, PowerStats};
-pub use predictive::PredictiveDevice;
 
 use atlas_disk::DiskEnergyModel;
 use mems_device::MemsEnergyModel;

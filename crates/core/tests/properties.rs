@@ -4,9 +4,7 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::{
     crc8, resolve_transient, ReedSolomon, RetryOutcome, RetryPolicy, StripeCodec, TipSector,
 };
-use mems_os::layout::{
-    Allocator, ColumnarLayout, DataClass, Layout, OrganPipeMap, SimpleLayout, SubregionedLayout,
-};
+use mems_os::layout::{ColumnarLayout, Layout, OrganPipeMap, SimpleLayout, SubregionedLayout};
 use mems_os::placement::{DoublePriorityQueue, FrequencyTracker};
 use mems_os::sched::Algorithm;
 use proptest::prelude::*;
@@ -145,38 +143,6 @@ proptest! {
             let expected: Vec<u64> = (0..lbns.len() as u64).collect();
             prop_assert_eq!(&picked, &expected, "{} lost/duplicated requests", alg.label());
         }
-    }
-
-    /// Allocator invariant: live extents never overlap and stay inside
-    /// their class regions, across arbitrary alloc/free interleavings.
-    #[test]
-    fn allocator_extents_never_overlap(
-        ops in prop::collection::vec((any::<bool>(), 1u64..200), 1..80),
-    ) {
-        let layout = SimpleLayout::new(50_000);
-        let mut a = Allocator::new(&layout);
-        let mut live: Vec<mems_os::layout::Extent> = Vec::new();
-        for (free_instead, size) in ops {
-            if free_instead && !live.is_empty() {
-                let e = live.swap_remove(live.len() / 2);
-                a.release(DataClass::Small, e);
-            } else if let Some(e) = a.allocate(DataClass::Small, size) {
-                prop_assert!(e.end() <= 50_000);
-                for other in &live {
-                    prop_assert!(
-                        e.end() <= other.lbn || other.end() <= e.lbn,
-                        "overlap {:?} vs {:?}", e, other
-                    );
-                }
-                live.push(e);
-            }
-        }
-        // Free everything: the region must coalesce back to one run.
-        for e in live.drain(..) {
-            a.release(DataClass::Small, e);
-        }
-        prop_assert_eq!(a.free_sectors(DataClass::Small), 50_000);
-        prop_assert_eq!(a.fragmentation(DataClass::Small), 0.0);
     }
 
     /// Every layout keeps its two regions disjoint and large requests

@@ -13,7 +13,7 @@ use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::fault::{DegradedDevice, RemapPolicy, RemappedDevice};
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
-use mems_os::power::{PowerManagedDevice, PowerProfile, PredictiveDevice};
+use mems_os::power::{PowerManagedDevice, PowerProfile};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
     FaultKind, IoKind, PositionOracle, Request, SchedCounters, Scheduler, ServiceBreakdown,
@@ -67,16 +67,12 @@ fn identity_wrappers_keep_the_pruned_sptf_pick() {
         );
         assert_eq!(bare.cached_best_hits > 0, !serve, "{bare:?}");
 
-        // Back-to-back service never idles, so neither power wrapper
-        // sleeps and both serve exactly as the bare device.
+        // Back-to-back service never idles, so the power wrapper never
+        // sleeps and serves exactly as the bare device.
         let wrapped = [
             (
                 "power-managed",
                 drain(PowerManagedDevice::new(mems(), profile(), 0.01), serve),
-            ),
-            (
-                "predictive",
-                drain(PredictiveDevice::new(mems(), profile(), 0.5), serve),
             ),
             ("vdev leaf", drain(Vdev::leaf(mems()), serve)),
         ];
@@ -131,10 +127,6 @@ fn wrappers_forward_faults_and_phase_energy() {
     check(
         "power-managed",
         PowerManagedDevice::new(degraded(), profile(), 0.01),
-    );
-    check(
-        "predictive",
-        PredictiveDevice::new(degraded(), profile(), 0.5),
     );
     check(
         "remapped",
@@ -213,13 +205,6 @@ fn pruning_wrappers_forward_seek_hints_unchanged() {
     check(
         "power-managed",
         &PowerManagedDevice::new(r, profile(), 0.01),
-        &hints,
-        true,
-    );
-    let (r, hints) = recorder();
-    check(
-        "predictive",
-        &PredictiveDevice::new(r, profile(), 0.5),
         &hints,
         true,
     );

@@ -174,7 +174,7 @@ impl FleetReport {
     /// Every public field participates — aggregate moments (mean, spread,
     /// extremes, counts) of each statistic plus an FNV-1a rollup of every
     /// per-station report — so a divergence anywhere in the fleet cannot
-    /// slip past the CI identity gates. The benchmark stores recorded
+    /// slip past the identity tests. The benchmark stores recorded
     /// digests per seed, so a change to this format means re-recording
     /// them.
     pub fn digest(&self) -> String {

@@ -8,8 +8,8 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
-    ConstantDevice, Driver, FaultClock, FifoScheduler, IoKind, Request, SimTime, VecWorkload,
-    Workload,
+    ConstantDevice, Driver, FaultClock, FifoScheduler, IoKind, Request, Scheduler, SimTime,
+    StorageDevice, VecWorkload, Workload,
 };
 use storage_trace::RandomWorkload;
 
@@ -153,37 +153,26 @@ fn worker_panic_propagates_instead_of_a_partial_report() {
     );
 }
 
-#[test]
-fn single_station_fleet_reproduces_the_single_loop_driver() {
-    let reqs: Vec<Request> = (0..200)
-        .map(|i| {
-            Request::new(
-                i,
-                SimTime::from_ms(i as f64 * 0.37),
-                (i * 8) % 4096,
-                8,
-                if i % 3 == 0 {
-                    IoKind::Write
-                } else {
-                    IoKind::Read
-                },
-            )
-        })
-        .collect();
-
-    let mut solo = Driver::new(
-        VecWorkload::new(reqs.clone()),
-        FifoScheduler::new(),
-        ConstantDevice::new(10_000, 1e-3),
-    )
-    .record_completions(true);
-    let solo_report = solo.run();
-
+/// A one-station fleet over a leaf volume must reproduce the single-loop
+/// driver bit for bit: the station's report and completion stream, and
+/// the fleet-level stats.
+fn assert_single_station_reproduces_driver<S, D, W>(
+    make_workload: impl Fn() -> W,
+    make_scheduler: impl Fn() -> S,
+    make_device: impl Fn() -> D,
+) where
+    S: Scheduler + Send,
+    D: StorageDevice + Send,
+    W: Workload + Send,
+{
+    let solo_report = Driver::new(make_workload(), make_scheduler(), make_device())
+        .record_completions(true)
+        .run();
     let fleet = FleetEngine::streaming(
-        vec![ConstantDevice::new(10_000, 1e-3)],
-        |_| FifoScheduler::new(),
+        vec![make_device()],
+        |_| make_scheduler(),
         VolumeSpec::leaf(0),
-        VecWorkload::new(reqs),
+        make_workload(),
         FleetConfig::default(),
     )
     .run();
@@ -216,6 +205,37 @@ fn single_station_fleet_reproduces_the_single_loop_driver() {
     assert_eq!(
         fleet.response.mean().to_bits(),
         solo_report.response.mean().to_bits()
+    );
+}
+
+#[test]
+fn single_station_fleet_reproduces_the_single_loop_driver() {
+    // A fixed-cost device under FIFO, over an explicit list with writes.
+    let reqs: Vec<Request> = (0..200)
+        .map(|i| {
+            Request::new(
+                i,
+                SimTime::from_ms(i as f64 * 0.37),
+                (i * 8) % 4096,
+                8,
+                if i % 3 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                },
+            )
+        })
+        .collect();
+    assert_single_station_reproduces_driver(
+        || VecWorkload::new(reqs.clone()),
+        FifoScheduler::new,
+        || ConstantDevice::new(10_000, 1e-3),
+    );
+    // The bare MEMS device under SPTF on the paper's random workload.
+    assert_single_station_reproduces_driver(
+        || RandomWorkload::paper(MEMS_CAPACITY, 500.0, 100, 42),
+        SptfScheduler::new,
+        || MemsDevice::new(MemsParams::default()),
     );
 }
 

@@ -887,7 +887,7 @@ mod tests {
         let s = d.state();
         assert!((s.x - d.mapper().x_of_cylinder(0)).abs() < 1e-12);
         // Ends at the boundary of row 2 (forward read) or row 0 (backward).
-        let fwd_end = d.mapper().y_of_row_end(1);
+        let fwd_end = d.mapper().y_of_row_start(2);
         let bwd_end = d.mapper().y_of_row_start(0);
         assert!(
             (s.y - fwd_end).abs() < 1e-12 || (s.y - bwd_end).abs() < 1e-12,

@@ -149,11 +149,6 @@ impl Mapper {
         f64::from(row) * f64::from(self.sector_bits) * self.bit_width - self.half_mobility
     }
 
-    /// Sled Y offset just past the trailing edge of tip-sector row `row`.
-    pub fn y_of_row_end(&self, row: u32) -> f64 {
-        self.y_of_row_start(row + 1)
-    }
-
     /// Splits the LBN range `[lbn, lbn + sectors)` into track-contiguous
     /// row segments, in ascending order.
     ///
@@ -431,9 +426,9 @@ mod tests {
         let m = mapper();
         let pitch = m.y_of_row_start(1) - m.y_of_row_start(0);
         assert!((pitch - 3.6e-6).abs() < 1e-12);
-        assert_eq!(m.y_of_row_end(0), m.y_of_row_start(1));
-        // 27 rows span 97.2 µm of the 100 µm mobility.
-        let span = m.y_of_row_end(26) - m.y_of_row_start(0);
+        // 27 rows span 97.2 µm of the 100 µm mobility: row 26 ends where
+        // a 28th row would start.
+        let span = m.y_of_row_start(27) - m.y_of_row_start(0);
         assert!((span - 97.2e-6).abs() < 1e-12);
     }
 

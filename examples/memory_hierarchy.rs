@@ -74,8 +74,12 @@ fn main() {
             t_mems * 1e6
         ));
     }
-    let _ = std::fs::create_dir_all("results")
-        .and_then(|_| std::fs::write("results/memory_hierarchy.csv", csv));
+    // The workspace's golden, whatever the working directory.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/memory_hierarchy.csv"
+    );
+    let _ = std::fs::write(golden, csv);
 
     println!();
     println!("the hierarchy argument ([SGNG00]): at every cache size the miss");
