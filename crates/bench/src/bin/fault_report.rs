@@ -56,6 +56,7 @@ fn main() {
         "trials".into(),
         "recovered".into(),
     ]);
+    let mut csv = String::from("corrupted_tip_sectors,trials,recovered\n");
     for erasures in [0usize, 1, 4, 8, 9, 12] {
         let trials = 200;
         let mut recovered = 0;
@@ -82,9 +83,11 @@ fn main() {
             format!("{trials}"),
             format!("{recovered}"),
         ]);
+        csv.push_str(&format!("{erasures},{trials},{recovered}\n"));
     }
     println!("{}", t.render());
     println!("(8 parity tips: everything up to 8 lost tip sectors recovers; 9+ does not)\n");
+    write_csv("fault_ecc.csv", &csv);
 
     // --- §6.1.1: remapping policies --------------------------------------
     println!("== §6.1.1 defective-sector remapping policies ==\n");

@@ -39,7 +39,7 @@
 //! carry no energy numbers — its `energy_j` column is structurally zero
 //! (per-station energy lives in the timeline's `energy_w` series).
 
-use mems_bench::{emit_csv, long_flag};
+use mems_bench::{emit_csv, long_flag, write_info};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_fleet::{
     detect_stragglers, tail_skew, utilization_skew, FleetConfig, FleetEngine, FleetTimeline,
@@ -450,10 +450,6 @@ fn main() {
         migration.summary_json(),
         straggler.engine_profile,
     );
-    let _ = std::fs::create_dir_all("target");
-    let path = std::path::Path::new("target").join("fleet_obs_summary.json");
-    if std::fs::write(&path, &summary).is_ok() {
-        println!("wrote {}", path.display());
-    }
+    write_info("fleet_obs_summary.json", &summary);
     println!("\nall fleet observability checks passed");
 }

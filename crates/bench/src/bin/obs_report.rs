@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use mems_bench::{count_arg, write_csv, Table};
+use mems_bench::{count_arg, write_csv, write_info, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::SptfScheduler;
@@ -271,16 +271,9 @@ fn main() -> ExitCode {
 
     // Raw exports (untracked; for ad-hoc analysis). The summary is the
     // companion cell's migration ledger.
-    let _ = std::fs::create_dir_all("target");
-    let jsonl = std::path::Path::new("target").join("obs_trace.jsonl");
-    let summary = std::path::Path::new("target").join("obs_summary.json");
-    if std::fs::write(&jsonl, trace.to_jsonl()).is_ok() {
-        println!("wrote {}", jsonl.display());
-    }
+    write_info("obs_trace.jsonl", &trace.to_jsonl());
     let ledger = format!("{{\n  \"migration\": {}\n}}\n", migration.summary_json());
-    if std::fs::write(&summary, ledger).is_ok() {
-        println!("wrote {}", summary.display());
-    }
+    write_info("obs_summary.json", &ledger);
 
     if failures > 0 {
         eprintln!("\nobs_report: {failures} check(s) FAILED");

@@ -30,7 +30,7 @@
 use std::process::ExitCode;
 
 use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
-use mems_bench::write_csv;
+use mems_bench::{write_csv, write_info};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, PlacementConfig};
@@ -332,7 +332,6 @@ fn main() -> ExitCode {
     write_csv("telemetry_timeline.csv", &timeline);
     write_csv("telemetry_heatmap.csv", &heatmap_csv);
 
-    let _ = std::fs::create_dir_all("target");
     let summary = format!(
         "{{\n  \"cell\": \"mems_adaptive\",\n  \"completed\": {},\n  \
          \"mean_response_ms\": {:.4},\n  \"background_wait_s\": {:.6},\n  \
@@ -342,10 +341,7 @@ fn main() -> ExitCode {
         adaptive_report.breakdown_sum.background_wait,
         migration.summary_json()
     );
-    let path = std::path::Path::new("target").join("telemetry_summary.json");
-    if std::fs::write(&path, &summary).is_ok() {
-        println!("wrote {}", path.display());
-    }
+    write_info("telemetry_summary.json", &summary);
     if failures > 0 {
         eprintln!("\ntelemetry_report: {failures} check(s) FAILED");
         return ExitCode::FAILURE;

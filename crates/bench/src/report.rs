@@ -100,7 +100,21 @@ pub fn write_csv(name: &str, contents: &str) {
 /// horizon (`long == true`) writes `target/long/<name>` under the
 /// workspace root instead, where no golden lives.
 pub fn emit_csv(long: bool, name: &str, contents: &str) {
-    let dir = Path::new(WORKSPACE).join(if long { "target/long" } else { "results" });
+    write_in(if long { "target/long" } else { "results" }, name, contents);
+}
+
+/// Writes an informational output that no golden holds (a summary JSON or
+/// a trace export) to `target/<name>` under the workspace root, from
+/// whatever directory the binary runs in, as [`write_csv`] does for
+/// `results/`.
+pub fn write_info(name: &str, contents: &str) {
+    write_in("target", name, contents);
+}
+
+/// Writes `contents` to `<dir>/<name>` under the workspace root, creating
+/// the directory if needed, and prints where the file landed.
+fn write_in(dir: &str, name: &str, contents: &str) {
+    let dir = Path::new(WORKSPACE).join(dir);
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;

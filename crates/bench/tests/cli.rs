@@ -4,7 +4,8 @@
 //! `trace_stats` on bad trace records, and the figure binaries on any
 //! argument but their one count or `--long`, before writing a CSV.
 //! `storagesim`'s figures divide by the requests they cover. A figure
-//! binary writes its CSV into the workspace's `results/` from any
+//! binary writes its CSV into the workspace's `results/`, and `obs_report`
+//! its trace and summary into the workspace's `target/`, from any
 //! directory.
 
 use std::path::Path;
@@ -402,32 +403,53 @@ fn fleet_binaries_reject_anything_but_long() {
     }
 }
 
+/// Runs `table1_params` and `obs_report` from a scratch directory: each
+/// rewrites its committed golden byte for byte, every file either writes
+/// lands under the workspace root (`obs_report`'s trace and summary in its
+/// `target/`), and neither leaves a `results/` or `target/` in the scratch
+/// directory or its parent.
 #[test]
 fn figure_csvs_land_in_the_workspace_results_from_any_directory() {
     let parent = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_cwd");
     let dir = parent.join("sub");
     std::fs::create_dir_all(&dir).expect("create scratch directory");
-    for results in [dir.join("results"), parent.join("results")] {
-        let _ = std::fs::remove_dir_all(&results);
+    let strays = [
+        dir.join("results"),
+        parent.join("results"),
+        dir.join("target"),
+        parent.join("target"),
+    ];
+    for stray in &strays {
+        let _ = std::fs::remove_dir_all(stray);
     }
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/table1_params.csv")
+    let workspace = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
         .canonicalize()
-        .expect("committed table1_params.csv");
-    let committed = std::fs::read(&golden).expect("read the committed CSV");
-    let out = Command::new(env!("CARGO_BIN_EXE_table1_params"))
-        .current_dir(&dir)
-        .output()
-        .expect("table1_params runs");
-    let stdout = stdout(&out);
-    let wrote = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("[wrote ")?.strip_suffix(']'))
-        .unwrap_or_else(|| panic!("no [wrote …] line in: {stdout}"));
-    assert_eq!(Path::new(wrote).canonicalize().ok(), Some(golden.clone()));
-    for results in [dir.join("results"), parent.join("results")] {
-        assert!(!results.exists(), "created {}", results.display());
+        .expect("workspace root");
+    for (exe, csv) in [
+        (env!("CARGO_BIN_EXE_table1_params"), "table1_params.csv"),
+        (env!("CARGO_BIN_EXE_obs_report"), "obs_phase_breakdown.csv"),
+    ] {
+        let golden = workspace.join("results").join(csv);
+        let committed = std::fs::read(&golden).expect("read the committed CSV");
+        let out = Command::new(exe)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stdout = stdout(&out);
+        let wrote: Vec<_> = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix("[wrote ")?.strip_suffix(']'))
+            .map(|w| Path::new(w).canonicalize().expect("written file exists"))
+            .collect();
+        assert!(wrote.contains(&golden), "{csv} not written: {stdout}");
+        for path in &wrote {
+            assert!(path.starts_with(&workspace), "wrote {}", path.display());
+        }
+        let rewritten = std::fs::read(&golden).expect("read the rewritten CSV");
+        assert!(rewritten == committed, "{csv} changed");
     }
-    let rewritten = std::fs::read(&golden).expect("read the rewritten CSV");
-    assert!(rewritten == committed, "table1_params.csv changed");
+    for stray in &strays {
+        assert!(!stray.exists(), "created {}", stray.display());
+    }
 }

@@ -219,9 +219,8 @@ fn mems_heatmap_reconciles_with_the_request_stream() {
         .iter()
         .map(|&(lbn, sectors, _)| {
             mapper
-                .segments(lbn, sectors)
-                .iter()
-                .map(|s: &Segment| u64::from(s.rows()))
+                .segment_iter(lbn, sectors)
+                .map(|s: Segment| u64::from(s.rows()))
                 .sum::<u64>()
         })
         .sum();

@@ -202,7 +202,7 @@ impl DegradedDevice<MemsDevice> {
     }
 
     /// A snapshot of the accumulated MEMS fault state, e.g. to drive a
-    /// byte-accurate [`super::ReliableStore`] through the same damage.
+    /// byte-accurate store through the same damage.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.mems.as_ref().map(|m| &m.faults)
     }

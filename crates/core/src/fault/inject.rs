@@ -32,16 +32,18 @@ pub struct MediaDefect {
 /// # Examples
 ///
 /// ```
-/// use mems_device::MemsParams;
+/// use mems_device::{Mapper, MemsParams};
 /// use mems_os::fault::FaultState;
 ///
 /// let params = MemsParams::default();
 /// let mut faults = FaultState::new(&params);
 /// faults.fail_tip(100);
-/// // Tip 100 serves stripe slot (100 % 64) of specific sector slots; any
-/// // logical sector it participates in now has one erasure.
-/// let affected = faults.stripe_erasures_for_tip_group(100 / 64, 0);
-/// assert_eq!(affected, 1);
+/// // Tip 100 is one of the 64 tips (64..128) that stripe every sector in
+/// // slot 1 of track 0, such as LBN 1: that sector now has one erasure,
+/// // and LBN 0 in slot 0 none.
+/// let mapper = Mapper::new(&params);
+/// assert_eq!(faults.stripe_erasures_for_lbn(&mapper, 1), 1);
+/// assert_eq!(faults.stripe_erasures_for_lbn(&mapper, 0), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultState {
@@ -127,16 +129,6 @@ impl FaultState {
                 .defects
                 .iter()
                 .any(|d| d.tip == tip && (d.row_start..=d.row_end).contains(&row))
-    }
-
-    /// Erasure count of the stripe serving slot 0 of a tip group and row:
-    /// how many of the 64 consecutive tips backing one logical sector are
-    /// unreadable there. `group` indexes runs of 64 tips.
-    pub fn stripe_erasures_for_tip_group(&self, group: u32, row: u32) -> usize {
-        let first = group * 64;
-        (first..first + 64)
-            .filter(|&t| t < self.tips && self.tip_sector_lost(t, row))
-            .count()
     }
 
     /// Erasure count for the stripe backing a logical sector, given the

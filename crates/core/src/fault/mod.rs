@@ -33,7 +33,6 @@ mod remap;
 mod rmw;
 mod rs;
 mod seek_error;
-mod store;
 mod stripe;
 mod vertical;
 
@@ -48,6 +47,5 @@ pub use seek_error::{
     disk_seek_error_penalty, mems_seek_error_penalty, resolve_transient, RetryOutcome, RetryPolicy,
     SeekErrorPenalty,
 };
-pub use store::ReliableStore;
 pub use stripe::{StripeCodec, DATA_TIPS, TIP_BYTES};
 pub use vertical::{crc8, TipSector};

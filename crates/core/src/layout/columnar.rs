@@ -87,7 +87,7 @@ impl Layout for ColumnarLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::ranges_len;
+    use crate::layout::tests::ranges_len;
     use mems_device::MemsParams;
 
     fn layout() -> ColumnarLayout {

@@ -47,11 +47,6 @@ pub trait Layout {
     fn large_ranges(&self) -> &[Range<u64>];
 }
 
-/// Total number of sectors across a set of ranges.
-pub fn ranges_len(ranges: &[Range<u64>]) -> u64 {
-    ranges.iter().map(|r| r.end - r.start).sum()
-}
-
 /// Samples an aligned start LBN for a request of `sectors` sectors,
 /// uniform over the usable positions of `ranges`.
 ///
@@ -195,6 +190,12 @@ impl Workload for BipartiteWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total number of sectors across a set of ranges: the layouts' tests
+    /// check their region sizes with it.
+    pub(super) fn ranges_len(ranges: &[Range<u64>]) -> u64 {
+        ranges.iter().map(|r| r.end - r.start).sum()
+    }
 
     struct TwoRegion {
         small: Vec<Range<u64>>,

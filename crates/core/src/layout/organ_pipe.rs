@@ -249,7 +249,7 @@ impl Layout for OrganPipeLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::ranges_len;
+    use crate::layout::tests::ranges_len;
 
     #[test]
     fn center_out_slots_alternate_and_cover_every_slot() {

@@ -54,12 +54,13 @@ impl Layout for SimpleLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::tests::ranges_len;
 
     #[test]
     fn covers_whole_device() {
         let l = SimpleLayout::new(6_750_000);
-        assert_eq!(super::super::ranges_len(l.small_ranges()), 6_750_000);
-        assert_eq!(super::super::ranges_len(l.large_ranges()), 6_750_000);
+        assert_eq!(ranges_len(l.small_ranges()), 6_750_000);
+        assert_eq!(ranges_len(l.large_ranges()), 6_750_000);
         assert_eq!(l.name(), "simple");
     }
 

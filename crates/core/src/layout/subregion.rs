@@ -110,7 +110,7 @@ impl Layout for SubregionedLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::ranges_len;
+    use crate::layout::tests::ranges_len;
     use mems_device::{Mapper, MemsParams};
 
     fn layout() -> SubregionedLayout {

@@ -343,11 +343,6 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
         &self.cfg
     }
 
-    /// Whole blocks under management.
-    pub fn managed_blocks(&self) -> u32 {
-        self.n_blocks
-    }
-
     /// Migration-side accounting (separate from foreground stats).
     pub fn migration_stats(&self) -> &MigrationStats {
         &self.stats
@@ -356,25 +351,6 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
     /// The frequency tracker (decayed per-block heat).
     pub fn tracker(&self) -> &FrequencyTracker {
         &self.tracker
-    }
-
-    /// Physical slot currently holding logical `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn slot_of_block(&self, block: u32) -> u32 {
-        self.log_to_phys[block as usize]
-    }
-
-    /// Center-out desirability rank of logical `block`'s current slot
-    /// (0 = the cheapest, center slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    pub fn rank_of_block(&self, block: u32) -> u32 {
-        self.rank_of_slot[self.log_to_phys[block as usize] as usize]
     }
 
     /// Maps a logical request to its physical location. Multi-block
@@ -705,13 +681,19 @@ mod tests {
         Request::new(id, SimTime::from_ms(at_ms), lbn, 8, IoKind::Read)
     }
 
+    /// Center-out desirability rank of logical `block`'s current slot
+    /// (0 = the cheapest, center slot).
+    fn block_rank<D>(dev: &AdaptiveDevice<D>, block: u32) -> u32 {
+        dev.rank_of_slot[dev.log_to_phys[block as usize] as usize]
+    }
+
     #[test]
     fn hot_block_migrates_toward_center() {
         let mut dev = AdaptiveDevice::new(mems(), cfg());
         // Hammer a block at the far edge of the device, with idle gaps.
         let hot_block = 2u32;
         let lbn = u64::from(hot_block) * 2700 + 100;
-        let start_rank = dev.rank_of_block(hot_block);
+        let start_rank = block_rank(&dev, hot_block);
         for i in 0..40 {
             let b = dev.service(
                 &read(i, 10.0 * i as f64, lbn),
@@ -732,10 +714,10 @@ mod tests {
         assert!(stats.busy_secs > 0.0);
         assert!(stats.energy_j > 0.0);
         assert!(
-            dev.rank_of_block(hot_block) < start_rank,
+            block_rank(&dev, hot_block) < start_rank,
             "rank should improve: {} -> {}",
             start_rank,
-            dev.rank_of_block(hot_block)
+            block_rank(&dev, hot_block)
         );
     }
 
@@ -750,14 +732,14 @@ mod tests {
             );
         }
         assert!(dev.migration_stats().swaps >= 1);
-        let slot = dev.slot_of_block(2);
+        let slot = dev.log_to_phys[2];
         assert_ne!(slot, 2);
         let eff = dev.map_request(&read(99, 0.0, lbn));
         assert_eq!(eff.lbn, u64::from(slot) * 2700 + 100);
         // The mapping is a permutation: some other block now maps to the
         // hot block's old home.
         let displaced = dev.phys_to_log[2];
-        assert_eq!(dev.slot_of_block(displaced), 2);
+        assert_eq!(dev.log_to_phys[displaced as usize], 2);
     }
 
     #[test]
@@ -804,8 +786,8 @@ mod tests {
         assert!(dev.migration_stats().swaps >= 1);
         dev.reset();
         assert_eq!(dev.migration_stats().swaps, 0);
-        for block in 0..dev.managed_blocks() {
-            assert_eq!(dev.slot_of_block(block), block);
+        for block in 0..dev.n_blocks {
+            assert_eq!(dev.log_to_phys[block as usize], block);
         }
         assert_eq!(dev.tracker().weight(2), 0.0);
     }
@@ -813,7 +795,7 @@ mod tests {
     #[test]
     fn organ_pipe_initial_placement_applies() {
         let base = AdaptiveDevice::new(mems(), cfg());
-        let n = base.managed_blocks() as usize;
+        let n = base.n_blocks as usize;
         // Block 7 hottest, everything else uniform.
         let mut freqs = vec![1.0; n];
         freqs[7] = 100.0;
@@ -826,10 +808,10 @@ mod tests {
             },
         )
         .with_initial_placement(&map);
-        assert_eq!(dev.rank_of_block(7), 0, "hottest block sits at rank 0");
+        assert_eq!(block_rank(&dev, 7), 0, "hottest block sits at rank 0");
         let req = read(0, 0.0, 7 * 2700 + 5);
         let eff = dev.map_request(&req);
-        assert_eq!(eff.lbn, u64::from(dev.slot_of_block(7)) * 2700 + 5);
+        assert_eq!(eff.lbn, u64::from(dev.log_to_phys[7]) * 2700 + 5);
     }
 
     #[test]
@@ -849,7 +831,7 @@ mod tests {
             },
         )
         .with_initial_placement(&map);
-        assert_eq!(dev.slot_of_block(7), 9);
+        assert_eq!(dev.log_to_phys[7], 9);
         // A spanning request from block 7 extends contiguously from its
         // mapped start and clamps at the device capacity.
         let req = Request::new(0, SimTime::ZERO, 75, 10, IoKind::Read);

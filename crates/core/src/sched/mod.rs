@@ -16,7 +16,7 @@ mod sptf;
 mod sstf;
 
 pub use clook::ClookScheduler;
-pub use sptf::{NaiveSptfScheduler, SptfScheduler};
+pub use sptf::SptfScheduler;
 pub use sstf::SstfScheduler;
 
 pub use storage_sim::FifoScheduler;
@@ -68,6 +68,9 @@ impl Algorithm {
         }
     }
 }
+
+#[cfg(test)]
+mod naive_sptf;
 
 #[cfg(test)]
 mod tests {

@@ -28,10 +28,10 @@
 //!
 //! Both prunes fire only on a *strict* excess, and ties between exact
 //! scores break on enqueue order, so the pruned pick is bit-identical to
-//! the naive full scan ([`NaiveSptfScheduler`], kept as the reference the
-//! equivalence tests run against). Devices that do not implement the
-//! bucket interface fall back to all-buckets-0, degrading gracefully to
-//! the exact full scan.
+//! the naive full scan (the test-only reference in `sched/naive_sptf.rs`
+//! that the equivalence tests run against). Devices that do not implement
+//! the bucket interface fall back to all-buckets-0, degrading gracefully
+//! to the exact full scan.
 //!
 //! # Incremental candidate maintenance
 //!
@@ -388,64 +388,10 @@ impl Scheduler for SptfScheduler {
     }
 }
 
-/// The exact O(n)-scan SPTF the pruned implementation must match pick for
-/// pick: scan every pending request in enqueue order, keep the strict
-/// minimum. Retained as the equivalence-test reference and the
-/// scheduler micro-benchmark's baseline.
-#[derive(Debug, Default)]
-pub struct NaiveSptfScheduler {
-    pending: Vec<Request>,
-    counters: SchedCounters,
-}
-
-impl NaiveSptfScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for NaiveSptfScheduler {
-    fn name(&self) -> &str {
-        "SPTF"
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        self.pending.push(req);
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.counters.picks += 1;
-        self.counters.candidates_examined += self.pending.len() as u64;
-        let mut best = 0usize;
-        let mut best_time = f64::INFINITY;
-        for (i, req) in self.pending.iter().enumerate() {
-            let t = device.position_time(req, now);
-            if t < best_time {
-                best_time = t;
-                best = i;
-            }
-        }
-        // Order-preserving removal keeps the scan's tie-break (earliest
-        // enqueue wins) stable across picks.
-        Some(self.pending.remove(best))
-    }
-
-    fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.counters
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::naive_sptf::NaiveSptfScheduler;
     use mems_device::{MemsDevice, MemsParams};
     use std::cell::RefCell;
     use storage_sim::{ConstantDevice, IoKind, StorageDevice};

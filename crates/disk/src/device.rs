@@ -69,11 +69,6 @@ impl DiskDevice {
         self.mapper.params()
     }
 
-    /// Current arm cylinder.
-    pub fn arm_cylinder(&self) -> u32 {
-        self.cylinder
-    }
-
     /// Computes the positioning components for a request issued at `now`
     /// from the current arm position: (arm time, rotational latency).
     fn positioning(&self, req: &Request, now: SimTime) -> (f64, f64) {
@@ -269,7 +264,7 @@ mod tests {
         let far = d.capacity_lbns() - 400;
         let b = d.service(&req(far, 8, IoKind::Read), SimTime::ZERO);
         assert!(b.seek_x > 9e-3, "full-stroke-ish seek {}", b.seek_x);
-        assert_eq!(d.arm_cylinder(), d.params().cylinders - 1);
+        assert_eq!(d.cylinder, d.params().cylinders - 1);
     }
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
         let t1 = d.position_time(&r, SimTime::ZERO);
         let t2 = d.position_time(&r, SimTime::ZERO);
         assert_eq!(t1, t2);
-        assert_eq!(d.arm_cylinder(), 0);
+        assert_eq!(d.cylinder, 0);
     }
 
     #[test]
@@ -397,9 +392,9 @@ mod tests {
     fn reset_parks_the_arm() {
         let mut d = disk();
         let _ = d.service(&req(8_000_000, 8, IoKind::Read), SimTime::ZERO);
-        assert_ne!(d.arm_cylinder(), 0);
+        assert_ne!(d.cylinder, 0);
         d.reset();
-        assert_eq!(d.arm_cylinder(), 0);
+        assert_eq!(d.cylinder, 0);
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl DiskParams {
         self.total_sectors() * 512
     }
 
-    /// Media transfer rate in bytes/second in the zone holding `lbn`.
-    pub fn media_rate_at(&self, lbn: u64) -> f64 {
-        let zone = self.zone_of(lbn);
-        f64::from(zone.sectors_per_track) * 512.0 / self.revolution_time()
-    }
-
     /// The zone containing `lbn`.
     ///
     /// # Panics
@@ -250,8 +244,11 @@ mod tests {
         // §2.4.12: "as much as a 46% difference between the maximum
         // bandwidth at the innermost and outermost tracks".
         let p = DiskParams::quantum_atlas_10k();
-        let outer = p.media_rate_at(0);
-        let inner = p.media_rate_at(p.total_sectors() - 1);
+        // Media transfer rate in bytes/second in the zone holding `lbn`.
+        let rate_at =
+            |lbn| f64::from(p.zone_of(lbn).sectors_per_track) * 512.0 / p.revolution_time();
+        let outer = rate_at(0);
+        let inner = rate_at(p.total_sectors() - 1);
         let ratio = outer / inner;
         assert!((ratio - 1.46).abs() < 0.02, "ratio {ratio}");
         // §5.2: streaming rates 28.5 → 19.5 MB/s.

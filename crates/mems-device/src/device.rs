@@ -403,13 +403,9 @@ impl MemsDevice {
         (b, pos)
     }
 
-    /// Positioning time (max of X-seek+settle and Y-seek) to the first
-    /// segment of a request, without transferring — SPTF's metric.
-    pub fn positioning_only(&self, from: SledState, req: &Request) -> f64 {
-        self.positioning_at(&self.quantize(from), req)
-    }
-
-    /// [`MemsDevice::positioning_only`] from a quantized state.
+    /// Positioning time (max of X-seek+settle and Y-seek) from a quantized
+    /// state to the first segment of a request, without transferring —
+    /// SPTF's metric.
     fn positioning_at(&self, from: &Pos, req: &Request) -> f64 {
         // Only the first segment positions; later segments are turnarounds
         // accounted to the transfer stream. `first_segment` avoids

@@ -150,21 +150,11 @@ impl Mapper {
     }
 
     /// Splits the LBN range `[lbn, lbn + sectors)` into track-contiguous
-    /// row segments, in ascending order.
+    /// row segments, in ascending order, produced one at a time without
+    /// allocating — the form the service and positioning hot paths consume.
     ///
     /// Each segment covers rows `row_start..=row_end` of one
     /// `(cylinder, track)`; every row transfers in one sled pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the device capacity or is empty.
-    pub fn segments(&self, lbn: u64, sectors: u32) -> Vec<Segment> {
-        self.segment_iter(lbn, sectors).collect()
-    }
-
-    /// Iterator form of [`Mapper::segments`]: the same track-contiguous
-    /// spans in the same order, produced one at a time without allocating
-    /// — the form the service and positioning hot paths consume.
     ///
     /// # Panics
     ///
@@ -435,7 +425,7 @@ mod tests {
     #[test]
     fn single_row_request_is_one_segment() {
         let m = mapper();
-        let segs = m.segments(5, 8);
+        let segs: Vec<Segment> = m.segment_iter(5, 8).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].rows(), 1);
         assert_eq!(segs[0].cylinder, 0);
@@ -445,7 +435,7 @@ mod tests {
     fn row_straddling_request_spans_two_rows() {
         let m = mapper();
         // Sectors 15..23 straddle rows 0 and 1.
-        let segs = m.segments(15, 8);
+        let segs: Vec<Segment> = m.segment_iter(15, 8).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!((segs[0].row_start, segs[0].row_end), (0, 1));
         assert_eq!(segs[0].rows(), 2);
@@ -455,7 +445,7 @@ mod tests {
     fn track_crossing_request_splits_segments() {
         let m = mapper();
         // Track 0 holds sectors 0..540; request 530..550 crosses into track 1.
-        let segs = m.segments(530, 20);
+        let segs: Vec<Segment> = m.segment_iter(530, 20).collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(
             (segs[0].track, segs[0].row_start, segs[0].row_end),
@@ -471,7 +461,7 @@ mod tests {
     fn cylinder_crossing_request_changes_cylinder() {
         let m = mapper();
         // Sectors 2690..2710 cross from cylinder 0 track 4 to cylinder 1 track 0.
-        let segs = m.segments(2690, 20);
+        let segs: Vec<Segment> = m.segment_iter(2690, 20).collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].cylinder, 0);
         assert_eq!(segs[0].track, 4);
@@ -483,7 +473,7 @@ mod tests {
     fn table2_track_length_request_covers_17_rows() {
         // Table 2 uses 334-sector transfers: ⌈334/20⌉ = 17 row passes.
         let m = mapper();
-        let segs = m.segments(0, 334);
+        let segs: Vec<Segment> = m.segment_iter(0, 334).collect();
         let rows: u32 = segs.iter().map(Segment::rows).sum();
         assert_eq!(rows, 17);
         assert_eq!(segs.len(), 1, "334 sectors fit in one 540-sector track");
@@ -492,7 +482,7 @@ mod tests {
     #[test]
     fn large_request_rows_are_contiguous() {
         let m = mapper();
-        let segs = m.segments(100, 5000);
+        let segs: Vec<Segment> = m.segment_iter(100, 5000).collect();
         // Segments tile the row range without gaps.
         let mut prev: Option<Segment> = None;
         for s in &segs {
@@ -570,7 +560,7 @@ mod tests {
                 // cylinder boundaries.
                 let sectors = (lbn % 1200 + 1).min(total - lbn) as u32;
                 assert_eq!(
-                    m.segments(lbn, sectors),
+                    m.segment_iter(lbn, sectors).collect::<Vec<_>>(),
                     segments_by_division(&g, lbn, sectors),
                     "LBN {lbn} + {sectors}"
                 );

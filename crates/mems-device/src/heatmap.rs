@@ -128,7 +128,7 @@ impl MediaHeatmap {
     /// # Panics
     ///
     /// Panics if the request is empty or runs beyond the device capacity
-    /// (same contract as [`crate::Mapper::segments`]).
+    /// (same contract as [`crate::Mapper::segment_iter`]).
     pub fn record(&mut self, lbn: u64, sectors: u32, energy_j: f64) {
         assert!(sectors > 0, "empty request");
         let end = lbn + u64::from(sectors);

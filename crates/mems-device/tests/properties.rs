@@ -113,7 +113,7 @@ proptest! {
         sectors in 1u32..4096,
     ) {
         let m = Mapper::new(&MemsParams::default());
-        let segs = m.segments(lbn, sectors);
+        let segs: Vec<_> = m.segment_iter(lbn, sectors).collect();
         let total_rows: u32 = segs.iter().map(|s| s.rows()).sum();
         let first_row = lbn / 20;
         let last_row = (lbn + u64::from(sectors) - 1) / 20;

@@ -152,11 +152,6 @@ impl ResponseStats {
         }
     }
 
-    /// Whether this collection was built with [`ResponseStats::streaming`].
-    pub fn is_streaming(&self) -> bool {
-        self.histogram.is_some()
-    }
-
     /// Records one response time in seconds.
     pub fn push(&mut self, secs: f64) {
         self.welford.push(secs);
@@ -384,11 +379,6 @@ impl LogHistogram {
         LogHistogram::new(10e-6, 20)
     }
 
-    /// The bin-width ratio `r = 10^(1/bins_per_decade)`.
-    pub fn bin_ratio(&self) -> f64 {
-        self.ln_ratio.exp()
-    }
-
     /// Whether `other` uses the same binning law (and may be merged).
     pub fn same_law(&self, other: &LogHistogram) -> bool {
         self.lo == other.lo && self.bins_per_decade == other.bins_per_decade
@@ -581,14 +571,14 @@ mod tests {
             exact.push(x);
             streamed.push(x);
         }
-        assert!(streamed.is_streaming() && !exact.is_streaming());
+        assert!(streamed.histogram.is_some() && exact.histogram.is_none());
         // Moments are Welford-derived in both modes: identical bits.
         assert_eq!(exact.count(), streamed.count());
         assert_eq!(exact.mean().to_bits(), streamed.mean().to_bits());
         assert_eq!(exact.std_dev().to_bits(), streamed.std_dev().to_bits());
         assert_eq!(exact.max().to_bits(), streamed.max().to_bits());
         // Percentiles agree to within one log-spaced bin.
-        let ratio = LogHistogram::response_times().bin_ratio();
+        let ratio = LogHistogram::response_times().ln_ratio.exp();
         for q in [0.5, 0.95, 0.99] {
             let est = streamed.percentile(q);
             let truth = exact.percentile(q);
@@ -624,7 +614,7 @@ mod tests {
                 h.push(x);
                 exact.push(x);
             }
-            let ratio = h.bin_ratio();
+            let ratio = h.ln_ratio.exp();
             for q in [0.5, 0.95, 0.99] {
                 let est = h.quantile(q);
                 let truth = exact.percentile(q);

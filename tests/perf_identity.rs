@@ -16,10 +16,14 @@
 //! queue-sized one replaced, so a change that keeps the picks but silently
 //! stops pruning or caching fails too.
 
+#[path = "../crates/core/src/sched/naive_sptf.rs"]
+mod naive_sptf;
+
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::sched::{NaiveSptfScheduler, SptfScheduler};
+use mems_os::sched::SptfScheduler;
+use naive_sptf::NaiveSptfScheduler;
 use std::rc::Rc;
 
 use storage_sim::{

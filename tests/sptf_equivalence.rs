@@ -5,9 +5,13 @@
 //! system-level guarantee behind the perf work: the fast path changes how
 //! quickly the pick is found, never which request is picked.
 
+#[path = "../crates/core/src/sched/naive_sptf.rs"]
+mod naive_sptf;
+
 use mems_bench::run_one;
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
+use mems_os::sched::{Algorithm, SptfScheduler};
+use naive_sptf::NaiveSptfScheduler;
 use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
 
