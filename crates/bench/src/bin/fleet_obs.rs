@@ -46,7 +46,7 @@ use mems_fleet::{
     ProgressSeries, RebuildPlan, StationHealth, VolumeSpec,
 };
 use mems_os::fault::DegradedDevice;
-use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
+use mems_os::placement::{AdaptiveDevice, MigrationStats, BLOCK_SECTORS};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{FaultClock, IoKind, NoopTracer, SimReport, SimTime, Telemetry};
 use storage_trace::{RandomWorkload, ZipfWorkload};
@@ -75,13 +75,12 @@ const STRAGGLER_STATION: usize = 5;
 /// pure service time.
 const STRAGGLER_FAILED_TIPS: usize = 640;
 
-/// The adaptive cell: Zipf(0.99) over 512 KB placement blocks in ON/OFF
-/// bursts (same tuning as `placement_sweep`). The stripe unit equals the
-/// block size, so each hot fleet block lands whole on one station and
-/// stays hot in that station's local LBN space.
+/// The adaptive cell: Zipf(0.99) over the placement blocks in ON/OFF
+/// bursts. The stripe unit equals the block size, so each hot fleet
+/// block lands whole on one station and stays hot in that station's
+/// local LBN space.
 const ADAPTIVE_DEVICES: usize = 4;
 const ADAPTIVE_REQUESTS: u64 = 20_000;
-const ADAPTIVE_BLOCK_SECTORS: u32 = 1024;
 /// Fleet-level bursts: `50 × stations` requests per ON phase, so each
 /// station sees the same ~50-request bursts and ~60 ms idle gaps the
 /// single-device placement sweep tunes its idle-window migration for.
@@ -241,10 +240,12 @@ fn straggler_cell(
 
     println!(
         "fleet16:  {} sub-I/Os, {} windows at {:.1} ms; station {STRAGGLER_STATION} \
-         flagged at window {enter_window} ({} faults); util skew {uskew:.3}, tail skew {tskew:.3}",
+         flagged at detector window {enter_window} of {:.1} ms ({} faults); \
+         util skew {uskew:.3}, tail skew {tskew:.3}",
         report.subs_completed,
         timeline.windows().len(),
         timeline.window_secs() * 1e3,
+        stragglers.window_secs * 1e3,
         report.fault_events,
     );
     println!(
@@ -357,29 +358,19 @@ fn rebuild_cell(
 /// adaptive-placement stations.
 fn adaptive_cell(scale: u64) -> MigrationStats {
     let params = MemsParams::default();
-    let volume = VolumeSpec::flat(ADAPTIVE_DEVICES, ADAPTIVE_BLOCK_SECTORS);
+    let volume = VolumeSpec::flat(ADAPTIVE_DEVICES, BLOCK_SECTORS);
     let workload = ZipfWorkload::new(
         volume.capacity(MEMS_CAPACITY),
-        ADAPTIVE_BLOCK_SECTORS,
+        BLOCK_SECTORS,
         0.99,
         RATE_PER_DEV * ADAPTIVE_DEVICES as f64,
         ADAPTIVE_REQUESTS * scale,
         WORKLOAD_SEED,
     )
     .bursty(ADAPTIVE_BURST_LEN, ADAPTIVE_BURST_IDLE);
-    let placement = PlacementConfig {
-        block_sectors: ADAPTIVE_BLOCK_SECTORS,
-        half_life: 1.0,
-        idle_window: 4e-3,
-        max_swaps_per_window: 4,
-        hysteresis: 1.5,
-        min_rank_gain: 64,
-        min_heat: 4.0,
-        migrate: true,
-    };
     let run = FleetEngine::streaming(
         (0..ADAPTIVE_DEVICES)
-            .map(|_| AdaptiveDevice::new(MemsDevice::new(params.clone()), placement))
+            .map(|_| AdaptiveDevice::new(MemsDevice::new(params.clone()), true))
             .collect(),
         |_| SptfScheduler::new(),
         volume,

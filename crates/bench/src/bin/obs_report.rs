@@ -18,54 +18,26 @@
 //! Outputs: an aligned phase table on stdout (from the report's
 //! `breakdown_sum`), `results/obs_phase_breakdown.csv` (committed; CI
 //! diffs it against the golden), and the raw event stream as
-//! `target/obs_trace.jsonl` (untracked).
-//!
-//! A companion cell runs the same device behind the adaptive-placement
-//! wrapper on a skewed bursty stream; its migration ledger (swaps, chunk
-//! tails, foreground wait) goes to `target/obs_summary.json` (untracked).
-//! The companion runs separately because the main cell must stay a bare
-//! [`MemsDevice`] — the closed-form replay gate depends on it.
+//! `target/obs_trace.jsonl` (untracked). The migration ledger of an
+//! adaptive-placement cell is `telemetry_report`'s
+//! (`target/telemetry_summary.json`).
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 use mems_bench::{count_arg, write_csv, write_info, Table};
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::placement::{AdaptiveDevice, PlacementConfig};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
     Driver, PhaseEnergy, Request, RingTracer, ServiceBreakdown, SimTime, StorageDevice, TraceEvent,
 };
-use storage_trace::{RandomWorkload, ZipfWorkload};
+use storage_trace::RandomWorkload;
 
 const SEED: u64 = 0x5EED_0006;
 const RATE: f64 = 1000.0;
 /// Agreement tolerance between traced phases and recomputed/closed-form
 /// values, seconds.
 const TOL: f64 = 1e-9;
-/// Companion migration cell: Zipf(0.99) over 512 KB placement blocks in
-/// ON/OFF bursts — the regime idle-window migration is built for (same
-/// tuning as `placement_sweep`).
-const MIGRATION_SEED: u64 = 42;
-const MIGRATION_RATE: f64 = 500.0;
-const MIGRATION_REQUESTS: u64 = 20_000;
-const MIGRATION_BLOCK_SECTORS: u32 = 1024;
-const MIGRATION_BURST_LEN: u64 = 50;
-const MIGRATION_BURST_IDLE: f64 = 0.060;
-
-fn migration_placement() -> PlacementConfig {
-    PlacementConfig {
-        block_sectors: MIGRATION_BLOCK_SECTORS,
-        half_life: 1.0,
-        idle_window: 4e-3,
-        max_swaps_per_window: 4,
-        hysteresis: 1.5,
-        min_rank_gain: 64,
-        min_heat: 4.0,
-        migrate: true,
-    }
-}
-
 fn main() -> ExitCode {
     let requests = count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 2_000);
     let params = MemsParams::default();
@@ -235,45 +207,8 @@ fn main() -> ExitCode {
     );
     println!("replay worst err   {replay_worst:8.2e} s vs closed-form kinematics");
 
-    // Companion cell: adaptive placement on a skewed bursty stream. Only
-    // its migration ledger feeds the summary; the traced cell above stays
-    // untouched.
-    let mut adaptive = Driver::new(
-        ZipfWorkload::new(
-            capacity,
-            MIGRATION_BLOCK_SECTORS,
-            0.99,
-            MIGRATION_RATE,
-            MIGRATION_REQUESTS,
-            MIGRATION_SEED,
-        )
-        .bursty(MIGRATION_BURST_LEN, MIGRATION_BURST_IDLE),
-        SptfScheduler::new(),
-        AdaptiveDevice::new(
-            MemsDevice::new(MemsParams::default()),
-            migration_placement(),
-        ),
-    );
-    let adaptive_report = adaptive.run();
-    let migration = adaptive.device().migration_stats().clone();
-    if migration.swaps == 0 {
-        eprintln!("FAIL: companion cell performed no migrations on a skewed bursty stream");
-        failures += 1;
-    }
-    println!(
-        "migration cell     {:8} swaps ({} chunk I/Os, {:.3} ms mean chunk, {:.3} ms foreground wait over {} requests)",
-        migration.swaps,
-        migration.chunk_ios,
-        migration.chunk_time.mean() * 1e3,
-        migration.foreground_wait_secs * 1e3,
-        adaptive_report.completed,
-    );
-
-    // Raw exports (untracked; for ad-hoc analysis). The summary is the
-    // companion cell's migration ledger.
+    // Raw export (untracked; for ad-hoc analysis).
     write_info("obs_trace.jsonl", &trace.to_jsonl());
-    let ledger = format!("{{\n  \"migration\": {}\n}}\n", migration.summary_json());
-    write_info("obs_summary.json", &ledger);
 
     if failures > 0 {
         eprintln!("\nobs_report: {failures} check(s) FAILED");

@@ -35,19 +35,13 @@
 use mems_bench::{emit_csv, long_flag, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::layout::OrganPipeMap;
-use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
+use mems_os::placement::{AdaptiveDevice, MigrationStats, BLOCK_SECTORS};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{Driver, SimReport, Workload};
 use storage_trace::{ShiftingHotspotWorkload, ZipfWorkload};
 
 const MEMS_CAPACITY: u64 = 6_750_000;
 const WORKLOAD_SEED: u64 = 42;
-/// Placement granularity: 512 KB blocks (1024 sectors). Coarse blocks
-/// matter twice: each hot block collects enough accesses per half-life
-/// for its decayed weight to be a low-noise signal (fine blocks thrash
-/// — similar-weight hot blocks endlessly displace each other), and the
-/// whole working set moves in tens of swaps rather than hundreds.
-const BLOCK_SECTORS: u32 = 1024;
 const RATE: f64 = 500.0;
 const REQUESTS: u64 = 900_000;
 const WARMUP: u64 = 2_000;
@@ -71,45 +65,6 @@ const HOT_FRACTION: f64 = 0.9;
 const BURST_LEN: u64 = 50;
 const BURST_IDLE: f64 = 0.060;
 
-fn placement_config(migrate: bool) -> PlacementConfig {
-    PlacementConfig {
-        block_sectors: BLOCK_SECTORS,
-        // Half-life well under the epoch: ex-working-set blocks decay
-        // to displaceable within ~1–2 s of the shift, so the new set
-        // can take over the center early in its epoch.
-        half_life: 1.0,
-        idle_window: 4e-3,
-        max_swaps_per_window: 4,
-        hysteresis: 1.5,
-        // The working set is ~220 blocks; once a block is inside the
-        // innermost ~couple hundred ranks, further inward shuffling buys
-        // nothing. 64 ranks ≈ 32 cylinders of displacement minimum.
-        min_rank_gain: 64,
-        // Hot blocks sustain ~10 decayed accesses; Poisson clustering
-        // on warm Zipf-tail blocks rarely spikes past 4, so the floor
-        // keeps the tail from buying migrations it cannot repay.
-        min_heat: 4.0,
-        migrate,
-    }
-}
-
-/// Offline frequency census: accesses per placement block over the
-/// whole request stream (the same spanning-block rule the tracker
-/// uses).
-fn census(mut workload: impl Workload, capacity: u64) -> Vec<f64> {
-    let bs = u64::from(BLOCK_SECTORS);
-    let n_blocks = (capacity / bs) as usize;
-    let mut freqs = vec![0.0f64; n_blocks];
-    while let Some(r) = workload.next_request() {
-        let first = r.lbn / bs;
-        let last = (r.end_lbn().max(r.lbn + 1) - 1) / bs;
-        for b in first..=last.min(n_blocks as u64 - 1) {
-            freqs[b as usize] += 1.0;
-        }
-    }
-    freqs
-}
-
 /// One series: runs a fresh `make()` stream and returns the report plus
 /// the wrapper's migration stats (`None` for the bare series).
 fn run_series<W: Workload>(
@@ -129,9 +84,9 @@ fn run_series<W: Workload>(
             (driver.run(), None)
         }
         "organ_static" => {
-            let map = OrganPipeMap::build(&census(make(), MEMS_CAPACITY));
-            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), placement_config(false))
-                .with_initial_placement(&map);
+            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), false);
+            let map = OrganPipeMap::build(&dev.census(make()));
+            let dev = dev.with_initial_placement(&map);
             let mut driver =
                 Driver::new(workload, SptfScheduler::new(), dev).warmup_requests(WARMUP);
             let report = driver.run();
@@ -139,7 +94,7 @@ fn run_series<W: Workload>(
             (report, Some(stats))
         }
         "adaptive" => {
-            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), placement_config(true));
+            let dev = AdaptiveDevice::new(MemsDevice::new(params.clone()), true);
             let mut driver =
                 Driver::new(workload, SptfScheduler::new(), dev).warmup_requests(WARMUP);
             let report = driver.run();

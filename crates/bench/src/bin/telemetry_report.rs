@@ -33,7 +33,7 @@ use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
 use mems_bench::{write_csv, write_info};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::placement::{AdaptiveDevice, PlacementConfig};
+use mems_os::placement::{AdaptiveDevice, BLOCK_SECTORS};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
 use storage_sim::{
     Driver, FaultClock, RingTracer, SimReport, SimTime, Telemetry, TraceEvent, TracerPair,
@@ -56,28 +56,13 @@ const MAX_WINDOWS: usize = 256;
 /// MEMS region grid: 10 cylinder buckets × 9 row buckets.
 const GRID_X: usize = 10;
 const GRID_Y: usize = 9;
-/// Adaptive cell: Zipf(0.99) over 512 KB placement blocks in ON/OFF
-/// bursts — the idle-window regime migration is built for (same tuning
-/// as `placement_sweep`).
+/// Adaptive cell: Zipf(0.99) over the placement blocks in ON/OFF
+/// bursts — the idle-window regime migration is built for.
 const ADAPTIVE_SEED: u64 = 42;
 const ADAPTIVE_RATE: f64 = 500.0;
 const ADAPTIVE_REQUESTS: u64 = 20_000;
-const ADAPTIVE_BLOCK_SECTORS: u32 = 1024;
 const ADAPTIVE_BURST_LEN: u64 = 50;
 const ADAPTIVE_BURST_IDLE: f64 = 0.060;
-
-fn adaptive_placement() -> PlacementConfig {
-    PlacementConfig {
-        block_sectors: ADAPTIVE_BLOCK_SECTORS,
-        half_life: 1.0,
-        idle_window: 4e-3,
-        max_swaps_per_window: 4,
-        hysteresis: 1.5,
-        min_rank_gain: 64,
-        min_heat: 4.0,
-        migrate: true,
-    }
-}
 
 fn mems_workload(seed: u64) -> RandomWorkload {
     let capacity = MemsParams::default().geometry().total_sectors();
@@ -284,7 +269,7 @@ fn main() -> ExitCode {
     let mut driver = Driver::new(
         ZipfWorkload::new(
             capacity,
-            ADAPTIVE_BLOCK_SECTORS,
+            BLOCK_SECTORS,
             0.99,
             ADAPTIVE_RATE,
             ADAPTIVE_REQUESTS,
@@ -292,7 +277,7 @@ fn main() -> ExitCode {
         )
         .bursty(ADAPTIVE_BURST_LEN, ADAPTIVE_BURST_IDLE),
         SptfScheduler::new(),
-        AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), adaptive_placement()),
+        AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), true),
     )
     .with_tracer(recorder(ADAPTIVE_REQUESTS));
     let adaptive_report = driver.run();

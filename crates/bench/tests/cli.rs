@@ -5,8 +5,7 @@
 //! argument but their one count or `--long`, before writing a CSV.
 //! `storagesim`'s figures divide by the requests they cover. A figure
 //! binary writes its CSV into the workspace's `results/`, and `obs_report`
-//! its trace and summary into the workspace's `target/`, from any
-//! directory.
+//! its trace into the workspace's `target/`, from any directory.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -405,7 +404,7 @@ fn fleet_binaries_reject_anything_but_long() {
 
 /// Runs `table1_params` and `obs_report` from a scratch directory: each
 /// rewrites its committed golden byte for byte, every file either writes
-/// lands under the workspace root (`obs_report`'s trace and summary in its
+/// lands under the workspace root (`obs_report`'s trace in its
 /// `target/`), and neither leaves a `results/` or `target/` in the scratch
 /// directory or its parent.
 #[test]

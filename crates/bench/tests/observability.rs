@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::placement::{AdaptiveDevice, PlacementConfig};
+use mems_os::placement::{AdaptiveDevice, BLOCK_SECTORS};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
 use storage_sim::{
     Driver, FaultClock, PhaseEnergy, RingTracer, Scheduler, SimReport, SimTime, StorageDevice,
@@ -235,21 +235,9 @@ fn wrapped_phases_sum_to_response_times() {
 
     let requests = 4_000;
     let mut driver = Driver::new(
-        ZipfWorkload::new(capacity, 1024, 0.99, 500.0, requests, 42).bursty(50, 0.060),
+        ZipfWorkload::new(capacity, BLOCK_SECTORS, 0.99, 500.0, requests, 42).bursty(50, 0.060),
         SptfScheduler::new(),
-        AdaptiveDevice::new(
-            MemsDevice::new(params),
-            PlacementConfig {
-                block_sectors: 1024,
-                half_life: 1.0,
-                idle_window: 4e-3,
-                max_swaps_per_window: 4,
-                hysteresis: 1.5,
-                min_rank_gain: 64,
-                min_heat: 4.0,
-                migrate: true,
-            },
-        ),
+        AdaptiveDevice::new(MemsDevice::new(params), true),
     )
     .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
     let report = driver.run();

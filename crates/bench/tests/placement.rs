@@ -11,16 +11,21 @@
 //!    identity placement, the wrapper is a pure pass-through — full runs
 //!    must produce byte-identical reports to the bare device, on MEMS
 //!    and on the disk baseline.
+//! 3. **Pinned migration policy**: a short `mems_adaptive` cell (the
+//!    Zipf stream `telemetry_report` migrates on) reproduces a recorded
+//!    report digest and migration ledger, so a change to which swaps
+//!    the policy picks, or when, fails here and not only in the figure
+//!    goldens.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
-use mems_os::placement::{AdaptiveDevice, MigrationStats, PlacementConfig};
+use mems_os::placement::{AdaptiveDevice, MigrationStats, BLOCK_SECTORS};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
     Driver, FaultKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimReport, SimTime,
     StorageDevice, VecWorkload, Workload,
 };
-use storage_trace::{RandomWorkload, ShiftingHotspotWorkload};
+use storage_trace::{RandomWorkload, ShiftingHotspotWorkload, ZipfWorkload};
 
 const MEMS_CAPACITY: u64 = 6_750_000;
 
@@ -93,19 +98,6 @@ impl<D: StorageDevice> StorageDevice for Recorder<D> {
     }
 }
 
-fn migrating_config() -> PlacementConfig {
-    PlacementConfig {
-        block_sectors: 1024,
-        half_life: 1.0,
-        idle_window: 4e-3,
-        max_swaps_per_window: 4,
-        hysteresis: 1.5,
-        min_rank_gain: 64,
-        min_heat: 4.0,
-        migrate: true,
-    }
-}
-
 #[test]
 fn migration_billing_conserves_totals() {
     let workload = ShiftingHotspotWorkload::new(
@@ -126,7 +118,7 @@ fn migration_billing_conserves_totals() {
     let foreground_sectors: u64 = requests.iter().map(|r| u64::from(r.sectors)).sum();
 
     let recorder = Recorder::new(MemsDevice::new(MemsParams::default()));
-    let dev = AdaptiveDevice::new(recorder, migrating_config());
+    let dev = AdaptiveDevice::new(recorder, true);
     let mut driver = Driver::new(
         VecWorkload::new(requests.clone()),
         SptfScheduler::new(),
@@ -207,11 +199,7 @@ fn run_cell<D: StorageDevice>(device: D) -> SimReport {
 
 fn assert_identity<D: StorageDevice + Clone>(device: D, label: &str) {
     let bare = run_cell(device.clone());
-    let cfg = PlacementConfig {
-        migrate: false,
-        ..migrating_config()
-    };
-    let wrapped = run_cell(AdaptiveDevice::new(device, cfg));
+    let wrapped = run_cell(AdaptiveDevice::new(device, false));
     assert!(
         bare.completions.as_ref().is_some_and(|c| !c.is_empty()),
         "identity runs must record completions"
@@ -233,4 +221,71 @@ fn zero_migration_wrap_is_bit_identical_on_mems() {
 #[test]
 fn zero_migration_wrap_is_bit_identical_on_disk() {
     assert_identity(DiskDevice::new(DiskParams::quantum_atlas_10k()), "disk");
+}
+
+/// FNV-1a over the completion stream and the report's totals, floats by
+/// bit pattern.
+fn report_digest(r: &SimReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+    for c in r.completions.as_ref().expect("recorded") {
+        put(c.request.id);
+        put(c.start_service.as_secs().to_bits());
+        put(c.completion.as_secs().to_bits());
+    }
+    put(r.completed);
+    for x in [
+        r.makespan.as_secs(),
+        r.response.mean(),
+        r.busy_secs,
+        r.breakdown_sum.positioning,
+        r.breakdown_sum.transfer,
+        r.breakdown_sum.background_wait,
+    ] {
+        put(x.to_bits());
+    }
+    h
+}
+
+#[test]
+fn migration_policy_matches_recorded_pins() {
+    // `telemetry_report`'s `mems_adaptive` stream, cut to 4,000 requests.
+    let workload =
+        ZipfWorkload::new(MEMS_CAPACITY, BLOCK_SECTORS, 0.99, 500.0, 4_000, 42).bursty(50, 0.060);
+    let dev = AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), true);
+    let mut driver = Driver::new(workload, SptfScheduler::new(), dev).record_completions(true);
+    let report = driver.run();
+    let m = driver.device().migration_stats();
+    assert_eq!(
+        report_digest(&report),
+        0x6d07_be83_dc25_971a,
+        "report digest"
+    );
+    assert_eq!(
+        [m.swaps, m.windows, m.chunk_ios, m.sectors, m.waits],
+        [38, 40, 152, 155_648, 18],
+        "swaps, windows, chunk I/Os, sectors, foreground waits"
+    );
+    assert_eq!(
+        [
+            m.busy_secs,
+            m.energy_j,
+            m.foreground_wait_secs,
+            m.chunk_time.mean(),
+            m.chunk_time.max(),
+            m.chunk_tail.quantile(0.99),
+            m.breakdown_sum.total(),
+        ]
+        .map(f64::to_bits),
+        [
+            0x3ff2_1400_625f_d225,
+            0x3ff7_862a_2851_e2c1,
+            0x3fb0_dcbf_0524_9bdc,
+            0x3f7e_7287_6250_8a55,
+            0x3f80_e722_67cc_828f,
+            0x3f81_3b55_714f_733f,
+            0x3ff2_1400_625f_d226,
+        ],
+        "busy, energy, foreground wait, chunk mean, max and p99, phase total"
+    );
 }

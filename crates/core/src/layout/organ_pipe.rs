@@ -40,15 +40,15 @@ pub(crate) fn center_out_slots(n: usize) -> impl Iterator<Item = usize> {
 /// let map = OrganPipeMap::build(&freqs);
 /// // The hottest block lands in the center slot (index 2 of 5).
 /// assert_eq!(map.physical_of(3), 2);
-/// // Round trip.
-/// for b in 0..5 { assert_eq!(map.logical_of(map.physical_of(b)), b); }
+/// // A permutation: the five blocks fill the five slots.
+/// let mut slots: Vec<u64> = (0..5).map(|b| map.physical_of(b)).collect();
+/// slots.sort_unstable();
+/// assert_eq!(slots, [0, 1, 2, 3, 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrganPipeMap {
     /// physical slot of each logical block.
     phys: Vec<u64>,
-    /// logical block in each physical slot.
-    logical: Vec<u64>,
 }
 
 impl OrganPipeMap {
@@ -75,12 +75,10 @@ impl OrganPipeMap {
                 .then(a.cmp(&b))
         });
         let mut phys = vec![0u64; n];
-        let mut logical = vec![0u64; n];
         for (&block, slot) in ranked.iter().zip(center_out_slots(n)) {
             phys[block] = slot as u64;
-            logical[slot] = block as u64;
         }
-        OrganPipeMap { phys, logical }
+        OrganPipeMap { phys }
     }
 
     /// Number of blocks managed.
@@ -100,15 +98,6 @@ impl OrganPipeMap {
     /// Panics if `block` is out of range.
     pub fn physical_of(&self, block: u64) -> u64 {
         self.phys[usize::try_from(block).expect("block fits usize")]
-    }
-
-    /// Logical block stored in a physical slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn logical_of(&self, slot: u64) -> u64 {
-        self.logical[usize::try_from(slot).expect("slot fits usize")]
     }
 }
 
@@ -283,14 +272,16 @@ mod tests {
     fn map_is_a_permutation() {
         let freqs: Vec<f64> = (0..500).map(|i| ((i * 37) % 91) as f64).collect();
         let map = OrganPipeMap::build(&freqs);
-        let mut seen = vec![false; 500];
+        let mut owner = vec![None; 500];
         for b in 0..500 {
             let p = map.physical_of(b);
-            assert!(!seen[p as usize], "slot {p} assigned twice");
-            seen[p as usize] = true;
-            assert_eq!(map.logical_of(p), b);
+            assert!(owner[p as usize].is_none(), "slot {p} assigned twice");
+            owner[p as usize] = Some(b);
         }
-        assert!(seen.iter().all(|&s| s));
+        for b in 0..500 {
+            assert_eq!(owner[map.physical_of(b) as usize], Some(b));
+        }
+        assert!(owner.iter().all(Option::is_some));
     }
 
     #[test]

@@ -24,79 +24,70 @@
 //! separate from foreground response stats, mirroring the
 //! rebuild-traffic split in the fleet layer.
 //!
-//! With [`PlacementConfig::migrate`] off and the identity initial
+//! The policy has one tuning, held in this module's constants; only the
+//! block size is public, because callers size their workloads' blocks
+//! and fleet stripe units by it. The one choice left is whether to
+//! migrate at all. With migration off and the identity initial
 //! placement, the wrapper is proven bit-identical to the bare device
 //! (`crates/bench/tests/placement.rs`, as
 //! `tests/degraded_equivalence.rs` proves a zero-fault
 //! `DegradedDevice`).
 
+use std::ops::RangeInclusive;
+
 use storage_sim::{
     FaultKind, IoKind, LogHistogram, PhaseEnergy, PositionOracle, Request, ServiceBreakdown,
-    SimTime, StorageDevice, Welford,
+    SimTime, StorageDevice, Welford, Workload,
 };
 
-use super::frequency::{DoublePriorityQueue, FrequencyTracker};
+use super::frequency::{FrequencyTracker, HeatQueue};
 use crate::layout::organ_pipe::center_out_slots;
 use crate::layout::OrganPipeMap;
 
-/// Policy knobs for [`AdaptiveDevice`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementConfig {
-    /// Placement granularity in sectors; the indirection table, frequency
-    /// counters, and migration chunks all work on blocks of this size. A
-    /// trailing partial block (capacity not divisible by `block_sectors`)
-    /// is left unmanaged at its identity mapping.
-    pub block_sectors: u32,
-    /// Frequency-decay half-life, seconds: an access loses half its
-    /// placement weight every `half_life` seconds.
-    pub half_life: f64,
-    /// Quiet time after the last service completion before the migrator
-    /// wakes, seconds. Detection is retrospective (this is a simulator):
-    /// when a request arrives after a gap of at least `idle_window`,
-    /// migration is replayed as having started `idle_window` after the
-    /// device went idle and run until the arrival.
-    pub idle_window: f64,
-    /// Block swaps allowed per detected idle period.
-    pub max_swaps_per_window: u32,
-    /// A hot block displaces a slot occupant only if its weight exceeds
-    /// the occupant's by this factor (≥ 1), damping swap thrash between
-    /// blocks of similar heat.
-    pub hysteresis: f64,
-    /// A swap must move the hot block at least this many center-out
-    /// ranks inward. Once the working set is gathered at the center,
-    /// its internal ordering is irrelevant to seek cost — this floor
-    /// stops migration bandwidth from being burned on marginal
-    /// reshuffles inside the set (the weight ordering between two
-    /// similarly hot blocks is mostly sampling noise anyway).
-    pub min_rank_gain: u32,
-    /// A block is eligible to migrate only while its decayed access
-    /// count is at least this many recent accesses. The relative
-    /// `hysteresis` bar alone would let a block touched once migrate
-    /// over a never-touched occupant; this absolute floor keeps one-off
-    /// touches from consuming migration bandwidth.
-    pub min_heat: f64,
-    /// Master switch. Off, the wrapper never migrates and never bills
-    /// wait time: with the identity initial placement it is bit-identical
-    /// to the bare device, and with
-    /// [`AdaptiveDevice::with_initial_placement`] it serves as the
-    /// static-layout baseline.
-    pub migrate: bool,
-}
-
-impl Default for PlacementConfig {
-    fn default() -> Self {
-        PlacementConfig {
-            block_sectors: 512,
-            half_life: 20.0,
-            idle_window: 5e-3,
-            max_swaps_per_window: 4,
-            hysteresis: 2.0,
-            min_rank_gain: 8,
-            min_heat: 2.0,
-            migrate: true,
-        }
-    }
-}
+/// Placement granularity in sectors: 512 KB blocks. The indirection
+/// table, frequency counters, and migration chunks all work on blocks of
+/// this size; a trailing partial block (capacity not divisible by the
+/// block size) is left unmanaged at its identity mapping. Coarse blocks
+/// matter twice: each hot block collects enough accesses per half-life
+/// for its decayed weight to be a low-noise signal (fine blocks thrash —
+/// similar-weight hot blocks endlessly displace each other), and the
+/// whole working set moves in tens of swaps rather than hundreds.
+pub const BLOCK_SECTORS: u32 = 1024;
+/// Frequency-decay half-life, seconds: an access loses half its
+/// placement weight every second. Well under a shifting hotspot's 15 s
+/// epoch, so ex-working-set blocks decay to displaceable within ~1–2 s
+/// of the shift and the new set can take over the center early in its
+/// epoch.
+const HALF_LIFE: f64 = 1.0;
+/// Quiet time after the last service completion before the migrator
+/// wakes, seconds. Detection is retrospective (this is a simulator):
+/// when a request arrives after a gap of at least this long, migration
+/// is replayed as having started this long after the device went idle
+/// and run until the arrival.
+const IDLE_WINDOW: f64 = 4e-3;
+/// Block swaps allowed per detected idle period.
+const MAX_SWAPS_PER_WINDOW: u32 = 4;
+/// A hot block displaces a slot occupant only if its weight exceeds the
+/// occupant's by this factor, damping swap thrash between blocks of
+/// similar heat.
+const HYSTERESIS: f64 = 1.5;
+/// A swap must move the hot block at least this many center-out ranks
+/// inward. Once the working set is gathered at the center, its internal
+/// ordering is irrelevant to seek cost — this floor stops migration
+/// bandwidth from being burned on marginal reshuffles inside the set (the
+/// weight ordering between two similarly hot blocks is mostly sampling
+/// noise anyway). A shifting hotspot's working set is ~220 blocks; once
+/// a block is inside the innermost couple hundred ranks, further inward
+/// shuffling buys nothing. 64 ranks ≈ 32 cylinders of displacement.
+const MIN_RANK_GAIN: u32 = 64;
+/// A block is eligible to migrate only while its decayed access count is
+/// at least this many recent accesses. The relative [`HYSTERESIS`] bar
+/// alone would let a block touched once migrate over a never-touched
+/// occupant; this absolute floor keeps one-off touches from consuming
+/// migration bandwidth. Hot blocks sustain ~10 decayed accesses; Poisson
+/// clustering on warm Zipf-tail blocks rarely spikes past 4, so the floor
+/// keeps the tail from buying migrations it cannot repay.
+const MIN_HEAT: f64 = 4.0;
 
 /// Migration-side accounting, kept separate from foreground stats so
 /// adaptive runs don't pollute foreground p99 comparisons.
@@ -171,8 +162,8 @@ impl MigrationStats {
     }
 
     /// The ledger as one compact JSON object, for splicing into the
-    /// tracer summaries (`obs_report`, `telemetry_report`, `fleet_obs`)
-    /// so migration traffic is visible wherever a tracer is attached.
+    /// tracer summaries (`telemetry_report`, `fleet_obs`) so migration
+    /// traffic is visible wherever a tracer is attached.
     pub fn summary_json(&self) -> String {
         format!(
             "{{ \"swaps\": {}, \"windows\": {}, \"chunk_ios\": {}, \"sectors\": {}, \
@@ -208,11 +199,10 @@ const MIGRATION_ID_BASE: u64 = 1 << 63;
 ///
 /// ```
 /// use mems_device::{MemsDevice, MemsParams};
-/// use mems_os::placement::{AdaptiveDevice, PlacementConfig};
+/// use mems_os::placement::AdaptiveDevice;
 /// use storage_sim::{IoKind, Request, SimTime, StorageDevice};
 ///
-/// let cfg = PlacementConfig::default();
-/// let mut dev = AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), cfg);
+/// let mut dev = AdaptiveDevice::new(MemsDevice::new(MemsParams::default()), true);
 /// let req = Request::new(0, SimTime::ZERO, 40_000, 8, IoKind::Read);
 /// let b = dev.service(&req, SimTime::ZERO);
 /// assert!(b.total() > 0.0);
@@ -222,7 +212,8 @@ const MIGRATION_ID_BASE: u64 = 1 << 63;
 #[derive(Debug, Clone)]
 pub struct AdaptiveDevice<D> {
     inner: D,
-    cfg: PlacementConfig,
+    /// Off, the wrapper never migrates and never bills wait time.
+    migrate: bool,
     name: String,
     /// Whole blocks under management; the partial tail block (if any)
     /// stays identity-mapped.
@@ -239,7 +230,7 @@ pub struct AdaptiveDevice<D> {
     /// Physical slot at each center-out rank.
     slot_at_rank: Vec<u32>,
     tracker: FrequencyTracker,
-    heap: DoublePriorityQueue,
+    heap: HeatQueue,
     /// When the device last finished serving a request, seconds.
     last_busy_end: f64,
     /// A swap whose remaining chunks were deferred by a foreground
@@ -265,19 +256,18 @@ struct PendingSwap {
 }
 
 impl<D: StorageDevice> AdaptiveDevice<D> {
-    /// Wraps `inner` with the identity initial placement.
+    /// Wraps `inner` with the identity initial placement. With `migrate`
+    /// off the wrapper never moves a block: at the identity placement it
+    /// is bit-identical to the bare device, and with
+    /// [`AdaptiveDevice::with_initial_placement`] it serves as the
+    /// static-layout baseline.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.block_sectors` is zero, the device has no whole
-    /// block, `cfg.hysteresis < 1`, or the decay/idle knobs are not
-    /// positive.
-    pub fn new(inner: D, cfg: PlacementConfig) -> Self {
-        assert!(cfg.block_sectors > 0, "block size must be positive");
-        assert!(cfg.hysteresis >= 1.0, "hysteresis must be at least 1");
-        assert!(cfg.idle_window > 0.0, "idle window must be positive");
+    /// Panics if the device has no whole block.
+    pub fn new(inner: D, migrate: bool) -> Self {
         let n_blocks =
-            u32::try_from(inner.capacity_lbns() / u64::from(cfg.block_sectors)).unwrap_or(u32::MAX);
+            u32::try_from(inner.capacity_lbns() / u64::from(BLOCK_SECTORS)).unwrap_or(u32::MAX);
         assert!(n_blocks > 0, "device smaller than one placement block");
         let identity: Vec<u32> = (0..n_blocks).collect();
         // Slots ranked center-out, as OrganPipeMap places them.
@@ -288,12 +278,12 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
         for (rank, &slot) in slot_at_rank.iter().enumerate() {
             rank_of_slot[slot as usize] = rank as u32;
         }
-        let tracker = FrequencyTracker::new(n_blocks as usize, cfg.half_life);
-        let heap = DoublePriorityQueue::new(&tracker);
+        let tracker = FrequencyTracker::new(n_blocks as usize, HALF_LIFE);
+        let heap = HeatQueue::new(&tracker);
         AdaptiveDevice {
             name: format!("adaptive({})", inner.name()),
             inner,
-            cfg,
+            migrate,
             n_blocks,
             log_to_phys: identity.clone(),
             phys_to_log: identity.clone(),
@@ -310,9 +300,9 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
     }
 
     /// Starts from a precomputed block permutation instead of the
-    /// identity — with [`PlacementConfig::migrate`] off this *is* the
-    /// static organ-pipe baseline, served through the same mapping code
-    /// as the adaptive runs.
+    /// identity — with migration off this *is* the static organ-pipe
+    /// baseline, served through the same mapping code as the adaptive
+    /// runs.
     ///
     /// # Panics
     ///
@@ -338,19 +328,32 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
         &self.inner
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PlacementConfig {
-        &self.cfg
-    }
-
     /// Migration-side accounting (separate from foreground stats).
     pub fn migration_stats(&self) -> &MigrationStats {
         &self.stats
     }
 
-    /// The frequency tracker (decayed per-block heat).
-    pub fn tracker(&self) -> &FrequencyTracker {
-        &self.tracker
+    /// Offline frequency census: the accesses a whole request stream
+    /// makes to each managed block, counted by the same spanning-block
+    /// rule the wrapper records heat with. [`OrganPipeMap::build`] turns
+    /// it into a map for [`AdaptiveDevice::with_initial_placement`].
+    pub fn census(&self, mut workload: impl Workload) -> Vec<f64> {
+        let mut freqs = vec![0.0; self.n_blocks as usize];
+        while let Some(req) = workload.next_request() {
+            for block in self.blocks_of(&req) {
+                freqs[block] += 1.0;
+            }
+        }
+        freqs
+    }
+
+    /// The managed blocks `req` touches, from its first sector's block to
+    /// its last sector's.
+    fn blocks_of(&self, req: &Request) -> RangeInclusive<usize> {
+        let bs = u64::from(BLOCK_SECTORS);
+        let first = req.lbn / bs;
+        let last = (req.end_lbn().max(req.lbn + 1) - 1) / bs;
+        first as usize..=last.min(u64::from(self.n_blocks) - 1) as usize
     }
 
     /// Maps a logical request to its physical location. Multi-block
@@ -358,7 +361,7 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
     /// contiguously from there (block-granular placement approximates
     /// spanning requests), clamped to the device capacity.
     fn map_request(&self, req: &Request) -> Request {
-        let bs = u64::from(self.cfg.block_sectors);
+        let bs = u64::from(BLOCK_SECTORS);
         let block = req.lbn / bs;
         if block >= u64::from(self.n_blocks) {
             return *req; // unmanaged tail: identity
@@ -376,11 +379,7 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
 
     /// Records heat on every managed block the request touches.
     fn record_heat(&mut self, req: &Request, now_s: f64) {
-        let bs = u64::from(self.cfg.block_sectors);
-        let first = req.lbn / bs;
-        let last = (req.end_lbn().max(req.lbn + 1) - 1) / bs;
-        for block in first..=last.min(u64::from(self.n_blocks) - 1) {
-            let block = block as usize;
+        for block in self.blocks_of(req) {
             if self.tracker.record(block, now_s) {
                 // Renormalization staled every cached weight bit pattern.
                 self.heap.rebuild(&self.tracker);
@@ -403,24 +402,6 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
         /// them must not exhaust the candidate budget — but the walk
         /// has to stay bounded.
         const MAX_POPS: usize = 128;
-        // Cheap double-ended bound first: if even the globally coldest
-        // block is within hysteresis of the globally hottest, no pair
-        // anywhere can clear the bar.
-        let hottest = self.heap.pop_max(&self.tracker);
-        let coldest = self.heap.pop_min(&self.tracker);
-        if let Some((b, w)) = hottest {
-            self.heap.push(b, w);
-        }
-        if let Some((b, w)) = coldest {
-            self.heap.push(b, w);
-        }
-        let (Some((_, w_hot)), Some((_, w_cold))) = (hottest, coldest) else {
-            return None;
-        };
-        if w_hot <= 0.0 || w_hot <= self.cfg.hysteresis * w_cold {
-            return None;
-        }
-
         let mut popped: Vec<(u32, f64)> = Vec::with_capacity(MAX_POPS);
         let mut best: Option<(f64, u32, u32)> = None;
         let mut examined = 0usize;
@@ -435,7 +416,7 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
             popped.push((h, wh));
             // The heap walks weight-descending: below the heat floor,
             // everything after is colder still.
-            if wh <= 0.0 || self.tracker.weight_at(h as usize, now_s) < self.cfg.min_heat {
+            if wh <= 0.0 || self.tracker.weight_at(h as usize, now_s) < MIN_HEAT {
                 break;
             }
             let rank_h = self.rank_of_slot[self.log_to_phys[h as usize] as usize];
@@ -448,10 +429,10 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
             // reshuffling the ordering *within* the gathered set (which
             // is irrelevant to seek cost) or ratcheting one block inward
             // through repeated small steps. Only slots at least
-            // `min_rank_gain` ranks inward qualify; an already-centered
+            // `MIN_RANK_GAIN` ranks inward qualify; an already-centered
             // block is not improvable and does not count against the
             // candidate budget.
-            let scan_end = rank_h.saturating_sub(self.cfg.min_rank_gain.max(1) - 1);
+            let scan_end = rank_h.saturating_sub(MIN_RANK_GAIN - 1);
             if scan_end == 0 {
                 continue;
             }
@@ -461,12 +442,11 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
                 let occupant = self.phys_to_log[slot as usize];
                 let wo = self.tracker.weight(occupant as usize);
                 let wo_now = self.tracker.weight_at(occupant as usize, now_s);
-                // Two-threshold hysteresis: entry requires `min_heat`,
+                // Two-threshold hysteresis: entry requires `MIN_HEAT`,
                 // eviction requires decaying a hysteresis factor *below*
                 // it — otherwise blocks hovering at the threshold evict
                 // each other endlessly (the Zipf tail is full of them).
-                if wo_now * self.cfg.hysteresis < self.cfg.min_heat && wh > self.cfg.hysteresis * wo
-                {
+                if wo_now * HYSTERESIS < MIN_HEAT && wh > HYSTERESIS * wo {
                     let gain = (wh - wo) * f64::from(rank_h - r);
                     if best.is_none_or(|(g, _, _)| gain > g) {
                         best = Some((gain, h, occupant));
@@ -488,7 +468,6 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
     /// duration.
     fn service_chunk(&mut self, t: f64) -> f64 {
         let p = self.pending.expect("a chunk needs a pending swap");
-        let bs = self.cfg.block_sectors;
         let slot_hot = self.log_to_phys[p.hot as usize];
         let slot_cold = self.log_to_phys[p.cold as usize];
         let (slot, kind) = match p.next_chunk {
@@ -498,14 +477,14 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
             _ => (slot_hot, IoKind::Write),
         };
         let at = SimTime::from_secs(t);
-        let lbn = u64::from(slot) * u64::from(bs);
-        let req = Request::new(self.next_migration_id, at, lbn, bs, kind);
+        let lbn = u64::from(slot) * u64::from(BLOCK_SECTORS);
+        let req = Request::new(self.next_migration_id, at, lbn, BLOCK_SECTORS, kind);
         self.next_migration_id += 1;
         let b = self.inner.service(&req, at);
         let energy = self.inner.phase_energy(&b);
         let total = b.total();
         self.stats.chunk_ios += 1;
-        self.stats.sectors += u64::from(bs);
+        self.stats.sectors += u64::from(BLOCK_SECTORS);
         self.stats.busy_secs += total;
         self.stats.energy_j += energy.total();
         self.stats.breakdown_sum.accumulate(&b);
@@ -528,7 +507,7 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
     /// Replays the migrations of an idle period that started at `start`
     /// and was ended by a foreground arrival at `now_s`: first the
     /// chunks of a swap deferred by the previous arrival, then up to
-    /// `max_swaps_per_window` fresh picks. Chunks are issued one at a
+    /// [`MAX_SWAPS_PER_WINDOW`] fresh picks. Chunks are issued one at a
     /// time, and no new chunk starts at or after `now_s`, so the arrival
     /// waits for at most the one chunk in flight; that overlap is
     /// returned for billing as background wait.
@@ -538,7 +517,7 @@ impl<D: StorageDevice> AdaptiveDevice<D> {
         let mut any = false;
         while t < now_s {
             if self.pending.is_none() {
-                if started >= self.cfg.max_swaps_per_window {
+                if started >= MAX_SWAPS_PER_WINDOW {
                     break;
                 }
                 let Some((hot, cold)) = self.pick_swap(now_s) else {
@@ -590,7 +569,7 @@ impl<D: StorageDevice> PositionOracle for AdaptiveDevice<D> {
     }
 
     fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
-        if self.cfg.migrate {
+        if self.migrate {
             // A swap between two scheduler visits changes position_time
             // for remapped requests without the inner rest state moving,
             // so cached per-bucket winners could go stale: disable the
@@ -618,8 +597,8 @@ impl<D: StorageDevice> StorageDevice for AdaptiveDevice<D> {
     fn service(&mut self, req: &Request, now: SimTime) -> ServiceBreakdown {
         let now_s = now.as_secs();
         let mut wait = 0.0;
-        if self.cfg.migrate && now_s - self.last_busy_end >= self.cfg.idle_window {
-            wait = self.run_idle_window(self.last_busy_end + self.cfg.idle_window, now_s);
+        if self.migrate && now_s - self.last_busy_end >= IDLE_WINDOW {
+            wait = self.run_idle_window(self.last_busy_end + IDLE_WINDOW, now_s);
         }
         self.record_heat(req, now_s);
         let eff = self.map_request(req);
@@ -669,12 +648,9 @@ mod tests {
         MemsDevice::new(MemsParams::default())
     }
 
-    fn cfg() -> PlacementConfig {
-        PlacementConfig {
-            block_sectors: 2700, // one cylinder per block
-            idle_window: 2e-3,
-            ..PlacementConfig::default()
-        }
+    /// First sector of logical block `block`.
+    fn lbn_of(block: u64) -> u64 {
+        block * u64::from(BLOCK_SECTORS)
     }
 
     fn read(id: u64, at_ms: f64, lbn: u64) -> Request {
@@ -689,10 +665,10 @@ mod tests {
 
     #[test]
     fn hot_block_migrates_toward_center() {
-        let mut dev = AdaptiveDevice::new(mems(), cfg());
+        let mut dev = AdaptiveDevice::new(mems(), true);
         // Hammer a block at the far edge of the device, with idle gaps.
         let hot_block = 2u32;
-        let lbn = u64::from(hot_block) * 2700 + 100;
+        let lbn = lbn_of(hot_block.into()) + 100;
         let start_rank = block_rank(&dev, hot_block);
         for i in 0..40 {
             let b = dev.service(
@@ -723,8 +699,8 @@ mod tests {
 
     #[test]
     fn migrated_block_reads_its_new_home() {
-        let mut dev = AdaptiveDevice::new(mems(), cfg());
-        let lbn = 2 * 2700 + 100;
+        let mut dev = AdaptiveDevice::new(mems(), true);
+        let lbn = lbn_of(2) + 100;
         for i in 0..40 {
             dev.service(
                 &read(i, 10.0 * i as f64, lbn),
@@ -735,7 +711,7 @@ mod tests {
         let slot = dev.log_to_phys[2];
         assert_ne!(slot, 2);
         let eff = dev.map_request(&read(99, 0.0, lbn));
-        assert_eq!(eff.lbn, u64::from(slot) * 2700 + 100);
+        assert_eq!(eff.lbn, lbn_of(slot.into()) + 100);
         // The mapping is a permutation: some other block now maps to the
         // hot block's old home.
         let displaced = dev.phys_to_log[2];
@@ -744,11 +720,11 @@ mod tests {
 
     #[test]
     fn no_migration_without_idle_window() {
-        let mut dev = AdaptiveDevice::new(mems(), cfg());
-        // Back-to-back requests, never idle for 2 ms.
+        let mut dev = AdaptiveDevice::new(mems(), true);
+        // Back-to-back requests, never idle for the 4 ms idle window.
         let mut t = 0.0;
         for i in 0..200 {
-            let b = dev.service(&read(i, t * 1e3, 2 * 2700 + 100), SimTime::from_secs(t));
+            let b = dev.service(&read(i, t * 1e3, lbn_of(2) + 100), SimTime::from_secs(t));
             t += b.total();
         }
         assert_eq!(dev.migration_stats().swaps, 0);
@@ -756,16 +732,10 @@ mod tests {
 
     #[test]
     fn migrate_off_never_swaps_or_waits() {
-        let mut dev = AdaptiveDevice::new(
-            mems(),
-            PlacementConfig {
-                migrate: false,
-                ..cfg()
-            },
-        );
+        let mut dev = AdaptiveDevice::new(mems(), false);
         for i in 0..40 {
             let b = dev.service(
-                &read(i, 10.0 * i as f64, 5400),
+                &read(i, 10.0 * i as f64, lbn_of(5)),
                 SimTime::from_ms(10.0 * i as f64),
             );
             assert_eq!(b.background_wait, 0.0);
@@ -776,10 +746,10 @@ mod tests {
 
     #[test]
     fn reset_restores_initial_placement_and_stats() {
-        let mut dev = AdaptiveDevice::new(mems(), cfg());
+        let mut dev = AdaptiveDevice::new(mems(), true);
         for i in 0..40 {
             dev.service(
-                &read(i, 10.0 * i as f64, 5500),
+                &read(i, 10.0 * i as f64, lbn_of(5) + 100),
                 SimTime::from_ms(10.0 * i as f64),
             );
         }
@@ -789,58 +759,59 @@ mod tests {
         for block in 0..dev.n_blocks {
             assert_eq!(dev.log_to_phys[block as usize], block);
         }
-        assert_eq!(dev.tracker().weight(2), 0.0);
+        assert_eq!(dev.tracker.weight(5), 0.0);
     }
 
     #[test]
     fn organ_pipe_initial_placement_applies() {
-        let base = AdaptiveDevice::new(mems(), cfg());
+        let base = AdaptiveDevice::new(mems(), true);
         let n = base.n_blocks as usize;
         // Block 7 hottest, everything else uniform.
         let mut freqs = vec![1.0; n];
         freqs[7] = 100.0;
         let map = OrganPipeMap::build(&freqs);
-        let dev = AdaptiveDevice::new(
-            mems(),
-            PlacementConfig {
-                migrate: false,
-                ..cfg()
-            },
-        )
-        .with_initial_placement(&map);
+        let dev = AdaptiveDevice::new(mems(), false).with_initial_placement(&map);
         assert_eq!(block_rank(&dev, 7), 0, "hottest block sits at rank 0");
-        let req = read(0, 0.0, 7 * 2700 + 5);
+        let req = read(0, 0.0, lbn_of(7) + 5);
         let eff = dev.map_request(&req);
-        assert_eq!(eff.lbn, u64::from(dev.log_to_phys[7]) * 2700 + 5);
+        assert_eq!(eff.lbn, lbn_of(dev.log_to_phys[7].into()) + 5);
     }
 
     #[test]
     fn spanning_request_extends_contiguously_and_clamps() {
         use storage_sim::ConstantDevice;
-        // 10 blocks of 10 sectors on a 100-sector device; descending
-        // frequencies rank block i at center-out rank i, and rank 7 is
-        // the last physical slot (slot order 5,6,4,7,3,8,2,9,1,0).
+        // 10 blocks on a 10-block device; descending frequencies rank
+        // block i at center-out rank i, and rank 7 is the last physical
+        // slot (slot order 5,6,4,7,3,8,2,9,1,0).
         let freqs: Vec<f64> = (0..10).map(|i| f64::from(10 - i)).collect();
         let map = OrganPipeMap::build(&freqs);
-        let dev = AdaptiveDevice::new(
-            ConstantDevice::new(100, 1e-3),
-            PlacementConfig {
-                block_sectors: 10,
-                migrate: false,
-                ..PlacementConfig::default()
-            },
-        )
-        .with_initial_placement(&map);
+        let dev = AdaptiveDevice::new(ConstantDevice::new(lbn_of(10), 1e-3), false)
+            .with_initial_placement(&map);
         assert_eq!(dev.log_to_phys[7], 9);
         // A spanning request from block 7 extends contiguously from its
         // mapped start and clamps at the device capacity.
-        let req = Request::new(0, SimTime::ZERO, 75, 10, IoKind::Read);
+        let req = Request::new(0, SimTime::ZERO, lbn_of(8) - 5, 10, IoKind::Read);
         let eff = dev.map_request(&req);
-        assert_eq!(eff.lbn, 95);
+        assert_eq!(eff.lbn, lbn_of(10) - 5);
         assert_eq!(eff.sectors, 5, "clamped at capacity");
         // A request that fits keeps its size.
-        let req = Request::new(1, SimTime::ZERO, 75, 3, IoKind::Read);
+        let req = Request::new(1, SimTime::ZERO, lbn_of(8) - 5, 3, IoKind::Read);
         let eff = dev.map_request(&req);
-        assert_eq!((eff.lbn, eff.sectors), (95, 3));
+        assert_eq!((eff.lbn, eff.sectors), (lbn_of(10) - 5, 3));
+    }
+
+    #[test]
+    fn census_counts_every_managed_block_a_request_spans() {
+        use storage_sim::{ConstantDevice, VecWorkload};
+        // Three whole blocks and an unmanaged partial tail.
+        let dev = AdaptiveDevice::new(ConstantDevice::new(lbn_of(3) + 10, 1e-3), false);
+        let at = |id, lbn, sectors| Request::new(id, SimTime::ZERO, lbn, sectors, IoKind::Read);
+        let census = dev.census(VecWorkload::new(vec![
+            at(0, 0, 8),
+            at(1, lbn_of(1) - 4, 8), // spans blocks 0 and 1
+            at(2, lbn_of(3) - 4, 8), // block 2, then the tail
+            at(3, lbn_of(3) + 2, 8), // the tail alone
+        ]));
+        assert_eq!(census, vec![2.0, 1.0, 1.0]);
     }
 }

@@ -11,14 +11,12 @@
 //! enough to threaten `f64` range, all weights are rescaled by an exact
 //! power of two (order-preserving) and the anchor advances.
 //!
-//! [`DoublePriorityQueue`] is the matching double-ended priority
-//! structure: it yields the currently hottest and coldest blocks in
-//! `O(log n)` with lazy invalidation (stale heap entries are skipped by
-//! comparing their recorded weight bits against the tracker), so the
-//! migration policy can pull swap candidates from both ends without a
-//! full sort per idle window.
+//! [`HeatQueue`] is the matching priority structure: it yields the
+//! currently hottest blocks in `O(log n)` with lazy invalidation (stale
+//! heap entries are skipped by comparing their recorded weight bits
+//! against the tracker), so the migration policy can walk its swap
+//! candidates hottest first without a full sort per idle window.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How many half-lives the anchor exponent may reach before the tracker
@@ -27,81 +25,36 @@ use std::collections::BinaryHeap;
 const RENORM_HALF_LIVES: f64 = 512.0;
 
 /// Exponentially-decayed per-block access counters with O(1) updates.
-///
-/// # Examples
-///
-/// ```
-/// use mems_os::placement::FrequencyTracker;
-///
-/// let mut t = FrequencyTracker::new(4, 10.0);
-/// t.record(1, 0.0);
-/// t.record(1, 1.0);
-/// t.record(2, 1.0);
-/// // Block 1 (two accesses) is hotter than block 2 (one access).
-/// assert!(t.weight(1) > t.weight(2));
-/// // Decayed absolute counts: ~2 accesses worth of heat on block 1.
-/// assert!(t.weight_at(1, 1.0) > 1.9 && t.weight_at(1, 1.0) < 2.0);
-/// ```
 #[derive(Debug, Clone)]
-pub struct FrequencyTracker {
+pub(crate) struct FrequencyTracker {
     half_life: f64,
     /// Time the stored weights are normalized to, seconds.
     anchor: f64,
     /// Anchor-normalized weights; ordering equals decayed-count ordering.
     weights: Vec<f64>,
-    renormalizations: u64,
 }
 
 impl FrequencyTracker {
     /// Creates a tracker for `n_blocks` blocks with the given decay
     /// half-life in seconds (an access loses half its weight every
     /// `half_life` seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half_life` is not positive and finite.
-    pub fn new(n_blocks: usize, half_life: f64) -> Self {
-        assert!(
-            half_life > 0.0 && half_life.is_finite(),
-            "half-life must be positive and finite"
-        );
+    pub(crate) fn new(n_blocks: usize, half_life: f64) -> Self {
         FrequencyTracker {
             half_life,
             anchor: 0.0,
             weights: vec![0.0; n_blocks],
-            renormalizations: 0,
         }
-    }
-
-    /// Number of tracked blocks.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Returns `true` if no blocks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// The configured half-life, seconds.
-    pub fn half_life(&self) -> f64 {
-        self.half_life
-    }
-
-    /// Times the whole table has been rescaled to protect `f64` range.
-    pub fn renormalizations(&self) -> u64 {
-        self.renormalizations
     }
 
     /// Records one access to `block` at time `now` (seconds). Returns
     /// `true` if the table was renormalized, in which case any externally
-    /// cached weight bits (e.g. [`DoublePriorityQueue`] entries) are
-    /// stale and must be rebuilt.
+    /// cached weight bits (e.g. [`HeatQueue`] entries) are stale and must
+    /// be rebuilt.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn record(&mut self, block: usize, now: f64) -> bool {
+    pub(crate) fn record(&mut self, block: usize, now: f64) -> bool {
         let mut renormalized = false;
         // `while`, not `if`: an access gap longer than 2×512 half-lives
         // must step the anchor repeatedly or the increment exponent
@@ -116,7 +69,6 @@ impl FrequencyTracker {
                 *w *= scale;
             }
             self.anchor += RENORM_HALF_LIVES * self.half_life;
-            self.renormalizations += 1;
             renormalized = true;
         }
         self.weights[block] += f64::exp2((now - self.anchor) / self.half_life);
@@ -130,7 +82,7 @@ impl FrequencyTracker {
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn weight(&self, block: usize) -> f64 {
+    pub(crate) fn weight(&self, block: usize) -> f64 {
         self.weights[block]
     }
 
@@ -140,15 +92,14 @@ impl FrequencyTracker {
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn weight_at(&self, block: usize, now: f64) -> f64 {
+    pub(crate) fn weight_at(&self, block: usize, now: f64) -> f64 {
         self.weights[block] * f64::exp2(-(now - self.anchor) / self.half_life)
     }
 
     /// Forgets all recorded accesses.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.weights.fill(0.0);
         self.anchor = 0.0;
-        self.renormalizations = 0;
     }
 }
 
@@ -158,84 +109,46 @@ impl FrequencyTracker {
 /// deterministic block-id tiebreak.
 type Entry = (u64, u32);
 
-/// A double-ended priority queue over the tracker's blocks: pop the
-/// hottest from one end and the coldest from the other, in `O(log n)`
-/// amortized, with lazy invalidation against the live tracker weights.
+/// A max-priority queue over the tracker's blocks: pops the hottest in
+/// `O(log n)` amortized, with lazy invalidation against the live tracker
+/// weights.
 ///
-/// Every block always has at least one live entry in each heap as long
-/// as callers re-push what they pop (see [`DoublePriorityQueue::push`]);
-/// stale entries left behind by weight updates are skipped on pop and
-/// garbage-collected by an automatic rebuild once they outnumber live
-/// entries ~8:1.
-///
-/// # Examples
-///
-/// ```
-/// use mems_os::placement::{DoublePriorityQueue, FrequencyTracker};
-///
-/// let mut t = FrequencyTracker::new(3, 10.0);
-/// let mut q = DoublePriorityQueue::new(&t);
-/// t.record(2, 0.0);
-/// q.push(2, t.weight(2));
-/// let (hot, _) = q.pop_max(&t).unwrap();
-/// assert_eq!(hot, 2);
-/// let (cold, w) = q.pop_min(&t).unwrap();
-/// assert_eq!(w, 0.0); // blocks 0 and 1 were never accessed
-/// assert!(cold == 0 || cold == 1);
-/// ```
+/// Every block always has at least one live entry as long as callers
+/// re-push what they pop (see [`HeatQueue::push`]); stale entries left
+/// behind by weight updates are skipped on pop and garbage-collected by
+/// an automatic rebuild once they outnumber live entries ~8:1.
 #[derive(Debug, Clone)]
-pub struct DoublePriorityQueue {
-    max: BinaryHeap<Entry>,
-    min: BinaryHeap<Reverse<Entry>>,
+pub(crate) struct HeatQueue {
+    heap: BinaryHeap<Entry>,
     blocks: u32,
 }
 
-impl DoublePriorityQueue {
+impl HeatQueue {
     /// Builds the queue with one entry per tracker block at its current
     /// weight.
-    pub fn new(tracker: &FrequencyTracker) -> Self {
-        let blocks = u32::try_from(tracker.len()).expect("block count fits u32");
-        let mut q = DoublePriorityQueue {
-            max: BinaryHeap::new(),
-            min: BinaryHeap::new(),
+    pub(crate) fn new(tracker: &FrequencyTracker) -> Self {
+        let blocks = u32::try_from(tracker.weights.len()).expect("block count fits u32");
+        let mut q = HeatQueue {
+            heap: BinaryHeap::new(),
             blocks,
         };
         q.rebuild(tracker);
         q
     }
 
-    /// Number of blocks covered.
-    pub fn blocks(&self) -> u32 {
-        self.blocks
-    }
-
     /// Registers `block`'s current `weight` (typically right after a
     /// [`FrequencyTracker::record`], or to return a popped block to the
     /// queue). Older entries for the block become stale and are skipped
     /// on pop.
-    pub fn push(&mut self, block: u32, weight: f64) {
-        let e = (weight.to_bits(), block);
-        self.max.push(e);
-        self.min.push(Reverse(e));
+    pub(crate) fn push(&mut self, block: u32, weight: f64) {
+        self.heap.push((weight.to_bits(), block));
     }
 
     /// Pops the hottest block (highest weight, ties to the highest block
     /// id) whose entry matches the tracker's live weight. Returns `None`
     /// only if every block has been popped without being re-pushed.
-    pub fn pop_max(&mut self, tracker: &FrequencyTracker) -> Option<(u32, f64)> {
-        while let Some((bits, block)) = self.max.pop() {
-            let live = tracker.weight(block as usize);
-            if live.to_bits() == bits {
-                return Some((block, live));
-            }
-        }
-        None
-    }
-
-    /// Pops the coldest block (lowest weight, ties to the lowest block
-    /// id) whose entry matches the tracker's live weight.
-    pub fn pop_min(&mut self, tracker: &FrequencyTracker) -> Option<(u32, f64)> {
-        while let Some(Reverse((bits, block))) = self.min.pop() {
+    pub(crate) fn pop_max(&mut self, tracker: &FrequencyTracker) -> Option<(u32, f64)> {
+        while let Some((bits, block)) = self.heap.pop() {
             let live = tracker.weight(block as usize);
             if live.to_bits() == bits {
                 return Some((block, live));
@@ -247,22 +160,19 @@ impl DoublePriorityQueue {
     /// Discards every entry and re-inserts one live entry per block.
     /// Required after [`FrequencyTracker::record`] reports a
     /// renormalization (all cached bits went stale at once); also called
-    /// automatically by [`DoublePriorityQueue::maintain`].
-    pub fn rebuild(&mut self, tracker: &FrequencyTracker) {
-        self.max.clear();
-        self.min.clear();
+    /// automatically by [`HeatQueue::maintain`].
+    pub(crate) fn rebuild(&mut self, tracker: &FrequencyTracker) {
+        self.heap.clear();
         for block in 0..self.blocks {
-            let e = (tracker.weight(block as usize).to_bits(), block);
-            self.max.push(e);
-            self.min.push(Reverse(e));
+            self.heap
+                .push((tracker.weight(block as usize).to_bits(), block));
         }
     }
 
     /// Rebuilds if stale entries dominate (heap length beyond ~8× the
     /// block count), bounding memory without changing pop results.
-    pub fn maintain(&mut self, tracker: &FrequencyTracker) {
-        let cap = 8 * self.blocks as usize + 64;
-        if self.max.len() > cap || self.min.len() > cap {
+    pub(crate) fn maintain(&mut self, tracker: &FrequencyTracker) {
+        if self.heap.len() > 8 * self.blocks as usize + 64 {
             self.rebuild(tracker);
         }
     }
@@ -271,6 +181,19 @@ impl DoublePriorityQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn two_accesses_outweigh_one() {
+        let mut t = FrequencyTracker::new(4, 10.0);
+        t.record(1, 0.0);
+        t.record(1, 1.0);
+        t.record(2, 1.0);
+        // Block 1 (two accesses) is hotter than block 2 (one access).
+        assert!(t.weight(1) > t.weight(2));
+        // Decayed absolute counts: ~2 accesses worth of heat on block 1.
+        assert!(t.weight_at(1, 1.0) > 1.9 && t.weight_at(1, 1.0) < 2.0);
+    }
 
     #[test]
     fn more_recent_accesses_weigh_more() {
@@ -304,7 +227,8 @@ mod tests {
         // 1000 half-lives later: forces a renormalization.
         let renormed = t.record(2, 1.0);
         assert!(renormed);
-        assert_eq!(t.renormalizations(), 1);
+        // Exactly one rescale stepped the anchor.
+        assert_eq!(t.anchor, RENORM_HALF_LIVES * 0.001);
         assert!(t.weight(2) > t.weight(0));
         assert!(t.weight(0) > t.weight(1));
         let w2 = t.weight_at(2, 1.0);
@@ -312,9 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn queue_pops_both_ends() {
+    fn queue_pops_hottest_first() {
         let mut t = FrequencyTracker::new(4, 10.0);
-        let mut q = DoublePriorityQueue::new(&t);
+        let mut q = HeatQueue::new(&t);
         for (block, n) in [(0u32, 1), (1, 3), (2, 2)] {
             for _ in 0..n {
                 assert!(!t.record(block as usize, 0.0));
@@ -323,34 +247,93 @@ mod tests {
         }
         let (hot, w) = q.pop_max(&t).unwrap();
         assert_eq!((hot, w), (1, 3.0));
-        // Block 3 was never touched: coldest at weight zero.
-        let (cold, w) = q.pop_min(&t).unwrap();
-        assert_eq!((cold, w), (3, 0.0));
-        // Re-push and the ends are stable.
+        assert_eq!(q.pop_max(&t).unwrap(), (2, 2.0));
+        // Re-push and the top is stable.
         q.push(hot, 3.0);
-        q.push(cold, 0.0);
         assert_eq!(q.pop_max(&t).unwrap().0, 1);
-        assert_eq!(q.pop_min(&t).unwrap().0, 3);
     }
 
     #[test]
     fn stale_entries_are_skipped_and_maintained() {
         let mut t = FrequencyTracker::new(2, 10.0);
-        let mut q = DoublePriorityQueue::new(&t);
+        let mut q = HeatQueue::new(&t);
         for i in 0..100 {
             t.record(0, i as f64 * 1e-3);
             q.push(0, t.weight(0));
             q.maintain(&t);
         }
         // 100 pushes against a cap of 8*2+64: must have rebuilt, and the
-        // heaps stay near one live entry per block.
-        assert!(q.max.len() <= 8 * 2 + 64 + 1);
+        // heap stays near one live entry per block.
+        assert!(q.heap.len() <= 8 * 2 + 64 + 1);
         assert_eq!(q.pop_max(&t).unwrap().0, 0);
-        assert_eq!(q.pop_min(&t).unwrap().0, 1);
-        // Both heaps drained of valid entries -> None.
         assert_eq!(q.pop_max(&t).unwrap().0, 1);
-        assert_eq!(q.pop_min(&t).unwrap().0, 0);
+        // Drained of valid entries -> None.
         assert!(q.pop_max(&t).is_none());
-        assert!(q.pop_min(&t).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The anchor-normalized decayed counters order exactly like
+        /// brute-force decayed sums under arbitrary access interleavings
+        /// and decay rates — including rates small enough that the run
+        /// crosses many renormalization boundaries — and the queue tracks
+        /// the hottest block through it all.
+        #[test]
+        fn decayed_counters_preserve_relative_order(
+            accesses in prop::collection::vec((0usize..6, 1e-4f64..0.5), 1..120),
+            half_life_pick in 0usize..3,
+        ) {
+            const BLOCKS: usize = 6;
+            // Spans gentle decay up to a rate small enough that the run
+            // crosses many renormalization boundaries.
+            let half_life = [0.001f64, 0.05, 5.0][half_life_pick];
+            let mut tracker = FrequencyTracker::new(BLOCKS, half_life);
+            let mut queue = HeatQueue::new(&tracker);
+            let mut times: Vec<Vec<f64>> = vec![Vec::new(); BLOCKS];
+            let mut now = 0.0;
+            for &(block, dt) in &accesses {
+                now += dt;
+                if tracker.record(block, now) {
+                    // Renormalization staled every cached weight bit pattern.
+                    queue.rebuild(&tracker);
+                } else {
+                    queue.push(block as u32, tracker.weight(block));
+                }
+                queue.maintain(&tracker);
+                times[block].push(now);
+            }
+            // Brute force: each access contributes 2^-(age / half_life).
+            let brute: Vec<f64> = times
+                .iter()
+                .map(|ts| ts.iter().map(|t| f64::exp2(-(now - t) / half_life)).sum())
+                .collect();
+            for (b, &expect) in brute.iter().enumerate() {
+                let got = tracker.weight_at(b, now);
+                prop_assert!(
+                    (got - expect).abs() <= 1e-9 * expect.max(got) + 1e-300,
+                    "block {}: weight_at {} vs brute {}",
+                    b, got, expect
+                );
+            }
+            // Raw (anchor-normalized) weights order identically wherever the
+            // brute-force comparison is decisive.
+            for i in 0..BLOCKS {
+                for j in 0..BLOCKS {
+                    if brute[i] > brute[j] * 1.000_001 && brute[i] > 1e-200 {
+                        prop_assert!(
+                            tracker.weight(i) > tracker.weight(j),
+                            "order flipped: block {} ({} brute {}) vs block {} ({} brute {})",
+                            i, tracker.weight(i), brute[i],
+                            j, tracker.weight(j), brute[j]
+                        );
+                    }
+                }
+            }
+            // The queue's top is the live maximum, bit for bit.
+            let max_w = (0..BLOCKS).map(|b| tracker.weight(b)).fold(f64::MIN, f64::max);
+            let (_, popped_max) = queue.pop_max(&tracker).unwrap();
+            prop_assert_eq!(popped_max.to_bits(), max_w.to_bits());
+        }
     }
 }

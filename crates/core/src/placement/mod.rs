@@ -1,16 +1,15 @@
-//! Adaptive data placement: online hot/cold migration (ROADMAP item 2).
+//! Adaptive data placement: online hot/cold migration.
 //!
 //! The paper's §5 layouts are computed offline from a frequency census
 //! and never move data again. This module closes the observation→action
-//! loop instead: [`FrequencyTracker`] keeps exponentially-decayed
-//! per-block access counters (with [`DoublePriorityQueue`] exposing the
-//! hottest and coldest blocks), and [`AdaptiveDevice`] migrates hot
-//! blocks toward the cheap center cylinders during idle windows,
-//! through a block-granular indirection table, billing every migration
-//! I/O through the wrapped device's normal service path.
+//! loop instead: [`AdaptiveDevice`] keeps exponentially-decayed
+//! per-block access counters (with a max-heap yielding the hottest
+//! blocks) and migrates hot blocks toward the cheap center cylinders
+//! during idle windows, through a block-granular indirection table,
+//! billing every migration I/O through the wrapped device's normal
+//! service path.
 
 mod adaptive;
 mod frequency;
 
-pub use adaptive::{AdaptiveDevice, MigrationStats, PlacementConfig};
-pub use frequency::{DoublePriorityQueue, FrequencyTracker};
+pub use adaptive::{AdaptiveDevice, MigrationStats, BLOCK_SECTORS};

@@ -12,7 +12,7 @@ use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::fault::{DegradedDevice, RemapPolicy, RemappedDevice};
-use mems_os::placement::{AdaptiveDevice, PlacementConfig};
+use mems_os::placement::AdaptiveDevice;
 use mems_os::power::{PowerManagedDevice, PowerProfile};
 use mems_os::sched::SptfScheduler;
 use storage_sim::{
@@ -209,12 +209,7 @@ fn pruning_wrappers_forward_seek_hints_unchanged() {
         true,
     );
     let (r, hints) = recorder();
-    check(
-        "adaptive",
-        &AdaptiveDevice::new(r, PlacementConfig::default()),
-        &hints,
-        true,
-    );
+    check("adaptive", &AdaptiveDevice::new(r, true), &hints, true);
     let (r, hints) = recorder();
     check(
         "remapped",

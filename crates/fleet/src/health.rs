@@ -14,7 +14,11 @@
 //! straggler itself dragging the baseline). Hysteresis keeps a station
 //! from flapping in and out of the flagged set on single noisy windows:
 //! it recovers only at 1.25× the median or below, and either change
-//! takes two consecutive qualifying windows.
+//! takes two consecutive qualifying windows. A window's p99 is evidence
+//! only when the window holds enough completions to estimate it (two
+//! samples past the quantile, 200 for p99): the detector coarsens its
+//! common grid until the median active window holds that many, and a
+//! window still short of it is neutral.
 //!
 //! [`SimReport`]: storage_sim::SimReport
 //! [`Telemetry`]: storage_sim::Telemetry
@@ -139,8 +143,15 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
 // p99 within the same telemetry window. Twice the median is a station
 // clearly out of line with its peers; recovering only at 1.25× leaves a
 // hysteresis band between the two, and a streak of two windows outlasts
-// one noisy window. A window where a station completed nothing is
-// neutral: no evidence either way, so streaks hold but don't grow.
+// one noisy window. A window where a station completed too few requests
+// to estimate its p99 is neutral: no evidence either way, so streaks hold
+// but don't grow.
+
+/// The tail quantile the detector compares.
+const QUANTILE: f64 = 0.99;
+/// Samples a window must hold past [`QUANTILE`] for its estimate to be
+/// more than the window's largest response or two.
+const TAIL_SAMPLES: f64 = 2.0;
 
 /// A station's windowed p99 must reach this multiple of the median to
 /// count toward flagging.
@@ -166,13 +177,15 @@ pub struct StragglerEvent {
 /// per-window p99s and flags, and the transition list.
 #[derive(Debug, Clone)]
 pub struct StragglerReport {
-    /// Window width all stations were aligned to, seconds.
+    /// Window width all stations were aligned to, seconds: the widest
+    /// station width, doubled until the median active window holds
+    /// enough completions to estimate its p99.
     pub window_secs: f64,
-    /// Fleet median station p99 per window, ms (0 when no station was
-    /// active in the window).
+    /// Fleet median station p99 per window, ms (0 when no station's
+    /// window held enough completions).
     pub median_p99_ms: Vec<f64>,
     /// Per-station windowed p99, ms; `[station][window]`, 0 when the
-    /// station was inactive in that window.
+    /// window held too few completions to estimate it.
     pub station_p99_ms: Vec<Vec<f64>>,
     /// Straggler state after each window; `[station][window]`.
     pub flagged: Vec<Vec<bool>>,
@@ -196,21 +209,31 @@ impl StragglerReport {
 ///
 /// Deterministic: inputs are sim-time derived, stations align to a
 /// common window width by exact coarsening, and ties break by station
-/// index. See the module docs for the thresholds and their hysteresis.
+/// index. See the module docs for the thresholds, their hysteresis and
+/// the sample rule that sets the window width.
 pub fn detect_stragglers(stations: &[Telemetry]) -> StragglerReport {
     assert!(!stations.is_empty(), "straggler detection needs stations");
-    let common = stations
+    let min_samples = (TAIL_SAMPLES / (1.0 - QUANTILE)).round() as u64;
+    let mut common = stations
         .iter()
         .map(Telemetry::window_secs)
         .fold(0.0f64, f64::max);
-    let aligned: Vec<Telemetry> = stations
-        .iter()
-        .map(|t| {
-            let mut t = t.clone();
+    let mut aligned: Vec<Telemetry> = stations.to_vec();
+    loop {
+        for t in &mut aligned {
             t.coarsen_to(common);
-            t
-        })
-        .collect();
+        }
+        let active = aligned
+            .iter()
+            .flat_map(Telemetry::windows)
+            .filter(|w| w.completions > 0)
+            .map(|w| w.completions as f64);
+        let longest = aligned.iter().map(|t| t.windows().len()).max();
+        if median(active) >= min_samples as f64 || longest.unwrap_or(0) <= 1 {
+            break;
+        }
+        common *= 2.0;
+    }
     let nwin = aligned.iter().map(|t| t.windows().len()).max().unwrap_or(0);
     let nsta = aligned.len();
 
@@ -226,8 +249,8 @@ pub fn detect_stragglers(stations: &[Telemetry]) -> StragglerReport {
         let mut active = Vec::with_capacity(nsta);
         for (s, t) in aligned.iter().enumerate() {
             if let Some(win) = t.windows().get(w) {
-                if win.completions > 0 {
-                    let p99 = win.responses.quantile(0.99) * 1e3;
+                if win.completions >= min_samples {
+                    let p99 = win.responses.quantile(QUANTILE) * 1e3;
                     station_p99_ms[s][w] = p99;
                     active.push(p99);
                 }
@@ -366,43 +389,37 @@ mod tests {
     use super::*;
     use storage_sim::{Request, SimTime, Tracer};
 
-    fn tel_with(responses_ms: &[(f64, f64)]) -> Telemetry {
-        // (completion time ms, response ms)
-        let mut t = Telemetry::new(0.010, 4096);
-        for (i, &(at, resp)) in responses_ms.iter().enumerate() {
-            let start = SimTime::from_ms(at - resp);
-            let c = Completion {
-                request: Request::new(i as u64, start, 0, 8, IoKind::Read),
-                start_service: start,
-                completion: SimTime::from_ms(at),
-            };
-            t.on_complete(&c);
+    /// A station's telemetry on `fleet_obs`'s grid (100 ms windows, at
+    /// most 256 of them): `per_window` completions spread evenly over each
+    /// of `windows` base windows, the `i`-th of window `w` taking
+    /// `resp_ms(w, i)`.
+    fn station(
+        windows: usize,
+        per_window: usize,
+        resp_ms: impl Fn(usize, usize) -> f64,
+    ) -> Telemetry {
+        let mut t = Telemetry::new(0.1, 256);
+        for w in 0..windows {
+            for i in 0..per_window {
+                let at = 100.0 * (w as f64 + (i as f64 + 0.5) / per_window as f64);
+                let start = SimTime::from_ms(at - resp_ms(w, i));
+                t.on_complete(&Completion {
+                    request: Request::new((w * per_window + i) as u64, start, 0, 8, IoKind::Read),
+                    start_service: start,
+                    completion: SimTime::from_ms(at),
+                });
+            }
         }
         t
     }
 
     #[test]
     fn straggler_enters_after_streak_and_exits_with_hysteresis() {
-        // Station 2 is 4x slower for windows 0..=3, then recovers.
-        let fast = |off: f64| {
-            tel_with(&[
-                (2.0 + off, 1.0),
-                (12.0 + off, 1.0),
-                (22.0 + off, 1.0),
-                (32.0 + off, 1.0),
-                (42.0 + off, 1.0),
-                (52.0 + off, 1.0),
-            ])
-        };
-        let slow = tel_with(&[
-            (2.0, 4.0),
-            (12.0, 4.0),
-            (22.0, 4.0),
-            (32.0, 4.0),
-            (42.0, 1.0),
-            (52.0, 1.0),
-        ]);
-        let stations = [fast(0.0), fast(0.1), slow];
+        // Station 2 is 4x slower for windows 0..=3, then recovers. Each
+        // window holds the 200 completions a p99 needs.
+        let fast = station(6, 200, |_, _| 1.0);
+        let slow = station(6, 200, |w, _| if w <= 3 { 4.0 } else { 1.0 });
+        let stations = [fast.clone(), fast, slow];
         let report = detect_stragglers(&stations);
         // Streak of 2: flagged from window 1.
         assert!(!report.flagged[2][0]);
@@ -429,6 +446,38 @@ mod tests {
         // Healthy stations never flag.
         assert!(report.flagged[0].iter().all(|f| !f));
         assert!(report.flagged[1].iter().all(|f| !f));
+    }
+
+    #[test]
+    fn sparse_windows_cannot_flag_a_healthy_station() {
+        // `fleet_obs`'s 10x horizon: 16 stations each completing 56
+        // sub-I/Os per 100 ms over 30 s, which the 256-window cap coarsens
+        // to 200 ms windows of 112. Station 5 is four times slower
+        // throughout. Healthy station 12 meets two slow responses in each
+        // of two consecutive 200 ms windows; with 112 samples a window's
+        // p99 is its second largest response, so those two windows alone
+        // would flag it.
+        let healthy = |_: usize, i: usize| 0.5 + 0.25 * (i % 5) as f64;
+        let stations: Vec<Telemetry> = (0..16)
+            .map(|s| match s {
+                5 => station(300, 56, |w, i| 4.0 * healthy(w, i)),
+                12 => station(300, 56, |w, i| {
+                    if (w == 203 || w == 204) && (i == 7 || i == 40) {
+                        4.0
+                    } else {
+                        healthy(w, i)
+                    }
+                }),
+                _ => station(300, 56, healthy),
+            })
+            .collect();
+        let report = detect_stragglers(&stations);
+        assert_eq!(report.stragglers(), vec![5]);
+        assert!(
+            report.events.iter().all(|e| e.station == 5),
+            "transitions on healthy stations: {:?}",
+            report.events
+        );
     }
 
     #[test]

@@ -87,15 +87,15 @@ struct Registry {
 /// Quantized Y seek endpoints: row-boundary indices (`0..=rows_per_track`)
 /// plus velocity direction (−1, 0, +1 in units of the access velocity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct YKey {
+pub(crate) struct YKey {
     /// Boundary index the sled starts from.
-    pub from_boundary: u16,
+    pub(crate) from_boundary: u16,
     /// Sign of the starting Y velocity (0 = at rest).
-    pub from_dir: i8,
+    pub(crate) from_dir: i8,
     /// Boundary index the seek targets.
-    pub to_boundary: u16,
+    pub(crate) to_boundary: u16,
     /// Sign of the target Y velocity (±1).
-    pub to_dir: i8,
+    pub(crate) to_dir: i8,
 }
 
 /// Every on-grid seek solve for one [`MemsParams`], filled on first use.
@@ -108,14 +108,22 @@ pub struct YKey {
 /// # Examples
 ///
 /// ```
-/// use mems_device::{MemsParams, SeekSurface};
+/// use std::sync::Arc;
+///
+/// use mems_device::{MemsDevice, MemsParams, SeekSurface};
+/// use storage_sim::{IoKind, Request, SimTime, StorageDevice};
 ///
 /// let params = MemsParams::default();
 /// let surface = SeekSurface::build(&params).expect("paper device fits the guard");
+/// let mut dev = MemsDevice::new(params).with_seek_surface(Arc::new(surface));
+/// // 2,700 sectors per cylinder; a served request leaves the sled on the grid.
+/// let read = |cyl: u64| Request::new(0, SimTime::ZERO, cyl * 2700, 8, IoKind::Read);
+/// dev.service(&read(7), SimTime::ZERO);
 /// // Seeking from a cylinder to itself is instantaneous...
-/// assert_eq!(surface.x_seek(7, 7), 0.0);
+/// assert_eq!(dev.service(&read(7), SimTime::ZERO).seek_x, 0.0);
 /// // ...and a full-stroke seek takes about half a millisecond.
-/// assert!(surface.x_seek(0, 2499) > 0.4e-3);
+/// dev.service(&read(0), SimTime::ZERO);
+/// assert!(dev.service(&read(2499), SimTime::ZERO).seek_x > 0.4e-3);
 /// ```
 pub struct SeekSurface {
     params: MemsParams,
@@ -127,7 +135,7 @@ pub struct SeekSurface {
     y_ends: Box<[[Endpoint; 3]]>,
     /// Rest-to-rest X seek times, row-major `[from · cylinders + to]`.
     x: Box<[AtomicU64]>,
-    /// Y boundary-to-boundary seek times, see [`SeekSurface::y_seek`].
+    /// Y boundary-to-boundary seek times, see [`SeekSurface::y_at`].
     y: Box<[AtomicU64]>,
     /// Set once [`SeekSurface::fill`] has solved every cell. It only skips
     /// work: a thread that sees it set but a cell still unsolved solves
@@ -280,29 +288,18 @@ impl SeekSurface {
         ((self.x.len() + self.y.len()) * std::mem::size_of::<f64>()) as u64
     }
 
-    /// X rest-seek time from cylinder `from` to cylinder `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either cylinder is out of range.
-    #[inline]
-    pub fn x_seek(&self, from: u32, to: u32) -> f64 {
-        let n = self.x_ends.len();
-        let (from, to) = (from as usize, to as usize);
-        assert!(
-            from < n && to < n,
-            "X seek from cylinder {from} to {to} is off the grid"
-        );
-        self.x_at(from, to)
-    }
-
-    /// [`SeekSurface::x_seek`] without its range check, for the device,
-    /// whose quantized cylinders are in range by construction; the check
-    /// costs ~7% of an SPTF-bound run. An out-of-range `to` would read a
-    /// neighbouring row's cell.
+    /// X rest-seek time from cylinder `from` to cylinder `to`, for the
+    /// device, whose quantized cylinders are in range by construction. The
+    /// range check is a debug assertion: in release it would cost ~7% of
+    /// an SPTF-bound run, and an out-of-range `to` reads a neighbouring
+    /// row's cell.
     #[inline]
     pub(crate) fn x_at(&self, from: usize, to: usize) -> f64 {
         let n = self.x_ends.len();
+        debug_assert!(
+            from < n && to < n,
+            "X seek from cylinder {from} to {to} is off the grid"
+        );
         solved(&self.x[from * n + to], || {
             self.sled
                 .transfer_time(&self.x_ends[from], &self.x_ends[to])
@@ -321,29 +318,18 @@ impl SeekSurface {
         }
     }
 
-    /// Y seek time for the quantized endpoints `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a boundary index is out of range, `from_dir` is not −1,
-    /// 0 or 1, or `to_dir` is not ±1.
-    #[inline]
-    pub fn y_seek(&self, key: YKey) -> f64 {
-        let b = self.y_ends.len();
-        let (from, to) = (usize::from(key.from_boundary), usize::from(key.to_boundary));
-        assert!(
-            from < b && to < b && matches!(key.from_dir, -1..=1) && matches!(key.to_dir, -1 | 1),
-            "Y seek key {key:?} is off the grid"
-        );
-        self.y_at(key)
-    }
-
-    /// [`SeekSurface::y_seek`] without its range check, for the device,
-    /// whose quantized keys are on the grid by construction.
+    /// Y seek time for the quantized endpoints `key`, for the device,
+    /// whose quantized keys are on the grid by construction. The grid
+    /// check (boundaries in range, `from_dir` −1, 0 or 1, `to_dir` ±1) is
+    /// a debug assertion, as in [`SeekSurface::x_at`].
     #[inline]
     pub(crate) fn y_at(&self, key: YKey) -> f64 {
         let b = self.y_ends.len();
         let (from, to) = (usize::from(key.from_boundary), usize::from(key.to_boundary));
+        debug_assert!(
+            from < b && to < b && matches!(key.from_dir, -1..=1) && matches!(key.to_dir, -1 | 1),
+            "Y seek key {key:?} is off the grid"
+        );
         let from_dir = (key.from_dir + 1) as usize;
         self.y_cell(((from * 3 + from_dir) * b + to) * 2 + usize::from(key.to_dir > 0))
     }
@@ -512,9 +498,9 @@ pub(crate) mod tests {
                         for to in 0..s.cylinders() {
                             let want = solve(from_x, 0.0, mapper.x_of_cylinder(to), 0.0);
                             assert_eq!(
-                                s.x_seek(from, to).to_bits(),
+                                s.x_at(from as usize, to as usize).to_bits(),
                                 want.to_bits(),
-                                "x_seek({from}, {to}) differs from the solver \
+                                "x_at({from}, {to}) differs from the solver \
                                  (spring factor {})",
                                 s.params().spring_factor
                             );
@@ -558,9 +544,9 @@ pub(crate) mod tests {
                 f64::from(key.to_dir) * v,
             );
             assert_eq!(
-                s.y_seek(key).to_bits(),
+                s.y_at(key).to_bits(),
                 want.to_bits(),
-                "y_seek({key:?}) differs from the solver (spring factor {})",
+                "y_at({key:?}) differs from the solver (spring factor {})",
                 s.params().spring_factor
             );
         }
@@ -583,14 +569,14 @@ pub(crate) mod tests {
         for &from in rows {
             for to in 0..a.cylinders() {
                 assert_eq!(
-                    a.x_seek(from, to).to_bits(),
-                    b.x_seek(from, to).to_bits(),
-                    "x_seek({from}, {to})"
+                    a.x_at(from as usize, to as usize).to_bits(),
+                    b.x_at(from as usize, to as usize).to_bits(),
+                    "x_at({from}, {to})"
                 );
             }
         }
         for key in y_keys(a) {
-            assert_eq!(a.y_seek(key).to_bits(), b.y_seek(key).to_bits(), "{key:?}");
+            assert_eq!(a.y_at(key).to_bits(), b.y_at(key).to_bits(), "{key:?}");
         }
     }
 
@@ -615,10 +601,10 @@ pub(crate) mod tests {
             .flat_map(|&from| (0..s.cylinders()).map(move |to| (from, to)))
             .collect();
         for (from, to) in shuffled(cells, seed) {
-            s.x_seek(from, to);
+            s.x_at(from as usize, to as usize);
         }
         for key in shuffled(y_keys(s), seed) {
-            s.y_seek(key);
+            s.y_at(key);
         }
     }
 
@@ -628,7 +614,7 @@ pub(crate) mod tests {
         let sled = sled_for(s.params());
         let rows: Vec<u32> = (0..200).step_by(7).collect();
         assert_x_rows_match(&s, &rows, &|p0, _, p1, _| sled.rest_seek_time(p0, p1));
-        assert_eq!(s.x_seek(42, 42), 0.0);
+        assert_eq!(s.x_at(42, 42), 0.0);
     }
 
     #[test]
@@ -729,18 +715,22 @@ pub(crate) mod tests {
         assert_surfaces_equal(&lazy, &SeekSurface::build(&params).unwrap(), &all);
     }
 
+    // The grid checks are debug assertions, so these run in debug builds.
+
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "off the grid")]
     fn x_seek_past_the_last_cylinder_panics() {
         let s = SeekSurface::empty(&small_params());
-        s.x_seek(0, s.cylinders());
+        s.x_at(0, s.cylinders() as usize);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "off the grid")]
     fn y_seek_past_the_last_boundary_panics() {
         let s = SeekSurface::empty(&small_params());
-        s.y_seek(YKey {
+        s.y_at(YKey {
             from_boundary: 0,
             from_dir: 0,
             to_boundary: s.y_ends.len() as u16,
@@ -749,9 +739,10 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "off the grid")]
     fn y_seek_to_a_resting_target_panics() {
-        SeekSurface::empty(&small_params()).y_seek(YKey {
+        SeekSurface::empty(&small_params()).y_at(YKey {
             from_boundary: 0,
             from_dir: 0,
             to_boundary: 1,
@@ -774,7 +765,7 @@ pub(crate) mod tests {
         let a = SeekSurface::shared(&params).expect("small device fits");
         let b = SeekSurface::shared(&params).expect("small device fits");
         assert!(Arc::ptr_eq(&a, &b), "live surfaces are shared");
-        a.x_seek(3, 4);
+        a.x_at(3, 4);
         let weak = Arc::downgrade(&a);
         drop((a, b));
         // Whatever other tests resolved since, the call below hands out

@@ -2,8 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mems_device::surface::YKey;
-use mems_device::{Mapper, MemsDevice, MemsParams, SeekSurface, SledState, SpringSled};
+use mems_device::{Mapper, MemsDevice, MemsParams, PhysAddr, SeekSurface, SledState, SpringSled};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use storage_sim::{IoKind, PositionOracle, Request, SimTime, StorageDevice};
@@ -169,44 +168,52 @@ proptest! {
         prop_assert!(bl.transfer >= bs.transfer - 1e-12);
     }
 
-    /// The materialized seek surface agrees bit-for-bit with the
-    /// closed-form solver on arbitrary on-grid X pairs and Y keys — the
-    /// property that lets the surface replace per-query solving without
-    /// perturbing a single simulation float.
+    /// A device on the materialized seek surface positions from arbitrary
+    /// on-grid states exactly as the closed-form solver does: its X seek
+    /// is the rest seek between the two cylinder centers, and its Y seek
+    /// the cheaper of the solver's two approaches to the target row
+    /// (forward into it at +v, backward past it at −v) — the property
+    /// that lets the surface replace per-query solving without perturbing
+    /// a single simulation float.
     #[test]
     fn surface_matches_direct_solver_on_grid(
         from_cyl in 0u32..200,
         to_cyl in 0u32..200,
-        from_b in 0u16..3,
+        from_b in 0u32..3,
         from_dir_sel in 0u8..3,
-        to_b in 0u16..3,
-        to_up in prop::bool::ANY,
+        to_row in 0u32..2,
     ) {
         let params = small_params();
-        let s = small_surface();
+        let device = MemsDevice::new(params.clone()).with_seek_surface(small_surface());
         let mapper = Mapper::new(&params);
         let sled = SpringSled::from_spring_factor(
             params.accel,
             params.spring_factor,
             params.half_mobility(),
         );
-        let x_direct = sled.rest_seek_time(
-            mapper.x_of_cylinder(from_cyl),
-            mapper.x_of_cylinder(to_cyl),
-        );
-        prop_assert_eq!(s.x_seek(from_cyl, to_cyl).to_bits(), x_direct.to_bits());
-
         let v = params.access_velocity();
-        let from_dir = from_dir_sel as i8 - 1;
-        let to_dir: i8 = if to_up { 1 } else { -1 };
-        let key = YKey { from_boundary: from_b, from_dir, to_boundary: to_b, to_dir };
-        let y_direct = sled.seek_time(
-            mapper.y_of_row_start(u32::from(from_b)),
-            f64::from(from_dir) * v,
-            mapper.y_of_row_start(u32::from(to_b)),
-            f64::from(to_dir) * v,
-        );
-        prop_assert_eq!(s.y_seek(key).to_bits(), y_direct.to_bits());
+        let from_vy = f64::from(i32::from(from_dir_sel) - 1) * v;
+        let from = SledState {
+            x: mapper.x_of_cylinder(from_cyl),
+            y: mapper.y_of_row_start(from_b),
+            vy: from_vy,
+        };
+        let addr = PhysAddr { cylinder: to_cyl, track: 0, row: to_row, slot: 0 };
+        let req = Request::new(0, SimTime::ZERO, mapper.compose(addr), 1, IoKind::Read);
+        let (b, _) = device.service_from(from, &req);
+
+        let x_direct = if from_cyl == to_cyl {
+            0.0
+        } else {
+            sled.rest_seek_time(mapper.x_of_cylinder(from_cyl), mapper.x_of_cylinder(to_cyl))
+        };
+        prop_assert_eq!(b.seek_x.to_bits(), x_direct.to_bits());
+
+        let y_from = mapper.y_of_row_start(from_b);
+        let forward = sled.seek_time(y_from, from_vy, mapper.y_of_row_start(to_row), v);
+        let backward = sled.seek_time(y_from, from_vy, mapper.y_of_row_start(to_row + 1), -v);
+        let y_direct = if forward <= backward { forward } else { backward };
+        prop_assert_eq!(b.seek_y.to_bits(), y_direct.to_bits());
     }
 
     /// Devices on an attached eager surface, on the lazily filled shared

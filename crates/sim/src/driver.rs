@@ -719,7 +719,7 @@ mod tests {
         assert_eq!(r.completed, 3);
         assert!((r.response.mean_ms() - 1.0).abs() < 1e-9);
         assert_eq!(r.queue_time.mean(), 0.0);
-        assert!((r.makespan.as_ms() - 21.0).abs() < 1e-9);
+        assert!((r.makespan.as_secs() * 1e3 - 21.0).abs() < 1e-9);
     }
 
     #[test]
@@ -736,7 +736,7 @@ mod tests {
         assert_eq!(completions.len(), 3);
         // FIFO: response times 1, 2, 3 ms.
         for (i, c) in completions.iter().enumerate() {
-            assert!((c.response_time().as_ms() - (i as f64 + 1.0)).abs() < 1e-9);
+            assert!((c.response_time().as_secs() * 1e3 - (i as f64 + 1.0)).abs() < 1e-9);
             assert_eq!(c.request.id, i as u64);
         }
         assert!((r.response.mean_ms() - 2.0).abs() < 1e-9);

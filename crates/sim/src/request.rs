@@ -136,8 +136,8 @@ mod tests {
             start_service: SimTime::from_ms(3.0),
             completion: SimTime::from_ms(4.5),
         };
-        assert!((c.response_time().as_ms() - 3.5).abs() < 1e-12);
-        assert!((c.queue_time().as_ms() - 2.0).abs() < 1e-12);
-        assert!((c.service_time().as_ms() - 1.5).abs() < 1e-12);
+        assert!((c.response_time().as_secs() * 1e3 - 3.5).abs() < 1e-12);
+        assert!((c.queue_time().as_secs() * 1e3 - 2.0).abs() < 1e-12);
+        assert!((c.service_time().as_secs() * 1e3 - 1.5).abs() < 1e-12);
     }
 }

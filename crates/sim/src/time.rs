@@ -23,7 +23,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// use storage_sim::SimTime;
 ///
 /// let t = SimTime::from_ms(1.5);
-/// assert_eq!(t.as_us(), 1500.0);
+/// assert_eq!(t.as_secs() * 1e6, 1500.0);
 /// assert!(t < SimTime::from_secs(1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,18 +60,6 @@ impl SimTime {
     #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Returns the time in milliseconds.
-    #[inline]
-    pub fn as_ms(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// Returns the time in microseconds.
-    #[inline]
-    pub fn as_us(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Returns the larger of two times.
@@ -154,7 +142,7 @@ mod tests {
     fn conversions_round_trip() {
         let t = SimTime::from_ms(2.5);
         assert!((t.as_secs() - 0.0025).abs() < 1e-15);
-        assert!((t.as_us() - 2500.0).abs() < 1e-9);
+        assert!((t.as_secs() * 1e6 - 2500.0).abs() < 1e-9);
         assert_eq!(SimTime::from_us(1000.0), SimTime::from_ms(1.0));
     }
 
