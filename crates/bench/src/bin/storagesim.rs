@@ -35,10 +35,8 @@ use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::array::Vdev;
 use mems_os::cache::CachedDevice;
 use mems_os::power::{PowerManagedDevice, PowerProfile};
-use mems_os::sched::{ClookScheduler, SptfScheduler, SstfScheduler};
-use storage_sim::{
-    Driver, DynScheduler, FifoScheduler, SimReport, StorageDevice, Welford, Workload,
-};
+use mems_os::sched::Algorithm;
+use storage_sim::{Driver, SimReport, StorageDevice, Welford, Workload};
 use storage_trace::{
     cello_for_capacity, tpcc_for_capacity, RandomWorkload, Replay, StreamingParams, StreamingTrace,
 };
@@ -155,12 +153,12 @@ fn number<T: FromStr + Copy>(flag: &str, text: &str, (what, ok): Domain<T>) -> T
     }
 }
 
-fn build_scheduler(name: &str) -> Box<dyn DynScheduler> {
+fn algorithm(name: &str) -> Algorithm {
     match name {
-        "fcfs" => Box::new(FifoScheduler::new()),
-        "sstf" => Box::new(SstfScheduler::new()),
-        "clook" => Box::new(ClookScheduler::new()),
-        "sptf" => Box::new(SptfScheduler::new()),
+        "fcfs" => Algorithm::Fcfs,
+        "sstf" => Algorithm::SstfLbn,
+        "clook" => Algorithm::Clook,
+        "sptf" => Algorithm::Sptf,
         other => {
             eprintln!("unknown --scheduler {other}");
             usage();
@@ -202,7 +200,7 @@ fn run<D: StorageDevice>(device: D, args: &Args) -> (SimReport, String) {
             usage();
         }
     };
-    let mut driver = Driver::new(workload, build_scheduler(&args.scheduler), device)
+    let mut driver = Driver::new(workload, algorithm(&args.scheduler).build(), device)
         .warmup_requests(args.warmup)
         .record_completions(true);
     (driver.run(), name)

@@ -4,7 +4,8 @@
 //! Cells:
 //!
 //! 1. `mems_sptf` — the Fig. 6 SPTF/MEMS random cell (1000 req/s, seed
-//!    `0x5EED_0006`): the healthy-device timeline and media heatmap.
+//!    `0x5EED_0006`): the healthy-device timeline and media heatmap, and
+//!    where a request's service time goes, phase by phase.
 //! 2. `mems_fault_ramp` — the same device behind `DegradedDevice` while 6%
 //!    of tips fail in the first half second: the timeline shows the
 //!    fault_recovery utilization and fault-rate ramp of §6.
@@ -15,11 +16,13 @@
 //!    migration traffic delays foreground arrivals, and the wrapper's
 //!    migration ledger lands in `target/telemetry_summary.json`.
 //!
-//! Outputs `results/telemetry_timeline.csv` and
-//! `results/telemetry_heatmap.csv` — both purely sim-time derived, so they
-//! are committed goldens byte-gated by the CI `figures` job — plus the
-//! untracked `target/telemetry_summary.json` (the adaptive cell's
-//! migration ledger).
+//! Outputs `results/telemetry_timeline.csv`,
+//! `results/telemetry_heatmap.csv` and `results/obs_phase_breakdown.csv`
+//! (the `mems_sptf` phase table, from the report's `breakdown_sum`) — all
+//! purely sim-time derived, so they are committed goldens byte-gated by
+//! the CI `figures` job — plus two untracked files under `target/`:
+//! `telemetry_summary.json` (the adaptive cell's migration ledger) and
+//! `obs_trace.jsonl` (the `mems_sptf` event ring, one event per line).
 //!
 //! Two gates make the bin a regression check (exit non-zero on failure):
 //! the telemetry window totals must reconcile with the driver's report,
@@ -30,7 +33,7 @@
 use std::process::ExitCode;
 
 use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
-use mems_bench::{write_csv, write_info};
+use mems_bench::{write_csv, write_info, Table};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, BLOCK_SECTORS};
@@ -87,6 +90,36 @@ fn mems_heatmap(ring: &RingTracer) -> MediaHeatmap {
             _ => None,
         }),
     )
+}
+
+/// Where the mean request's service time goes: each phase's mean and
+/// share of service, from the report's `breakdown_sum`.
+fn phase_table(report: &SimReport) -> Table {
+    let n = report.completed as f64;
+    let p = &report.breakdown_sum;
+    let service_total = p.positioning + p.transfer + p.overhead;
+    let mut table = Table::new(vec![
+        "phase".to_string(),
+        "mean (ms/req)".to_string(),
+        "share of service (%)".to_string(),
+    ]);
+    for (name, sum) in [
+        ("seek_x", p.seek_x),
+        ("settle", p.settle),
+        ("seek_y", p.seek_y),
+        ("positioning (resolved)", p.positioning),
+        ("transfer", p.transfer),
+        ("  of which turnaround", p.turnaround),
+        ("overhead", p.overhead),
+        ("service total", service_total),
+    ] {
+        table.row(vec![
+            name.to_string(),
+            format!("{:.4}", 1e3 * sum / n),
+            format!("{:.1}", 100.0 * sum / service_total),
+        ]);
+    }
+    table
 }
 
 fn check(ok: bool, failures: &mut u64, what: &str) {
@@ -178,6 +211,10 @@ fn main() -> ExitCode {
         map.total_stripes(),
         map.requests()
     );
+    let phases = phase_table(&sptf_report);
+    println!("{}", phases.render());
+    write_csv("obs_phase_breakdown.csv", &phases.to_csv());
+    write_info("obs_trace.jsonl", &pair.first.to_jsonl());
 
     // Cell 2: 6% of tips fail in the first 0.5 s behind DegradedDevice.
     let tips = MemsParams::default().tips;

@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::thread;
 
 use mems_device::{MemsParams, SeekSurface};
-use mems_os::sched::{Algorithm, ClookScheduler, SptfScheduler, SstfScheduler};
-use storage_sim::{Driver, FifoScheduler, Scheduler, SimReport, StorageDevice, Workload};
+use mems_os::sched::Algorithm;
+use storage_sim::{Driver, SimReport, StorageDevice, Workload};
 
 /// One (algorithm, arrival-rate) measurement.
 #[derive(Debug, Clone)]
@@ -47,25 +47,9 @@ where
     W: Workload,
     D: StorageDevice,
 {
-    fn go<W: Workload, S: Scheduler, D: StorageDevice>(
-        workload: W,
-        scheduler: S,
-        device: D,
-        warmup: u64,
-    ) -> SimReport {
-        Driver::new(workload, scheduler, device)
-            .warmup_requests(warmup)
-            .run()
-    }
-    // Dispatch on the concrete scheduler type here, once, so the driver's
-    // event loop runs monomorphized — no `Box<dyn Scheduler>` vtable hop
-    // on every pick of the hottest path.
-    match algorithm {
-        Algorithm::Fcfs => go(workload, FifoScheduler::new(), device, warmup),
-        Algorithm::SstfLbn => go(workload, SstfScheduler::new(), device, warmup),
-        Algorithm::Clook => go(workload, ClookScheduler::new(), device, warmup),
-        Algorithm::Sptf => go(workload, SptfScheduler::new(), device, warmup),
-    }
+    Driver::new(workload, algorithm.build(), device)
+        .warmup_requests(warmup)
+        .run()
 }
 
 /// Runs `n` independent jobs on scoped worker threads (one per available

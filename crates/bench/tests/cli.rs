@@ -4,8 +4,9 @@
 //! `trace_stats` on bad trace records, and the figure binaries on any
 //! argument but their one count or `--long`, before writing a CSV.
 //! `storagesim`'s figures divide by the requests they cover. A figure
-//! binary writes its CSV into the workspace's `results/`, and `obs_report`
-//! its trace into the workspace's `target/`, from any directory.
+//! binary writes its CSV into the workspace's `results/`, and
+//! `telemetry_report` its trace and summary into the workspace's
+//! `target/`, from any directory.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -372,7 +373,6 @@ fn figure_binaries_reject_anything_but_one_positive_count() {
             env!("CARGO_BIN_EXE_fig11_layouts"),
             "REQUESTS",
         ),
-        ("obs_report", env!("CARGO_BIN_EXE_obs_report"), "REQUESTS"),
         (
             "overload_sweep",
             env!("CARGO_BIN_EXE_overload_sweep"),
@@ -402,11 +402,11 @@ fn fleet_binaries_reject_anything_but_long() {
     }
 }
 
-/// Runs `table1_params` and `obs_report` from a scratch directory: each
-/// rewrites its committed golden byte for byte, every file either writes
-/// lands under the workspace root (`obs_report`'s trace in its
-/// `target/`), and neither leaves a `results/` or `target/` in the scratch
-/// directory or its parent.
+/// Runs `table1_params` and `telemetry_report` from a scratch directory:
+/// each rewrites its committed golden byte for byte, every file either
+/// writes lands under the workspace root (`telemetry_report`'s trace and
+/// summary in its `target/`), and neither leaves a `results/` or `target/`
+/// in the scratch directory or its parent.
 #[test]
 fn figure_csvs_land_in_the_workspace_results_from_any_directory() {
     let parent = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_cwd");
@@ -427,7 +427,10 @@ fn figure_csvs_land_in_the_workspace_results_from_any_directory() {
         .expect("workspace root");
     for (exe, csv) in [
         (env!("CARGO_BIN_EXE_table1_params"), "table1_params.csv"),
-        (env!("CARGO_BIN_EXE_obs_report"), "obs_phase_breakdown.csv"),
+        (
+            env!("CARGO_BIN_EXE_telemetry_report"),
+            "obs_phase_breakdown.csv",
+        ),
     ] {
         let golden = workspace.join("results").join(csv);
         let committed = std::fs::read(&golden).expect("read the committed CSV");

@@ -6,6 +6,9 @@
 //! numbers it records must account exactly for the response times the
 //! report aggregates, whatever wrapper stack bills them.
 
+#[path = "../../../tests/support/report.rs"]
+mod report;
+
 use std::collections::HashMap;
 
 use atlas_disk::{DiskDevice, DiskParams};
@@ -13,17 +16,12 @@ use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, BLOCK_SECTORS};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
+use report::assert_reports_identical;
 use storage_sim::{
     Driver, FaultClock, PhaseEnergy, RingTracer, Scheduler, SimReport, SimTime, StorageDevice,
     TraceEvent, Workload,
 };
 use storage_trace::{RandomWorkload, ZipfWorkload};
-
-/// Whole-report exact (`==`, not approximate) comparison: `f64`'s `Debug`
-/// is round-trip exact.
-fn assert_reports_bit_identical(untraced: &SimReport, traced: &SimReport) {
-    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
-}
 
 /// Runs the same (workload, scheduler, device) cell untraced and traced
 /// and asserts the reports agree exactly; returns the traced report and
@@ -41,13 +39,15 @@ where
 {
     let untraced = Driver::new(make_workload(), make_scheduler(), make_device())
         .warmup_requests(100)
+        .record_completions(true)
         .run();
     let ring = usize::try_from(requests).unwrap() * 4 + 64;
     let mut driver = Driver::new(make_workload(), make_scheduler(), make_device())
         .warmup_requests(100)
+        .record_completions(true)
         .with_tracer(RingTracer::new(ring));
     let traced = driver.run();
-    assert_reports_bit_identical(&untraced, &traced);
+    assert_reports_identical(&untraced, &traced, "a tracer changed the report");
     (traced, driver.tracer().clone())
 }
 
@@ -162,24 +162,27 @@ fn assert_phases_account_for_responses(trace: &RingTracer, parallel_seeks: bool)
     assert!(checked > 0, "no completions traced");
 }
 
+/// Two SPTF cells: the Fig. 6 knee, and Fig. 6's anchor cell as
+/// `telemetry_report` runs it (1000 req/s, 2,000 requests, its seed).
 #[test]
 fn mems_phase_times_sum_to_response_times() {
     let capacity = MemsParams::default().geometry().total_sectors();
-    let requests = 800;
-    let mut driver = Driver::new(
-        RandomWorkload::paper(capacity, 2200.0, requests, 13),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    )
-    .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
-    driver.run();
-    assert_phases_account_for_responses(driver.tracer(), true);
-    // The device attributes energy to every phase; the sums must be
-    // positive and dominated by positioning + transfer.
-    let e = traced_energy(driver.tracer());
-    assert!(e.positioning_j > 0.0);
-    assert!(e.transfer_j > 0.0);
-    assert!(e.total() > e.overhead_j);
+    for (rate, requests, seed) in [(2200.0, 800, 13), (1000.0, 2_000, 0x5EED_0006)] {
+        let mut driver = Driver::new(
+            RandomWorkload::paper(capacity, rate, requests, seed),
+            SptfScheduler::new(),
+            MemsDevice::new(MemsParams::default()),
+        )
+        .with_tracer(RingTracer::new(usize::try_from(requests).unwrap() * 4 + 64));
+        driver.run();
+        assert_phases_account_for_responses(driver.tracer(), true);
+        // The device attributes energy to every phase; the sums must be
+        // positive and dominated by positioning + transfer.
+        let e = traced_energy(driver.tracer());
+        assert!(e.positioning_j > 0.0);
+        assert!(e.transfer_j > 0.0);
+        assert!(e.total() > e.overhead_j);
+    }
 }
 
 #[test]

@@ -17,10 +17,14 @@
 //!    the policy picks, or when, fails here and not only in the figure
 //!    goldens.
 
+#[path = "../../../tests/support/report.rs"]
+mod report;
+
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::placement::{AdaptiveDevice, MigrationStats, BLOCK_SECTORS};
 use mems_os::sched::SptfScheduler;
+use report::{assert_reports_identical, report_digest};
 use storage_sim::{
     Driver, FaultKind, PhaseEnergy, PositionOracle, Request, ServiceBreakdown, SimReport, SimTime,
     StorageDevice, VecWorkload, Workload,
@@ -200,16 +204,10 @@ fn run_cell<D: StorageDevice>(device: D) -> SimReport {
 fn assert_identity<D: StorageDevice + Clone>(device: D, label: &str) {
     let bare = run_cell(device.clone());
     let wrapped = run_cell(AdaptiveDevice::new(device, false));
-    assert!(
-        bare.completions.as_ref().is_some_and(|c| !c.is_empty()),
-        "identity runs must record completions"
-    );
-    // Debug renders every f64 as its shortest round-trip string, so equal
-    // renderings mean bitwise-equal reports, completions included.
-    assert_eq!(
-        format!("{bare:?}"),
-        format!("{wrapped:?}"),
-        "{label}: migrations-off wrap must be bit-identical to the bare device"
+    assert_reports_identical(
+        &bare,
+        &wrapped,
+        &format!("{label}: migrations-off wrap must be bit-identical to the bare device"),
     );
 }
 
@@ -223,30 +221,6 @@ fn zero_migration_wrap_is_bit_identical_on_disk() {
     assert_identity(DiskDevice::new(DiskParams::quantum_atlas_10k()), "disk");
 }
 
-/// FNV-1a over the completion stream and the report's totals, floats by
-/// bit pattern.
-fn report_digest(r: &SimReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-    for c in r.completions.as_ref().expect("recorded") {
-        put(c.request.id);
-        put(c.start_service.as_secs().to_bits());
-        put(c.completion.as_secs().to_bits());
-    }
-    put(r.completed);
-    for x in [
-        r.makespan.as_secs(),
-        r.response.mean(),
-        r.busy_secs,
-        r.breakdown_sum.positioning,
-        r.breakdown_sum.transfer,
-        r.breakdown_sum.background_wait,
-    ] {
-        put(x.to_bits());
-    }
-    h
-}
-
 #[test]
 fn migration_policy_matches_recorded_pins() {
     // `telemetry_report`'s `mems_adaptive` stream, cut to 4,000 requests.
@@ -258,7 +232,7 @@ fn migration_policy_matches_recorded_pins() {
     let m = driver.device().migration_stats();
     assert_eq!(
         report_digest(&report),
-        0x6d07_be83_dc25_971a,
+        0x37a3_a265_c914_313c,
         "report digest"
     );
     assert_eq!(

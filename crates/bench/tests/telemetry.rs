@@ -12,20 +12,18 @@
 //!   request stream: Σ region accesses == Σ stripes touched and
 //!   Σ tip-group sectors == Σ request sectors.
 
+#[path = "../../../tests/support/report.rs"]
+mod report;
+
 use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
 use mems_device::{Mapper, MediaHeatmap, MemsDevice, MemsParams, Segment};
 use mems_os::sched::{ClookScheduler, SptfScheduler};
+use report::assert_reports_identical;
 use storage_sim::{
     Driver, RingTracer, Scheduler, SimReport, StorageDevice, Telemetry, TraceEvent, Tracer,
     TracerPair, Workload,
 };
 use storage_trace::RandomWorkload;
-
-/// Whole-report identity: every field bit for bit (`f64`'s `Debug` is
-/// round-trip exact).
-fn assert_reports_bit_identical(untraced: &SimReport, traced: &SimReport, label: &str) {
-    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"), "{label}");
-}
 
 /// Runs one cell untraced, then once per supplied tracer, asserting every
 /// variant reproduces the untraced report exactly.
@@ -42,11 +40,14 @@ where
     D: StorageDevice,
     T: Tracer,
 {
-    let untraced = Driver::new(make_workload(), make_scheduler(), make_device()).run();
+    let untraced = Driver::new(make_workload(), make_scheduler(), make_device())
+        .record_completions(true)
+        .run();
     let traced = Driver::new(make_workload(), make_scheduler(), make_device())
+        .record_completions(true)
         .with_tracer(tracer)
         .run();
-    assert_reports_bit_identical(&untraced, &traced, label);
+    assert_reports_identical(&untraced, &traced, label);
     untraced
 }
 

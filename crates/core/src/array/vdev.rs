@@ -119,14 +119,6 @@ impl<D: StorageDevice> Vdev<D> {
         }
     }
 
-    /// Number of direct children (1 for a leaf).
-    pub fn width(&self) -> usize {
-        match self {
-            Vdev::Leaf(_) => 1,
-            Vdev::Node { children, .. } => children.len(),
-        }
-    }
-
     /// Number of leaf devices in the whole subtree.
     pub fn leaf_count(&self) -> usize {
         match self {
@@ -592,7 +584,10 @@ mod tests {
         let v = Vdev::stripe(vec![pair(), pair()], 64);
         assert_eq!(v.capacity_lbns(), 2 * 6_749_952);
         assert_eq!(v.leaf_count(), 4);
-        assert_eq!(v.width(), 2);
+        let Vdev::Node { children, .. } = &v else {
+            panic!("a stripe is a node")
+        };
+        assert_eq!(children.len(), 2);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! the way a RAID controller operates a degraded array:
 //!
 //! * **Transient seek errors** arm on the device and hit the next serviced
-//!   request, which retries under a bounded-exponential-backoff
-//!   [`RetryPolicy`]; every attempt's penalty and backoff is billed as
-//!   real service time in [`ServiceBreakdown::fault_recovery`]. Exhausted
-//!   retries surface in the counters, never as silent success.
+//!   request, which retries with bounded exponential backoff (four
+//!   attempts, 50 µs doubling to at most 1 ms); every attempt's penalty and
+//!   backoff is billed as real service time in
+//!   [`ServiceBreakdown::fault_recovery`]. Exhausted retries surface in the
+//!   counters, never as silent success.
 //! * **Persistent tip failures** consume a spare tip while
 //!   [`SpareTipPolicy`] has one (a one-time remap charge, zero ongoing
 //!   cost — §6.1.1's headline result); once spares run out the tip's
@@ -36,14 +37,12 @@ use storage_sim::{
 use super::inject::{FaultState, MediaDefect};
 use super::remap::{RemapPolicy, RemapTable, SpareTipPolicy};
 use super::seek_error::{
-    disk_seek_error_penalty, mems_seek_error_penalty, resolve_transient, RetryOutcome, RetryPolicy,
+    disk_seek_error_penalty, mems_seek_error_penalty, resolve_transient, RetryOutcome, MAX_BACKOFF,
 };
 
 /// Cost and policy knobs for online failure handling.
 #[derive(Debug, Clone, Copy)]
 struct DegradedConfig {
-    /// Retry policy for transient seek errors.
-    retry: RetryPolicy,
     /// Per-attempt recovery penalty for a transient seek error, seconds
     /// (typically the device's mean seek-error penalty, §6.1.3).
     retry_penalty: f64,
@@ -154,7 +153,6 @@ impl DegradedDevice<MemsDevice> {
         let sectors_per_cylinder =
             u64::from(geom.tracks_per_cylinder) * u64::from(geom.sectors_per_track);
         let config = DegradedConfig {
-            retry: RetryPolicy::default(),
             retry_penalty: penalty.mean,
             recover_prob: 0.75,
             remap_penalty: params.settle_time() + params.row_time(),
@@ -216,7 +214,6 @@ impl DegradedDevice<DiskDevice> {
         let penalty = disk_seek_error_penalty(inner.params(), 1.5e-3);
         let capacity = inner.capacity_lbns();
         let config = DegradedConfig {
-            retry: RetryPolicy::default(),
             retry_penalty: penalty.mean,
             recover_prob: 0.75,
             remap_penalty: penalty.min,
@@ -261,7 +258,6 @@ impl<D: StorageDevice> DegradedDevice<D> {
         while self.armed_transients > 0 {
             self.armed_transients -= 1;
             let out = resolve_transient(
-                &self.config.retry,
                 self.config.retry_penalty,
                 self.config.recover_prob,
                 &mut self.rng,
@@ -276,7 +272,7 @@ impl<D: StorageDevice> DegradedDevice<D> {
                     self.counters.retries_exhausted += 1;
                     // Escalation: fall back to a full recalibration pass,
                     // billed at the worst-case single-attempt cost.
-                    recovery += self.config.retry_penalty + self.config.retry.max_backoff;
+                    recovery += self.config.retry_penalty + MAX_BACKOFF;
                 }
             }
         }

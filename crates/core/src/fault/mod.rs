@@ -17,8 +17,8 @@
 //! * [`read_modify_write`] / [`Raid5Array`] — Table 2's RMW comparison
 //!   and the RAID-5 small-write engine it accelerates (§6.2).
 //! * [`disk_seek_error_penalty`] / [`mems_seek_error_penalty`] — §6.1.3,
-//!   plus the [`RetryPolicy`]/[`resolve_transient`] bounded-backoff retry
-//!   machinery for transient errors.
+//!   plus the bounded-backoff retry of transient errors that
+//!   [`DegradedDevice`] runs.
 //! * [`DegradedDevice`] — the *online* composition: a device wrapper that
 //!   reacts to mid-run fault events (retry, spare-tip remap, RS
 //!   reconstruction reads) and bills recovery as real service time.
@@ -43,9 +43,6 @@ pub use inject::{FaultState, MediaDefect};
 pub use remap::{RemapPolicy, RemapTable, RemappedDevice, SpareTipPolicy};
 pub use rmw::{read_modify_write, Raid5Array, RmwBreakdown};
 pub use rs::ReedSolomon;
-pub use seek_error::{
-    disk_seek_error_penalty, mems_seek_error_penalty, resolve_transient, RetryOutcome, RetryPolicy,
-    SeekErrorPenalty,
-};
+pub use seek_error::{disk_seek_error_penalty, mems_seek_error_penalty, SeekErrorPenalty};
 pub use stripe::{StripeCodec, DATA_TIPS, TIP_BYTES};
 pub use vertical::{crc8, TipSector};

@@ -97,11 +97,6 @@ impl<D: StorageDevice> Raid5Array<D> {
         }
     }
 
-    /// Number of member devices.
-    pub fn width(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Maps an array-logical strip number to (data device, parity device,
     /// device-local LBN) with left-symmetric parity rotation, the layout
     /// every RAID-Z array uses.

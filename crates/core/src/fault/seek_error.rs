@@ -81,50 +81,31 @@ pub fn mems_seek_error_penalty(params: &MemsParams) -> SeekErrorPenalty {
     }
 }
 
-/// Bounded-exponential-backoff retry policy for transient seek errors.
-///
-/// Attempt `i` (1-based) pays the device's per-attempt recovery penalty
-/// plus a backoff of `base_backoff · multiplier^(i-1)`, capped at
-/// `max_backoff`; after `max_retries` failed attempts the error is
-/// surfaced as unrecoverable rather than silently swallowed.
+/// Transient seek errors retry with bounded exponential backoff: attempt
+/// `i` (1-based) pays the device's per-attempt recovery penalty plus
+/// [`backoff`]`(i)`, and after [`MAX_RETRIES`] failed attempts the error
+/// surfaces as unrecoverable rather than being silently swallowed. Four
+/// attempts with a 50 µs first backoff doubling to at most 1 ms keep a
+/// typical recovery well under one revolution-scale penalty, even on the
+/// disk model. Every degraded device retries this way.
+const MAX_RETRIES: u32 = 4;
+/// Backoff before the first retry, seconds.
+const BASE_BACKOFF: f64 = 50e-6;
+/// Geometric growth factor per subsequent retry.
+const MULTIPLIER: f64 = 2.0;
+/// Upper bound on any single backoff, seconds.
+pub(super) const MAX_BACKOFF: f64 = 1e-3;
+
+/// Backoff delay before 1-based retry `attempt`, seconds.
+fn backoff(attempt: u32) -> f64 {
+    debug_assert!(attempt >= 1);
+    let raw = BASE_BACKOFF * MULTIPLIER.powi(attempt as i32 - 1);
+    raw.min(MAX_BACKOFF)
+}
+
+/// The result of retrying one transient seek error.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum number of retry attempts before giving up.
-    pub max_retries: u32,
-    /// Backoff before the first retry, seconds.
-    pub base_backoff: f64,
-    /// Geometric growth factor per subsequent retry.
-    pub multiplier: f64,
-    /// Upper bound on any single backoff, seconds.
-    pub max_backoff: f64,
-}
-
-impl Default for RetryPolicy {
-    /// Four attempts, 50 µs initial backoff doubling to at most 1 ms —
-    /// sized so a typical recovery costs well under one revolution-scale
-    /// penalty even on the disk model.
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_backoff: 50e-6,
-            multiplier: 2.0,
-            max_backoff: 1e-3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff delay before 1-based retry `attempt`, seconds.
-    pub fn backoff(&self, attempt: u32) -> f64 {
-        debug_assert!(attempt >= 1);
-        let raw = self.base_backoff * self.multiplier.powi(attempt as i32 - 1);
-        raw.min(self.max_backoff)
-    }
-}
-
-/// The result of driving a transient seek error through a [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RetryOutcome {
+pub(crate) enum RetryOutcome {
     /// A retry succeeded; `delay` is the total recovery time billed.
     Recovered {
         /// Attempts made, including the successful one.
@@ -135,7 +116,7 @@ pub enum RetryOutcome {
     /// All retries failed; the error must surface to the fault layer
     /// (reconstruction or reported loss), never as silent success.
     Exhausted {
-        /// Attempts made (equals the policy's `max_retries`).
+        /// Attempts made (equals [`MAX_RETRIES`]).
         attempts: u32,
         /// Total penalty + backoff time spent before giving up, seconds.
         delay: f64,
@@ -144,31 +125,25 @@ pub enum RetryOutcome {
 
 impl RetryOutcome {
     /// Total recovery time billed, regardless of outcome.
-    pub fn delay(&self) -> f64 {
+    pub(crate) fn delay(&self) -> f64 {
         match *self {
             RetryOutcome::Recovered { delay, .. } | RetryOutcome::Exhausted { delay, .. } => delay,
         }
     }
-
-    /// Whether the retry sequence recovered the request.
-    pub fn recovered(&self) -> bool {
-        matches!(self, RetryOutcome::Recovered { .. })
-    }
 }
 
 /// Resolves one transient seek error: each attempt pays
-/// `penalty_per_attempt` plus the policy's backoff, then succeeds with
-/// probability `recover_prob` (drawn from `rng_state`, so the decision is
+/// `penalty_per_attempt` plus its backoff, then succeeds with probability
+/// `recover_prob` (drawn from `rng_state`, so the decision is
 /// deterministic per seed). Exhaustion is an explicit outcome.
-pub fn resolve_transient(
-    policy: &RetryPolicy,
+pub(crate) fn resolve_transient(
     penalty_per_attempt: f64,
     recover_prob: f64,
     rng_state: &mut SmallRng,
 ) -> RetryOutcome {
     let mut delay = 0.0;
-    for attempt in 1..=policy.max_retries.max(1) {
-        delay += penalty_per_attempt + policy.backoff(attempt);
+    for attempt in 1..=MAX_RETRIES {
+        delay += penalty_per_attempt + backoff(attempt);
         if rng::bernoulli(rng_state, recover_prob) {
             return RetryOutcome::Recovered {
                 attempts: attempt,
@@ -177,7 +152,7 @@ pub fn resolve_transient(
         }
     }
     RetryOutcome::Exhausted {
-        attempts: policy.max_retries.max(1),
+        attempts: MAX_RETRIES,
         delay,
     }
 }
@@ -185,6 +160,7 @@ pub fn resolve_transient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disk_penalty_matches_paper_envelope() {
@@ -214,41 +190,79 @@ mod tests {
 
     #[test]
     fn backoff_grows_geometrically_and_caps() {
-        let p = RetryPolicy::default();
-        assert!((p.backoff(1) - 50e-6).abs() < 1e-15);
-        assert!((p.backoff(2) - 100e-6).abs() < 1e-15);
-        assert!((p.backoff(3) - 200e-6).abs() < 1e-15);
-        assert_eq!(p.backoff(20), p.max_backoff, "cap binds eventually");
+        assert!((backoff(1) - 50e-6).abs() < 1e-15);
+        assert!((backoff(2) - 100e-6).abs() < 1e-15);
+        assert!((backoff(3) - 200e-6).abs() < 1e-15);
+        assert_eq!(backoff(20), MAX_BACKOFF, "cap binds eventually");
     }
 
     #[test]
     fn certain_recovery_takes_one_attempt() {
-        let p = RetryPolicy::default();
         let mut r = rng::seeded(1);
-        let out = resolve_transient(&p, 1e-3, 1.0, &mut r);
+        let out = resolve_transient(1e-3, 1.0, &mut r);
         assert_eq!(
             out,
             RetryOutcome::Recovered {
                 attempts: 1,
-                delay: 1e-3 + p.backoff(1)
+                delay: 1e-3 + backoff(1)
             }
         );
     }
 
     #[test]
     fn impossible_recovery_exhausts_with_full_bill() {
-        let p = RetryPolicy::default();
         let mut r = rng::seeded(1);
-        let out = resolve_transient(&p, 1e-3, 0.0, &mut r);
-        let expected: f64 = (1..=p.max_retries).map(|a| 1e-3 + p.backoff(a)).sum();
+        let out = resolve_transient(1e-3, 0.0, &mut r);
+        let expected: f64 = (1..=MAX_RETRIES).map(|a| 1e-3 + backoff(a)).sum();
         match out {
             RetryOutcome::Exhausted { attempts, delay } => {
-                assert_eq!(attempts, p.max_retries);
+                assert_eq!(attempts, MAX_RETRIES);
                 assert!((delay - expected).abs() < 1e-15);
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
-        assert!(!out.recovered());
         assert!(out.delay() > 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The retry decision is a pure function of the seed: identical
+        /// seeds replay the identical outcome (attempts and billed delay,
+        /// bit for bit), and the delay grows with each attempt.
+        #[test]
+        fn retry_decision_is_deterministic_per_seed(
+            seed in any::<u64>(),
+            prob_milli in 0u32..=1000,
+            penalty_us in 1u32..=2000,
+        ) {
+            let prob = f64::from(prob_milli) / 1000.0;
+            let penalty = f64::from(penalty_us) * 1e-6;
+            let a = resolve_transient(penalty, prob, &mut rng::seeded(seed));
+            let b = resolve_transient(penalty, prob, &mut rng::seeded(seed));
+            prop_assert_eq!(a, b, "same seed must replay the same outcome");
+            match a {
+                RetryOutcome::Recovered { attempts, delay }
+                | RetryOutcome::Exhausted { attempts, delay } => {
+                    prop_assert!((1..=MAX_RETRIES).contains(&attempts));
+                    // Every attempt bills at least the penalty plus first backoff.
+                    prop_assert!(delay >= f64::from(attempts) * (penalty + backoff(1)) - 1e-15);
+                }
+            }
+        }
+
+        /// Exhausting every retry surfaces as an explicit `Exhausted`
+        /// outcome — never a silent success — and still bills the time
+        /// spent trying.
+        #[test]
+        fn retry_exhaustion_is_never_silent_success(seed in any::<u64>()) {
+            match resolve_transient(0.5e-3, 0.0, &mut rng::seeded(seed)) {
+                RetryOutcome::Exhausted { attempts, delay } => {
+                    prop_assert_eq!(attempts, MAX_RETRIES);
+                    prop_assert!(delay >= f64::from(MAX_RETRIES) * 0.5e-3);
+                }
+                RetryOutcome::Recovered { .. } => prop_assert!(false, "silent success"),
+            }
+        }
     }
 }

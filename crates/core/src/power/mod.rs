@@ -59,8 +59,11 @@ impl PowerProfile {
         }
     }
 
-    /// The idle duration beyond which sleeping saves energy.
+    /// The classic break-even idle duration: sleeping saves energy only
+    /// if the idle period exceeds this many seconds.
     pub fn breakeven_idle(&self) -> f64 {
+        // idle_power · T = sleep_power · (T − restart_time) + restart_energy
+        // (approximating the cost of going to sleep as zero).
         (self.restart_energy - self.sleep_power * self.restart_time)
             / (self.idle_power - self.sleep_power)
     }
@@ -126,6 +129,21 @@ mod tests {
             "disk break-even {} should be minutes",
             disk.breakeven_idle()
         );
+    }
+
+    #[test]
+    fn atlas_breakeven_is_minutes() {
+        let t = PowerProfile::disk(&DiskEnergyModel::atlas_10k()).breakeven_idle();
+        assert!(
+            (60.0..600.0).contains(&t),
+            "high-end drive break-even {t} s should be minutes"
+        );
+    }
+
+    #[test]
+    fn travelstar_breakeven_is_seconds() {
+        let t = PowerProfile::disk(&DiskEnergyModel::travelstar_class()).breakeven_idle();
+        assert!((5.0..60.0).contains(&t), "mobile break-even {t} s");
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub use sstf::SstfScheduler;
 
 pub use storage_sim::FifoScheduler;
 
-use storage_sim::DynScheduler;
+use storage_sim::{PositionOracle, Request, SchedCounters, Scheduler, SimTime};
 
 /// The scheduling algorithms evaluated in the paper's figures, in the
 /// order the figures list them.
@@ -56,16 +56,64 @@ impl Algorithm {
         }
     }
 
-    /// Instantiates a fresh scheduler for the algorithm, type-erased
-    /// behind the [`DynScheduler`] shim (the box itself implements
-    /// `Scheduler`, so it drops into any generic driver).
-    pub fn build(self) -> Box<dyn DynScheduler> {
+    /// Instantiates a fresh scheduler for the algorithm.
+    pub fn build(self) -> PaperScheduler {
         match self {
-            Algorithm::Fcfs => Box::new(FifoScheduler::new()),
-            Algorithm::SstfLbn => Box::new(SstfScheduler::new()),
-            Algorithm::Clook => Box::new(ClookScheduler::new()),
-            Algorithm::Sptf => Box::new(SptfScheduler::new()),
+            Algorithm::Fcfs => PaperScheduler::Fcfs(FifoScheduler::new()),
+            Algorithm::SstfLbn => PaperScheduler::SstfLbn(SstfScheduler::new()),
+            Algorithm::Clook => PaperScheduler::Clook(ClookScheduler::new()),
+            Algorithm::Sptf => PaperScheduler::Sptf(SptfScheduler::new()),
         }
+    }
+}
+
+/// One of the paper's four schedulers, chosen at run time by
+/// [`Algorithm::build`]. It implements [`Scheduler`] by matching on
+/// itself, so a driver over it dispatches statically and every pick stays
+/// monomorphized over the device.
+#[derive(Debug)]
+pub enum PaperScheduler {
+    /// First come, first served.
+    Fcfs(FifoScheduler),
+    /// Shortest seek (LBN distance) first.
+    SstfLbn(SstfScheduler),
+    /// Cyclical LOOK over ascending LBNs.
+    Clook(ClookScheduler),
+    /// Shortest positioning time first.
+    Sptf(SptfScheduler),
+}
+
+/// Evaluates `$body` with `$s` bound to the scheduler inside `$this`.
+macro_rules! each {
+    ($this:expr, $s:ident => $body:expr) => {
+        match $this {
+            PaperScheduler::Fcfs($s) => $body,
+            PaperScheduler::SstfLbn($s) => $body,
+            PaperScheduler::Clook($s) => $body,
+            PaperScheduler::Sptf($s) => $body,
+        }
+    };
+}
+
+impl Scheduler for PaperScheduler {
+    fn name(&self) -> &str {
+        each!(self, s => s.name())
+    }
+
+    fn enqueue(&mut self, req: Request) {
+        each!(self, s => s.enqueue(req));
+    }
+
+    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
+        each!(self, s => s.pick(device, now))
+    }
+
+    fn len(&self) -> usize {
+        each!(self, s => s.len())
+    }
+
+    fn counters(&self) -> SchedCounters {
+        each!(self, s => s.counters())
     }
 }
 

@@ -1,9 +1,7 @@
 //! Property-based tests for the OS-management layer's invariants.
 
 use mems_device::{MemsDevice, MemsParams};
-use mems_os::fault::{
-    crc8, resolve_transient, ReedSolomon, RetryOutcome, RetryPolicy, StripeCodec, TipSector,
-};
+use mems_os::fault::{crc8, ReedSolomon, StripeCodec, TipSector};
 use mems_os::layout::{ColumnarLayout, Layout, OrganPipeMap, SimpleLayout, SubregionedLayout};
 use mems_os::sched::Algorithm;
 use proptest::prelude::*;
@@ -172,50 +170,6 @@ proptest! {
             for r in l.small_ranges().iter().chain(l.large_ranges()) {
                 prop_assert!(r.end <= capacity);
             }
-        }
-    }
-
-    /// The transient-seek-error retry decision is a pure function of the
-    /// seed: identical seeds replay the identical outcome (attempts and
-    /// billed delay, bit for bit), and the delay grows with each attempt.
-    #[test]
-    fn retry_decision_is_deterministic_per_seed(
-        seed in any::<u64>(),
-        prob_milli in 0u32..=1000,
-        penalty_us in 1u32..=2000,
-    ) {
-        let policy = RetryPolicy::default();
-        let prob = f64::from(prob_milli) / 1000.0;
-        let penalty = f64::from(penalty_us) * 1e-6;
-        let a = resolve_transient(&policy, penalty, prob, &mut storage_sim::rng::seeded(seed));
-        let b = resolve_transient(&policy, penalty, prob, &mut storage_sim::rng::seeded(seed));
-        prop_assert_eq!(a, b, "same seed must replay the same outcome");
-        match a {
-            RetryOutcome::Recovered { attempts, delay }
-            | RetryOutcome::Exhausted { attempts, delay } => {
-                prop_assert!(attempts >= 1 && attempts <= policy.max_retries);
-                // Every attempt bills at least the penalty plus first backoff.
-                prop_assert!(delay >= f64::from(attempts) * (penalty + policy.backoff(1)) - 1e-15);
-            }
-        }
-    }
-
-    /// Max-retry exhaustion surfaces as an explicit `Exhausted` outcome —
-    /// never a silent success — and still bills the time spent trying.
-    #[test]
-    fn retry_exhaustion_is_never_silent_success(
-        seed in any::<u64>(),
-        max_retries in 1u32..=8,
-    ) {
-        let policy = RetryPolicy { max_retries, ..RetryPolicy::default() };
-        let out = resolve_transient(&policy, 0.5e-3, 0.0, &mut storage_sim::rng::seeded(seed));
-        prop_assert!(!out.recovered(), "zero recovery probability cannot succeed");
-        match out {
-            RetryOutcome::Exhausted { attempts, delay } => {
-                prop_assert_eq!(attempts, max_retries);
-                prop_assert!(delay >= f64::from(max_retries) * 0.5e-3);
-            }
-            RetryOutcome::Recovered { .. } => prop_assert!(false, "silent success"),
         }
     }
 }

@@ -200,7 +200,7 @@ fn pruning_wrappers_forward_seek_hints_unchanged() {
     let spare_base = mems().capacity_lbns() - 2700;
 
     let (bare, hints) = recorder();
-    check("&T", &&bare, &hints, true);
+    check("bare", &bare, &hints, true);
     let (r, hints) = recorder();
     check(
         "power-managed",

@@ -59,11 +59,6 @@ impl DiskDevice {
         }
     }
 
-    /// The energy model used for per-phase energy attribution.
-    pub fn energy_model(&self) -> &DiskEnergyModel {
-        &self.energy_model
-    }
-
     /// The drive parameters.
     pub fn params(&self) -> &DiskParams {
         self.mapper.params()
@@ -382,7 +377,7 @@ mod tests {
         let mut d = disk();
         let b = d.service(&req(2_000_000, 16, IoKind::Read), SimTime::ZERO);
         let pe = d.phase_energy(&b);
-        let p = d.energy_model().active_power;
+        let p = d.energy_model.active_power;
         assert!((pe.total() - p * b.total()).abs() < 1e-12);
         assert!((pe.positioning_j - p * b.positioning).abs() < 1e-15);
         assert!((pe.transfer_j - p * b.transfer).abs() < 1e-15);

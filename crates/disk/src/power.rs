@@ -59,37 +59,11 @@ impl DiskEnergyModel {
     pub fn spinup_energy(&self) -> f64 {
         self.spinup_power * self.spinup_time
     }
-
-    /// The classic break-even idle duration: spinning down only saves
-    /// energy if the idle period exceeds this many seconds.
-    pub fn breakeven_idle(&self) -> f64 {
-        // idle_power · T = standby_power · (T − spinup_time) + spinup_energy
-        // (approximating the spin-down cost as zero).
-        (self.spinup_energy() - self.standby_power * self.spinup_time)
-            / (self.idle_power - self.standby_power)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atlas_breakeven_is_minutes() {
-        let m = DiskEnergyModel::atlas_10k();
-        let t = m.breakeven_idle();
-        assert!(
-            (60.0..600.0).contains(&t),
-            "high-end drive break-even {t} s should be minutes"
-        );
-    }
-
-    #[test]
-    fn travelstar_breakeven_is_seconds() {
-        let m = DiskEnergyModel::travelstar_class();
-        let t = m.breakeven_idle();
-        assert!((5.0..60.0).contains(&t), "mobile break-even {t} s");
-    }
 
     #[test]
     fn power_ordering_is_sane() {

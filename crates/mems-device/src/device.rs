@@ -136,11 +136,6 @@ impl MemsDevice {
         dev
     }
 
-    /// The energy model used for per-phase energy attribution.
-    pub fn energy_model(&self) -> &MemsEnergyModel {
-        &self.energy_model
-    }
-
     /// Turns the seek cache on (the default) or off. With the cache on,
     /// on-grid positioning queries are answered by the shared
     /// [`SeekSurface`] for these parameters ([`SeekSurface::shared`]),
@@ -866,7 +861,7 @@ mod tests {
         let r = req(1_234_567, 64);
         let b = d.service(&r, SimTime::ZERO);
         let pe = d.phase_energy(&b);
-        let total = d.energy_model().request_energy(&b, d.params().active_tips);
+        let total = d.energy_model.request_energy(&b, d.params().active_tips);
         assert!(
             (pe.total() - total).abs() <= 1e-12 * total.max(1.0),
             "phase energies {pe:?} must sum to the model total {total}"

@@ -125,9 +125,9 @@ pub enum PowerState {
 ///
 /// Split out of [`StorageDevice`] so `Scheduler::pick` can be generic over
 /// the concrete device (fully monomorphized — no vtable hop per candidate
-/// query on the SPTF hot path) while the report/tracer plumbing that needs
-/// object safety keeps a `&dyn PositionOracle` view. Every method is
-/// `&self`: consulting the oracle must never mutate mechanical state.
+/// query on the SPTF hot path) while seeing only the read-only queries.
+/// Every method is `&self`: consulting the oracle must never mutate
+/// mechanical state.
 pub trait PositionOracle {
     /// Estimates the positioning (pre-transfer) delay `req` would incur if
     /// started at `now`, without mutating state. This is SPTF's oracle.
@@ -191,40 +191,6 @@ pub trait PositionOracle {
     /// does nothing, and any wrapper may drop it.
     fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
         let _ = (from_bucket, to_bucket);
-    }
-}
-
-/// References are oracles too: this lets `&dyn PositionOracle` (and `&D`)
-/// satisfy the generic `O: PositionOracle + ?Sized` bound on
-/// `Scheduler::pick`, which is what keeps the dyn-compat [`crate::sched::DynScheduler`]
-/// shim expressible on top of the generic trait.
-impl<T: PositionOracle + ?Sized> PositionOracle for &T {
-    fn position_time(&self, req: &Request, now: SimTime) -> f64 {
-        (**self).position_time(req, now)
-    }
-
-    fn position_bucket(&self, req: &Request) -> u64 {
-        (**self).position_bucket(req)
-    }
-
-    fn current_bucket(&self) -> u64 {
-        (**self).current_bucket()
-    }
-
-    fn min_position_time_at_bucket_distance(&self, distance: u64) -> f64 {
-        (**self).min_position_time_at_bucket_distance(distance)
-    }
-
-    fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
-        (**self).bucket_position_time_floor(bucket)
-    }
-
-    fn rest_key(&self, now: SimTime) -> Option<[u64; 3]> {
-        (**self).rest_key(now)
-    }
-
-    fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
-        (**self).prefetch_seek(from_bucket, to_bucket);
     }
 }
 

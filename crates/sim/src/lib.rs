@@ -61,7 +61,7 @@ pub use driver::{Driver, RunState, SimReport};
 pub use fault::{FaultClock, FaultEvent, FaultKind};
 pub use overload::OverloadPolicy;
 pub use request::{Completion, IoKind, Request, RequestId};
-pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
+pub use sched::{FifoScheduler, SchedCounters, Scheduler};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;

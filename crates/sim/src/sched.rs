@@ -36,9 +36,9 @@ pub struct SchedCounters {
 /// `pick` is generic over the positioning oracle so the driver's event loop
 /// monomorphizes the whole pick — every candidate `position_time` query
 /// inlines into the concrete device model instead of hopping a vtable. The
-/// trait is therefore not object-safe; code that needs a boxed scheduler
-/// (CLI algorithm selection, report plumbing) goes through the
-/// [`DynScheduler`] shim, which every `Scheduler` implements automatically.
+/// trait is therefore not object-safe: a scheduler chosen at run time is an
+/// enum that matches on itself (`mems_os::sched::PaperScheduler`), never a
+/// boxed trait object.
 pub trait Scheduler {
     /// Short algorithm name, e.g. `"SPTF"`.
     fn name(&self) -> &str;
@@ -62,80 +62,6 @@ pub trait Scheduler {
     /// zeros) is for schedulers that do not instrument their picks.
     fn counters(&self) -> SchedCounters {
         SchedCounters::default()
-    }
-}
-
-/// Object-safe view of a [`Scheduler`], for call sites that must erase the
-/// scheduler type (e.g. picking an algorithm by name at runtime). Every
-/// `Scheduler` gets this for free via a blanket impl, and
-/// `Box<dyn DynScheduler>` implements `Scheduler` again, so a boxed
-/// scheduler drops into any generic driver — at the cost of one dynamic
-/// dispatch per pick (not per candidate).
-pub trait DynScheduler {
-    /// Short algorithm name, e.g. `"SPTF"`.
-    fn name(&self) -> &str;
-
-    /// Adds a request to the pending set.
-    fn enqueue(&mut self, req: Request);
-
-    /// Type-erased [`Scheduler::pick`].
-    fn pick_dyn(&mut self, device: &dyn PositionOracle, now: SimTime) -> Option<Request>;
-
-    /// Number of pending requests.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if no requests are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Monotonic work counters since construction.
-    fn counters(&self) -> SchedCounters;
-}
-
-impl<S: Scheduler> DynScheduler for S {
-    fn name(&self) -> &str {
-        Scheduler::name(self)
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        Scheduler::enqueue(self, req);
-    }
-
-    fn pick_dyn(&mut self, device: &dyn PositionOracle, now: SimTime) -> Option<Request> {
-        Scheduler::pick(self, device, now)
-    }
-
-    fn len(&self) -> usize {
-        Scheduler::len(self)
-    }
-
-    fn counters(&self) -> SchedCounters {
-        Scheduler::counters(self)
-    }
-}
-
-impl Scheduler for Box<dyn DynScheduler + '_> {
-    fn name(&self) -> &str {
-        self.as_ref().name()
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        self.as_mut().enqueue(req);
-    }
-
-    fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        // `&O` is itself an oracle (reference blanket impl), which gives
-        // the unsized-coercible `&dyn PositionOracle` the shim needs.
-        self.as_mut().pick_dyn(&device, now)
-    }
-
-    fn len(&self) -> usize {
-        self.as_ref().len()
-    }
-
-    fn counters(&self) -> SchedCounters {
-        self.as_ref().counters()
     }
 }
 
@@ -200,10 +126,9 @@ mod tests {
     use crate::device::ConstantDevice;
     use crate::request::IoKind;
 
-    // Generic over `S: Scheduler` so the trait methods resolve through the
-    // bound — with both `Scheduler` and the blanket `DynScheduler` in
-    // scope, direct calls on the concrete type would be ambiguous.
-    fn check_arrival_order<S: Scheduler>(mut s: S) {
+    #[test]
+    fn fifo_preserves_arrival_order() {
+        let mut s = FifoScheduler::new();
         let d = ConstantDevice::new(100, 1e-3);
         for i in 0..10 {
             s.enqueue(Request::new(i, SimTime::ZERO, 99 - i, 1, IoKind::Read));
@@ -214,16 +139,5 @@ mod tests {
         }
         assert!(s.is_empty());
         assert!(s.pick(&d, SimTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn fifo_preserves_arrival_order() {
-        check_arrival_order(FifoScheduler::new());
-    }
-
-    #[test]
-    fn boxed_dyn_scheduler_preserves_arrival_order() {
-        let boxed: Box<dyn DynScheduler> = Box::new(FifoScheduler::new());
-        check_arrival_order(boxed);
     }
 }

@@ -293,11 +293,6 @@ impl Histogram {
         self.bins.len()
     }
 
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples at or above the range top.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -418,11 +413,6 @@ impl LogHistogram {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Samples that fell below the histogram origin.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     /// Lower edge of bin `i`.
@@ -656,7 +646,7 @@ mod tests {
         right.merge(&bc);
         assert_eq!(left.bins, right.bins, "bin counts must merge associatively");
         assert_eq!(left.count(), right.count());
-        assert_eq!(left.underflow(), right.underflow());
+        assert_eq!(left.underflow, right.underflow);
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(left.quantile(q), right.quantile(q));
         }
@@ -676,7 +666,7 @@ mod tests {
         h.push(f64::NAN);
         h.push(f64::INFINITY);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.underflow(), 3);
+        assert_eq!(h.underflow, 3);
         // All mass below the origin: quantiles report the origin.
         assert_eq!(h.quantile(0.5), 1e-5);
         assert_eq!(h.sum(), 0.0, "non-finite samples add nothing to the sum");
@@ -703,7 +693,7 @@ mod tests {
         assert_eq!(h.bin_count(1), 1);
         assert_eq!(h.bin_count(2), 1);
         assert_eq!(h.bin_count(3), 1);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 7);
         assert_eq!(h.bin_bounds(1), (0.25, 0.5));

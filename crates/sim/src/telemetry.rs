@@ -408,6 +408,16 @@ impl<A: Tracer, B: Tracer> Tracer for TracerPair<A, B> {
         self.first.on_fault(fault, now);
         self.second.on_fault(fault, now);
     }
+
+    fn on_shed(&mut self, req: &Request, now: SimTime, queue_depth: usize) {
+        self.first.on_shed(req, now, queue_depth);
+        self.second.on_shed(req, now, queue_depth);
+    }
+
+    fn on_timeout(&mut self, req: &Request, now: SimTime) {
+        self.first.on_timeout(req, now);
+        self.second.on_timeout(req, now);
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +504,60 @@ mod tests {
             assert!(TracerPair::<RingTracer, Telemetry>::ENABLED);
             assert!(!TracerPair::<NoopTracer, NoopTracer>::ENABLED);
         }
+    }
+
+    /// Counts the overload hooks, the ones `Telemetry` leaves at their
+    /// defaults.
+    #[derive(Default)]
+    struct OverloadCounts {
+        shed: u64,
+        timed_out: u64,
+    }
+
+    impl Tracer for OverloadCounts {
+        const ENABLED: bool = true;
+
+        fn on_shed(&mut self, _req: &Request, _now: SimTime, _queue_depth: usize) {
+            self.shed += 1;
+        }
+
+        fn on_timeout(&mut self, _req: &Request, _now: SimTime) {
+            self.timed_out += 1;
+        }
+    }
+
+    #[test]
+    fn pair_forwards_sheds_and_timeouts() {
+        use crate::{ConstantDevice, Driver, FifoScheduler, OverloadPolicy, VecWorkload};
+        // 400 arrivals in 2 ms against a 1 ms device: the queue trips the
+        // high watermark, and what it admits ages past the timeout.
+        let burst = (0..400u64)
+            .map(|i| {
+                Request::new(
+                    i,
+                    SimTime::from_ms(i as f64 / 200.0),
+                    i * 8,
+                    8,
+                    IoKind::Read,
+                )
+            })
+            .collect();
+        let policy = OverloadPolicy::watermarks(64, 16).with_queue_timeout(SimTime::from_ms(20.0));
+        let mut driver = Driver::new(
+            VecWorkload::new(burst),
+            FifoScheduler::new(),
+            ConstantDevice::new(10_000, 1e-3),
+        )
+        .with_overload(policy)
+        .with_tracer(TracerPair::new(
+            OverloadCounts::default(),
+            Telemetry::new(0.01, 64),
+        ));
+        let report = driver.run();
+        assert!(report.shed > 0 && report.timed_out > 0, "{report:?}");
+        let counts = &driver.tracer().first;
+        assert_eq!(counts.shed, report.shed);
+        assert_eq!(counts.timed_out, report.timed_out);
     }
 
     #[test]

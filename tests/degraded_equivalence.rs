@@ -11,25 +11,23 @@
 //!    the original when the same damage is replayed through the
 //!    byte-accurate [`ReliableStore`], defined and tested below.
 
+#[path = "support/report.rs"]
+mod report;
+
 use std::collections::HashMap;
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{Mapper, MemsDevice, MemsParams, PhysAddr};
 use mems_os::fault::{DegradedDevice, FaultState, MediaDefect, StripeCodec, TipSector};
 use mems_os::sched::SptfScheduler;
-use storage_sim::{rng, Driver, FaultClock, SimReport, SimTime, StorageDevice};
+use report::assert_reports_identical;
+use storage_sim::{rng, Driver, FaultClock, SimTime, StorageDevice};
 use storage_trace::RandomWorkload;
 
 const MEMS_CAPACITY: u64 = 6_750_000;
 
 fn mems_workload(requests: u64, seed: u64) -> RandomWorkload {
     RandomWorkload::paper(MEMS_CAPACITY, 800.0, requests, seed)
-}
-
-/// Whole-report bitwise comparison (no tolerances: `f64`'s `Debug` is
-/// round-trip exact).
-fn assert_reports_identical(a: &SimReport, b: &SimReport) {
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
@@ -40,6 +38,7 @@ fn zero_fault_mems_run_is_bit_identical_to_bare_device() {
         MemsDevice::new(MemsParams::default()),
     )
     .warmup_requests(50)
+    .record_completions(true)
     .run();
     let wrapped = Driver::new(
         mems_workload(600, 9),
@@ -47,8 +46,9 @@ fn zero_fault_mems_run_is_bit_identical_to_bare_device() {
         DegradedDevice::mems(MemsDevice::new(MemsParams::default()), 1).with_spare_tips(4),
     )
     .warmup_requests(50)
+    .record_completions(true)
     .run();
-    assert_reports_identical(&bare, &wrapped);
+    assert_reports_identical(&bare, &wrapped, "zero-fault MEMS wrap");
     assert_eq!(wrapped.fault_events, 0);
     assert_eq!(wrapped.breakdown_sum.fault_recovery, 0.0);
 }
@@ -64,6 +64,7 @@ fn zero_fault_disk_run_is_bit_identical_to_bare_device() {
         DiskDevice::new(params.clone()),
     )
     .warmup_requests(40)
+    .record_completions(true)
     .run();
     let wrapped = Driver::new(
         workload(5),
@@ -71,8 +72,9 @@ fn zero_fault_disk_run_is_bit_identical_to_bare_device() {
         DegradedDevice::disk(DiskDevice::new(params), 1),
     )
     .warmup_requests(40)
+    .record_completions(true)
     .run();
-    assert_reports_identical(&bare, &wrapped);
+    assert_reports_identical(&bare, &wrapped, "zero-fault disk wrap");
     assert_eq!(wrapped.breakdown_sum.fault_recovery, 0.0);
 }
 
@@ -89,7 +91,8 @@ fn degraded_runs_agree_with_and_without_seek_cache() {
         let clock = FaultClock::tip_failures(77, 40, 6400, SimTime::from_ms(200.0));
         let mut driver = Driver::new(mems_workload(600, 21), SptfScheduler::new(), device)
             .with_faults(clock)
-            .warmup_requests(50);
+            .warmup_requests(50)
+            .record_completions(true);
         let report = driver.run();
         let remapped = driver.device().remap_table().len();
         (report, remapped)
@@ -98,7 +101,11 @@ fn degraded_runs_agree_with_and_without_seek_cache() {
     let (direct, remapped_b) = run(false);
     assert!(remapped_a > 0, "the run must actually far-remap LBNs");
     assert_eq!(remapped_a, remapped_b);
-    assert_reports_identical(&cached, &direct);
+    assert_reports_identical(
+        &cached,
+        &direct,
+        "degraded run with and without the seek cache",
+    );
     assert!(cached.fault_events > 0);
     assert!(cached.breakdown_sum.fault_recovery > 0.0);
 }

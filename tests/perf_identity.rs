@@ -18,17 +18,20 @@
 
 #[path = "../crates/core/src/sched/naive_sptf.rs"]
 mod naive_sptf;
+#[path = "support/report.rs"]
+mod report;
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
-use mems_os::sched::SptfScheduler;
+use mems_os::sched::{Algorithm, PaperScheduler, SptfScheduler};
 use naive_sptf::NaiveSptfScheduler;
+use report::{assert_reports_identical, report_digest};
 use std::rc::Rc;
 
 use storage_sim::{
-    Driver, DynScheduler, FaultClock, FifoScheduler, OverloadPolicy, PositionOracle, Request,
-    SchedCounters, Scheduler, SimReport, SimTime, StorageDevice,
+    Driver, FaultClock, OverloadPolicy, PositionOracle, Request, SchedCounters, Scheduler,
+    SimReport, SimTime, StorageDevice,
 };
 use storage_trace::RandomWorkload;
 
@@ -40,16 +43,6 @@ const SEED: u64 = 0x5EED_0006;
 
 fn mems_workload() -> RandomWorkload {
     RandomWorkload::paper(CAPACITY, RATE, REQUESTS, SEED)
-}
-
-/// Whole-report identity: every field bit for bit (`f64`'s `Debug` is
-/// round-trip exact), the recorded completion stream included.
-fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
-    assert!(
-        a.completions.as_ref().is_some_and(|c| !c.is_empty()),
-        "{what}: run must record completions"
-    );
-    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
 /// Runs one Fig. 6-style cell on the MEMS device.
@@ -92,82 +85,34 @@ type Cell = (Sched, bool, bool, u64, [u64; 4]);
 
 /// Forwards every call to the wrapped scheduler and publishes its counters
 /// after each pick, so a cell can read them after the driver, which owns
-/// the scheduler, has run. (Calls go through `Scheduler::` paths: the boxed
-/// scheduler also implements `DynScheduler`, which has the same methods.)
+/// the scheduler, has run.
 struct Counted {
-    inner: Box<dyn DynScheduler>,
+    inner: PaperScheduler,
     counters: Rc<std::cell::Cell<SchedCounters>>,
 }
 
 impl Scheduler for Counted {
     fn name(&self) -> &str {
-        Scheduler::name(&self.inner)
+        self.inner.name()
     }
 
     fn enqueue(&mut self, req: Request) {
-        Scheduler::enqueue(&mut self.inner, req);
+        self.inner.enqueue(req);
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        let picked = Scheduler::pick(&mut self.inner, device, now);
-        self.counters.set(Scheduler::counters(&self.inner));
+        let picked = self.inner.pick(device, now);
+        self.counters.set(self.inner.counters());
         picked
     }
 
     fn len(&self) -> usize {
-        Scheduler::len(&self.inner)
+        self.inner.len()
     }
 
     fn counters(&self) -> SchedCounters {
-        Scheduler::counters(&self.inner)
+        self.inner.counters()
     }
-}
-
-/// FNV-1a over the completion stream and every report field, floats by
-/// bit pattern.
-fn report_digest(r: &SimReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut put = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-    for c in r.completions.as_ref().expect("recorded") {
-        put(c.request.id);
-        put(c.start_service.as_secs().to_bits());
-        put(c.completion.as_secs().to_bits());
-    }
-    let b = &r.breakdown_sum;
-    for x in [
-        r.makespan.as_secs(),
-        r.response.mean(),
-        r.response.sq_coeff_var(),
-        r.response.max(),
-        r.queue_time.mean(),
-        r.service_time.mean(),
-        r.busy_secs,
-        r.mean_queue_depth,
-        b.positioning,
-        b.seek_x,
-        b.settle,
-        b.seek_y,
-        b.rotation,
-        b.transfer,
-        b.turnaround,
-        b.overhead,
-        b.fault_recovery,
-        b.background_wait,
-    ] {
-        put(x.to_bits());
-    }
-    for n in [
-        r.completed,
-        u64::from(b.turnaround_count),
-        r.max_queue_depth as u64,
-        r.fault_events,
-        r.shed,
-        r.timed_out,
-        r.event_queue_restructures,
-    ] {
-        put(n);
-    }
-    h
 }
 
 /// Runs `cell` on `device` at `rate` under `policy` (attached only when
@@ -187,9 +132,10 @@ fn check_cell<D: StorageDevice>(
     let counters = Rc::new(std::cell::Cell::new(SchedCounters::default()));
     let scheduler = Counted {
         inner: match sched {
-            Sched::Fifo => Box::new(FifoScheduler::new()),
-            Sched::Sptf => Box::new(SptfScheduler::new()),
-        },
+            Sched::Fifo => Algorithm::Fcfs,
+            Sched::Sptf => Algorithm::Sptf,
+        }
+        .build(),
         counters: Rc::clone(&counters),
     };
     let mut driver = Driver::new(workload, scheduler, device)

@@ -7,11 +7,14 @@
 
 #[path = "../crates/core/src/sched/naive_sptf.rs"]
 mod naive_sptf;
+#[path = "support/report.rs"]
+mod report;
 
 use mems_bench::run_one;
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::{Algorithm, SptfScheduler};
 use naive_sptf::NaiveSptfScheduler;
+use report::assert_reports_identical;
 use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
 
@@ -26,16 +29,6 @@ fn run<W: Workload, S: Scheduler>(workload: W, scheduler: S, seek_table: bool) -
     .warmup_requests(200)
     .record_completions(true)
     .run()
-}
-
-/// Whole-report identity: every field bit for bit (`f64`'s `Debug` is
-/// round-trip exact), the recorded completion stream included.
-fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
-    assert!(
-        a.completions.as_ref().is_some_and(|c| !c.is_empty()),
-        "{what}: run must record completions"
-    );
-    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
 /// Rates chosen around the Fig. 6 saturation knee where queues (and thus
@@ -108,25 +101,22 @@ fn pruned_sptf_reports_match_naive_scan_on_disk() {
 
 #[test]
 fn algorithm_factory_sptf_matches_run_one_static_dispatch() {
-    // `run_one` dispatches statically; the boxed Algorithm::build path
-    // must still produce the same report.
+    // `run_one` drives the scheduler `Algorithm::Sptf.build()` returns; it
+    // must report what a driver over the concrete `SptfScheduler` does.
     let wl = || RandomWorkload::paper(CAPACITY, 1500.0, 800, 0xA11CE);
-    let static_report = run_one(
+    let built = run_one(
         wl(),
         Algorithm::Sptf,
         MemsDevice::new(MemsParams::default()),
         200,
     );
-    let mut boxed = Driver::new(
+    let fixed = Driver::new(
         wl(),
-        Algorithm::Sptf.build(),
+        SptfScheduler::new(),
         MemsDevice::new(MemsParams::default()),
     )
-    .warmup_requests(200);
-    let boxed_report = boxed.run();
-    assert_eq!(static_report.makespan, boxed_report.makespan);
-    assert_eq!(
-        static_report.response.mean_ms(),
-        boxed_report.response.mean_ms()
-    );
+    .warmup_requests(200)
+    .run();
+    assert_eq!(built.makespan, fixed.makespan);
+    assert_eq!(built.response.mean_ms(), fixed.response.mean_ms());
 }
