@@ -6,11 +6,12 @@
 //! transfer parallelism scale with it, small-access latency barely moves
 //! (one row pass is one row pass), and streaming power scales linearly.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams, SledState};
 use storage_sim::{IoKind, Request, SimTime};
 
 fn main() {
+    no_args("ablation_active_tips");
     println!("Ablation: simultaneously active tips (paper default 1280)\n");
     let energy = MemsEnergyModel::default();
     let mut table = Table::new(vec![

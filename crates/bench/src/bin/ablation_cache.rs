@@ -6,7 +6,7 @@
 //! readahead converts sequential misses into buffer hits at essentially
 //! no cost to random traffic.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::cache::CachedDevice;
 use storage_sim::{Driver, FifoScheduler, IoKind, Request, SimTime, VecWorkload};
@@ -37,6 +37,7 @@ fn random_workload(n: u64, capacity: u64) -> Vec<Request> {
 }
 
 fn main() {
+    no_args("ablation_cache");
     let capacity = MemsParams::default().geometry().total_sectors();
     let n = 4000u64;
     println!("Ablation: device buffer readahead cap (4 MB buffer, 20 us hits)\n");

@@ -5,11 +5,12 @@
 //! full displacement. This sweep re-derives the device behaviour across
 //! spring factors from nearly-none to nearly-overpowering.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams, SledState, SpringSled};
 use storage_sim::{IoKind, Request, SimTime};
 
 fn main() {
+    no_args("ablation_spring");
     println!("Ablation: spring factor (paper default 0.75)\n");
     let mut table = Table::new(vec![
         "spring factor".into(),

@@ -2,7 +2,7 @@
 //! policies, seek errors, RAID-5 small writes, and crash recovery.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::Mapper;
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::{
@@ -13,6 +13,7 @@ use storage_sim::rng;
 use storage_sim::{IoKind, Request, SimTime, StorageDevice};
 
 fn main() {
+    no_args("fault_report");
     let params = MemsParams::default();
     let mapper = Mapper::new(&params);
 

@@ -8,7 +8,7 @@
 //! `results/fault_sweep.csv`. That a zero-fault wrapped device reproduces
 //! the bare device bit for bit is held by `tests/degraded_equivalence.rs`.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::{DegradedCounters, DegradedDevice};
 use mems_os::sched::SptfScheduler;
@@ -40,6 +40,7 @@ fn run_cell(clock: FaultClock) -> (SimReport, DegradedCounters) {
 }
 
 fn main() {
+    no_args("fault_sweep");
     let mut t = Table::new(vec![
         "scenario".into(),
         "failed".into(),

@@ -7,11 +7,12 @@
 //! where a long seek more than doubles the 256 KB service time.
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams, SledState};
 use storage_sim::{IoKind, Request, SimTime, StorageDevice};
 
 fn main() {
+    no_args("fig10_large_transfers");
     let sectors = 512u32; // 256 KB
     let distances: Vec<u32> = vec![0, 50, 100, 200, 400, 600, 800, 1000, 1400, 1800, 2200, 2400];
 

@@ -2,13 +2,14 @@
 //! energy-per-bit law, and the compress-to-save-tips optimization.
 
 use atlas_disk::DiskEnergyModel;
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsEnergyModel, MemsParams};
 use mems_os::power::{compressed_transfer_energy, PowerManagedDevice, PowerProfile};
 use storage_sim::rng;
 use storage_sim::{IoKind, Request, SimTime, StorageDevice};
 
 fn main() {
+    no_args("power_report");
     // --- profiles ---------------------------------------------------------
     println!("== power profiles ==\n");
     let mems_profile = PowerProfile::mems(&MemsEnergyModel::default(), 1280);

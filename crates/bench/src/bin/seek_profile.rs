@@ -8,10 +8,11 @@
 //! §2.4.4's "seek-reducing algorithms may not achieve their best
 //! performance if they look only at distances" concrete.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsParams, SpringSled};
 
 fn main() {
+    no_args("seek_profile");
     let p = MemsParams::default();
     let sled = SpringSled::from_spring_factor(p.accel, p.spring_factor, p.half_mobility());
     let half = p.half_mobility();

@@ -1,10 +1,11 @@
 //! Table 1: device parameters and every derived quantity the paper
 //! quotes for them.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsEnergyModel, MemsParams};
 
 fn main() {
+    no_args("table1_params");
     let p = MemsParams::default();
     let g = p.geometry();
     let e = MemsEnergyModel::default();

@@ -7,11 +7,12 @@
 //! (0.036–1.11 ms in the paper; position- and direction-dependent here).
 
 use atlas_disk::{DiskDevice, DiskParams};
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsDevice, MemsParams, SpringSled};
 use mems_os::fault::read_modify_write;
 
 fn main() {
+    no_args("table2_rmw");
     // Mid-sled locations so the MEMS numbers reflect Table 2's nominal
     // (center) turnaround; see EXPERIMENTS.md for the positional spread.
     let mems_4k_lbn = ((1250 * 5 * 27) + 13) * 20;

@@ -33,7 +33,7 @@
 use std::process::ExitCode;
 
 use atlas_disk::{DiskDevice, DiskParams, ZoneHeatmap};
-use mems_bench::{write_csv, write_info, Table};
+use mems_bench::{no_args, write_csv, write_info, Table};
 use mems_device::{MediaHeatmap, MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
 use mems_os::placement::{AdaptiveDevice, BLOCK_SECTORS};
@@ -170,6 +170,7 @@ fn check_timeline(cell: &str, tel: &Telemetry, report: &SimReport, failures: &mu
 }
 
 fn main() -> ExitCode {
+    no_args("telemetry_report");
     let mut failures = 0u64;
     let mut timeline = String::from(Telemetry::csv_header());
     timeline.push('\n');

@@ -8,10 +8,11 @@
 //! same equations of motion. It also checks the physical sanity
 //! identities the model must satisfy.
 
-use mems_bench::{write_csv, Table};
+use mems_bench::{no_args, write_csv, Table};
 use mems_device::{MemsParams, SpringSled};
 
 fn main() {
+    no_args("validate_kinematics");
     let p = MemsParams::default();
     let sled = SpringSled::from_spring_factor(p.accel, p.spring_factor, p.half_mobility());
     let half = p.half_mobility();

@@ -13,6 +13,6 @@ mod cli;
 pub mod report;
 pub mod sweep;
 
-pub use cli::{count_arg, long_flag};
+pub use cli::{count_arg, long_flag, no_args};
 pub use report::{emit_csv, write_csv, write_info, Table};
 pub use sweep::{run_one, sched_sweep, shared_seek_surface, SweepPoint};

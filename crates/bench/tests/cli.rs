@@ -2,7 +2,8 @@
 //! `storagesim`, `trace_stats` and `perf_smoke` on bad numeric flags,
 //! `storagesim` on unknown device, scheduler and workload names,
 //! `trace_stats` on bad trace records, and the figure binaries on any
-//! argument but their one count or `--long`, before writing a CSV.
+//! argument they do not take (their one count, `--long`, or none at all),
+//! before writing a CSV.
 //! `storagesim`'s figures divide by the requests they cover. A figure
 //! binary writes its CSV into the workspace's `results/`, and
 //! `telemetry_report` its trace and summary into the workspace's
@@ -399,6 +400,36 @@ fn fleet_binaries_reject_anything_but_long() {
     ] {
         let usage = format!("usage: {bin} [--long]");
         assert_rejected_before_any_write(bin, exe, &usage, cases);
+    }
+}
+
+#[test]
+fn figure_binaries_without_arguments_reject_any() {
+    let cases: &[&[&str]] = &[&["bogus"], &["10"], &["--long"], &["bogus", "--long"]];
+    for (bin, exe) in [
+        ("telemetry_report", env!("CARGO_BIN_EXE_telemetry_report")),
+        ("table1_params", env!("CARGO_BIN_EXE_table1_params")),
+        ("table2_rmw", env!("CARGO_BIN_EXE_table2_rmw")),
+        (
+            "fig10_large_transfers",
+            env!("CARGO_BIN_EXE_fig10_large_transfers"),
+        ),
+        ("ablation_spring", env!("CARGO_BIN_EXE_ablation_spring")),
+        (
+            "ablation_active_tips",
+            env!("CARGO_BIN_EXE_ablation_active_tips"),
+        ),
+        ("ablation_cache", env!("CARGO_BIN_EXE_ablation_cache")),
+        ("seek_profile", env!("CARGO_BIN_EXE_seek_profile")),
+        (
+            "validate_kinematics",
+            env!("CARGO_BIN_EXE_validate_kinematics"),
+        ),
+        ("fault_report", env!("CARGO_BIN_EXE_fault_report")),
+        ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
+        ("power_report", env!("CARGO_BIN_EXE_power_report")),
+    ] {
+        assert_rejected_before_any_write(bin, exe, &format!("usage: {bin}"), cases);
     }
 }
 

@@ -36,24 +36,51 @@
 //! Those terms depend on one endpoint only. [`SpringSled::seek_time`]
 //! computes them for its two states; the seek surface computes them once
 //! per cylinder (and per Y boundary and direction) and reuses them across
-//! a whole matrix row or column. A control ordering whose circles
-//! intersect then costs its switch point and two `atan2`s, the switch
-//! point's angle on each circle for the branch `wx = h`; the branch
-//! `wx = −h` reuses their negations. Each arc's swept angle serves both
-//! its time and its over-travel check, and that check runs only for a
-//! candidate whose time could lower the best so far.
+//! a whole matrix row or column.
+//!
+//! The core runs three stages per control ordering, each one function:
+//!
+//! 1. the single-phase test (the goal already lies on circle 1) and the
+//!    switch point `(px, h)` where the two circles meet, if they do;
+//! 2. the two `atan2` calls, the switch point's angle on each circle for
+//!    the branch `wx = h`; the branch `wx = −h` reuses their negations;
+//! 3. the two candidates through `(px, ±h)`, each with its over-travel
+//!    check, which runs only for a candidate whose time could lower the
+//!    best so far.
+//!
+//! Each arc's swept angle serves both its time and its over-travel check.
+//! The check's terms for the arc that leaves the start on circle 1 (its
+//! radius, its start angle reduced into `[0, 2π)`, and its offsets to the
+//! circle's two extremes of `p`) depend only on the start and the
+//! ordering, so the core computes them once per seek, as the ordering's
+//! *start terms*, and every candidate of that ordering reads them.
+//!
+//! A surface row, one start against every goal, goes through the row
+//! solve, `SpringSled::solve_row`, built from the same three stages. It
+//! computes the start terms once for the row, then takes the goals in
+//! lanes of four: stage 1 for each cell of the lane, then the lane's
+//! `atan2` calls together, which the CPU overlaps, then stage 3 for each
+//! cell. A lane handles only the *plain* cell: its endpoints differ,
+//! exactly one ordering's circles meet, and neither ordering passes the
+//! single-phase test. Any other cell goes to `transfer_time`, and the row
+//! solve counts it; on a rest-to-rest X row that is only the diagonal.
+//! The plain case is exact: an ordering whose circles do not meet and
+//! that has no single-phase candidate offers no candidate at all, so in
+//! `transfer_time` the running best enters the other ordering at +∞, as
+//! it does in the lane, and both then run the same stage 3 on the same
+//! operands.
 //!
 //! The core is bit-identical to the earlier solver that evaluated every
 //! candidate from scratch; that solver is kept verbatim under `cfg(test)`
 //! (`kinematics::reference`) as a frozen reference for the tests.
-//! Hoisting moves only pure subexpressions: each endpoint term is the same
-//! floating-point expression on the same operands wherever it is used, and
-//! every candidate keeps its expression tree — operand order, `powi(2)`,
-//! the reduction into `[0, 2π)`, the `ANGLE_EPS` clamp, `min`. A candidate
-//! whose time is above the running best leaves `best.min(t)` unchanged, so
-//! skipping its over-travel check is exact too. Two more shortcuts are
-//! exact by properties of the floating-point operations themselves, each
-//! guarded by a test:
+//! Hoisting moves only pure subexpressions: each endpoint or start term is
+//! the same floating-point expression on the same operands wherever it is
+//! used, and every candidate keeps its expression tree — operand order,
+//! `powi(2)`, the reduction into `[0, 2π)`, the `ANGLE_EPS` clamp, `min`.
+//! A candidate whose time is above the running best leaves `best.min(t)`
+//! unchanged, so skipping its over-travel check is exact too. Two more
+//! shortcuts are exact by properties of the floating-point operations
+//! themselves, each guarded by a test:
 //!
 //! * **Negated switch angles.** `atan2` is odd in `y`: glibc's computes on
 //!   `|y|` and copies `y`'s sign to the result, and any correctly rounded
@@ -88,6 +115,9 @@ const OVERTRAVEL_SLACK: f64 = 0.05;
 
 /// One full revolution, the period every phase angle is reduced by.
 const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+
+/// Cells [`SpringSled::solve_row`] takes through each stage together.
+const LANE: usize = 4;
 
 /// The terms of one seek endpoint `(p, v)` that do not depend on the other
 /// endpoint. With `w = v/ω`, for each circle center `c` of
@@ -130,23 +160,129 @@ fn sweep(th0: f64, th1: f64) -> f64 {
     dth
 }
 
-/// Maximum |p| reached on the clockwise arc around `c` (squared radius
-/// `r_sq`) that starts at angle `th0` and position `p0`, sweeps `dth`, and
-/// ends at `p1`; used to reject trajectories that fly far outside the
-/// device.
-fn arc_reach(c: f64, r_sq: f64, th0: f64, dth: f64, p0: f64, p1: f64) -> f64 {
-    let r = r_sq.sqrt();
-    let th0 = wrap_angle(th0);
-    let mut max_abs = p0.abs().max(p1.abs());
-    // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
-    // (p = c − r); check whether the swept arc crosses them.
-    for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
-        let offset = wrap_angle(theta_ext - th0);
-        if offset <= dth {
-            max_abs = max_abs.max(p_ext.abs());
+/// The terms of a clockwise arc that depend only on where it starts: on
+/// the circle around `c` with squared radius `r_sq`, at phase angle `th0`
+/// and position `p0`.
+#[derive(Debug, Clone, Copy)]
+struct ArcStart {
+    /// The start's phase angle, unreduced, as sweeps are measured from it.
+    th0: f64,
+    p0_abs: f64,
+    /// For each extreme of p on the circle, θ = 0 (p = c + r) and θ = π
+    /// (p = c − r): the clockwise offset from the start to it, and |p|
+    /// there.
+    extremes: [(f64, f64); 2],
+}
+
+impl ArcStart {
+    fn new(c: f64, r_sq: f64, th0: f64, p0: f64) -> Self {
+        let r = r_sq.sqrt();
+        let th0_reduced = wrap_angle(th0);
+        ArcStart {
+            th0,
+            p0_abs: p0.abs(),
+            extremes: [(0.0, c + r), (std::f64::consts::PI, c - r)]
+                .map(|(theta_ext, p_ext)| (wrap_angle(theta_ext - th0_reduced), p_ext.abs())),
         }
     }
-    max_abs
+
+    /// Maximum |p| reached on the arc that sweeps `dth` from the start and
+    /// ends at `p1`; used to reject trajectories that fly far outside the
+    /// device.
+    #[inline]
+    fn reach(&self, dth: f64, p1: f64) -> f64 {
+        let mut max_abs = self.p0_abs.max(p1.abs());
+        for (offset, p_ext_abs) in self.extremes {
+            if offset <= dth {
+                max_abs = max_abs.max(p_ext_abs);
+            }
+        }
+        max_abs
+    }
+}
+
+/// One control ordering's start terms (see the module docs): circle 1,
+/// around `c1` through the start, is followed first, then circle 2, around
+/// `c2`. `i1` and `i2` index the two centers' terms in an [`Endpoint`].
+#[derive(Debug, Clone, Copy)]
+struct Departure {
+    i1: usize,
+    i2: usize,
+    c1: f64,
+    c2: f64,
+    r1_sq: f64,
+    /// The arc that leaves the start on circle 1.
+    arc: ArcStart,
+}
+
+impl Departure {
+    /// Stage 1 toward `to`: whether `to` already lies on circle 1, which
+    /// makes a single-phase candidate, and the switch point `(px, h)` where
+    /// circle 1 meets circle 2 through `to`, or `None` if they do not meet.
+    #[inline]
+    fn switch_point(&self, to: &Endpoint) -> (bool, Option<(f64, f64)>) {
+        let (c1, c2, r1_sq) = (self.c1, self.c2, self.r1_sq);
+        let single_phase = (to.r_sq[self.i1] - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS);
+        let denom = 2.0 * (c2 - c1);
+        debug_assert!(denom.abs() > 0.0);
+        let px = (r1_sq - to.r_sq[self.i2] + c2 * c2 - c1 * c1) / denom;
+        let h_sq = r1_sq - (px - c1).powi(2);
+        let switch = if h_sq < -1e-18 {
+            None
+        } else {
+            Some((px, h_sq.max(0.0).sqrt()))
+        };
+        (single_phase, switch)
+    }
+
+    /// Stage 2: the switch point's angle on each circle, `atan2(−wx,
+    /// px − c)`, for the branch `wx = h`. The branch `wx = −h` has the
+    /// negated angles: `atan2` is odd in `y` (see the module docs), so the
+    /// negation holds the bits a second call would return, ±0 and ±π at
+    /// `h = 0` included.
+    #[inline]
+    fn switch_angles(&self, (px, h): (f64, f64)) -> (f64, f64) {
+        (f64::atan2(-h, px - self.c1), f64::atan2(-h, px - self.c2))
+    }
+}
+
+/// The fastest candidate offered to a seek so far, among those that stay
+/// within the over-travel limit and among all.
+#[derive(Debug, Clone, Copy)]
+struct Best {
+    within: f64,
+    any: f64,
+}
+
+impl Best {
+    const NONE: Best = Best {
+        within: f64::INFINITY,
+        any: f64::INFINITY,
+    };
+
+    /// Offers candidate time `t`. Only a candidate with `t <= within` gets
+    /// its over-travel check, `fits`: a slower one cannot change
+    /// `within.min(t)`.
+    #[inline]
+    fn offer(&mut self, t: f64, fits: impl FnOnce() -> bool) {
+        if t <= self.within && fits() {
+            self.within = self.within.min(t);
+        }
+        self.any = self.any.min(t);
+    }
+
+    /// The seek's time: the fastest candidate within the limit or, when
+    /// all over-travelled (possible only for contrived states), the
+    /// fastest unchecked one.
+    #[inline]
+    fn time(self) -> f64 {
+        if self.within.is_finite() {
+            self.within
+        } else {
+            debug_assert!(self.any.is_finite(), "no bang-bang solution found");
+            self.any
+        }
+    }
 }
 
 /// One axis of the sled: actuator strength, spring stiffness, travel limit.
@@ -240,7 +376,7 @@ impl SpringSled {
     ///
     /// Panics if `p` lies outside the travel range.
     pub(crate) fn endpoint(&self, p: f64, v: f64) -> Endpoint {
-        let lim = self.p_max * (1.0 + OVERTRAVEL_SLACK) + POS_EPS;
+        let lim = self.slack_lim() + POS_EPS;
         assert!(
             p.abs() <= lim,
             "seek endpoints must lie within the sled travel range"
@@ -255,82 +391,130 @@ impl SpringSled {
         }
     }
 
+    /// How far |p| may reach during a seek.
+    fn slack_lim(&self) -> f64 {
+        self.p_max * (1.0 + OVERTRAVEL_SLACK)
+    }
+
+    /// Whether `from` and `to` are one state, which takes no time to reach.
+    fn same_state(&self, from: &Endpoint, to: &Endpoint) -> bool {
+        (from.p - to.p).abs() < POS_EPS && (from.v - to.v).abs() < self.omega * POS_EPS
+    }
+
+    /// Both control orderings' terms for seeks that start at `from`: +a
+    /// first, then −a first.
+    fn departures(&self, from: &Endpoint) -> [Departure; 2] {
+        let centers = self.centers();
+        [(0, 1), (1, 0)].map(|(i1, i2)| Departure {
+            i1,
+            i2,
+            c1: centers[i1],
+            c2: centers[i2],
+            r1_sq: from.r_sq[i1],
+            arc: ArcStart::new(centers[i1], from.r_sq[i1], from.theta[i1], from.p),
+        })
+    }
+
+    /// Stage 3: offers `best` the two two-phase candidates of ordering
+    /// `dep` toward `to`, through the switch point `(px, ±h)` whose angles
+    /// for `+h` are `(a1, a2)`.
+    #[inline]
+    fn offer_switches(
+        &self,
+        best: &mut Best,
+        dep: &Departure,
+        to: &Endpoint,
+        (px, h): (f64, f64),
+        (a1, a2): (f64, f64),
+    ) {
+        for (wx, sw1, sw2) in [(h, a1, a2), (-h, -a1, -a2)] {
+            let dth1 = sweep(dep.arc.th0, sw1);
+            let dth2 = sweep(sw2, to.theta[dep.i2]);
+            let t = dth1 / self.omega + dth2 / self.omega;
+            best.offer(t, || {
+                let arrival = ArcStart::new(dep.c2, (px - dep.c2).powi(2) + wx * wx, sw2, px);
+                dep.arc.reach(dth1, px).max(arrival.reach(dth2, to.p)) <= self.slack_lim()
+            });
+        }
+    }
+
     /// [`SpringSled::seek_time`] between two endpoints' precomputed terms:
     /// the one solver core behind every seek and the seek surface.
     pub(crate) fn transfer_time(&self, from: &Endpoint, to: &Endpoint) -> f64 {
-        if (from.p - to.p).abs() < POS_EPS && (from.v - to.v).abs() < self.omega * POS_EPS {
+        if self.same_state(from, to) {
             return 0.0;
         }
-
-        let slack_lim = self.p_max * (1.0 + OVERTRAVEL_SLACK);
-        let centers = self.centers();
-
-        let mut best = f64::INFINITY;
-        let mut best_unchecked = f64::INFINITY;
-        // Circle 1 (the first control) is centered at `centers[i1]`,
-        // circle 2 at `centers[i2]`. Only a candidate with `t <= best` gets
-        // its over-travel check: a slower one cannot change `best.min(t)`.
-        for (i1, i2) in [(0, 1), (1, 0)] {
-            let (c1, c2) = (centers[i1], centers[i2]);
-            let r1_sq = from.r_sq[i1];
-            let r2_sq = to.r_sq[i2];
-            let th0 = from.theta[i1];
-
-            // Single-phase candidate: the goal already lies on circle 1.
-            let goal_on_c1 = to.r_sq[i1];
-            if (goal_on_c1 - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS) {
-                let dth = sweep(th0, to.theta[i1]);
-                let t = dth / self.omega;
-                if t <= best && arc_reach(c1, r1_sq, th0, dth, from.p, to.p) <= slack_lim {
-                    best = best.min(t);
-                }
-                best_unchecked = best_unchecked.min(t);
+        let mut best = Best::NONE;
+        for dep in &self.departures(from) {
+            let (single_phase, switch) = dep.switch_point(to);
+            if single_phase {
+                let dth = sweep(dep.arc.th0, to.theta[dep.i1]);
+                best.offer(dth / self.omega, || {
+                    dep.arc.reach(dth, to.p) <= self.slack_lim()
+                });
             }
-
-            // Two-phase candidates: circle-1/circle-2 intersections.
-            let denom = 2.0 * (c2 - c1);
-            debug_assert!(denom.abs() > 0.0);
-            let px = (r1_sq - r2_sq + c2 * c2 - c1 * c1) / denom;
-            let h_sq = r1_sq - (px - c1).powi(2);
-            if h_sq < -1e-18 {
-                continue; // circles do not intersect under this ordering
+            if let Some(switch) = switch {
+                self.offer_switches(&mut best, dep, to, switch, dep.switch_angles(switch));
             }
-            let h = h_sq.max(0.0).sqrt();
-            // The switch point's angle on each circle, `atan2(−wx, px − c)`,
-            // for the branch `wx = h`. The branch `wx = −h` has the negated
-            // angles: `atan2` is odd in `y` (see the module docs), so the
-            // negation holds the bits a second call would return, ±0 and
-            // ±π at `h = 0` included.
-            let a1 = f64::atan2(-h, px - c1);
-            let a2 = f64::atan2(-h, px - c2);
-            for (wx, sw1, sw2) in [(h, a1, a2), (-h, -a1, -a2)] {
-                let dth1 = sweep(th0, sw1);
-                let dth2 = sweep(sw2, to.theta[i2]);
-                let t = dth1 / self.omega + dth2 / self.omega;
-                if t <= best {
-                    let reach = arc_reach(c1, r1_sq, th0, dth1, from.p, px).max(arc_reach(
-                        c2,
-                        (px - c2).powi(2) + wx * wx,
-                        sw2,
-                        dth2,
-                        px,
-                        to.p,
-                    ));
-                    if reach <= slack_lim {
-                        best = best.min(t);
+        }
+        best.time()
+    }
+
+    /// Stage 1 of both orderings of the seek from `from` to `to`, whose
+    /// start's terms are `deps`: the ordering and switch point of a plain
+    /// seek (see the module docs), `None` for any other.
+    #[inline]
+    fn plain_switch<'a>(
+        &self,
+        deps: &'a [Departure; 2],
+        from: &Endpoint,
+        to: &Endpoint,
+    ) -> Option<(&'a Departure, (f64, f64))> {
+        if self.same_state(from, to) {
+            return None;
+        }
+        match deps.map(|dep| dep.switch_point(to)) {
+            [(false, Some(switch)), (false, None)] => Some((&deps[0], switch)),
+            [(false, None), (false, Some(switch))] => Some((&deps[1], switch)),
+            _ => None,
+        }
+    }
+
+    /// [`SpringSled::transfer_time`] from `from` to each of `goals`, in
+    /// lanes of cells that take each stage together; passes each time to
+    /// `store` with its goal's index. Returns how many cells were not
+    /// plain and went to `transfer_time` itself.
+    pub(crate) fn solve_row(
+        &self,
+        from: &Endpoint,
+        goals: &[Endpoint],
+        mut store: impl FnMut(usize, f64),
+    ) -> usize {
+        let deps = self.departures(from);
+        let mut fallbacks = 0;
+        for (first, lane) in (0..).step_by(LANE).zip(goals.chunks(LANE)) {
+            let mut plain = [None; LANE];
+            for (cell, to) in plain.iter_mut().zip(lane) {
+                *cell = self.plain_switch(&deps, from, to);
+            }
+            let plain = plain
+                .map(|cell| cell.map(|(dep, switch)| (dep, switch, dep.switch_angles(switch))));
+            for (k, (to, cell)) in lane.iter().zip(plain).enumerate() {
+                let t = match cell {
+                    Some((dep, switch, angles)) => {
+                        let mut best = Best::NONE;
+                        self.offer_switches(&mut best, dep, to, switch, angles);
+                        best.time()
                     }
-                }
-                best_unchecked = best_unchecked.min(t);
+                    None => {
+                        fallbacks += 1;
+                        self.transfer_time(from, to)
+                    }
+                };
+                store(first + k, t);
             }
         }
-        if best.is_finite() {
-            best
-        } else {
-            // All candidates over-travelled (possible only for contrived
-            // states); fall back to the fastest unchecked trajectory.
-            debug_assert!(best_unchecked.is_finite(), "no bang-bang solution found");
-            best_unchecked
-        }
+        fallbacks
     }
 
     /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
@@ -795,22 +979,111 @@ mod tests {
         }
     }
 
+    /// States at the over-travel and travel limits and around the center,
+    /// at rest (either zero), at ±the access velocity and at twice it.
+    fn edge_states(sled: &SpringSled) -> Vec<(f64, f64)> {
+        let lim = sled.slack_lim();
+        let positions = [-lim, -sled.p_max(), -1e-12, 0.0, 1e-12, sled.p_max(), lim];
+        let velocities = [0.0, -0.0, V_ACCESS, -V_ACCESS, 2.0 * V_ACCESS];
+        positions
+            .into_iter()
+            .flat_map(|p| velocities.map(|v| (p, v)))
+            .collect()
+    }
+
     #[test]
     fn edge_states_match_frozen_reference() {
         for factor in SPRING_FACTORS {
             let sled = SpringSled::from_spring_factor(803.6, factor, 50e-6);
-            let lim = sled.p_max() * (1.0 + OVERTRAVEL_SLACK);
-            let positions = [-lim, -sled.p_max(), -1e-12, 0.0, 1e-12, sled.p_max(), lim];
-            let velocities = [0.0, -0.0, V_ACCESS, -V_ACCESS, 2.0 * V_ACCESS];
-            for p0 in positions {
-                for p1 in positions {
-                    for v0 in velocities {
-                        for v1 in velocities {
-                            assert_matches_reference(sled, p0, v0, p1, v1);
+            let states = edge_states(&sled);
+            for &(p0, v0) in &states {
+                for &(p1, v1) in &states {
+                    assert_matches_reference(sled, p0, v0, p1, v1);
+                }
+            }
+        }
+    }
+
+    /// Goals a relative 8·10⁻¹⁰ inside each circle through `(p0, 0)`,
+    /// moving either way at each edge-state position inside it. Each
+    /// passes the single-phase test, whose tolerance is 10⁻⁹. The other
+    /// ordering's circles touch at `(p0, 0)` and, nudged apart, may miss.
+    fn nudged_goals(sled: &SpringSled, p0: f64) -> Vec<(f64, f64)> {
+        let mut goals = Vec::new();
+        for c in sled.centers() {
+            let r_sq = (p0 - c).powi(2) * (1.0 - 8e-10);
+            for (p1, _) in edge_states(sled) {
+                let w_sq = r_sq - (p1 - c).powi(2);
+                if w_sq > 0.0 && !goals.iter().any(|&(p, _)| p == p1) {
+                    let v = w_sq.sqrt() * sled.omega();
+                    goals.extend([(p1, v), (p1, -v)]);
+                }
+            }
+        }
+        goals
+    }
+
+    /// The row solve equals the scalar core bit for bit from every edge
+    /// state, over every slice of up to 9 goals, so each lane's leftover
+    /// cells are covered. The goals are the edge states, holding the start
+    /// itself (equal endpoints), its turnaround `(p, v) → (p, −v)`, which
+    /// passes the single-phase test, and moving states where both
+    /// orderings intersect; from a start at rest, the nudged goals follow.
+    /// Some nudged goals pass the single-phase test while only one
+    /// ordering intersects, so a lane that skipped the test would get
+    /// them wrong.
+    #[test]
+    fn row_solve_matches_scalar_core() {
+        for factor in SPRING_FACTORS {
+            let sled = SpringSled::from_spring_factor(803.6, factor, 50e-6);
+            let mut one_sided_single_phase = 0;
+            for (p0, v0) in edge_states(&sled) {
+                let from = &sled.endpoint(p0, v0);
+                let mut states = edge_states(&sled);
+                if v0 == 0.0 {
+                    states.extend(nudged_goals(&sled, p0));
+                }
+                let states: Vec<Endpoint> = states
+                    .into_iter()
+                    .map(|(p, v)| sled.endpoint(p, v))
+                    .collect();
+                let deps = sled.departures(from);
+                one_sided_single_phase += states
+                    .iter()
+                    .filter(|to| {
+                        let [a, b] = deps.map(|dep| dep.switch_point(to));
+                        (a.0 || b.0) && a.1.is_some() != b.1.is_some()
+                    })
+                    .count();
+                for len in 0..=9 {
+                    for first in 0..=states.len() - len {
+                        let goals = &states[first..first + len];
+                        let mut times = Vec::new();
+                        let fallbacks = sled.solve_row(from, goals, |to, t| times.push((to, t)));
+                        assert!(fallbacks <= len);
+                        assert_eq!(times.len(), len);
+                        for (k, ((to, t), goal)) in times.into_iter().zip(goals).enumerate() {
+                            let want = sled.transfer_time(from, goal);
+                            assert_eq!(to, k, "cells are stored in order");
+                            assert_eq!(
+                                t.to_bits(),
+                                want.to_bits(),
+                                "({}, {}) -> ({}, {}) at spring factor {factor}: \
+                                 row solve {t} vs scalar core {want}",
+                                from.p,
+                                from.v,
+                                goal.p,
+                                goal.v
+                            );
                         }
                     }
                 }
             }
+            assert!(
+                one_sided_single_phase > 0,
+                "no goal at spring factor {factor} passes the single-phase test \
+                 while only one ordering intersects"
+            );
         }
     }
 
