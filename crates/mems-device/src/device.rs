@@ -172,12 +172,14 @@ impl MemsDevice {
 
     /// The seek surface answering on-grid queries, once attached or
     /// resolved.
+    #[inline]
     pub fn seek_surface(&self) -> Option<&Arc<SeekSurface>> {
         self.surface.get().and_then(Option::as_ref)
     }
 
     /// The seek surface, resolved from the process-wide registry on first
     /// use; `None` when the seek cache is off.
+    #[inline]
     fn surface(&self) -> Option<&SeekSurface> {
         self.surface
             .get_or_init(|| SeekSurface::shared(&self.params))
@@ -218,6 +220,7 @@ impl MemsDevice {
     /// X rest-seek time from `from` to the center of `to_cyl`: read from
     /// the seek surface when the start is on the grid (always true after
     /// the first completed request).
+    #[inline]
     fn x_seek_time(&self, from: &Pos, to_cyl: u32) -> f64 {
         from.cyl
             .and_then(|from_cyl| Some(self.surface()?.x_at(from_cyl as usize, to_cyl as usize)))
@@ -229,6 +232,7 @@ impl MemsDevice {
 
     /// Y seek time from `from` to the row boundary `to` at direction
     /// `to_dir`: read from the seek surface when the start is on the grid.
+    #[inline]
     fn y_seek_time(&self, from: &Pos, to: u32, to_dir: i8) -> f64 {
         let key = from.y.map(|(from_boundary, from_dir)| YKey {
             from_boundary,
@@ -279,11 +283,13 @@ impl MemsDevice {
     /// # Panics
     ///
     /// Panics if `lbn` is beyond the device capacity.
+    #[inline]
     pub fn cylinder_of_lbn(&self, lbn: u64) -> u32 {
         self.mapper.decompose(lbn).cylinder
     }
 
     /// Cylinder nearest the tips in the current mechanical state.
+    #[inline]
     pub fn current_cylinder(&self) -> u32 {
         let Pos { state, cyl, .. } = self.pos;
         cyl.unwrap_or_else(|| self.mapper.cylinder_of_x(state.x))
@@ -296,6 +302,7 @@ impl MemsDevice {
     /// The current X offset may sit up to half a cylinder pitch from its
     /// nearest cylinder center, so the guaranteed travel is
     /// `(distance − ½)·bit_width`; any such seek also pays the settle.
+    #[inline]
     pub fn positioning_floor_at_distance(&self, distance: u64) -> f64 {
         if distance == 0 {
             return 0.0;
@@ -311,6 +318,7 @@ impl MemsDevice {
     /// # Panics
     ///
     /// Panics if `cyl` is not a cylinder of the device.
+    #[inline]
     pub fn cylinder_positioning_floor(&self, cyl: u32) -> f64 {
         assert!(
             cyl < self.geom.cylinders,
@@ -372,6 +380,7 @@ impl MemsDevice {
     }
 
     /// [`MemsDevice::service_from`] from a quantized state.
+    #[inline]
     fn service_at(&self, from: Pos, req: &Request) -> (ServiceBreakdown, Pos) {
         let mut b = ServiceBreakdown {
             overhead: self.params.overhead,
@@ -401,6 +410,7 @@ impl MemsDevice {
     /// Positioning time (max of X-seek+settle and Y-seek) from a quantized
     /// state to the first segment of a request, without transferring —
     /// SPTF's metric.
+    #[inline]
     fn positioning_at(&self, from: &Pos, req: &Request) -> f64 {
         // Only the first segment positions; later segments are turnarounds
         // accounted to the transfer stream. `first_segment` avoids
@@ -421,26 +431,32 @@ struct SegmentPlan {
 }
 
 impl PositionOracle for MemsDevice {
+    #[inline]
     fn position_time(&self, req: &Request, _now: SimTime) -> f64 {
         self.positioning_at(&self.pos, req)
     }
 
+    #[inline]
     fn position_bucket(&self, req: &Request) -> u64 {
         u64::from(self.cylinder_of_lbn(req.lbn))
     }
 
+    #[inline]
     fn current_bucket(&self) -> u64 {
         u64::from(self.current_cylinder())
     }
 
+    #[inline]
     fn min_position_time_at_bucket_distance(&self, distance: u64) -> f64 {
         self.positioning_floor_at_distance(distance)
     }
 
+    #[inline]
     fn bucket_position_time_floor(&self, bucket: u64) -> f64 {
         self.cylinder_positioning_floor(bucket as u32)
     }
 
+    #[inline]
     fn rest_key(&self, _now: SimTime) -> Option<[u64; 3]> {
         // Positioning depends only on the sled rest state (and the request);
         // `now` is ignored. Exact float bit patterns — never a hash — so
@@ -452,6 +468,7 @@ impl PositionOracle for MemsDevice {
     /// Prefetches the X cell of the seek between the two cylinders. It
     /// reads the surface through [`MemsDevice::seek_surface`], so a hint
     /// resolves no surface, and the prefetch fills no cell.
+    #[inline]
     fn prefetch_seek(&self, from_bucket: u64, to_bucket: u64) {
         if let Some(surface) = self.seek_surface() {
             surface.prefetch_x(from_bucket, to_bucket);
@@ -468,6 +485,7 @@ impl StorageDevice for MemsDevice {
         self.geom.total_sectors()
     }
 
+    #[inline]
     fn service(&mut self, req: &Request, _now: SimTime) -> ServiceBreakdown {
         let (b, pos) = self.service_at(self.pos, req);
         debug_assert_eq!(pos, self.quantize(pos.state), "stale grid indices");

@@ -52,6 +52,7 @@ pub struct ServiceBreakdown {
 
 impl ServiceBreakdown {
     /// Total service time in seconds.
+    #[inline]
     pub fn total(&self) -> f64 {
         self.positioning
             + self.transfer
@@ -61,11 +62,13 @@ impl ServiceBreakdown {
     }
 
     /// Total service time as a [`SimTime`].
+    #[inline]
     pub fn total_time(&self) -> SimTime {
         SimTime::from_secs(self.total())
     }
 
     /// Element-wise accumulation, for averaging over a run.
+    #[inline]
     pub fn accumulate(&mut self, other: &ServiceBreakdown) {
         self.positioning += other.positioning;
         self.seek_x += other.seek_x;

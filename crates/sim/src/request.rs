@@ -60,6 +60,7 @@ impl Request {
     /// # Panics
     ///
     /// Panics if `sectors` is zero.
+    #[inline]
     pub fn new(id: RequestId, arrival: SimTime, lbn: u64, sectors: u32, kind: IoKind) -> Self {
         assert!(sectors > 0, "request must transfer at least one sector");
         Request {

@@ -20,6 +20,7 @@ pub fn seeded(seed: u64) -> SmallRng {
 /// # Panics
 ///
 /// Panics if `mean` is not positive.
+#[inline]
 pub fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
     assert!(mean > 0.0, "exponential mean must be positive");
     let u: f64 = 1.0 - rng.random::<f64>(); // u in (0, 1]
@@ -31,6 +32,7 @@ pub fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `n` is zero.
+#[inline]
 pub fn uniform_u64(rng: &mut SmallRng, n: u64) -> u64 {
     assert!(n > 0, "uniform range must be non-empty");
     rng.random_range(0..n)
@@ -41,6 +43,7 @@ pub fn uniform_u64(rng: &mut SmallRng, n: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]`.
+#[inline]
 pub fn bernoulli(rng: &mut SmallRng, p: f64) -> bool {
     assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
     rng.random::<f64>() < p

@@ -97,10 +97,12 @@ impl Scheduler for FifoScheduler {
         "FCFS"
     }
 
+    #[inline]
     fn enqueue(&mut self, req: Request) {
         self.queue.push_back(req);
     }
 
+    #[inline]
     fn pick<O: PositionOracle + ?Sized>(&mut self, _device: &O, _now: SimTime) -> Option<Request> {
         let req = self.queue.pop_front();
         if req.is_some() {
@@ -111,6 +113,7 @@ impl Scheduler for FifoScheduler {
         req
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.queue.len()
     }

@@ -42,6 +42,7 @@ impl Welford {
     }
 
     /// Adds a sample.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
@@ -153,6 +154,7 @@ impl ResponseStats {
     }
 
     /// Records one response time in seconds.
+    #[inline]
     pub fn push(&mut self, secs: f64) {
         self.welford.push(secs);
         match self.histogram.as_mut() {
@@ -382,6 +384,7 @@ impl LogHistogram {
     /// Adds a sample. Non-finite samples count into the underflow bin
     /// (and contribute nothing to the sum) rather than poisoning the
     /// histogram.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         self.sum += if x.is_finite() { x } else { 0.0 };

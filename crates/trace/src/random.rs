@@ -83,6 +83,7 @@ impl RandomWorkload {
 }
 
 impl Workload for RandomWorkload {
+    #[inline]
     fn next_request(&mut self) -> Option<Request> {
         if self.remaining == 0 {
             return None;

@@ -82,13 +82,21 @@ fn assert_streamed_identical<W, D, S>(
     }
 }
 
-/// Every generator, on MEMS (SPTF) and on the disk model (FIFO).
+/// Every generator, on MEMS (SPTF and FIFO) and on the disk model (FIFO).
+/// MEMS under FIFO keeps the queue shallow, so the driver's seek hints
+/// fire there.
 fn per_generator<W: Workload>(name: &str, make: impl Fn() -> W + Copy) {
     assert_streamed_identical(
         &format!("{name}/mems"),
         make,
         || MemsDevice::new(MemsParams::default()),
         SptfScheduler::new,
+    );
+    assert_streamed_identical(
+        &format!("{name}/mems-fifo"),
+        make,
+        || MemsDevice::new(MemsParams::default()),
+        FifoScheduler::new,
     );
     assert_streamed_identical(
         &format!("{name}/disk"),
